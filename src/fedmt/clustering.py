@@ -152,7 +152,8 @@ def compute_gradient_feature(
     accum = {name: np.zeros(probe_model.params.values(name).shape, dtype=np.float64)
              for name in slice_names}
     needed = set(slice_names)
-    for batch in batches(client.data.train, vocab, client.tgt.code, batch_size, seed=None):
+    samples = [(s, t, client.tgt.code) for s, t in client.data.train]
+    for batch in batches(samples, vocab, batch_size):
         _, grads = grad(probe_model, batch, needed=needed)
         for name in slice_names:
             accum[name] += grads[name]

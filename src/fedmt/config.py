@@ -1,16 +1,18 @@
 """Experiment configuration: JSON parsing, validation, defaults, snapshots.
 
 A minimal config only needs ``mode`` and ``method``; everything else
-defaults to the desk-scale hyperparameters (batch size 8, learning rate
-1e-3, 5 rounds, with the gradient-accumulation window shrunk to 2 to match
-the 1/16-scaled corpora). Unknown keys and invalid combinations are
-rejected with the offending key path.
+takes the field defaults of the config dataclasses, which are the only
+defaults (batch size 8, learning rate 1e-3, 5 rounds, a gradient-
+accumulation window of 2 to match the 1/16-scaled corpora). Unknown keys,
+values of the wrong JSON type and invalid combinations are rejected with
+the offending key path.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
@@ -102,16 +104,14 @@ class ExperimentConfig:
     aggregation: str = "fedmean"
     seeds: tuple[int, ...] = (1, 2, 3)
     data: DataConfig = field(default_factory=DataConfig)
-    model: ModelConfig = None  # type: ignore[assignment]  # filled in __post_init__
-    fed: FedConfig = None  # type: ignore[assignment]
+    model: ModelConfig = field(default_factory=ModelConfig)
+    fed: FedConfig = None  # type: ignore[assignment]  # follows ``aggregation``
     warmup: WarmupConfig = field(default_factory=WarmupConfig)
     evaluate_test_bleu: bool = True
 
     def __post_init__(self) -> None:
-        if self.model is None:
-            object.__setattr__(self, "model", default_model_config())
         if self.fed is None:
-            object.__setattr__(self, "fed", default_fed_config(self.aggregation))
+            object.__setattr__(self, "fed", FedConfig(aggregation=self.aggregation))
         _validate_experiment(self)
 
     @property
@@ -129,34 +129,6 @@ class ExperimentConfig:
     @property
     def aggregates(self) -> bool:
         return self.method in AGGREGATING_METHODS
-
-
-def default_model_config(vocab_size: int = 0) -> ModelConfig:
-    """Desk-scale model: d=64, 3+3 layers, ffn 512, bottleneck 4."""
-    return ModelConfig(
-        vocab_size=vocab_size,
-        model_dim=64,
-        num_heads=4,
-        ffn_dim=512,
-        enc_layers=3,
-        dec_layers=3,
-        adapter_bottleneck=4,
-        max_seq_len=48,
-        adapter_nonlinearity="relu",
-        dtype="float32",
-    )
-
-
-def default_fed_config(aggregation: str = "fedmean") -> FedConfig:
-    return FedConfig(
-        rounds=5,
-        aggregation=aggregation,
-        local_epochs=1,
-        batch_size=8,
-        grad_accumulation=2,
-        learning_rate=1e-3,
-        optimizer="adam",
-    )
 
 
 def _validate_experiment(cfg: ExperimentConfig) -> None:
@@ -195,70 +167,75 @@ def _validate_experiment(cfg: ExperimentConfig) -> None:
 # dict/json plumbing
 
 
-def _build_dataclass(cls, raw: Mapping[str, Any], path: str):
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(raw) - set(fields)
+_EXPECTED = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+
+
+def _check_value(key: str, value: Any, hint: Any) -> None:
+    """Reject a JSON value of the wrong type for its field. Booleans must be
+    true or false; integers must not be floats or booleans; numbers must not
+    be booleans; nested sections are checked when they are built."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        if value is None:
+            return
+        (hint,) = [a for a in args if a is not type(None)]
+        args = typing.get_args(hint)
+    if dataclasses.is_dataclass(hint):
+        return
+    if typing.get_origin(hint) is tuple:
+        variadic = args[1:] == (Ellipsis,)
+        if isinstance(value, (list, tuple)) and (variadic or len(value) == len(args)):
+            for i, item in enumerate(value):
+                _check_value(f"{key}[{i}]", item, args[0] if variadic else args[i])
+            return
+        expected = "a list" if variadic else f"a list of {len(args)} items"
+    elif hint is float:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return
+        expected = _EXPECTED[hint]
+    else:
+        if isinstance(value, hint) and (hint is bool or not isinstance(value, bool)):
+            return
+        expected = _EXPECTED[hint]
+    raise ConfigurationError(f"{key}: expected {expected}, got {json.dumps(value, default=repr)}")
+
+
+def _build_dataclass(cls, raw: Any, path: str, **extra: Any):
+    """``cls`` from a JSON object whose keys are a subset of its fields; the
+    fields it leaves out keep their dataclass defaults."""
+    if not isinstance(raw, Mapping):
+        raise ConfigurationError(f"{path}: expected an object")
+    prefix = f"{path}." if path else ""
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
-        key = sorted(unknown)[0]
-        raise ConfigurationError(f"{path}.{key}: unknown key")
-    kwargs: dict[str, Any] = {}
+        raise ConfigurationError(f"{prefix}{unknown[0]}: unknown key")
+    kwargs: dict[str, Any] = dict(extra)
     for name, value in raw.items():
-        if isinstance(value, list):
-            value = tuple(value)
-        kwargs[name] = value
+        _check_value(f"{prefix}{name}", value, hints[name])
+        kwargs[name] = tuple(value) if isinstance(value, list) else value
     try:
         return cls(**kwargs)
     except ConfigurationError:
         raise
     except (TypeError, ValueError) as err:
-        raise ConfigurationError(f"{path}: {err}") from err
+        raise ConfigurationError(f"{path or 'config'}: {err}") from err
+
+
+_SECTIONS = {"data": DataConfig, "model": ModelConfig, "fed": FedConfig, "warmup": WarmupConfig}
 
 
 def config_from_dict(raw: Mapping[str, Any]) -> ExperimentConfig:
-    raw = dict(raw)
-    top_level = {
-        "mode", "method", "ablation", "pruning", "aggregation", "seeds",
-        "data", "model", "fed", "warmup", "evaluate_test_bleu",
-    }
-    unknown = set(raw) - top_level
-    if unknown:
-        raise ConfigurationError(f"{sorted(unknown)[0]}: unknown key")
     for key in ("mode", "method"):
         if key not in raw:
             raise ConfigurationError(f"{key}: required key missing")
-
-    data = _build_dataclass(DataConfig, raw.pop("data", {}), "data")
-    warmup = _build_dataclass(WarmupConfig, raw.pop("warmup", {}), "warmup")
-
-    model_raw = dict(raw.pop("model", {}))
-    model_defaults = dataclasses.asdict(default_model_config())
-    model_defaults.update(model_raw)
-    model = _build_dataclass(ModelConfig, model_defaults, "model")
-
-    aggregation = raw.pop("aggregation", "fedmean")
-    fed_raw = dict(raw.pop("fed", {}))
-    fed_defaults = dataclasses.asdict(default_fed_config(aggregation))
-    fed_defaults.update(fed_raw)
-    fed = _build_dataclass(FedConfig, fed_defaults, "fed")
-
-    seeds = raw.pop("seeds", (1, 2, 3))
-    if isinstance(seeds, (list, tuple)):
-        seeds = tuple(int(s) for s in seeds)
-    else:
-        raise ConfigurationError("seeds: expected a list of integers")
-    return ExperimentConfig(
-        mode=raw.pop("mode"),
-        method=raw.pop("method"),
-        ablation=raw.pop("ablation", "both"),
-        pruning=raw.pop("pruning", "all"),
-        aggregation=aggregation,
-        seeds=seeds,
-        data=data,
-        model=model,
-        fed=fed,
-        warmup=warmup,
-        evaluate_test_bleu=bool(raw.pop("evaluate_test_bleu", True)),
-    )
+    raw = dict(raw)
+    aggregation = raw.get("aggregation", "fedmean")
+    for key, cls in _SECTIONS.items():
+        # fed.aggregation follows the top-level value unless set
+        extra = {"aggregation": aggregation} if key == "fed" else {}
+        raw[key] = _build_dataclass(cls, raw.get(key, {}), key, **extra)
+    return _build_dataclass(ExperimentConfig, raw, "")
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:

@@ -28,6 +28,11 @@ PAD, BOS, EOS, UNK = 0, 1, 2, 3
 _SPECIALS = ("<pad>", "<bos>", "<eos>", "<unk>")
 
 
+def derive_seed(*words: int) -> int:
+    """A 32-bit seed drawn from the SeedSequence over ``words``."""
+    return int(np.random.SeedSequence(list(words)).generate_state(1)[0])
+
+
 def _alphabet(size: int) -> list[str]:
     return [f"w{i:03d}" for i in range(size)]
 
@@ -270,14 +275,6 @@ def build_vocab(
 MixedSample = tuple[Sentence, Sentence, str]  # src tokens, tgt tokens, tgt language code
 
 
-def vocab_for_languages(languages: Sequence[LanguageSpec]) -> Vocab:
-    """The vocabulary any corpus over these languages will produce."""
-    size = len(languages[0].table)
-    tokens = set(_alphabet(size))
-    tokens.update(spec.affix for spec in languages)
-    return Vocab(tags=(_tag_token(spec.code) for spec in languages), tokens=tokens)
-
-
 def _encode_batch(samples: Sequence[MixedSample], vocab: Vocab) -> Batch:
     src_rows = [[vocab.tag_id(code)] + vocab.encode(s) + [EOS] for s, _, code in samples]
     gold_rows = [vocab.encode(t) + [EOS] for _, t, _ in samples]
@@ -305,13 +302,14 @@ def make_batch(pairs: Sequence[SentencePair], vocab: Vocab, tgt_code: str) -> Ba
     return _encode_batch([(s, t, tgt_code) for s, t in pairs], vocab)
 
 
-def mixed_batches(
+def batches(
     samples: Sequence[MixedSample],
     vocab: Vocab,
     batch_size: int,
     seed: int | None = None,
 ) -> list[Batch]:
-    """Batches over samples that may span several language pairs."""
+    """One epoch of batches over samples that may span several language
+    pairs; shuffled when a seed is given, final partial batch kept."""
     if not samples:
         raise ValueError("cannot batch an empty sample list")
     if batch_size <= 0:
@@ -323,18 +321,6 @@ def mixed_batches(
         _encode_batch([samples[i] for i in order[start : start + batch_size]], vocab)
         for start in range(0, len(samples), batch_size)
     ]
-
-
-def batches(
-    split: Sequence[SentencePair],
-    vocab: Vocab,
-    tgt_code: str,
-    batch_size: int,
-    seed: int | None = None,
-) -> list[Batch]:
-    """One epoch of batches; shuffled when a seed is given, final partial
-    batch kept."""
-    return mixed_batches([(s, t, tgt_code) for s, t in split], vocab, batch_size, seed)
 
 
 def export_corpus(dataset: ClientDataset, out_dir: str | Path) -> list[Path]:

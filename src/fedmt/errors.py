@@ -23,3 +23,7 @@ class DegenerateFeatureError(FedmtError, ValueError):
 
 class PartitionError(FedmtError, ValueError):
     """A cluster assignment is not a valid partition of the client set."""
+
+
+class CheckpointError(FedmtError, ValueError):
+    """A parameter checkpoint file is malformed or cut short."""

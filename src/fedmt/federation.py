@@ -1,11 +1,12 @@
-"""Server/client round loop with communication metering.
+"""Training loop, server/client rounds, and communication metering.
 
 One round is: every client runs a local epoch of gradient-accumulated
 steps, then the server averages trainable parameters within each encoder
 cluster, each decoder cluster, and each shared cluster, and broadcasts the
 result back to the cluster members. Frozen tensors never move and never
 count toward communication. Clients are simulated in-process; a "transfer"
-is a ledger event, not I/O.
+is a ledger event, not I/O. The centralized baseline runs the same training
+loop over the pooled client data.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .clustering import ClusterAssignment
-from .data import Vocab, batches
-from .errors import ConfigurationError, NumericError, PartitionError
+from .data import MixedSample, Vocab, batches, derive_seed
+from .errors import ConfigurationError, NumericError, StructuralMismatchError
 from .model import ToyModel, grad, loss, merge_batches
-from .params import NamedParamSet, count_params, linear_combine
-from .presets import Client
+from .params import NamedParamSet, count_params
+from .presets import Client, transfer_seconds
 
 AGGREGATIONS = ("fedavg", "fedmean")
 OPTIMIZERS = ("adam", "sgd")
@@ -32,7 +33,7 @@ class FedConfig:
     aggregation: str = "fedmean"
     local_epochs: int = 1
     batch_size: int = 8
-    grad_accumulation: int = 16
+    grad_accumulation: int = 2
     learning_rate: float = 1e-3  # adapter methods
     full_model_learning_rate: float | None = None  # backbone-trainable methods; None: same
     optimizer: str = "adam"
@@ -108,12 +109,8 @@ def make_optimizer(kind: str, learning_rate: float):
     raise ConfigurationError(f"unknown optimizer {kind!r}")
 
 
-def _make_optimizer(cfg: FedConfig):
-    return make_optimizer(cfg.optimizer, cfg.learning_rate)
-
-
 # ---------------------------------------------------------------------------
-# local training
+# training
 
 
 @dataclass(frozen=True)
@@ -123,6 +120,45 @@ class LocalStats:
     optimizer_steps: int
 
 
+def train_epochs(
+    model: ToyModel,
+    samples: Sequence[MixedSample],
+    vocab: Vocab,
+    epoch_seeds: Sequence[int],
+    batch_size: int,
+    grad_accumulation: int,
+    optimizer_kind: str,
+    learning_rate: float,
+) -> tuple[ToyModel, LocalStats]:
+    """One shuffled epoch per seed of gradient-accumulated steps, starting
+    from a fresh optimizer. The single training loop of the simulator:
+    backbone warm-up, client updates and centralized training all run it.
+
+    The optimizer steps once per ``grad_accumulation`` micro-batches (the
+    trailing partial window still steps) on the token-mean gradient. A zero
+    learning rate never steps. Frozen tensors are untouched.
+    """
+    trainable = set(model.trainable_names())
+    values = {name: model.params.values(name) for name in trainable}
+    optimizer = make_optimizer(optimizer_kind, learning_rate)
+    loss_total = 0.0
+    tokens_total = 0
+    steps = 0
+    for epoch_seed in epoch_seeds:
+        micro = batches(samples, vocab, batch_size, seed=epoch_seed)
+        for start in range(0, len(micro), grad_accumulation):
+            window = merge_batches(micro[start : start + grad_accumulation])
+            result, grads = grad(model, window, needed=trainable)
+            loss_total += result.total
+            tokens_total += result.token_count
+            if learning_rate > 0:
+                scaled = {n: g / result.token_count for n, g in grads.items()}
+                optimizer.step(values, scaled)
+                model = model.with_params(model.params.replace_values(values))
+            steps += 1
+    return model, LocalStats(loss_total / max(1, tokens_total), tokens_total, steps)
+
+
 def local_update(
     client: Client,
     model: ToyModel,
@@ -130,44 +166,20 @@ def local_update(
     vocab: Vocab,
     round_index: int,
 ) -> tuple[ToyModel, LocalStats]:
-    """Local epochs of gradient-accumulated steps on the client's train set.
-
-    The optimizer steps once per ``grad_accumulation`` micro-batches (the
-    trailing partial window still steps), starting from fresh optimizer
-    state each round. Frozen tensors are untouched.
-    """
+    """``cfg.local_epochs`` epochs of :func:`train_epochs` on the client's
+    train set, with a fresh optimizer each round."""
     if not client.data.train:
         raise ConfigurationError(f"client {client.id!r} has no training data")
-    trainable = set(model.trainable_names())
-    values = {name: model.params.values(name) for name in trainable}
-    optimizer = _make_optimizer(cfg)
-    loss_total = 0.0
-    tokens_total = 0
-    steps = 0
-    for epoch in range(cfg.local_epochs):
-        epoch_seed = int(
-            np.random.SeedSequence(
-                [cfg.seed, 0x10CA1, round_index, epoch, _stable_id(client.id)]
-            ).generate_state(1)[0]
-        )
-        micro = batches(client.data.train, vocab, client.tgt.code, cfg.batch_size, seed=epoch_seed)
-        for start in range(0, len(micro), cfg.grad_accumulation):
-            window = merge_batches(micro[start : start + cfg.grad_accumulation])
-            try:
-                result, grads = grad(model, window, needed=trainable)
-            except NumericError as err:
-                raise NumericError(
-                    f"round {round_index}, client {client.id}: {err}"
-                ) from err
-            loss_total += result.total
-            tokens_total += result.token_count
-            if cfg.learning_rate > 0:
-                scaled = {n: g / result.token_count for n, g in grads.items()}
-                optimizer.step(values, scaled)
-                model = model.with_params(model.params.replace_values(values))
-            steps += 1
-    stats = LocalStats(loss_total / max(1, tokens_total), tokens_total, steps)
-    return model, stats
+    epoch_seeds = [
+        derive_seed(cfg.seed, 0x10CA1, round_index, epoch, _stable_id(client.id))
+        for epoch in range(cfg.local_epochs)
+    ]
+    samples = [(s, t, client.tgt.code) for s, t in client.data.train]
+    try:
+        return train_epochs(model, samples, vocab, epoch_seeds, cfg.batch_size,
+                            cfg.grad_accumulation, cfg.optimizer, cfg.learning_rate)
+    except NumericError as err:
+        raise NumericError(f"round {round_index}, client {client.id}: {err}") from err
 
 
 def _stable_id(text: str) -> int:
@@ -178,46 +190,7 @@ def _stable_id(text: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# aggregation rules
-
-
-def aggregate_fedavg(sets: Sequence[NamedParamSet], sizes: Sequence[int]) -> NamedParamSet:
-    """Data-size weighted average: weights n_i / sum(n)."""
-    if len(sets) != len(sizes):
-        raise ConfigurationError(f"{len(sets)} sets but {len(sizes)} sizes")
-    if any(n <= 0 for n in sizes):
-        raise ConfigurationError("client data sizes must be positive")
-    total = float(sum(sizes))
-    return linear_combine(sets, [n / total for n in sizes])
-
-
-def aggregate_fedmean(sets: Sequence[NamedParamSet]) -> NamedParamSet:
-    """Unweighted arithmetic mean."""
-    if not sets:
-        raise ValueError("need at least one parameter set")
-    return linear_combine(sets, [1.0 / len(sets)] * len(sets))
-
-
-def _cluster_mean_values(
-    member_sets: Sequence[NamedParamSet],
-    names: Sequence[str],
-    rule: str,
-    sizes: Sequence[int] | None,
-) -> dict[str, np.ndarray]:
-    if rule == "fedavg":
-        if sizes is None:
-            raise ConfigurationError("fedavg aggregation needs client data sizes")
-        total = float(sum(sizes))
-        weights = [n / total for n in sizes]
-    else:
-        weights = [1.0 / len(member_sets)] * len(member_sets)
-    out = {}
-    for name in names:
-        acc = np.zeros_like(member_sets[0].values(name))
-        for w, pset in zip(weights, member_sets):
-            acc += w * pset.values(name)
-        out[name] = acc
-    return out
+# aggregation
 
 
 def inner_cluster_aggregate(
@@ -230,8 +203,10 @@ def inner_cluster_aggregate(
     result to the members.
 
     Encoder-side tensors follow the encoder clusters, decoder-side the
-    decoder clusters, shared-side the assignment's shared clusters. With a
-    single global cluster and the mean rule this reduces to plain FedMean.
+    decoder clusters, shared-side the assignment's shared clusters. The
+    ``fedmean`` rule weighs members equally, ``fedavg`` by data size
+    n_i / sum(n) within the cluster. With a single global cluster these are
+    plain FedMean and FedAvg. Frozen tensors are left as they are.
     """
     if rule not in AGGREGATIONS:
         raise ConfigurationError(f"unknown aggregation rule {rule!r}")
@@ -239,8 +214,18 @@ def inner_cluster_aggregate(
     client_ids = sorted(params_by_client)
     base = params_by_client[client_ids[0]]
     for cid in client_ids[1:]:
-        if not base.compatible_with(params_by_client[cid]):
-            raise PartitionError(f"client {cid!r} params incompatible with {client_ids[0]!r}")
+        other = params_by_client[cid]
+        if not base.compatible_with(other) or any(
+            a.trainable != b.trainable for a, b in zip(base, other)
+        ):
+            raise StructuralMismatchError(
+                f"client {cid!r} params incompatible with {client_ids[0]!r}"
+            )
+    if rule == "fedavg":
+        if sizes_by_client is None:
+            raise ConfigurationError("fedavg aggregation needs client data sizes")
+        if any(sizes_by_client.get(cid, 0) <= 0 for cid in client_ids):
+            raise ConfigurationError("client data sizes must be positive")
 
     names_by_side = {
         side: [t.name for t in base if t.trainable and t.side == side]
@@ -256,15 +241,17 @@ def inner_cluster_aggregate(
         if not names:
             continue
         for cluster in clusters:
-            member_sets = [params_by_client[cid] for cid in cluster]
-            sizes = None
             if rule == "fedavg":
-                if sizes_by_client is None:
-                    raise ConfigurationError("fedavg aggregation needs client data sizes")
-                sizes = [sizes_by_client[cid] for cid in cluster]
-            mean_values = _cluster_mean_values(member_sets, names, rule, sizes)
-            for cid in cluster:
-                updates[cid].update(mean_values)
+                total = float(sum(sizes_by_client[cid] for cid in cluster))
+                weights = [sizes_by_client[cid] / total for cid in cluster]
+            else:
+                weights = [1.0 / len(cluster)] * len(cluster)
+            for name in names:
+                acc = np.zeros_like(params_by_client[cluster[0]].values(name))
+                for w, cid in zip(weights, cluster):
+                    acc += w * params_by_client[cid].values(name)
+                for cid in cluster:
+                    updates[cid][name] = acc
     return {
         cid: params_by_client[cid].replace_values(updates[cid]) for cid in client_ids
     }
@@ -288,9 +275,7 @@ def estimate_transfer(
     payload_bytes: float, n_clients: int, bandwidth_bps: float
 ) -> tuple[float, float]:
     """(per-client seconds, serialized total) under shared bandwidth."""
-    if bandwidth_bps <= 0:
-        raise ConfigurationError("bandwidth must be positive")
-    per_client = payload_bytes * 8.0 / bandwidth_bps
+    per_client = transfer_seconds(payload_bytes, bandwidth_bps)
     return per_client, per_client * n_clients
 
 
@@ -307,7 +292,7 @@ class CommLedger:
     def record_sync(self, round_index: int, client: str, param_count: int) -> None:
         """One uplink plus one downlink of the client's trainable payload."""
         n_bytes = param_count * self.bytes_per_param
-        seconds = n_bytes * 8.0 / self.bandwidth_bps
+        seconds = transfer_seconds(n_bytes, self.bandwidth_bps)
         for direction in ("uplink", "downlink"):
             self.entries.append(
                 LedgerEntry(round_index, client, direction, param_count, n_bytes, seconds)
@@ -318,9 +303,6 @@ class CommLedger:
 
     def total_seconds(self, direction: str | None = None) -> float:
         return sum(e.seconds for e in self.entries if direction in (None, e.direction))
-
-    def round_bytes(self, round_index: int) -> int:
-        return sum(e.bytes for e in self.entries if e.round == round_index)
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +327,12 @@ class FedRunResult:
     round0_dev_loss: dict[str, float]
 
 
-def evaluate_dev_loss(model: ToyModel, client: Client, vocab: Vocab, eval_batch_size: int = 128) -> float:
+def evaluate_dev_loss(model: ToyModel, client: Client, vocab: Vocab, eval_batch_size: int) -> float:
     """Token-mean loss over the client's dev split."""
     total = 0.0
     tokens = 0
-    for batch in batches(client.data.dev, vocab, client.tgt.code, eval_batch_size, seed=None):
+    samples = [(s, t, client.tgt.code) for s, t in client.data.dev]
+    for batch in batches(samples, vocab, eval_batch_size):
         result = loss(model, batch)
         total += result.total
         tokens += result.token_count
@@ -420,3 +403,47 @@ def run_experiment(
         if round_hook is not None:
             round_hook(state)
     return FedRunResult(history, ledger, best_round, best_dev, best_models, round0)
+
+
+def run_centralized(
+    clients: Sequence[Client],
+    initial: ToyModel,
+    cfg: FedConfig,
+    vocab: Vocab,
+) -> FedRunResult:
+    """The centralized baseline: one model trained on the pooled client
+    data, one epoch per round from a fresh optimizer (the same schedule as
+    federated local updates), evaluated on every client's dev split.
+
+    Nothing is transferred, so the ledger stays empty. Every client shares
+    the checkpoint of the round with the lowest mean dev loss.
+    """
+    samples = [(s, t, c.tgt.code) for c in clients for s, t in c.data.train]
+    by_id = {c.id: c for c in clients}
+    ids = sorted(by_id)
+    model = initial
+    round0 = {cid: evaluate_dev_loss(model, by_id[cid], vocab, cfg.eval_batch_size) for cid in ids}
+    best_mean = None
+    best_round = 0
+    best_model = model
+    best_dev = dict(round0)
+    history: list[RoundState] = []
+    for round_index in range(1, cfg.rounds + 1):
+        model, stats = train_epochs(
+            model, samples, vocab, [derive_seed(cfg.seed, 0xCE27, round_index)],
+            cfg.batch_size, cfg.grad_accumulation, cfg.optimizer, cfg.learning_rate,
+        )
+        dev = {cid: evaluate_dev_loss(model, by_id[cid], vocab, cfg.eval_batch_size) for cid in ids}
+        history.append(RoundState(round_index, {cid: model.params for cid in ids}, dev,
+                                  {cid: stats.train_loss for cid in ids}))
+        mean_dev = sum(dev.values()) / len(dev)
+        if best_mean is None or mean_dev < best_mean:
+            best_mean, best_round, best_model, best_dev = mean_dev, round_index, model, dev
+    return FedRunResult(
+        history,
+        CommLedger(cfg.bandwidth_bps, cfg.bytes_per_param),
+        {cid: best_round for cid in ids},
+        best_dev,
+        {cid: best_model for cid in ids},
+        round0,
+    )

@@ -28,7 +28,7 @@ PRUNING_STRATEGIES = ("all", "input_end", "middle", "output_end")
 
 @dataclass(frozen=True)
 class ModelConfig:
-    vocab_size: int
+    vocab_size: int = 0  # bound to the corpus vocabulary at run time
     model_dim: int = 64
     num_heads: int = 4
     ffn_dim: int = 512
@@ -252,11 +252,6 @@ def build_model(
             tensors.append(ParamTensor(f"{p}.up.bias", np.zeros(d, dtype=dtype), True, site.side))
             mask[p] = True
     return ToyModel(config, NamedParamSet(tensors), mask)
-
-
-def backbone_only(pset: NamedParamSet) -> NamedParamSet:
-    """The non-adapter tensors of a parameter set."""
-    return pset.filter(lambda t: "_adapter." not in t.name)
 
 
 # ---------------------------------------------------------------------------

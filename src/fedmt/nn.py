@@ -173,25 +173,8 @@ def attention_bwd(dout: np.ndarray, cache, key: str, grads: dict, want: WantFn =
 # bottleneck adapter
 
 
-def adapter_apply(
-    h: np.ndarray,
-    down_w: np.ndarray,
-    down_b: np.ndarray,
-    up_w: np.ndarray,
-    up_b: np.ndarray,
-    nonlinearity: str = "relu",
-    active: bool = True,
-) -> np.ndarray:
-    """Residual bottleneck: h + up(act(down(h))). A pruned adapter is the identity."""
-    if not active:
-        return h
-    act_fwd, _ = ACTIVATIONS[nonlinearity]
-    z = h @ down_w + down_b
-    a, _ = act_fwd(z)
-    return h + a @ up_w + up_b
-
-
 def adapter_fwd(h: np.ndarray, p: dict[str, tuple[np.ndarray, np.ndarray]], nonlinearity: str):
+    """Residual bottleneck h + up(act(down(h))); the model skips pruned adapters."""
     act_fwd, _ = ACTIVATIONS[nonlinearity]
     z, down_cache = linear_fwd(h, *p["down"])
     a, act_cache = act_fwd(z)

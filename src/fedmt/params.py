@@ -1,9 +1,9 @@
-"""Named parameter sets: storage, counting, flattening, and linear algebra.
+"""Named parameter sets: storage, counting, payload sizes, checkpoints.
 
 Every model in the simulator is a :class:`NamedParamSet`: an immutable,
 name-ordered collection of tensors, each tagged with a side (``encoder``,
-``decoder``, or ``shared``) and a trainable flag. All aggregation rules
-reduce to :func:`linear_combine` over these sets.
+``decoder``, or ``shared``) and a trainable flag. Aggregation averages
+these sets in ``federation.inner_cluster_aggregate``.
 
 Binary checkpoint format (little-endian):
 
@@ -24,11 +24,11 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import StructuralMismatchError
+from .errors import CheckpointError, StructuralMismatchError
 
 SIDES = ("encoder", "decoder", "shared")
 
@@ -133,9 +133,6 @@ class NamedParamSet:
     def map_values(self, fn: Callable[[ParamTensor], np.ndarray]) -> "NamedParamSet":
         return NamedParamSet(t.with_values(fn(t)) for t in self)
 
-    def clone(self) -> "NamedParamSet":
-        return NamedParamSet(t.with_values(t.values.copy()) for t in self)
-
     def astype(self, dtype) -> "NamedParamSet":
         return NamedParamSet(t.with_values(t.values.astype(dtype)) for t in self)
 
@@ -200,79 +197,6 @@ def payload(
     return CommPayloadSpec(count, bytes_per_param, count * bytes_per_param)
 
 
-@dataclass(frozen=True)
-class FlatLayout:
-    """Order, shapes, and offsets needed to invert :func:`flatten`."""
-
-    entries: tuple[tuple[str, tuple[int, ...], str, bool], ...]  # name, shape, side, trainable
-
-    @property
-    def total_size(self) -> int:
-        return sum(int(np.prod(shape, dtype=np.int64)) for _, shape, _, _ in self.entries)
-
-
-def flatten(pset: NamedParamSet, filter: str = "all") -> tuple[np.ndarray, FlatLayout]:
-    """Concatenate filtered tensors into one flat vector, in name order."""
-    selected = [t for t in pset if _passes(t, filter)]
-    layout = FlatLayout(tuple((t.name, t.shape, t.side, t.trainable) for t in selected))
-    if not selected:
-        return np.empty(0, dtype=np.float64), layout
-    vec = np.concatenate([t.values.reshape(-1) for t in selected])
-    return vec, layout
-
-
-def unflatten(vec: np.ndarray, layout: FlatLayout) -> NamedParamSet:
-    """Invert :func:`flatten`; exact round trip for any filter."""
-    vec = np.asarray(vec)
-    if vec.ndim != 1 or vec.size != layout.total_size:
-        raise StructuralMismatchError(
-            f"flat vector has {vec.size} entries, layout expects {layout.total_size}"
-        )
-    tensors = []
-    offset = 0
-    for name, shape, side, trainable in layout.entries:
-        size = int(np.prod(shape, dtype=np.int64))
-        tensors.append(ParamTensor(name, vec[offset : offset + size].reshape(shape), trainable, side))
-        offset += size
-    return NamedParamSet(tensors)
-
-
-def _check_compatible(sets: Sequence[NamedParamSet]) -> None:
-    base = sets[0]
-    for i, other in enumerate(sets[1:], start=1):
-        if not base.compatible_with(other):
-            raise StructuralMismatchError(f"set 0 and set {i} are not aggregation-compatible")
-        for a, b in zip(base, other):
-            if a.trainable != b.trainable:
-                raise StructuralMismatchError(
-                    f"tensor {a.name!r}: trainable flag differs between set 0 and set {i}"
-                )
-
-
-def linear_combine(sets: Sequence[NamedParamSet], weights: Sequence[float]) -> NamedParamSet:
-    """Elementwise sum of w_i * set_i over trainable tensors.
-
-    Frozen tensors are copied from the first set; this is the kernel shared
-    by every aggregation rule in the simulator.
-    """
-    sets = list(sets)
-    if not sets:
-        raise ValueError("need at least one set")
-    if len(weights) != len(sets):
-        raise ValueError(f"{len(sets)} sets but {len(weights)} weights")
-    _check_compatible(sets)
-    out = []
-    for tensor in sets[0]:
-        if not tensor.trainable:
-            out.append(tensor.with_values(tensor.values.copy()))
-            continue
-        acc = np.zeros_like(tensor.values)
-        for w, s in zip(weights, sets):
-            acc += w * s.values(tensor.name)
-        out.append(tensor.with_values(acc))
-    return NamedParamSet(out)
-
-
 def save_param_set(pset: NamedParamSet, path: str | Path) -> None:
     """Write the set in the binary checkpoint format (FP32 payload)."""
     parts = [
@@ -292,29 +216,40 @@ def save_param_set(pset: NamedParamSet, path: str | Path) -> None:
 
 
 def load_param_set(path: str | Path, dtype=np.float64) -> NamedParamSet:
-    """Read a binary checkpoint written by :func:`save_param_set`."""
+    """Read a binary checkpoint written by :func:`save_param_set`.
+
+    A file that is not a checkpoint, has an unknown version, or is cut
+    short in its header or payload raises :class:`CheckpointError`.
+    """
     data = Path(path).read_bytes()
     if data[:4] != _MAGIC:
-        raise ValueError(f"{path}: not a parameter checkpoint (bad magic)")
-    (version,) = struct.unpack_from("<I", data, 4)
-    if version != _FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format version {version}")
-    (count,) = struct.unpack_from("<I", data, 8)
-    offset = 12
-    headers = []
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", data, offset)
-        offset += 2
-        name = data[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        side_idx, trainable, ndim = struct.unpack_from("<BBB", data, offset)
-        offset += 3
-        shape = struct.unpack_from(f"<{ndim}I", data, offset)
-        offset += 4 * ndim
-        headers.append((name, shape, SIDES[side_idx], bool(trainable)))
+        raise CheckpointError(f"{path}: not a parameter checkpoint (bad magic)")
+    try:
+        (version,) = struct.unpack_from("<I", data, 4)
+        if version != _FORMAT_VERSION:
+            raise CheckpointError(f"{path}: unsupported format version {version}")
+        (count,) = struct.unpack_from("<I", data, 8)
+        offset = 12
+        headers = []
+        for _ in range(count):
+            (name_len,) = struct.unpack_from("<H", data, offset)
+            offset += 2
+            name = data[offset : offset + name_len].decode("utf-8")
+            offset += name_len
+            side_idx, trainable, ndim = struct.unpack_from("<BBB", data, offset)
+            offset += 3
+            shape = struct.unpack_from(f"<{ndim}I", data, offset)
+            offset += 4 * ndim
+            headers.append((name, shape, SIDES[side_idx], bool(trainable)))
+    except (struct.error, UnicodeDecodeError, IndexError) as err:
+        raise CheckpointError(f"{path}: truncated or corrupt header ({err})") from err
+    sizes = [int(np.prod(shape, dtype=np.int64)) for _, shape, _, _ in headers]
+    if len(data) - offset != 4 * sum(sizes):
+        raise CheckpointError(
+            f"{path}: payload is {len(data) - offset} bytes, header needs {4 * sum(sizes)}"
+        )
     tensors = []
-    for name, shape, side, trainable in headers:
-        size = int(np.prod(shape, dtype=np.int64))
+    for (name, shape, side, trainable), size in zip(headers, sizes):
         values = np.frombuffer(data, dtype="<f4", count=size, offset=offset).astype(dtype)
         offset += 4 * size
         tensors.append(ParamTensor(name, values.reshape(shape), trainable, side))

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .data import ClientDataset, LanguageSpec, generate_corpus, generate_languages
+from .data import ClientDataset, LanguageSpec, derive_seed, generate_corpus, generate_languages
 from .errors import ConfigurationError
 
 MODES = ("m2en", "m2m")
@@ -105,10 +103,6 @@ class Client:
         return self.data.n_train
 
 
-def _pair_seed(root_seed: int, namespace: int, index: int) -> int:
-    return int(np.random.SeedSequence([root_seed, namespace, index]).generate_state(1)[0])
-
-
 def make_clients(
     mode: str,
     seed: int,
@@ -136,7 +130,7 @@ def make_clients(
             by_code[tgt],
             n_train,
             length_range=length_range,
-            seed=_pair_seed(seed, 0xC11E, idx),
+            seed=derive_seed(seed, 0xC11E, idx),
             alphabet_size=alphabet_size,
             zipf_exponent=zipf_exponent,
         )
@@ -164,7 +158,7 @@ def make_warmup_data(
                 by_code[tgt],
                 sentences_per_pair,
                 length_range=length_range,
-                seed=_pair_seed(seed, 0x3A93, idx),
+                seed=derive_seed(seed, 0x3A93, idx),
                 alphabet_size=alphabet_size,
                 zipf_exponent=zipf_exponent,
             )

@@ -12,20 +12,12 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bleu import macro_micro, pair_scores
 from .clustering import ClusterAssignment, assemble, compute_gradient_feature
 from .config import ExperimentConfig
-from .data import LanguageSpec, Vocab, build_vocab, make_batch, mixed_batches
-from .federation import (
-    CommLedger,
-    FedRunResult,
-    grad,
-    make_optimizer,
-    run_experiment,
-)
-from .model import ModelConfig, ToyModel, apply_pruning, build_model, decode_greedy, merge_batches
+from .data import LanguageSpec, Vocab, build_vocab, derive_seed, make_batch
+from .federation import CommLedger, FedRunResult, run_centralized, run_experiment, train_epochs
+from .model import ModelConfig, ToyModel, apply_pruning, build_model, decode_greedy
 from .params import NamedParamSet, count_params
 from .presets import Client, make_clients, make_warmup_data, num_source_families
 
@@ -60,40 +52,6 @@ def bind_model_config(cfg: ExperimentConfig, vocab: Vocab) -> ModelConfig:
     return dataclasses.replace(cfg.model, vocab_size=len(vocab))
 
 
-def train_pooled(
-    model: ToyModel,
-    samples: list,
-    vocab: Vocab,
-    epochs: int,
-    batch_size: int,
-    grad_accumulation: int,
-    optimizer_kind: str,
-    learning_rate: float,
-    seed: int,
-    namespace: int,
-) -> tuple[ToyModel, float]:
-    """Plain centralized training over mixed-pair samples; returns the
-    updated model and the last epoch's token-mean loss."""
-    trainable = set(model.trainable_names())
-    values = {name: model.params.values(name) for name in trainable}
-    optimizer = make_optimizer(optimizer_kind, learning_rate)
-    epoch_loss = 0.0
-    for epoch in range(epochs):
-        epoch_seed = int(np.random.SeedSequence([seed, namespace, epoch]).generate_state(1)[0])
-        micro = mixed_batches(samples, vocab, batch_size, seed=epoch_seed)
-        total, tokens = 0.0, 0
-        for start in range(0, len(micro), grad_accumulation):
-            window = merge_batches(micro[start : start + grad_accumulation])
-            result, grads = grad(model, window, needed=trainable)
-            total += result.total
-            tokens += result.token_count
-            scaled = {n: g / result.token_count for n, g in grads.items()}
-            optimizer.step(values, scaled)
-            model = model.with_params(model.params.replace_values(values))
-        epoch_loss = total / max(1, tokens)
-    return model, epoch_loss
-
-
 def warmup_backbone(cfg: ExperimentConfig, seed: int) -> NamedParamSet:
     """Shared frozen backbone for one seed (cached); method-independent."""
     model_key = dataclasses.astuple(cfg.model)
@@ -114,31 +72,21 @@ def warmup_backbone(cfg: ExperimentConfig, seed: int) -> NamedParamSet:
             length_range=cfg.data.length_range,
             zipf_exponent=cfg.data.zipf_exponent,
         )
-        samples = [
-            (s, t, ds.tgt)
-            for ds in corpora
-            for s, t in ds.train
-        ]
-        model, _ = train_pooled(
-            model,
-            samples,
-            vocab,
-            epochs=cfg.warmup.epochs,
-            batch_size=cfg.warmup.batch_size,
-            grad_accumulation=cfg.warmup.grad_accumulation,
-            optimizer_kind="adam",
-            learning_rate=cfg.warmup.learning_rate,
-            seed=seed,
-            namespace=0xAB1E,
+        samples = [(s, t, ds.tgt) for ds in corpora for s, t in ds.train]
+        epoch_seeds = [derive_seed(seed, 0xAB1E, epoch) for epoch in range(cfg.warmup.epochs)]
+        model, _ = train_epochs(
+            model, samples, vocab, epoch_seeds, cfg.warmup.batch_size,
+            cfg.warmup.grad_accumulation, "adam", cfg.warmup.learning_rate,
         )
-    backbone = model.params.map_values(lambda t: t.values.copy()).filter(lambda t: True)
-    backbone = NamedParamSet(t.with_trainable(False) for t in backbone)
+    backbone = NamedParamSet(
+        t.with_values(t.values.copy()).with_trainable(False) for t in model.params
+    )
     _WARMUP_CACHE[key] = backbone
     return backbone
 
 
 def _model_seed(seed: int) -> int:
-    return int(np.random.SeedSequence([seed, 0xB0DE]).generate_state(1)[0])
+    return derive_seed(seed, 0xB0DE)
 
 
 def build_method_model(cfg: ExperimentConfig, seed: int, vocab: Vocab,
@@ -257,7 +205,7 @@ def _decode_cap(cfg: ExperimentConfig) -> int:
     return min(cfg.model.max_seq_len - 1, cfg.data.length_range[1] + 4)
 
 
-def _federated_seed_result(
+def _seed_result(
     cfg: ExperimentConfig,
     seed: int,
     clients: list[Client],
@@ -265,14 +213,8 @@ def _federated_seed_result(
     backbone: NamedParamSet,
     initial: ToyModel,
     assignment: ClusterAssignment | None,
+    result: FedRunResult,
 ) -> SeedResult:
-    fed_cfg = dataclasses.replace(
-        cfg.fed, seed=seed, learning_rate=cfg.fed.rate_for(cfg.uses_adapters)
-    )
-    initial_models = {c.id: initial for c in clients}
-    result: FedRunResult = run_experiment(
-        clients, initial_models, fed_cfg, vocab, assignment
-    )
     by_id = {c.id: c for c in clients}
     round_rows = []
     for cid in sorted(result.round0_dev_loss):
@@ -318,95 +260,7 @@ def _federated_seed_result(
         trainable_params=count_params(initial.params, "trainable_only"),
         total_params=count_params(initial.params, "all"),
         backbone=backbone,
-        final_models={cid: result.best_models[cid] for cid in result.best_models},
-    )
-
-
-def _centralized_seed_result(
-    cfg: ExperimentConfig,
-    seed: int,
-    clients: list[Client],
-    vocab: Vocab,
-    backbone: NamedParamSet,
-    initial: ToyModel,
-) -> SeedResult:
-    from .federation import evaluate_dev_loss
-
-    fed_cfg = dataclasses.replace(
-        cfg.fed, seed=seed, learning_rate=cfg.fed.rate_for(cfg.uses_adapters)
-    )
-    samples = [(s, t, c.tgt.code) for c in clients for s, t in c.data.train]
-    by_id = {c.id: c for c in clients}
-    ids = sorted(by_id)
-
-    model = initial
-    round0 = {cid: evaluate_dev_loss(model, by_id[cid], vocab, fed_cfg.eval_batch_size) for cid in ids}
-    round_rows = [
-        {"round": 0, "client": cid, "pair": by_id[cid].data.pair,
-         "train_loss": None, "dev_loss": round0[cid]}
-        for cid in ids
-    ]
-    trainable = set(model.trainable_names())
-    values = {name: model.params.values(name) for name in trainable}
-    best_mean = None
-    best_epoch = 0
-    best_model = model
-    best_dev: dict[str, float] = dict(round0)
-    for epoch in range(1, fed_cfg.rounds + 1):
-        # same per-round optimizer schedule as federated local updates
-        optimizer = make_optimizer(fed_cfg.optimizer, fed_cfg.learning_rate)
-        epoch_seed = int(np.random.SeedSequence([seed, 0xCE27, epoch]).generate_state(1)[0])
-        micro_batches = mixed_batches(samples, vocab, fed_cfg.batch_size, seed=epoch_seed)
-        total, tokens = 0.0, 0
-        for start in range(0, len(micro_batches), fed_cfg.grad_accumulation):
-            window = merge_batches(micro_batches[start : start + fed_cfg.grad_accumulation])
-            result, grads = grad(model, window, needed=trainable)
-            total += result.total
-            tokens += result.token_count
-            if fed_cfg.learning_rate > 0:
-                scaled = {n: g / result.token_count for n, g in grads.items()}
-                optimizer.step(values, scaled)
-                model = model.with_params(model.params.replace_values(values))
-        train_loss = total / max(1, tokens)
-        dev = {cid: evaluate_dev_loss(model, by_id[cid], vocab, fed_cfg.eval_batch_size) for cid in ids}
-        mean_dev = sum(dev.values()) / len(dev)
-        for cid in ids:
-            round_rows.append({
-                "round": epoch, "client": cid, "pair": by_id[cid].data.pair,
-                "train_loss": train_loss, "dev_loss": dev[cid],
-            })
-        if best_mean is None or mean_dev < best_mean:
-            best_mean, best_epoch, best_model, best_dev = mean_dev, epoch, model, dev
-
-    per_pair: dict[str, float] = {}
-    macro = micro = None
-    if cfg.evaluate_test_bleu:
-        per_pair, outputs = evaluate_test_bleu(
-            {cid: best_model for cid in ids}, clients, vocab, _decode_cap(cfg)
-        )
-        macro, micro = macro_micro(outputs)
-    final_rows = [
-        {"client": cid, "pair": by_id[cid].data.pair, "best_round": best_epoch,
-         "dev_loss": best_dev[cid], "test_bleu": per_pair.get(cid)}
-        for cid in ids
-    ]
-    return SeedResult(
-        seed=seed,
-        method=cfg.method,
-        round_rows=round_rows,
-        final_rows=final_rows,
-        per_pair_bleu=per_pair,
-        macro=macro,
-        micro=micro,
-        ledger=CommLedger(fed_cfg.bandwidth_bps, fed_cfg.bytes_per_param),
-        assignment=None,
-        round0_dev_loss=round0,
-        best_dev_loss=best_dev,
-        best_round={cid: best_epoch for cid in ids},
-        trainable_params=count_params(initial.params, "trainable_only"),
-        total_params=count_params(initial.params, "all"),
-        backbone=backbone,
-        final_models={cid: best_model for cid in ids},
+        final_models=dict(result.best_models),
     )
 
 
@@ -415,7 +269,14 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> SeedResult:
     _, clients, vocab = prepare_data(cfg, seed)
     backbone = warmup_backbone(cfg, seed)
     initial = build_method_model(cfg, seed, vocab, backbone)
+    fed_cfg = dataclasses.replace(
+        cfg.fed, seed=seed, learning_rate=cfg.fed.rate_for(cfg.uses_adapters)
+    )
     if cfg.is_centralized:
-        return _centralized_seed_result(cfg, seed, clients, vocab, backbone, initial)
-    assignment = make_assignment(cfg, seed, clients, initial, vocab)
-    return _federated_seed_result(cfg, seed, clients, vocab, backbone, initial, assignment)
+        assignment = None
+        result = run_centralized(clients, initial, fed_cfg, vocab)
+    else:
+        assignment = make_assignment(cfg, seed, clients, initial, vocab)
+        result = run_experiment(clients, {c.id: initial for c in clients}, fed_cfg, vocab,
+                                assignment)
+    return _seed_result(cfg, seed, clients, vocab, backbone, initial, assignment, result)

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, one PASS line each.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines. The
-end-to-end learning criterion (6) trains 12 desk-scale runs and dominates
-the runtime; everything else finishes in seconds to a minute.
+Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
+Criteria 5 and 6 (gradient clusters recover the families; every method
+learns) are not here yet; the criteria below finish in seconds.
 """
 
 import dataclasses
@@ -25,8 +25,6 @@ from fedmt.config import config_from_dict
 from fedmt.data import build_vocab
 from fedmt.federation import (
     FedConfig,
-    aggregate_fedavg,
-    aggregate_fedmean,
     estimate_transfer,
     inner_cluster_aggregate,
     run_experiment,
@@ -41,6 +39,7 @@ from fedmt.presets import (
 from fedmt.runner import build_method_model, prepare_data, run_seed, warmup_backbone
 
 from test_bleu import naive_pooled_bleu
+from test_federation import global_aggregate
 
 
 def report(criterion, text):
@@ -93,6 +92,7 @@ def _random_param_sets(rng, n_sets):
 
 
 def test_criterion_2_aggregation_oracles():
+    # FedMean and FedAvg are inner-cluster aggregation over one global cluster
     rng = np.random.default_rng(0)
     built = 0
     while built < 100:
@@ -100,8 +100,8 @@ def test_criterion_2_aggregation_oracles():
         sets = _random_param_sets(rng, n_sets)
         built += n_sets
         sizes = [int(rng.integers(1, 40)) for _ in range(n_sets)]
-        mean = aggregate_fedmean(sets)
-        avg = aggregate_fedavg(sets, sizes)
+        mean = global_aggregate(sets)
+        avg = global_aggregate(sets, "fedavg", sizes)
         total = sum(sizes)
         for t in mean:
             brute_mean = sum(s.values(t.name) for s in sets) / n_sets
@@ -109,16 +109,14 @@ def test_criterion_2_aggregation_oracles():
             assert np.allclose(t.values, brute_mean, atol=1e-12)
             assert np.allclose(avg.values(t.name), brute_avg, atol=1e-12)
 
-    # Algorithm degeneracy: one global cluster + mean rule == plain FedMean
+    # every member of the global cluster receives the same, bitwise
     sets = _random_param_sets(np.random.default_rng(7), 4)
     params = {f"c{i}": s for i, s in enumerate(sets)}
     ids = tuple(sorted(params))
     global_assignment = ClusterAssignment((ids,), (ids,), "none", "m2en")
     aggregated = inner_cluster_aggregate(params, global_assignment)
-    mean = aggregate_fedmean([params[i] for i in ids])
     for cid in ids:
-        for t in aggregated[cid]:
-            assert np.allclose(t.values, mean.values(t.name), atol=1e-15)
+        assert aggregated[cid].equals(aggregated[ids[0]])
 
     singletons = ClusterAssignment(
         tuple((i,) for i in ids), tuple((i,) for i in ids), "families", "m2m"

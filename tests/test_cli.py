@@ -129,3 +129,9 @@ class TestExitCodes:
         payload = dict(TINY_RUN, method="model-fed", pruning="input_end")
         cfg_path = write_config(tmp_path, payload)
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 1
+
+    def test_wrongly_typed_value_exit_1(self, tmp_path, capsys):
+        payload = dict(TINY_RUN, evaluate_test_bleu="false")
+        cfg_path = write_config(tmp_path, payload)
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 1
+        assert "evaluate_test_bleu" in capsys.readouterr().err

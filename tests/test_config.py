@@ -1,6 +1,8 @@
 """Config parsing, validation, defaults, snapshots."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +122,46 @@ class TestValidation:
         assert central.is_centralized and not central.aggregates
         local = config_from_dict({"mode": "m2en", "method": "adapter-local"})
         assert not local.aggregates and local.strategy == "none"
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("override, key", [
+        ({"evaluate_test_bleu": "false"}, "evaluate_test_bleu"),
+        ({"evaluate_test_bleu": 0}, "evaluate_test_bleu"),
+        ({"fed": {"rounds": 2.5}}, "fed.rounds"),
+        ({"fed": {"rounds": 2.0}}, "fed.rounds"),
+        ({"fed": {"batch_size": True}}, "fed.batch_size"),
+        ({"fed": {"learning_rate": True}}, "fed.learning_rate"),
+        ({"fed": {"learning_rate": "0.01"}}, "fed.learning_rate"),
+        ({"fed": {"optimizer": 1}}, "fed.optimizer"),
+        ({"model": {"enc_layers": "3"}}, "model.enc_layers"),
+        ({"warmup": {"epochs": False}}, "warmup.epochs"),
+        ({"data": {"length_range": [4]}}, "data.length_range"),
+        ({"data": {"length_range": [4, 12.5]}}, r"data.length_range\[1\]"),
+        ({"data": {"cross_family_overlap": "none"}}, "data.cross_family_overlap"),
+        ({"data": 5}, "data"),
+        ({"seeds": [1.5]}, r"seeds\[0\]"),
+        ({"seeds": "1,2"}, "seeds"),
+    ])
+    def test_wrong_type_rejected_with_key(self, override, key):
+        with pytest.raises(ConfigurationError, match=key):
+            config_from_dict({"mode": "m2en", "method": "adapter-fed", **override})
+
+    @pytest.mark.parametrize("override", [
+        {"evaluate_test_bleu": False},
+        {"fed": {"learning_rate": 1}},  # an integer is a number
+        {"fed": {"full_model_learning_rate": None}},
+        {"data": {"cross_family_overlap": 0.0}},
+    ])
+    def test_well_typed_value_accepted(self, override):
+        config_from_dict({"mode": "m2en", "method": "adapter-fed", **override})
+
+
+def test_readme_key_set_is_the_default_snapshot():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"Full key set.*?```json\n(.*?)```", readme, re.S).group(1)
+    defaults = config_from_dict({"mode": "m2en", "method": "adapter-families"})
+    assert json.loads(block) == json.loads(json.dumps(config_to_dict(defaults)))
 
 
 class TestSnapshot:

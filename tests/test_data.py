@@ -13,7 +13,6 @@ from fedmt.data import (
     generate_languages,
     make_batch,
     table_overlap,
-    vocab_for_languages,
 )
 from fedmt.errors import ConfigurationError
 from fedmt.presets import M2EN_FAMILY_PLAN, M2M_FAMILY_PLAN, make_clients
@@ -157,10 +156,16 @@ class TestVocab:
                     assert UNK not in vocab.encode(t)
 
     def test_language_vocab_covers_corpus_vocab(self):
+        # with the languages given, the vocabulary is every token they can
+        # produce, so any one corpus yields the same vocabulary as all of them
         languages, clients = make_clients("m2m", seed=3, scale=1 / 64)
-        from_languages = vocab_for_languages(languages)
+        from_one = build_vocab([clients[0].data], languages)
         from_corpora = build_vocab([c.data for c in clients], languages)
-        assert from_languages.tokens == from_corpora.tokens
+        assert from_one.tokens == from_corpora.tokens
+
+
+def tagged(pairs, code="yy"):
+    return [(s, t, code) for s, t in pairs]
 
 
 class TestBatches:
@@ -172,13 +177,13 @@ class TestBatches:
 
     def test_batch_sizes_with_remainder(self):
         ds, vocab = self._dataset()
-        out = batches(ds.train, vocab, "yy", 8, seed=0)
+        out = batches(tagged(ds.train), vocab, 8, seed=0)
         assert [b.size for b in out] == [8, 8, 4]
 
     def test_same_seed_same_order(self):
         ds, vocab = self._dataset()
-        a = batches(ds.train, vocab, "yy", 8, seed=7)
-        b = batches(ds.train, vocab, "yy", 8, seed=7)
+        a = batches(tagged(ds.train), vocab, 8, seed=7)
+        b = batches(tagged(ds.train), vocab, 8, seed=7)
         for x, y in zip(a, b):
             assert np.array_equal(x.src, y.src)
             assert np.array_equal(x.tgt_gold, y.tgt_gold)
@@ -186,7 +191,7 @@ class TestBatches:
     def test_partition_covers_split_exactly_once(self):
         ds, vocab = self._dataset()
         seen = []
-        for batch in batches(ds.train, vocab, "yy", 8, seed=1):
+        for batch in batches(tagged(ds.train), vocab, 8, seed=1):
             for row, mask in zip(batch.src, batch.src_mask):
                 seen.append(tuple(vocab.decode(row[mask][1:-1])))  # strip tag+EOS
         assert sorted(seen) == sorted(s for s, _ in ds.train)
@@ -207,7 +212,7 @@ class TestBatches:
     def test_empty_split_rejected(self):
         _, vocab = self._dataset()
         with pytest.raises(ValueError):
-            batches([], vocab, "yy", 8, seed=0)
+            batches([], vocab, 8, seed=0)
 
 
 def test_export_corpus_round_trips(tmp_path):

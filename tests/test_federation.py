@@ -5,12 +5,10 @@ import pytest
 
 from fedmt.clustering import ClusterAssignment
 from fedmt.data import build_vocab
-from fedmt.errors import ConfigurationError, PartitionError
+from fedmt.errors import ConfigurationError, PartitionError, StructuralMismatchError
 from fedmt.federation import (
     CommLedger,
     FedConfig,
-    aggregate_fedavg,
-    aggregate_fedmean,
     estimate_transfer,
     evaluate_dev_loss,
     inner_cluster_aggregate,
@@ -20,6 +18,17 @@ from fedmt.federation import (
 from fedmt.model import ModelConfig, build_model
 from fedmt.params import NamedParamSet, ParamTensor, count_params
 from fedmt.presets import make_clients
+
+def global_aggregate(sets, rule="fedmean", sizes=None):
+    """Plain FedMean/FedAvg: inner-cluster aggregation over one global
+    cluster. Returns what the first client receives; every client receives
+    the same trainable values."""
+    ids = tuple(f"c{i}" for i in range(len(sets)))
+    assignment = ClusterAssignment((ids,), (ids,), "none", "m2en")
+    sizes_by_client = None if sizes is None else dict(zip(ids, sizes))
+    out = inner_cluster_aggregate(dict(zip(ids, sets)), assignment, rule, sizes_by_client)
+    return out[ids[0]]
+
 
 def scalar_set(value, name="x", trainable=True, side="shared"):
     return NamedParamSet([ParamTensor(name, np.array([float(value)]), trainable, side)])
@@ -44,31 +53,33 @@ def random_sets(n, rng, trainable_frac=1.0):
 
 class TestFedAvg:
     def test_weighted_example(self):
-        out = aggregate_fedavg([scalar_set(0), scalar_set(4)], [1, 3])
+        out = global_aggregate([scalar_set(0), scalar_set(4)], "fedavg", [1, 3])
         assert out.values("x")[0] == pytest.approx(3.0)
 
     def test_equal_sizes_match_fedmean(self):
         rng = np.random.default_rng(0)
         sets = random_sets(4, rng)
-        avg = aggregate_fedavg(sets, [5, 5, 5, 5])
-        mean = aggregate_fedmean(sets)
+        avg = global_aggregate(sets, "fedavg", [5, 5, 5, 5])
+        mean = global_aggregate(sets)
         for t in avg:
             assert np.allclose(t.values, mean.values(t.name), atol=1e-12)
 
     def test_weights_sum_to_one(self):
-        sizes = [7, 11, 2]
-        total = sum(sizes)
-        assert sum(n / total for n in sizes) == pytest.approx(1.0, abs=1e-12)
+        # identical sets come back unchanged only if the weights sum to one
+        s = scalar_set(1.7)
+        out = global_aggregate([s, s, s], "fedavg", [7, 11, 2])
+        assert out.values("x")[0] == pytest.approx(1.7, abs=1e-12)
 
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
             sets = random_sets(3, rng)
             sizes = [int(rng.integers(1, 50)) for _ in range(3)]
-            out = aggregate_fedavg(sets, sizes)
+            out = global_aggregate(sets, "fedavg", sizes)
             total = sum(sizes)
             for t in out:
                 if not t.trainable:
+                    assert np.array_equal(t.values, sets[0].values(t.name))
                     continue
                 expected = np.zeros_like(t.values)
                 for s, n in zip(sets, sizes):
@@ -77,27 +88,32 @@ class TestFedAvg:
 
     def test_bad_sizes_rejected(self):
         with pytest.raises(ConfigurationError):
-            aggregate_fedavg([scalar_set(1)], [0])
+            global_aggregate([scalar_set(1)], "fedavg", [0])
+        with pytest.raises(ConfigurationError):
+            global_aggregate([scalar_set(1), scalar_set(2)], "fedavg", [3, -1])
+        with pytest.raises(ConfigurationError):
+            global_aggregate([scalar_set(1)], "fedavg", None)
 
 
 class TestFedMean:
     def test_mean_example(self):
-        out = aggregate_fedmean([scalar_set(2), scalar_set(4)])
+        out = global_aggregate([scalar_set(2), scalar_set(4)])
         assert out.values("x")[0] == pytest.approx(3.0)
 
     def test_single_set_identity(self):
         s = scalar_set(7)
-        assert aggregate_fedmean([s]).equals(s)
+        assert global_aggregate([s]).equals(s)
 
     def test_empty_rejected(self):
+        assignment = ClusterAssignment((("a",),), (("a",),), "none", "m2en")
         with pytest.raises(ValueError):
-            aggregate_fedmean([])
+            inner_cluster_aggregate({}, assignment)
 
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(25):
             sets = random_sets(4, rng)
-            out = aggregate_fedmean(sets)
+            out = global_aggregate(sets)
             for t in out:
                 if not t.trainable:
                     continue
@@ -123,11 +139,10 @@ class TestInnerClusterAggregate:
             (("a", "b", "c"),), (("a", "b", "c"),), "none", "m2en"
         )
         out = inner_cluster_aggregate(params, assignment)
-        mean = aggregate_fedmean(list(params.values()))
         for cid in params:
-            for t in out[cid]:
-                if t.trainable:
-                    assert np.array_equal(t.values, mean.values(t.name))
+            assert out[cid].values("enc.w")[0] == pytest.approx(3.0)
+            assert out[cid].values("dec.w")[0] == pytest.approx(30.0)
+            assert out[cid].values("emb.w")[0] == pytest.approx(300.0)
 
     def test_singleton_clusters_are_identity(self):
         params = self._params({"a": 1, "b": 2})
@@ -174,6 +189,25 @@ class TestInnerClusterAggregate:
         out = inner_cluster_aggregate(params, assignment, rule="fedavg",
                                       sizes_by_client={"a": 1, "b": 3})
         assert out["a"].values("enc.w")[0] == pytest.approx(3.0)
+
+    def test_incompatible_params_rejected(self):
+        params = self._params({"a": 1, "b": 2})
+        params["b"] = params["b"].replace_values({"enc.w": np.zeros(1)}).filter(
+            lambda t: t.name != "dec.w"
+        )
+        assignment = ClusterAssignment((("a", "b"),), (("a", "b"),), "none", "m2en")
+        with pytest.raises(StructuralMismatchError):
+            inner_cluster_aggregate(params, assignment)
+
+    def test_trainable_flag_mismatch_rejected(self):
+        params = self._params({"a": 1, "b": 2})
+        params["b"] = NamedParamSet(
+            t.with_trainable(not t.trainable) if t.name == "frozen.w" else t
+            for t in params["b"]
+        )
+        assignment = ClusterAssignment((("a", "b"),), (("a", "b"),), "none", "m2en")
+        with pytest.raises(StructuralMismatchError, match="incompatible"):
+            inner_cluster_aggregate(params, assignment)
 
     def test_client_mismatch_rejected(self):
         params = self._params({"a": 1, "b": 2})
@@ -249,9 +283,9 @@ class TestLocalUpdate:
         for seed in (1, 2, 3):
             cfg = FedConfig(rounds=1, learning_rate=5e-3, grad_accumulation=1,
                             local_epochs=2, seed=seed)
-            before = evaluate_dev_loss(model, clients[0], vocab)
+            before = evaluate_dev_loss(model, clients[0], vocab, cfg.eval_batch_size)
             updated, _ = local_update(clients[0], model, cfg, vocab, round_index=1)
-            after = evaluate_dev_loss(updated, clients[0], vocab)
+            after = evaluate_dev_loss(updated, clients[0], vocab, cfg.eval_batch_size)
             improvements.append(after < before)
         assert sum(improvements) >= 2
 

@@ -17,7 +17,7 @@ from fedmt.model import (
     loss,
     merge_batches,
 )
-from fedmt.nn import adapter_apply, sinusoidal_positions
+from fedmt.nn import adapter_fwd, sinusoidal_positions
 
 TINY = ModelConfig(vocab_size=23, model_dim=16, num_heads=2, ffn_dim=32,
                    enc_layers=2, dec_layers=2, adapter_bottleneck=4,
@@ -79,25 +79,31 @@ class TestAdapterApply:
     def test_zero_up_projection_is_identity(self):
         rng = np.random.default_rng(0)
         h = rng.normal(size=(5, 8))
-        down_w = rng.normal(size=(8, 3))
-        out = adapter_apply(h, down_w, np.zeros(3), np.zeros((3, 8)), np.zeros(8))
+        p = {"down": (rng.normal(size=(8, 3)), np.zeros(3)),
+             "up": (np.zeros((3, 8)), np.zeros(8))}
+        out, _ = adapter_fwd(h, p, "relu")
         assert np.array_equal(out, h)
 
     def test_hand_computed_case(self):
         # d=2, b=1: down=[1,0], relu, up=[1,1], h=[2,3] -> [4,5]
-        h = np.array([2.0, 3.0])
-        down_w = np.array([[1.0], [0.0]])
-        up_w = np.array([[1.0, 1.0]])
-        out = adapter_apply(h, down_w, np.zeros(1), up_w, np.zeros(2), "relu")
-        assert out.tolist() == [4.0, 5.0]
+        h = np.array([[2.0, 3.0]])
+        p = {"down": (np.array([[1.0], [0.0]]), np.zeros(1)),
+             "up": (np.array([[1.0, 1.0]]), np.zeros(2))}
+        out, _ = adapter_fwd(h, p, "relu")
+        assert out.tolist() == [[4.0, 5.0]]
 
     def test_pruned_adapter_is_identity(self):
+        # an inactive adapter is skipped whatever its weights: the model
+        # computes exactly the adapter-free backbone
+        model = build_model(TINY, 7)
         rng = np.random.default_rng(1)
-        h = rng.normal(size=(4, 8))
-        out = adapter_apply(h, rng.normal(size=(8, 2)), rng.normal(size=2),
-                            rng.normal(size=(2, 8)), rng.normal(size=8),
-                            active=False)
-        assert np.array_equal(out, h)
+        noisy = model.params.replace_values({
+            t.name: rng.normal(size=t.shape) for t in model.params if "_adapter." in t.name
+        })
+        pruned = ToyModel(TINY, noisy, {prefix: False for prefix in model.adapter_mask})
+        backbone = build_model(TINY, 7, with_adapters=False)
+        batch = random_batch(TINY)
+        assert np.array_equal(forward(pruned, batch)[0], forward(backbone, batch)[0])
 
 
 class TestLoss:

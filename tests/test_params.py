@@ -1,22 +1,21 @@
-"""Parameter set storage, counting, flattening, and linear combination."""
+"""Parameter set storage, counting, payloads, and linear combination."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmt.errors import StructuralMismatchError
+from fedmt.errors import ConfigurationError, StructuralMismatchError
 from fedmt.params import (
     CommPayloadSpec,
     NamedParamSet,
     ParamTensor,
     count_params,
-    flatten,
-    linear_combine,
     payload,
-    unflatten,
 )
 from fedmt.presets import adapter_param_count
+
+from test_federation import global_aggregate
 
 
 def make_set(spec, dtype=np.float64, rng=None):
@@ -108,62 +107,32 @@ class TestPayload:
             payload(10, bytes_per_param=0)
 
 
-class TestFlatten:
-    def test_order_by_name(self):
-        pset = NamedParamSet([
-            ParamTensor("b", np.array([3.0]), True, "shared"),
-            ParamTensor("a", np.array([1.0, 2.0]), True, "shared"),
-        ])
-        vec, _ = flatten(pset)
-        assert vec.tolist() == [1.0, 2.0, 3.0]
-
-    def test_round_trip_bitwise(self):
-        pset = make_set(BASIC)
-        for filt in ("all", "trainable_only", "side=encoder", "side=decoder"):
-            vec, layout = flatten(pset, filt)
-            back = unflatten(vec, layout)
-            expected = [t for t in pset if t.name in back.names]
-            for t in expected:
-                assert np.array_equal(back.values(t.name), t.values)
-                assert back[t.name].trainable == t.trainable
-                assert back[t.name].side == t.side
-
-    def test_trainable_only_excludes_frozen(self):
-        pset = make_set(BASIC)
-        vec, layout = flatten(pset, "trainable_only")
-        assert "emb.w" not in [name for name, *_ in layout.entries]
-        assert vec.size == 10
-
-    def test_size_mismatch_rejected(self):
-        pset = make_set(BASIC)
-        _, layout = flatten(pset)
-        with pytest.raises(StructuralMismatchError):
-            unflatten(np.zeros(3), layout)
-
-
 class TestLinearCombine:
+    """Weighted sums of parameter sets, as the aggregation kernel computes
+    them for one global cluster."""
+
     def _pair(self, a, b):
         mk = lambda v: NamedParamSet([ParamTensor("x", np.array([float(v)]), True, "shared")])
         return mk(a), mk(b)
 
     def test_mean(self):
         s1, s2 = self._pair(2, 4)
-        assert linear_combine([s1, s2], [0.5, 0.5]).values("x")[0] == 3.0
+        assert global_aggregate([s1, s2]).values("x")[0] == 3.0
 
     def test_weighted(self):
         s1, s2 = self._pair(0, 4)
-        assert linear_combine([s1, s2], [0.25, 0.75]).values("x")[0] == 3.0
+        assert global_aggregate([s1, s2], "fedavg", [1, 3]).values("x")[0] == 3.0
 
     def test_identity(self):
         pset = make_set(BASIC)
-        out = linear_combine([pset], [1.0])
-        assert out.equals(pset)
+        assert global_aggregate([pset]).equals(pset)
 
     def test_frozen_copied_from_first(self):
+        # frozen tensors are never averaged: the first client keeps its own
         rng = np.random.default_rng(1)
         s1 = make_set(BASIC, rng=rng)
         s2 = make_set(BASIC, rng=rng)
-        out = linear_combine([s1, s2], [0.5, 0.5])
+        out = global_aggregate([s1, s2])
         assert np.array_equal(out.values("emb.w"), s1.values("emb.w"))
         assert not np.array_equal(out.values("enc.w"), s1.values("enc.w"))
 
@@ -171,26 +140,26 @@ class TestLinearCombine:
         s1 = make_set(BASIC)
         s2 = make_set([("enc.w", (3, 3), True, "encoder")])
         with pytest.raises(StructuralMismatchError):
-            linear_combine([s1, s2], [0.5, 0.5])
+            global_aggregate([s1, s2])
 
     def test_weight_count_mismatch(self):
         s1, s2 = self._pair(1, 2)
-        with pytest.raises(ValueError):
-            linear_combine([s1, s2], [1.0])
+        with pytest.raises(ConfigurationError):
+            global_aggregate([s1, s2], "fedavg", [1])
 
     @settings(max_examples=30, deadline=None)
     @given(st.permutations(list(range(4))))
     def test_permutation_equivariance(self, perm):
-        # frozen tensors copy from the first set, so share them across sets
-        # (the realistic case: one frozen backbone)
+        # share the frozen tensor across sets (the realistic case: one frozen
+        # backbone), so every client's aggregate is comparable
         rng = np.random.default_rng(7)
         frozen = rng.normal(size=(2, 2))
         sets = [
             make_set(BASIC, rng=rng).replace_values({"emb.w": frozen})
             for _ in range(4)
         ]
-        weights = [0.1, 0.2, 0.3, 0.4]
-        base = linear_combine(sets, weights)
-        shuffled = linear_combine([sets[i] for i in perm], [weights[i] for i in perm])
+        sizes = [1, 2, 3, 4]
+        base = global_aggregate(sets, "fedavg", sizes)
+        shuffled = global_aggregate([sets[i] for i in perm], "fedavg", [sizes[i] for i in perm])
         for t in base:
             assert np.allclose(shuffled.values(t.name), t.values, atol=1e-12)

@@ -1,9 +1,13 @@
 """Runner orchestration: warm-up sharing, method wiring, seed results."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fedmt.config import config_from_dict
+from fedmt.data import derive_seed
+from fedmt.federation import run_centralized, train_epochs
 from fedmt.runner import (
     build_method_model,
     prepare_data,
@@ -128,3 +132,24 @@ class TestRunSeed:
         res = run_seed(cfg_for("adapter-gradients"), 1)
         assert res.assignment is not None
         assert res.assignment.m_e == res.assignment.m_d == 4
+
+
+class TestCentralized:
+    def test_round_one_matches_train_epochs_on_pooled_samples(self):
+        cfg = cfg_for("centralized-adapter")
+        _, clients, vocab = prepare_data(cfg, 1)
+        initial = build_method_model(cfg, 1, vocab, warmup_backbone(cfg, 1))
+        fed_cfg = dataclasses.replace(cfg.fed, seed=1, rounds=1)
+        result = run_centralized(clients, initial, fed_cfg, vocab)
+        samples = [(s, t, c.tgt.code) for c in clients for s, t in c.data.train]
+        # round r shuffles with the centralized stream's seed for (seed, r)
+        direct, stats = train_epochs(
+            initial, samples, vocab, [derive_seed(1, 0xCE27, 1)], fed_cfg.batch_size,
+            fed_cfg.grad_accumulation, fed_cfg.optimizer, fed_cfg.learning_rate,
+        )
+        (state,) = result.rounds
+        assert sorted(state.params) == sorted(c.id for c in clients)
+        for cid, params in state.params.items():
+            assert params.equals(direct.params)
+            assert state.train_loss[cid] == stats.train_loss
+        assert result.best_round == {cid: 1 for cid in state.params}

@@ -1,7 +1,9 @@
 """Binary parameter files and model checkpoints with metadata sidecars."""
 
 import numpy as np
+import pytest
 
+from fedmt.errors import CheckpointError
 from fedmt.model import ModelConfig, apply_pruning, build_model, load_checkpoint, save_checkpoint
 from fedmt.params import NamedParamSet, ParamTensor, load_param_set, save_param_set
 
@@ -47,3 +49,24 @@ def test_checkpoint_round_trip(tmp_path):
     for t in model.params:
         assert np.array_equal(loaded.params.values(t.name), t.values)
         assert loaded.params[t.name].trainable == t.trainable
+
+
+@pytest.mark.parametrize("cut", ["magic", "header", "payload", "trailing"])
+def test_damaged_param_file_raises_checkpoint_error(tmp_path, cut):
+    pset = NamedParamSet([
+        ParamTensor("enc.a", np.ones((3, 4), np.float32), True, "encoder"),
+        ParamTensor("dec.b", np.ones(5, np.float32), False, "decoder"),
+    ])
+    path = tmp_path / "params.bin"
+    save_param_set(pset, path)
+    data = path.read_bytes()
+    payload_start = len(data) - 4 * (12 + 5)
+    damaged = {
+        "magic": b"XXXX" + data[4:],
+        "header": data[:20],  # inside the first tensor's header
+        "payload": data[: payload_start + 10],
+        "trailing": data + b"\0",
+    }[cut]
+    path.write_bytes(damaged)
+    with pytest.raises(CheckpointError):
+        load_param_set(path)
