@@ -63,7 +63,6 @@ def corpus_bleu(hypotheses: Sequence[Tokens], references: Sequence[Tokens]) -> f
 class PairScore:
     pair: str
     bleu: float
-    sentence_count: int
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.bleu <= 100.0:
@@ -75,7 +74,7 @@ PairOutputs = Mapping[str, tuple[Sequence[Tokens], Sequence[Tokens]]]
 
 def pair_scores(outputs: PairOutputs) -> list[PairScore]:
     return [
-        PairScore(pair, corpus_bleu(hyps, refs), len(hyps))
+        PairScore(pair, corpus_bleu(hyps, refs))
         for pair, (hyps, refs) in outputs.items()
     ]
 

@@ -19,7 +19,7 @@ from .config import parse_config
 from .data import export_corpus
 from .errors import ConfigurationError, FedmtError
 from .model import build_model, save_checkpoint
-from .params import count_params, payload
+from .params import count_params
 from .presets import mbart50_summary
 from .reporting import write_config_snapshot, write_seed_report, write_summary
 from .runner import bind_model_config, prepare_data, run_seed
@@ -99,8 +99,7 @@ def _print_toy_counts(config_path: str) -> None:
     print(f"total params:      {total:>10,}")
     print(f"trainable params:  {trainable:>10,}  (adapters + layer norms)")
     print(f"adapter params:    {adapters:>10,}")
-    spec = payload(trainable, bytes_per_param=cfg.fed.bytes_per_param)
-    print(f"payload per sync:  {spec.total_bytes:>10,} B")
+    print(f"payload per sync:  {trainable * cfg.fed.bytes_per_param:>10,} B")
     backbone = total - adapters
     print(f"saving vs full:    {100 * (1 - trainable / backbone):>10.2f} %")
 

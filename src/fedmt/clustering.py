@@ -25,7 +25,7 @@ ABLATIONS = ("both", "encoder_only", "decoder_only", "none")
 
 Cluster = tuple[str, ...]
 
-DEFAULT_PROBE_SLICE = "enc.layer0.attn_adapter"
+PROBE_BATCH_SIZE = 64
 
 
 def _normalize(clusters: Sequence[Sequence[str]]) -> tuple[Cluster, ...]:
@@ -115,14 +115,11 @@ class GradientFeature:
 # strategies
 
 
-def cluster_by_family(clients: Sequence[Client], side: str, mode: str) -> tuple[Cluster, ...]:
+def cluster_by_family(clients: Sequence[Client], side: str) -> tuple[Cluster, ...]:
     """Group clients by source-language family (encoder side) or
     target-language family (decoder side)."""
     if side not in ("encoder", "decoder"):
         raise ConfigurationError(f"side must be encoder or decoder, got {side!r}")
-    all_ids = tuple(sorted(c.id for c in clients))
-    if side == "decoder" and mode == "m2en":
-        return (all_ids,)
     groups: dict[str, list[str]] = {}
     for client in clients:
         family = client.src.family if side == "encoder" else client.tgt.family
@@ -136,24 +133,24 @@ def compute_gradient_feature(
     client: Client,
     probe_model: ToyModel,
     vocab: Vocab,
-    slice_prefix: str = DEFAULT_PROBE_SLICE,
-    batch_size: int = 64,
 ) -> GradientFeature:
-    """Mean gradient over the client's full training set, restricted to one
-    adapter's parameters, flattened in name order and L2-normalized.
+    """Mean gradient over the client's full training set, restricted to the
+    first active encoder adapter of the probe model, flattened in name order
+    and L2-normalized.
 
     The probe model must be the same checkpoint for every client.
     """
+    site = next((s for s in probe_model.active_sites() if s.side == "encoder"), None)
+    if site is None:
+        raise ConfigurationError("probe model has no active encoder adapter")
     slice_names = sorted(
-        t.name for t in probe_model.params if t.name.startswith(slice_prefix + ".")
+        t.name for t in probe_model.params if t.name.startswith(site.prefix + ".")
     )
-    if not slice_names:
-        raise ConfigurationError(f"probe slice {slice_prefix!r} not found in model")
     accum = {name: np.zeros(probe_model.params.values(name).shape, dtype=np.float64)
              for name in slice_names}
     needed = set(slice_names)
     samples = [(s, t, client.tgt.code) for s, t in client.data.train]
-    for batch in batches(samples, vocab, batch_size):
+    for batch in batches(samples, vocab, PROBE_BATCH_SIZE):
         _, grads = grad(probe_model, batch, needed=needed)
         for name in slice_names:
             accum[name] += grads[name]
@@ -299,8 +296,8 @@ def assemble(
     if strategy == "none" or ablation == "none":
         encoder = decoder = global_clusters
     elif strategy == "families":
-        encoder = cluster_by_family(clients, "encoder", mode)
-        decoder = cluster_by_family(clients, "decoder", mode)
+        encoder = cluster_by_family(clients, "encoder")
+        decoder = cluster_by_family(clients, "decoder")
     elif strategy == "random":
         encoder = cluster_random(all_ids, k, seed)
         decoder = global_clusters if mode == "m2en" else cluster_random(all_ids, k, seed + 1)

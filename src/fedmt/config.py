@@ -18,8 +18,8 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .errors import ConfigurationError
-from .federation import FedConfig
-from .model import ModelConfig
+from .federation import AGGREGATIONS, FedConfig
+from .model import PRUNING_STRATEGIES, ModelConfig
 from .presets import MODES
 
 METHODS = (
@@ -44,7 +44,6 @@ CLUSTERING_METHODS = ("adapter-random", "adapter-gradients", "adapter-families")
 AGGREGATING_METHODS = ("model-fed", "adapter-fed") + CLUSTERING_METHODS
 CENTRALIZED_METHODS = ("centralized-model", "centralized-adapter")
 ABLATIONS = ("both", "encoder_only", "decoder_only")
-PRUNINGS = ("all", "input_end", "middle", "output_end")
 
 METHOD_STRATEGY = {
     "adapter-random": "random",
@@ -90,9 +89,11 @@ class WarmupConfig:
 
     def __post_init__(self) -> None:
         if self.sentences_per_pair < 1 or self.epochs < 0:
-            raise ConfigurationError("warmup sizes must be non-negative (epochs) / positive")
+            raise ConfigurationError("sentences_per_pair must be >= 1 and epochs >= 0")
         if self.learning_rate <= 0 or self.batch_size < 1 or self.grad_accumulation < 1:
-            raise ConfigurationError("invalid warmup hyperparameters")
+            raise ConfigurationError(
+                "learning_rate, batch_size and grad_accumulation must be positive"
+            )
 
 
 @dataclass(frozen=True)
@@ -138,10 +139,8 @@ def _validate_experiment(cfg: ExperimentConfig) -> None:
         raise ConfigurationError(f"method: unknown value {cfg.method!r}")
     if cfg.ablation not in ABLATIONS:
         raise ConfigurationError(f"ablation: unknown value {cfg.ablation!r}")
-    if cfg.pruning not in PRUNINGS:
+    if cfg.pruning not in PRUNING_STRATEGIES:
         raise ConfigurationError(f"pruning: unknown value {cfg.pruning!r}")
-    if cfg.aggregation not in ("fedavg", "fedmean"):
-        raise ConfigurationError(f"aggregation: unknown value {cfg.aggregation!r}")
     if not cfg.seeds:
         raise ConfigurationError("seeds: need at least one seed")
     if cfg.pruning != "all":
@@ -216,8 +215,11 @@ def _build_dataclass(cls, raw: Any, path: str, **extra: Any):
         kwargs[name] = tuple(value) if isinstance(value, list) else value
     try:
         return cls(**kwargs)
-    except ConfigurationError:
-        raise
+    except ConfigurationError as err:
+        # a section's own checks may not name it; the top level's always do
+        if not path or str(err).startswith((f"{path}.", f"{path}:")):
+            raise
+        raise ConfigurationError(f"{path}: {err}") from err
     except (TypeError, ValueError) as err:
         raise ConfigurationError(f"{path or 'config'}: {err}") from err
 
@@ -231,6 +233,8 @@ def config_from_dict(raw: Mapping[str, Any]) -> ExperimentConfig:
             raise ConfigurationError(f"{key}: required key missing")
     raw = dict(raw)
     aggregation = raw.get("aggregation", "fedmean")
+    if aggregation not in AGGREGATIONS:  # checked here: the fed section is built from it
+        raise ConfigurationError(f"aggregation: unknown value {aggregation!r}")
     for key, cls in _SECTIONS.items():
         # fed.aggregation follows the top-level value unless set
         extra = {"aggregation": aggregation} if key == "fed" else {}

@@ -1,9 +1,12 @@
 """Toy encoder-decoder transformer with bottleneck adapters.
 
 A pre-norm transformer whose backbone (embeddings, attention, FFN) is
-typically frozen; adapter modules sit after the self-attention and FFN
-blocks of every encoder layer and after the self-attention, cross-attention,
-and FFN blocks of every decoder layer. Layer-norm parameters stay trainable
+typically frozen. Its layer structure is stated once, in the sublayer tables
+``ENCODER_SUBLAYERS`` and ``DECODER_SUBLAYERS``: every sublayer is a layer
+norm, a block whose output is added to the residual stream, and a bottleneck
+adapter after that residual. The parameter layout, the adapter sites,
+pruning, the forward and backward passes and the reference-scale arithmetic
+in ``presets`` all read these tables. Layer-norm parameters stay trainable
 alongside the adapters. The output projection is tied to the token
 embedding.
 
@@ -13,17 +16,30 @@ exact, which lets tests pin them against central finite differences.
 
 from __future__ import annotations
 
+import dataclasses
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import nn
-from .errors import ConfigurationError, NumericError
+from .errors import CheckpointError, ConfigurationError, NumericError
 from .params import NamedParamSet, ParamTensor, load_param_set, save_param_set
 
-ADAPTER_LEAVES = ("down.weight", "down.bias", "up.weight", "up.bias")
-PRUNING_STRATEGIES = ("all", "input_end", "middle", "output_end")
+# One pre-norm sublayer computes x <- adapter(x + block(layer_norm(x))).
+# Entries are (layer norm, block, adapter slot); the adapter after the
+# sublayer is named "{slot}_adapter".
+ENCODER_SUBLAYERS = (("ln1", "self_attn", "attn"), ("ln2", "ffn", "ffn"))
+DECODER_SUBLAYERS = (("ln1", "self_attn", "attn"), ("ln2", "cross_attn", "cross"),
+                     ("ln3", "ffn", "ffn"))
+STACK_NAMES = {"encoder": "enc", "decoder": "dec"}
+ATTN_PROJECTIONS = ("q", "k", "v", "out")
+
+# pruning strategy -> the third of each stack's layers whose adapters stay
+THIRDS = {"input_end": 0, "middle": 1, "output_end": 2}
+PRUNING_STRATEGIES = ("all", *THIRDS)
 
 
 @dataclass(frozen=True)
@@ -40,6 +56,8 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self) -> None:
+        if self.num_heads < 1:
+            raise ConfigurationError("num_heads must be >= 1")
         if self.model_dim % self.num_heads:
             raise ConfigurationError("model_dim must be divisible by num_heads")
         if self.model_dim % 2:
@@ -65,22 +83,88 @@ class AdapterSite:
     slot: str  # attn | cross | ffn
 
     @property
+    def layer_key(self) -> str:
+        return f"{STACK_NAMES[self.side]}.layer{self.layer}"
+
+    @property
     def prefix(self) -> str:
-        stack = "enc" if self.side == "encoder" else "dec"
-        return f"{stack}.layer{self.layer}.{self.slot}_adapter"
+        return f"{self.layer_key}.{self.slot}_adapter"
+
+
+def _sublayers(config: ModelConfig, side: str) -> list[tuple[str, str, AdapterSite]]:
+    """(layer norm, block, adapter site) of every sublayer of one stack, in
+    forward order."""
+    if side == "encoder":
+        layers, table = config.enc_layers, ENCODER_SUBLAYERS
+    else:
+        layers, table = config.dec_layers, DECODER_SUBLAYERS
+    return [(ln, block, AdapterSite(side, i, slot))
+            for i in range(layers) for ln, block, slot in table]
 
 
 def adapter_sites(config: ModelConfig) -> tuple[AdapterSite, ...]:
-    """Placement rule: 2 adapters per encoder layer, 3 per decoder layer."""
-    sites = []
-    for i in range(config.enc_layers):
-        sites.append(AdapterSite("encoder", i, "attn"))
-        sites.append(AdapterSite("encoder", i, "ffn"))
-    for i in range(config.dec_layers):
-        sites.append(AdapterSite("decoder", i, "attn"))
-        sites.append(AdapterSite("decoder", i, "cross"))
-        sites.append(AdapterSite("decoder", i, "ffn"))
-    return tuple(sites)
+    """Placement rule: one adapter after every sublayer of both stacks."""
+    return tuple(site for side in STACK_NAMES for _, _, site in _sublayers(config, side))
+
+
+class TensorSpec(NamedTuple):
+    name: str
+    shape: tuple[int, ...]
+    side: str
+    kind: str  # embedding | weight | zero_weight | bias | ln_weight | ln_bias
+    site: AdapterSite | None  # the adapter holding the tensor; None in the backbone
+
+
+def param_layout(config: ModelConfig) -> list[TensorSpec]:
+    """Every tensor of the model with an adapter at every site: the token
+    embedding, then per sublayer its layer norm, block and adapter, then the
+    final layer norm of each stack. Shapes only; nothing is allocated."""
+    d, f, b = config.model_dim, config.ffn_dim, config.adapter_bottleneck
+    attn = [(proj, (d, d), "weight") for proj in ATTN_PROJECTIONS]
+    linears = {  # block -> (name, weight shape, weight kind) of its linear maps
+        "self_attn": attn,
+        "cross_attn": attn,
+        "ffn": [("fc1", (d, f), "weight"), ("fc2", (f, d), "weight")],
+        "adapter": [("down", (d, b), "weight"), ("up", (b, d), "zero_weight")],
+    }
+    out = [TensorSpec("emb.token.weight", (config.vocab_size, d), "shared", "embedding", None)]
+
+    def add_norm(key: str, side: str) -> None:
+        out.append(TensorSpec(f"{key}.weight", (d,), side, "ln_weight", None))
+        out.append(TensorSpec(f"{key}.bias", (d,), side, "ln_bias", None))
+
+    def add_linears(key: str, block: str, side: str, site: AdapterSite | None) -> None:
+        for name, shape, kind in linears[block]:
+            out.append(TensorSpec(f"{key}.{name}.weight", shape, side, kind, site))
+            out.append(TensorSpec(f"{key}.{name}.bias", shape[1:], side, "bias", site))
+
+    for side in STACK_NAMES:
+        for ln, block, site in _sublayers(config, side):
+            add_norm(f"{site.layer_key}.{ln}", side)
+            add_linears(f"{site.layer_key}.{block}", block, side, None)
+            add_linears(site.prefix, "adapter", side, site)
+    for side, stack in STACK_NAMES.items():
+        add_norm(f"{stack}.final_ln", side)
+    return out
+
+
+def pruning_mask(config: ModelConfig, strategy: str) -> dict[str, bool]:
+    """Site prefix -> kept, when only one third of the adapter layers stays.
+
+    Thirds are taken over layer indices, independently for the encoder and
+    the decoder stacks; ``all`` keeps every adapter.
+    """
+    if strategy not in PRUNING_STRATEGIES:
+        raise ConfigurationError(f"unknown pruning strategy {strategy!r}")
+    if strategy != "all" and (config.enc_layers % 3 or config.dec_layers % 3):
+        raise ConfigurationError(
+            "pruning thirds require enc_layers and dec_layers divisible by 3"
+        )
+    mask = {}
+    for site in adapter_sites(config):
+        third = (config.enc_layers if site.side == "encoder" else config.dec_layers) // 3
+        mask[site.prefix] = strategy == "all" or site.layer // third == THIRDS[strategy]
+    return mask
 
 
 @dataclass(frozen=True)
@@ -148,60 +232,28 @@ class ToyModel:
 # construction
 
 
-def _backbone_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str, str]]:
-    """(name, shape, side, kind) for every backbone tensor. kind in
-    {embedding, weight, bias, ln_weight, ln_bias}."""
-    d, f = config.model_dim, config.ffn_dim
-    out: list[tuple[str, tuple[int, ...], str, str]] = []
-    out.append(("emb.token.weight", (config.vocab_size, d), "shared", "embedding"))
-    for i in range(config.enc_layers):
-        p = f"enc.layer{i}"
-        for proj in ("q", "k", "v", "out"):
-            out.append((f"{p}.self_attn.{proj}.weight", (d, d), "encoder", "weight"))
-            out.append((f"{p}.self_attn.{proj}.bias", (d,), "encoder", "bias"))
-        for ln in ("ln1", "ln2"):
-            out.append((f"{p}.{ln}.weight", (d,), "encoder", "ln_weight"))
-            out.append((f"{p}.{ln}.bias", (d,), "encoder", "ln_bias"))
-        out.append((f"{p}.ffn.fc1.weight", (d, f), "encoder", "weight"))
-        out.append((f"{p}.ffn.fc1.bias", (f,), "encoder", "bias"))
-        out.append((f"{p}.ffn.fc2.weight", (f, d), "encoder", "weight"))
-        out.append((f"{p}.ffn.fc2.bias", (d,), "encoder", "bias"))
-    for i in range(config.dec_layers):
-        p = f"dec.layer{i}"
-        for attn in ("self_attn", "cross_attn"):
-            for proj in ("q", "k", "v", "out"):
-                out.append((f"{p}.{attn}.{proj}.weight", (d, d), "decoder", "weight"))
-                out.append((f"{p}.{attn}.{proj}.bias", (d,), "decoder", "bias"))
-        for ln in ("ln1", "ln2", "ln3"):
-            out.append((f"{p}.{ln}.weight", (d,), "decoder", "ln_weight"))
-            out.append((f"{p}.{ln}.bias", (d,), "decoder", "ln_bias"))
-        out.append((f"{p}.ffn.fc1.weight", (d, f), "decoder", "weight"))
-        out.append((f"{p}.ffn.fc1.bias", (f,), "decoder", "bias"))
-        out.append((f"{p}.ffn.fc2.weight", (f, d), "decoder", "weight"))
-        out.append((f"{p}.ffn.fc2.bias", (d,), "decoder", "bias"))
-    out.append(("enc.final_ln.weight", (d,), "encoder", "ln_weight"))
-    out.append(("enc.final_ln.bias", (d,), "encoder", "ln_bias"))
-    out.append(("dec.final_ln.weight", (d,), "decoder", "ln_weight"))
-    out.append(("dec.final_ln.bias", (d,), "decoder", "ln_bias"))
-    return out
+def _init_value(spec: TensorSpec, config: ModelConfig, rng: np.random.Generator) -> np.ndarray:
+    shape = spec.shape
+    if spec.kind == "embedding":
+        v = rng.normal(0.0, config.model_dim**-0.5, size=shape)
+    elif spec.kind == "weight":
+        v = rng.normal(0.0, np.sqrt(2.0 / (shape[0] + shape[1])), size=shape)
+    elif spec.kind == "ln_weight":
+        v = np.ones(shape)
+    else:  # bias, ln_bias, zero_weight
+        v = np.zeros(shape)
+    return v.astype(config.np_dtype)
 
 
-def _init_backbone_values(config: ModelConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    dtype = config.np_dtype
-    values: dict[str, np.ndarray] = {}
-    for name, shape, _, kind in _backbone_layout(config):
-        if kind == "embedding":
-            v = rng.normal(0.0, config.model_dim**-0.5, size=shape)
-        elif kind == "weight":
-            v = rng.normal(0.0, np.sqrt(2.0 / (shape[0] + shape[1])), size=shape)
-        elif kind == "bias" or kind == "ln_bias":
-            v = np.zeros(shape)
-        elif kind == "ln_weight":
-            v = np.ones(shape)
-        else:  # pragma: no cover
-            raise AssertionError(kind)
-        values[name] = v.astype(dtype)
-    return values
+def _given_value(backbone: NamedParamSet, spec: TensorSpec, config: ModelConfig) -> np.ndarray:
+    if spec.name not in backbone:
+        raise ConfigurationError(f"backbone checkpoint is missing tensor {spec.name!r}")
+    given = backbone.values(spec.name)
+    if given.shape != spec.shape:
+        raise ConfigurationError(
+            f"backbone tensor {spec.name!r} has shape {given.shape}, expected {spec.shape}"
+        )
+    return given.astype(config.np_dtype)
 
 
 def build_model(
@@ -220,37 +272,22 @@ def build_model(
     values replace the random backbone (shapes must match).
     """
     backbone_ss, adapter_ss = np.random.SeedSequence(rng_seed).spawn(2)
-    values = _init_backbone_values(config, np.random.default_rng(backbone_ss))
-    if backbone is not None:
-        for name in values:
-            if name not in backbone:
-                raise ConfigurationError(f"backbone checkpoint is missing tensor {name!r}")
-            given = backbone.values(name)
-            if given.shape != values[name].shape:
-                raise ConfigurationError(
-                    f"backbone tensor {name!r} has shape {given.shape}, "
-                    f"expected {values[name].shape}"
-                )
-            values[name] = given.astype(config.np_dtype)
-
+    backbone_rng = np.random.default_rng(backbone_ss)
+    adapter_rng = np.random.default_rng(adapter_ss)
     tensors = []
-    for name, _, side, kind in _backbone_layout(config):
-        trainable = not freeze_backbone or kind in ("ln_weight", "ln_bias")
-        tensors.append(ParamTensor(name, values[name], trainable, side))
-
-    mask: dict[str, bool] = {}
-    if with_adapters:
-        d, b = config.model_dim, config.adapter_bottleneck
-        dtype = config.np_dtype
-        rng = np.random.default_rng(adapter_ss)
-        for site in adapter_sites(config):
-            p = site.prefix
-            down_w = rng.normal(0.0, np.sqrt(2.0 / (d + b)), size=(d, b)).astype(dtype)
-            tensors.append(ParamTensor(f"{p}.down.weight", down_w, True, site.side))
-            tensors.append(ParamTensor(f"{p}.down.bias", np.zeros(b, dtype=dtype), True, site.side))
-            tensors.append(ParamTensor(f"{p}.up.weight", np.zeros((b, d), dtype=dtype), True, site.side))
-            tensors.append(ParamTensor(f"{p}.up.bias", np.zeros(d, dtype=dtype), True, site.side))
-            mask[p] = True
+    for spec in param_layout(config):
+        if spec.site is not None:
+            if with_adapters:
+                value = _init_value(spec, config, adapter_rng)
+                tensors.append(ParamTensor(spec.name, value, True, spec.side))
+            continue
+        if backbone is None:
+            value = _init_value(spec, config, backbone_rng)
+        else:
+            value = _given_value(backbone, spec, config)
+        trainable = not freeze_backbone or spec.kind in ("ln_weight", "ln_bias")
+        tensors.append(ParamTensor(spec.name, value, trainable, spec.side))
+    mask = {site.prefix: True for site in adapter_sites(config)} if with_adapters else {}
     return ToyModel(config, NamedParamSet(tensors), mask)
 
 
@@ -261,7 +298,7 @@ def build_model(
 def _attn_params(p: NamedParamSet, key: str) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     return {
         proj: (p.values(f"{key}.{proj}.weight"), p.values(f"{key}.{proj}.bias"))
-        for proj in ("q", "k", "v", "out")
+        for proj in ATTN_PROJECTIONS
     }
 
 
@@ -286,18 +323,6 @@ def _ffn_bwd(dy, cache, key: str, grads, want):
     return nn.linear_bwd(dh1, c1, f"{key}.fc1", grads, want)
 
 
-def _maybe_adapter_fwd(model: ToyModel, h, prefix: str):
-    if model.adapter_mask.get(prefix, False):
-        return nn.adapter_fwd(h, _adapter_params(model.params, prefix), model.config.adapter_nonlinearity)
-    return h, None
-
-
-def _maybe_adapter_bwd(dh, cache, prefix: str, grads, want):
-    if cache is None:
-        return dh
-    return nn.adapter_bwd(dh, cache, prefix, grads, want)
-
-
 def _embed(model: ToyModel, ids: np.ndarray):
     cfg = model.config
     if ids.shape[1] > cfg.max_seq_len:
@@ -310,30 +335,64 @@ def _embed(model: ToyModel, ids: np.ndarray):
     return emb[ids] * scale + pos[: ids.shape[1]], scale
 
 
+def _stack_fwd(model: ToyModel, side: str, ids: np.ndarray, self_mask: np.ndarray,
+               memory: np.ndarray | None = None, memory_mask: np.ndarray | None = None):
+    """One stack over token ids: embedding, every sublayer, final layer norm.
+
+    Self-attention attends under ``self_mask``; cross-attention reads
+    ``memory`` under ``memory_mask``. Returns the output and the cache that
+    ``_stack_bwd`` takes.
+    """
+    cfg, p = model.config, model.params
+    x, scale = _embed(model, ids)
+    caches = []
+    for ln, block, site in _sublayers(cfg, side):
+        ln_key = f"{site.layer_key}.{ln}"
+        h, ln_c = nn.layer_norm_fwd(x, p.values(f"{ln_key}.weight"), p.values(f"{ln_key}.bias"))
+        key = f"{site.layer_key}.{block}"
+        if block == "ffn":
+            out, block_c = _ffn_fwd(h, p, key)
+        else:
+            kv, mask = (h, self_mask) if block == "self_attn" else (memory, memory_mask)
+            out, block_c = nn.attention_fwd(h, kv, _attn_params(p, key), mask, cfg.num_heads)
+        x = x + out
+        ad_c = None
+        if model.adapter_mask.get(site.prefix, False):
+            x, ad_c = nn.adapter_fwd(x, _adapter_params(p, site.prefix), cfg.adapter_nonlinearity)
+        caches.append((ln_c, block_c, ad_c))
+    final = f"{STACK_NAMES[side]}.final_ln"
+    out, final_c = nn.layer_norm_fwd(x, p.values(f"{final}.weight"), p.values(f"{final}.bias"))
+    return out, {"sublayers": caches, "final_ln": final_c, "out": out, "scale": scale}
+
+
+def _stack_bwd(model: ToyModel, side: str, dout: np.ndarray, cache, grads, want,
+               d_memory: np.ndarray | None = None) -> np.ndarray:
+    """Gradient through one stack, from its output back to its scaled
+    embedding input. Cross-attention adds its memory gradient into
+    ``d_memory`` in place."""
+    dx = nn.layer_norm_bwd(dout, cache["final_ln"], f"{STACK_NAMES[side]}.final_ln", grads, want)
+    sublayers = _sublayers(model.config, side)
+    for (ln, block, site), (ln_c, block_c, ad_c) in zip(reversed(sublayers),
+                                                        reversed(cache["sublayers"])):
+        if ad_c is not None:
+            dx = nn.adapter_bwd(dx, ad_c, site.prefix, grads, want)
+        key = f"{site.layer_key}.{block}"
+        if block == "ffn":
+            dh = _ffn_bwd(dx, block_c, key, grads, want)
+        else:
+            dq, dkv = nn.attention_bwd(dx, block_c, key, grads, want)
+            if block == "self_attn":
+                dh = dq + dkv
+            else:
+                d_memory += dkv
+                dh = dq
+        dx = dx + nn.layer_norm_bwd(dh, ln_c, f"{site.layer_key}.{ln}", grads, want)
+    return dx
+
+
 def encode(model: ToyModel, src: np.ndarray, src_mask: np.ndarray):
     """Encoder stack output plus cache."""
-    cfg = model.config
-    p = model.params
-    src_key_mask = src_mask[:, None, None, :]  # [B,1,1,S]
-    x, scale = _embed(model, src)
-    enc_caches = []
-    for i in range(cfg.enc_layers):
-        key = f"enc.layer{i}"
-        h1, ln1_c = nn.layer_norm_fwd(x, p.values(f"{key}.ln1.weight"), p.values(f"{key}.ln1.bias"))
-        attn_out, attn_c = nn.attention_fwd(
-            h1, h1, _attn_params(p, f"{key}.self_attn"), src_key_mask, cfg.num_heads
-        )
-        x = x + attn_out
-        x, ad1_c = _maybe_adapter_fwd(model, x, f"{key}.attn_adapter")
-        h2, ln2_c = nn.layer_norm_fwd(x, p.values(f"{key}.ln2.weight"), p.values(f"{key}.ln2.bias"))
-        ffn_out, ffn_c = _ffn_fwd(h2, p, f"{key}.ffn")
-        x = x + ffn_out
-        x, ad2_c = _maybe_adapter_fwd(model, x, f"{key}.ffn_adapter")
-        enc_caches.append((ln1_c, attn_c, ad1_c, ln2_c, ffn_c, ad2_c))
-    enc_out, enc_fln_c = nn.layer_norm_fwd(
-        x, p.values("enc.final_ln.weight"), p.values("enc.final_ln.bias")
-    )
-    return enc_out, {"layers": enc_caches, "final_ln": enc_fln_c, "scale": scale}
+    return _stack_fwd(model, "encoder", src, src_mask[:, None, None, :])
 
 
 def decode_logits(
@@ -344,40 +403,11 @@ def decode_logits(
     tgt_mask: np.ndarray,
 ):
     """Decoder stack over a (possibly partial) target prefix."""
-    cfg = model.config
-    p = model.params
     t_len = tgt_in.shape[1]
-    src_key_mask = src_mask[:, None, None, :]
     causal = np.tril(np.ones((t_len, t_len), dtype=bool))[None, None]
-    tgt_self_mask = causal & tgt_mask[:, None, None, :]
-
-    y, scale = _embed(model, tgt_in)
-    dec_caches = []
-    for i in range(cfg.dec_layers):
-        key = f"dec.layer{i}"
-        h1, ln1_c = nn.layer_norm_fwd(y, p.values(f"{key}.ln1.weight"), p.values(f"{key}.ln1.bias"))
-        sa_out, sa_c = nn.attention_fwd(
-            h1, h1, _attn_params(p, f"{key}.self_attn"), tgt_self_mask, cfg.num_heads
-        )
-        y = y + sa_out
-        y, ad1_c = _maybe_adapter_fwd(model, y, f"{key}.attn_adapter")
-        h2, ln2_c = nn.layer_norm_fwd(y, p.values(f"{key}.ln2.weight"), p.values(f"{key}.ln2.bias"))
-        ca_out, ca_c = nn.attention_fwd(
-            h2, enc_out, _attn_params(p, f"{key}.cross_attn"), src_key_mask, cfg.num_heads
-        )
-        y = y + ca_out
-        y, ad2_c = _maybe_adapter_fwd(model, y, f"{key}.cross_adapter")
-        h3, ln3_c = nn.layer_norm_fwd(y, p.values(f"{key}.ln3.weight"), p.values(f"{key}.ln3.bias"))
-        ffn_out, ffn_c = _ffn_fwd(h3, p, f"{key}.ffn")
-        y = y + ffn_out
-        y, ad3_c = _maybe_adapter_fwd(model, y, f"{key}.ffn_adapter")
-        dec_caches.append((ln1_c, sa_c, ad1_c, ln2_c, ca_c, ad2_c, ln3_c, ffn_c, ad3_c))
-    dec_out, dec_fln_c = nn.layer_norm_fwd(
-        y, p.values("dec.final_ln.weight"), p.values("dec.final_ln.bias")
-    )
-    logits = dec_out @ p.values("emb.token.weight").T
-    cache = {"layers": dec_caches, "final_ln": dec_fln_c, "dec_out": dec_out, "scale": scale}
-    return logits, cache
+    dec_out, cache = _stack_fwd(model, "decoder", tgt_in, causal & tgt_mask[:, None, None, :],
+                                enc_out, src_mask[:, None, None, :])
+    return dec_out @ model.params.values("emb.token.weight").T, cache
 
 
 def forward(model: ToyModel, batch: Batch):
@@ -386,16 +416,7 @@ def forward(model: ToyModel, batch: Batch):
     logits, dec_cache = decode_logits(
         model, enc_out, batch.src_mask, batch.tgt_in, batch.tgt_mask
     )
-    cache = {
-        "enc": enc_cache["layers"],
-        "enc_fln": enc_cache["final_ln"],
-        "enc_out": enc_out,
-        "dec": dec_cache["layers"],
-        "dec_fln": dec_cache["final_ln"],
-        "dec_out": dec_cache["dec_out"],
-        "scale": enc_cache["scale"],
-    }
-    return logits, cache
+    return logits, {"enc": enc_cache, "dec": dec_cache}
 
 
 def backward(model: ToyModel, batch: Batch, cache, dlogits: np.ndarray, needed: set[str] | None = None):
@@ -404,51 +425,17 @@ def backward(model: ToyModel, batch: Batch, cache, dlogits: np.ndarray, needed: 
     ``needed`` limits which parameter gradients are materialized (None = all);
     activation gradients always propagate fully.
     """
-    cfg = model.config
-    p = model.params
-    emb = p.values("emb.token.weight")
+    emb = model.params.values("emb.token.weight")
     grads: dict[str, np.ndarray] = {}
     want = (lambda _name: True) if needed is None else (lambda name: name in needed)
-    want_emb = want("emb.token.weight")
-
-    dec_out = cache["dec_out"]
-    d_emb = None
-    if want_emb:
-        d_emb = np.einsum("btv,btd->vd", dlogits, dec_out)
-    dy = dlogits @ emb
-
-    dy = nn.layer_norm_bwd(dy, cache["dec_fln"], "dec.final_ln", grads, want)
-    d_enc_out = np.zeros_like(cache["enc_out"])
-    for i in reversed(range(cfg.dec_layers)):
-        key = f"dec.layer{i}"
-        ln1_c, sa_c, ad1_c, ln2_c, ca_c, ad2_c, ln3_c, ffn_c, ad3_c = cache["dec"][i]
-        dy = _maybe_adapter_bwd(dy, ad3_c, f"{key}.ffn_adapter", grads, want)
-        dh3 = _ffn_bwd(dy, ffn_c, f"{key}.ffn", grads, want)
-        dy = dy + nn.layer_norm_bwd(dh3, ln3_c, f"{key}.ln3", grads, want)
-        dy = _maybe_adapter_bwd(dy, ad2_c, f"{key}.cross_adapter", grads, want)
-        dh2, denc = nn.attention_bwd(dy, ca_c, f"{key}.cross_attn", grads, want)
-        d_enc_out += denc
-        dy = dy + nn.layer_norm_bwd(dh2, ln2_c, f"{key}.ln2", grads, want)
-        dy = _maybe_adapter_bwd(dy, ad1_c, f"{key}.attn_adapter", grads, want)
-        dh1q, dh1kv = nn.attention_bwd(dy, sa_c, f"{key}.self_attn", grads, want)
-        dy = dy + nn.layer_norm_bwd(dh1q + dh1kv, ln1_c, f"{key}.ln1", grads, want)
-    if want_emb:
-        scale = cache["scale"]
-        np.add.at(d_emb, batch.tgt_in.reshape(-1), (dy * scale).reshape(-1, cfg.model_dim))
-
-    dx = nn.layer_norm_bwd(d_enc_out, cache["enc_fln"], "enc.final_ln", grads, want)
-    for i in reversed(range(cfg.enc_layers)):
-        key = f"enc.layer{i}"
-        ln1_c, attn_c, ad1_c, ln2_c, ffn_c, ad2_c = cache["enc"][i]
-        dx = _maybe_adapter_bwd(dx, ad2_c, f"{key}.ffn_adapter", grads, want)
-        dh2 = _ffn_bwd(dx, ffn_c, f"{key}.ffn", grads, want)
-        dx = dx + nn.layer_norm_bwd(dh2, ln2_c, f"{key}.ln2", grads, want)
-        dx = _maybe_adapter_bwd(dx, ad1_c, f"{key}.attn_adapter", grads, want)
-        dh1q, dh1kv = nn.attention_bwd(dx, attn_c, f"{key}.self_attn", grads, want)
-        dx = dx + nn.layer_norm_bwd(dh1q + dh1kv, ln1_c, f"{key}.ln1", grads, want)
-    if want_emb:
-        scale = cache["scale"]
-        np.add.at(d_emb, batch.src.reshape(-1), (dx * scale).reshape(-1, cfg.model_dim))
+    enc, dec = cache["enc"], cache["dec"]
+    d_enc_out = np.zeros_like(enc["out"])
+    dy = _stack_bwd(model, "decoder", dlogits @ emb, dec, grads, want, d_enc_out)
+    dx = _stack_bwd(model, "encoder", d_enc_out, enc, grads, want)
+    if want("emb.token.weight"):
+        d_emb = np.einsum("btv,btd->vd", dlogits, dec["out"])
+        for ids, d_in, stack in ((batch.tgt_in, dy, dec), (batch.src, dx, enc)):
+            np.add.at(d_emb, ids.reshape(-1), (d_in * stack["scale"]).reshape(-1, emb.shape[1]))
         grads["emb.token.weight"] = d_emb
     return grads
 
@@ -509,7 +496,6 @@ def grad(model: ToyModel, batch: Batch, needed: set[str] | None = None):
     if needed is None:
         needed = {t.name for t in model.params if t.trainable}
     grads = backward(model, batch, cache, dlogits, needed)
-    grads = {name: g for name, g in grads.items() if name in needed}
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient for {name!r}")
@@ -548,40 +534,18 @@ def decode_greedy(model: ToyModel, src: np.ndarray, src_mask: np.ndarray,
     return outputs
 
 
+
+
 # ---------------------------------------------------------------------------
 # adapter pruning
 
 
 def apply_pruning(model: ToyModel, strategy: str) -> ToyModel:
-    """Keep only one third of the adapter layers active and trainable.
-
-    Thirds are taken over layer indices, independently for the encoder and
-    the decoder stacks; pruned adapters become frozen identity residuals.
-    """
-    if strategy not in PRUNING_STRATEGIES:
-        raise ConfigurationError(f"unknown pruning strategy {strategy!r}")
+    """Keep only the adapters ``pruning_mask`` keeps active and trainable;
+    pruned adapters become frozen identity residuals."""
     if not model.has_adapters:
         raise ConfigurationError("model has no adapters to prune")
-    cfg = model.config
-    if strategy != "all" and (cfg.enc_layers % 3 or cfg.dec_layers % 3):
-        raise ConfigurationError(
-            "pruning thirds require enc_layers and dec_layers divisible by 3"
-        )
-
-    def selected(layer: int, total: int) -> bool:
-        third = total // 3
-        if strategy == "all":
-            return True
-        if strategy == "input_end":
-            return layer < third
-        if strategy == "middle":
-            return third <= layer < 2 * third
-        return layer >= 2 * third  # output_end
-
-    mask = {}
-    for site in adapter_sites(cfg):
-        total = cfg.enc_layers if site.side == "encoder" else cfg.dec_layers
-        mask[site.prefix] = selected(site.layer, total)
+    mask = pruning_mask(model.config, strategy)
 
     def retag(t: ParamTensor) -> ParamTensor:
         for prefix, active in mask.items():
@@ -589,7 +553,7 @@ def apply_pruning(model: ToyModel, strategy: str) -> ToyModel:
                 return t.with_trainable(active)
         return t
 
-    return ToyModel(cfg, NamedParamSet(retag(t) for t in model.params), mask)
+    return ToyModel(model.config, NamedParamSet(retag(t) for t in model.params), mask)
 
 
 # ---------------------------------------------------------------------------
@@ -600,11 +564,7 @@ def save_checkpoint(model: ToyModel, path_prefix: str | Path) -> None:
     """Binary parameter file plus a key=value metadata sidecar."""
     prefix = Path(path_prefix)
     save_param_set(model.params, prefix.parent / (prefix.name + ".params"))
-    lines = []
-    for key in ("vocab_size", "model_dim", "num_heads", "ffn_dim", "enc_layers",
-                "dec_layers", "adapter_bottleneck", "max_seq_len",
-                "adapter_nonlinearity", "dtype"):
-        lines.append(f"{key}={getattr(model.config, key)}")
+    lines = [f"{f.name}={getattr(model.config, f.name)}" for f in dataclasses.fields(ModelConfig)]
     for prefix_name in sorted(model.adapter_mask):
         lines.append(f"adapter.{prefix_name}={int(model.adapter_mask[prefix_name])}")
     meta_path = prefix.parent / (prefix.name + ".meta")
@@ -612,30 +572,28 @@ def save_checkpoint(model: ToyModel, path_prefix: str | Path) -> None:
 
 
 def load_checkpoint(path_prefix: str | Path) -> ToyModel:
+    """Read a checkpoint written by :func:`save_checkpoint`. A ``.meta``
+    sidecar with a missing, unknown or unparsable key raises
+    :class:`CheckpointError`, as does a damaged ``.params`` file."""
     prefix = Path(path_prefix)
-    meta: dict[str, str] = {}
-    mask: dict[str, bool] = {}
     meta_path = prefix.parent / (prefix.name + ".meta")
+    meta: dict[str, str] = {}
     for line in meta_path.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        key, _, value = line.partition("=")
-        if key.startswith("adapter."):
-            mask[key[len("adapter."):]] = bool(int(value))
-        else:
+        if line.strip():
+            key, _, value = line.partition("=")
             meta[key] = value
-    config = ModelConfig(
-        vocab_size=int(meta["vocab_size"]),
-        model_dim=int(meta["model_dim"]),
-        num_heads=int(meta["num_heads"]),
-        ffn_dim=int(meta["ffn_dim"]),
-        enc_layers=int(meta["enc_layers"]),
-        dec_layers=int(meta["dec_layers"]),
-        adapter_bottleneck=int(meta["adapter_bottleneck"]),
-        max_seq_len=int(meta["max_seq_len"]),
-        adapter_nonlinearity=meta["adapter_nonlinearity"],
-        dtype=meta["dtype"],
-    )
-    params_path = prefix.parent / (prefix.name + ".params")
-    params = load_param_set(params_path, dtype=config.np_dtype)
+    hints = typing.get_type_hints(ModelConfig)
+    try:
+        config = ModelConfig(**{
+            f.name: hints[f.name](meta.pop(f.name)) for f in dataclasses.fields(ModelConfig)
+        })
+        mask = {key[len("adapter."):]: bool(int(meta.pop(key)))
+                for key in list(meta) if key.startswith("adapter.")}
+    except KeyError as err:
+        raise CheckpointError(f"{meta_path}: missing key {err}") from err
+    except (ValueError, ConfigurationError) as err:
+        raise CheckpointError(f"{meta_path}: {err}") from err
+    if meta:
+        raise CheckpointError(f"{meta_path}: unknown key {sorted(meta)[0]!r}")
+    params = load_param_set(prefix.parent / (prefix.name + ".params"))
     return ToyModel(config, params, mask)

@@ -1,4 +1,4 @@
-"""Named parameter sets: storage, counting, payload sizes, checkpoints.
+"""Named parameter sets: storage, counting, checkpoints.
 
 Every model in the simulator is a :class:`NamedParamSet`: an immutable,
 name-ordered collection of tensors, each tagged with a side (``encoder``,
@@ -8,15 +8,16 @@ these sets in ``federation.inner_cluster_aggregate``.
 Binary checkpoint format (little-endian):
 
     magic   b"FMPS"
-    u32     format version (1)
+    u32     format version (2)
     u32     tensor count
     per tensor:
         u16     name length, then UTF-8 name
         u8      side (0=encoder, 1=decoder, 2=shared)
         u8      trainable flag
+        u8      dtype (0=float32, 1=float64)
         u8      ndim, then u32 x ndim shape
     payload:
-        float32 values for each tensor, in header order
+        each tensor's values at its own dtype, in header order
 """
 
 from __future__ import annotations
@@ -32,10 +33,11 @@ from .errors import CheckpointError, StructuralMismatchError
 
 SIDES = ("encoder", "decoder", "shared")
 
-COUNT_FILTERS = ("all", "trainable_only", "side=encoder", "side=decoder")
+COUNT_FILTERS = ("all", "trainable_only")
 
 _MAGIC = b"FMPS"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+_DTYPES = (np.dtype("<f4"), np.dtype("<f8"))
 
 
 @dataclass(frozen=True)
@@ -100,9 +102,6 @@ class NamedParamSet:
     def __getitem__(self, name: str) -> ParamTensor:
         return self._tensors[name]
 
-    def get(self, name: str) -> ParamTensor | None:
-        return self._tensors.get(name)
-
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(self._tensors.keys())
@@ -130,12 +129,6 @@ class NamedParamSet:
             t.with_values(updates[t.name]) if t.name in updates else t for t in self
         )
 
-    def map_values(self, fn: Callable[[ParamTensor], np.ndarray]) -> "NamedParamSet":
-        return NamedParamSet(t.with_values(fn(t)) for t in self)
-
-    def astype(self, dtype) -> "NamedParamSet":
-        return NamedParamSet(t.with_values(t.values.astype(dtype)) for t in self)
-
     def equals(self, other: "NamedParamSet") -> bool:
         """Bitwise equality of structure and values."""
         if not self.compatible_with(other):
@@ -151,10 +144,6 @@ def _passes(tensor: ParamTensor, filter: str) -> bool:
         return True
     if filter == "trainable_only":
         return tensor.trainable
-    if filter == "side=encoder":
-        return tensor.side == "encoder"
-    if filter == "side=decoder":
-        return tensor.side == "decoder"
     raise ValueError(f"unknown filter {filter!r}; expected one of {COUNT_FILTERS}")
 
 
@@ -163,62 +152,33 @@ def count_params(pset: NamedParamSet, filter: str = "all") -> int:
     return sum(t.size for t in pset if _passes(t, filter))
 
 
-@dataclass(frozen=True)
-class CommPayloadSpec:
-    """Size of one parameter transfer. Reporting uses decimal units (1 GB = 1e9 B)."""
-
-    param_count: int
-    bytes_per_param: int
-    total_bytes: int
-
-    @property
-    def gigabytes(self) -> float:
-        return self.total_bytes / 1e9
-
-    @property
-    def megabytes(self) -> float:
-        return self.total_bytes / 1e6
-
-
-def payload(
-    pset_or_count: NamedParamSet | int,
-    filter: str = "trainable_only",
-    bytes_per_param: int = 4,
-) -> CommPayloadSpec:
-    """Byte size of the filtered parameters at the given precision (FP32 default)."""
-    if bytes_per_param <= 0:
-        raise ValueError("bytes_per_param must be > 0")
-    if isinstance(pset_or_count, NamedParamSet):
-        count = count_params(pset_or_count, filter)
-    else:
-        count = int(pset_or_count)
-        if count < 0:
-            raise ValueError("param count must be >= 0")
-    return CommPayloadSpec(count, bytes_per_param, count * bytes_per_param)
-
-
 def save_param_set(pset: NamedParamSet, path: str | Path) -> None:
-    """Write the set in the binary checkpoint format (FP32 payload)."""
+    """Write the set in the binary checkpoint format; each tensor keeps its
+    dtype (float32 or float64)."""
     parts = [
         _MAGIC,
         struct.pack("<I", _FORMAT_VERSION),
         struct.pack("<I", len(pset)),
     ]
     for t in pset:
+        if t.values.dtype not in _DTYPES:
+            raise CheckpointError(f"{t.name}: cannot store dtype {t.values.dtype}")
         name_bytes = t.name.encode("utf-8")
         parts.append(struct.pack("<H", len(name_bytes)))
         parts.append(name_bytes)
-        parts.append(struct.pack("<BBB", SIDES.index(t.side), int(t.trainable), t.values.ndim))
+        parts.append(struct.pack("<BBBB", SIDES.index(t.side), int(t.trainable),
+                                 _DTYPES.index(t.values.dtype), t.values.ndim))
         parts.append(struct.pack(f"<{t.values.ndim}I", *t.shape))
     for t in pset:
-        parts.append(np.ascontiguousarray(t.values, dtype="<f4").tobytes())
+        parts.append(np.ascontiguousarray(t.values).tobytes())
     Path(path).write_bytes(b"".join(parts))
 
 
-def load_param_set(path: str | Path, dtype=np.float64) -> NamedParamSet:
-    """Read a binary checkpoint written by :func:`save_param_set`.
+def load_param_set(path: str | Path) -> NamedParamSet:
+    """Read a binary checkpoint written by :func:`save_param_set`; every
+    tensor comes back at the dtype it was saved with.
 
-    A file that is not a checkpoint, has an unknown version, or is cut
+    A file that is not a checkpoint, has another format version, or is cut
     short in its header or payload raises :class:`CheckpointError`.
     """
     data = Path(path).read_bytes()
@@ -236,21 +196,22 @@ def load_param_set(path: str | Path, dtype=np.float64) -> NamedParamSet:
             offset += 2
             name = data[offset : offset + name_len].decode("utf-8")
             offset += name_len
-            side_idx, trainable, ndim = struct.unpack_from("<BBB", data, offset)
-            offset += 3
+            side_idx, trainable, dtype_idx, ndim = struct.unpack_from("<BBBB", data, offset)
+            offset += 4
             shape = struct.unpack_from(f"<{ndim}I", data, offset)
             offset += 4 * ndim
-            headers.append((name, shape, SIDES[side_idx], bool(trainable)))
+            headers.append((name, shape, SIDES[side_idx], bool(trainable), _DTYPES[dtype_idx]))
     except (struct.error, UnicodeDecodeError, IndexError) as err:
         raise CheckpointError(f"{path}: truncated or corrupt header ({err})") from err
-    sizes = [int(np.prod(shape, dtype=np.int64)) for _, shape, _, _ in headers]
-    if len(data) - offset != 4 * sum(sizes):
+    sizes = [int(np.prod(shape, dtype=np.int64)) for _, shape, _, _, _ in headers]
+    needed = sum(size * dtype.itemsize for (*_, dtype), size in zip(headers, sizes))
+    if len(data) - offset != needed:
         raise CheckpointError(
-            f"{path}: payload is {len(data) - offset} bytes, header needs {4 * sum(sizes)}"
+            f"{path}: payload is {len(data) - offset} bytes, header needs {needed}"
         )
     tensors = []
-    for (name, shape, side, trainable), size in zip(headers, sizes):
-        values = np.frombuffer(data, dtype="<f4", count=size, offset=offset).astype(dtype)
-        offset += 4 * size
+    for (name, shape, side, trainable, dtype), size in zip(headers, sizes):
+        values = np.frombuffer(data, dtype=dtype, count=size, offset=offset).astype(dtype.name)
+        offset += dtype.itemsize * size
         tensors.append(ParamTensor(name, values.reshape(shape), trainable, side))
     return NamedParamSet(tensors)

@@ -7,16 +7,18 @@ the skewed per-pair corpus sizes of the reference layout, scaled by a
 configurable factor (default 1/16).
 
 ``mbart50_summary`` reproduces the communication arithmetic at full
-mBART-50 scale (d=1024, 12+12 layers, bottleneck 64) without ever building
-tensors of that size.
+mBART-50 scale (d=1024, 12+12 layers, bottleneck 64) from the model's own
+parameter layout, without ever building tensors of that size.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .data import ClientDataset, LanguageSpec, derive_seed, generate_corpus, generate_languages
 from .errors import ConfigurationError
+from .model import ModelConfig, adapter_sites, param_layout, pruning_mask
 
 MODES = ("m2en", "m2m")
 
@@ -170,10 +172,8 @@ def make_warmup_data(
 # reference-scale arithmetic (no tensors are ever built at this size)
 
 MBART50_BACKBONE_PARAMS = 610_900_000
-MBART50_MODEL_DIM = 1024
-MBART50_BOTTLENECK = 64
-MBART50_ENC_LAYERS = 12
-MBART50_DEC_LAYERS = 12
+MBART50_CONFIG = ModelConfig(model_dim=1024, num_heads=16, ffn_dim=4096,
+                             enc_layers=12, dec_layers=12, adapter_bottleneck=64)
 FP32_BYTES = 4
 DEFAULT_BANDWIDTH_BPS = 1e9  # 1000 Mbps
 
@@ -183,20 +183,6 @@ CONTROLLER_LAYERS_EXCHANGED = 8
 CONTROLLER_LAYERS_TOTAL = 24
 
 
-def adapter_param_count(model_dim: int, bottleneck: int) -> int:
-    """Bottleneck adapter parameters, biases included: 2*d*b + b + d."""
-    return 2 * model_dim * bottleneck + bottleneck + model_dim
-
-
-def adapter_count(enc_layers: int, dec_layers: int) -> int:
-    return 2 * enc_layers + 3 * dec_layers
-
-
-def layernorm_param_count(model_dim: int, enc_layers: int, dec_layers: int) -> int:
-    """Gain+bias for the per-layer norms plus the two final norms."""
-    return (2 * enc_layers + 3 * dec_layers + 2) * 2 * model_dim
-
-
 def transfer_seconds(total_bytes: float, bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS) -> float:
     if bandwidth_bps <= 0:
         raise ConfigurationError("bandwidth must be positive")
@@ -204,24 +190,30 @@ def transfer_seconds(total_bytes: float, bandwidth_bps: float = DEFAULT_BANDWIDT
 
 
 def mbart50_summary() -> dict[str, float]:
-    """Communication accounting for the full-scale preset."""
-    d, b = MBART50_MODEL_DIM, MBART50_BOTTLENECK
-    enc, dec = MBART50_ENC_LAYERS, MBART50_DEC_LAYERS
-    per_adapter = adapter_param_count(d, b)
-    n_adapters = adapter_count(enc, dec)
-    adapters_total = n_adapters * per_adapter
-    layernorm_total = layernorm_param_count(d, enc, dec)
-    adapters_third = (2 * (enc // 3) + 3 * (dec // 3)) * per_adapter
+    """Communication accounting for the full-scale preset, counted on the
+    simulator's own parameter layout at mBART-50 dimensions."""
+    cfg = MBART50_CONFIG
+    layout = param_layout(cfg)
+    sites = adapter_sites(cfg)
+    kept = pruning_mask(cfg, "input_end")  # every third holds the same count
+
+    def count(keep) -> int:
+        return sum(math.prod(t.shape) for t in layout if keep(t))
+
+    per_adapter = count(lambda t: t.site == sites[0])
+    adapters_total = count(lambda t: t.site is not None)
+    layernorm_total = count(lambda t: t.kind in ("ln_weight", "ln_bias"))
+    adapters_third = count(lambda t: t.site is not None and kept[t.site.prefix])
     backbone_bytes = MBART50_BACKBONE_PARAMS * FP32_BYTES
     adapter_bytes = adapters_total * FP32_BYTES
     return {
-        "model_dim": d,
-        "bottleneck": b,
-        "enc_layers": enc,
-        "dec_layers": dec,
+        "model_dim": cfg.model_dim,
+        "bottleneck": cfg.adapter_bottleneck,
+        "enc_layers": cfg.enc_layers,
+        "dec_layers": cfg.dec_layers,
         "backbone_params": MBART50_BACKBONE_PARAMS,
         "per_adapter_params": per_adapter,
-        "adapter_modules": n_adapters,
+        "adapter_modules": len(sites),
         "adapter_params": adapters_total,
         "adapter_plus_layernorm_params": adapters_total + layernorm_total,
         "adapter_params_third": adapters_third,

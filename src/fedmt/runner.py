@@ -21,6 +21,8 @@ from .model import ModelConfig, ToyModel, apply_pruning, build_model, decode_gre
 from .params import NamedParamSet, count_params
 from .presets import Client, make_clients, make_warmup_data, num_source_families
 
+TEST_DECODE_BATCH_SIZE = 128
+
 _DATA_CACHE: dict = {}
 _WARMUP_CACHE: dict = {}
 
@@ -146,7 +148,6 @@ def evaluate_test_bleu(
     clients: list[Client],
     vocab: Vocab,
     length_cap: int,
-    batch_size: int = 128,
 ) -> tuple[dict[str, float], dict[str, tuple[list, list]]]:
     """Greedy-decode every client's test set and score BLEU per pair."""
     outputs: dict[str, tuple[list, list]] = {}
@@ -155,8 +156,8 @@ def evaluate_test_bleu(
         hyps: list[tuple[str, ...]] = []
         refs: list[tuple[str, ...]] = []
         test = client.data.test
-        for start in range(0, len(test), batch_size):
-            chunk = test[start : start + batch_size]
+        for start in range(0, len(test), TEST_DECODE_BATCH_SIZE):
+            chunk = test[start : start + TEST_DECODE_BATCH_SIZE]
             batch = make_batch(chunk, vocab, client.tgt.code)
             decoded = decode_greedy(
                 model, batch.src, batch.src_mask,

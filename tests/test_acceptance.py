@@ -30,12 +30,8 @@ from fedmt.federation import (
     run_experiment,
 )
 from fedmt.model import Batch, ModelConfig, build_model, grad, loss
-from fedmt.params import NamedParamSet, ParamTensor, count_params, payload
-from fedmt.presets import (
-    adapter_param_count,
-    make_clients,
-    mbart50_summary,
-)
+from fedmt.params import NamedParamSet, ParamTensor, count_params
+from fedmt.presets import make_clients, mbart50_summary
 from fedmt.runner import build_method_model, prepare_data, run_seed, warmup_backbone
 
 from test_bleu import naive_pooled_bleu
@@ -58,12 +54,11 @@ def test_criterion_1_parameter_cost_arithmetic():
     assert abs(s["per_adapter_params"] - 131_000) / 131_000 < 0.01
     assert abs(s["adapter_params_third"] - 2.7e6) / 2.7e6 < 0.05
 
-    full_payload = payload(s["backbone_params"], bytes_per_param=4)
-    assert full_payload.gigabytes == pytest.approx(2.44, abs=0.005)
+    assert s["backbone_gb"] == pytest.approx(2.44, abs=0.005)
 
-    per_client, _ = estimate_transfer(full_payload.total_bytes, 1, 1e9)
+    per_client, _ = estimate_transfer(s["backbone_gb"] * 1e9, 1, 1e9)
     assert per_client == pytest.approx(19.5, rel=0.005)
-    _, twelve = estimate_transfer(full_payload.total_bytes, 12, 1e9)
+    _, twelve = estimate_transfer(s["backbone_gb"] * 1e9, 12, 1e9)
     assert twelve == pytest.approx(234, rel=0.005)
     adapter_seconds, _ = estimate_transfer(s["adapter_params"] * 4, 1, 1e9)
     # 0.26 s assumes the count rounded to 8M; the exact count gives 0.2537

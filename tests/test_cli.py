@@ -6,6 +6,8 @@ import json
 import pytest
 
 from fedmt.cli import main
+from fedmt.config import ADAPTER_METHODS, METHODS
+from fedmt.model import THIRDS
 
 TINY_RUN = {
     "mode": "m2en",
@@ -17,6 +19,21 @@ TINY_RUN = {
               "dec_layers": 1, "adapter_bottleneck": 2, "max_seq_len": 16},
     "fed": {"rounds": 2, "grad_accumulation": 1},
     "warmup": {"sentences_per_pair": 8, "epochs": 1},
+}
+
+
+# every (method, pruning) pair the config accepts
+METHOD_PRUNING = [(m, "all") for m in METHODS] + [
+    (m, p) for m in ADAPTER_METHODS for p in THIRDS
+]
+SMOKE_RUN = {
+    "mode": "m2en",
+    "seeds": [1],
+    "evaluate_test_bleu": False,
+    "data": {"scale": 1 / 64},
+    "model": {"model_dim": 16, "num_heads": 2, "ffn_dim": 32, "adapter_bottleneck": 2},
+    "fed": {"rounds": 1},
+    "warmup": {"sentences_per_pair": 16, "epochs": 1},
 }
 
 
@@ -100,7 +117,9 @@ class TestCountParams:
         cfg_path = write_config(tmp_path, TINY_RUN)
         assert main(["count-params", "--config", cfg_path]) == 0
         out = capsys.readouterr().out
-        assert "trainable params" in out
+        trainable = int(out.split("trainable params:")[1].split()[0].replace(",", ""))
+        payload = int(out.split("payload per sync:")[1].split()[0].replace(",", ""))
+        assert payload == 4 * trainable > 0
 
     def test_unknown_preset_is_config_error(self):
         assert main(["count-params", "--preset", "m2m100"]) == 1
@@ -135,3 +154,21 @@ class TestExitCodes:
         cfg_path = write_config(tmp_path, payload)
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 1
         assert "evaluate_test_bleu" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method, pruning", METHOD_PRUNING)
+def test_every_method_and_pruning_runs(tmp_path, method, pruning):
+    assert len(METHOD_PRUNING) == 26
+    cfg_path = write_config(tmp_path, dict(SMOKE_RUN, method=method, pruning=pruning))
+    out = tmp_path / "report"
+    assert main(["run", "--config", cfg_path, "--out", str(out), "--no-checkpoints"]) == 0
+    assert (out / "seed_1" / "metrics.csv").exists()
+
+
+def test_gradient_clustering_with_pruned_first_layer_exit_0(tmp_path):
+    # the probe reads the first active encoder adapter, not a pruned one
+    payload = dict(SMOKE_RUN, mode="m2m", method="adapter-gradients", pruning="output_end")
+    cfg_path = write_config(tmp_path, payload)
+    out = tmp_path / "report"
+    assert main(["run", "--config", cfg_path, "--out", str(out), "--no-checkpoints"]) == 0
+    assert "gradients" in (out / "seed_1" / "clusters.txt").read_text()

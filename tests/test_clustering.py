@@ -14,7 +14,8 @@ from fedmt.clustering import (
     cluster_random,
 )
 from fedmt.errors import ConfigurationError, DegenerateFeatureError, PartitionError
-from fedmt.presets import adapter_param_count, make_clients, num_source_families
+from fedmt.model import adapter_sites, param_layout
+from fedmt.presets import MBART50_CONFIG, make_clients, num_source_families
 
 
 @pytest.fixture(scope="module")
@@ -62,18 +63,18 @@ class TestClusterAssignment:
 
 class TestFamilyClustering:
     def test_m2en_encoder_matches_reference_plan(self, m2en_clients):
-        clusters = cluster_by_family(m2en_clients, "encoder", "m2en")
+        clusters = cluster_by_family(m2en_clients, "encoder")
         assert set(clusters) == {
             ("th-en", "zh-en"), ("ar-en", "he-en"), ("et-en", "fi-en"), ("ru-en", "sl-en"),
         }
 
     def test_m2en_decoder_is_one_global_cluster(self, m2en_clients):
-        clusters = cluster_by_family(m2en_clients, "decoder", "m2en")
+        clusters = cluster_by_family(m2en_clients, "decoder")
         assert len(clusters) == 1
         assert len(clusters[0]) == 8
 
     def test_m2m_encoder_groups_by_source_group(self, m2m_clients):
-        clusters = cluster_by_family(m2m_clients, "encoder", "m2m")
+        clusters = cluster_by_family(m2m_clients, "encoder")
         assert set(clusters) == {
             ("de-fr", "en-lt", "nl-pl"),        # Germanic sources
             ("es-lv", "fr-nl", "it-sl"),        # Romance sources
@@ -82,7 +83,7 @@ class TestFamilyClustering:
         }
 
     def test_m2m_decoder_groups_by_target_group(self, m2m_clients):
-        clusters = cluster_by_family(m2m_clients, "decoder", "m2m")
+        clusters = cluster_by_family(m2m_clients, "decoder")
         assert set(clusters) == {
             ("fr-nl", "lt-de", "pl-en"),        # Germanic targets
             ("de-fr", "lv-it", "sl-es"),        # Romance targets
@@ -92,11 +93,11 @@ class TestFamilyClustering:
 
     def test_single_family_single_cluster(self, m2en_clients):
         same = [c for c in m2en_clients if c.src.family == "Uralic"]
-        assert cluster_by_family(same, "encoder", "m2en") == (("et-en", "fi-en"),)
+        assert cluster_by_family(same, "encoder") == (("et-en", "fi-en"),)
 
     def test_order_independence(self, m2en_clients):
-        forward = cluster_by_family(m2en_clients, "encoder", "m2en")
-        backward = cluster_by_family(list(reversed(m2en_clients)), "encoder", "m2en")
+        forward = cluster_by_family(m2en_clients, "encoder")
+        backward = cluster_by_family(list(reversed(m2en_clients)), "encoder")
         assert forward == backward
 
 
@@ -258,6 +259,10 @@ class TestAssemble:
 
 
 def test_probe_slice_dim_matches_reference_scale():
-    # one bottleneck adapter at d=1024, b=64 is the designated feature slice
-    assert adapter_param_count(1024, 64) == 132_160
-    assert abs(adapter_param_count(1024, 64) - 131_000) / 131_000 < 0.01
+    # the probe slice is one bottleneck adapter: at d=1024, b=64, the first
+    # encoder site of the layout holds about 131k parameters
+    first = adapter_sites(MBART50_CONFIG)[0]
+    assert first.side == "encoder"
+    size = sum(np.prod(t.shape) for t in param_layout(MBART50_CONFIG) if t.site == first)
+    assert size == 132_160
+    assert abs(size - 131_000) / 131_000 < 0.01

@@ -142,9 +142,16 @@ class TestValueTypes:
         ({"data": 5}, "data"),
         ({"seeds": [1.5]}, r"seeds\[0\]"),
         ({"seeds": "1,2"}, "seeds"),
+        # invalid values: the message starts with the key or section path, once
+        ({"aggregation": "median"}, "aggregation: "),
+        ({"model": {"model_dim": 30}}, "model: model_dim"),
+        ({"model": {"num_heads": 0}}, "model: num_heads"),
+        ({"fed": {"rounds": 0}}, "fed: rounds"),
+        ({"warmup": {"epochs": -1}}, "warmup: "),
+        ({"data": {"scale": 0}}, r"data\.scale must"),
     ])
     def test_wrong_type_rejected_with_key(self, override, key):
-        with pytest.raises(ConfigurationError, match=key):
+        with pytest.raises(ConfigurationError, match=f"^{key}"):
             config_from_dict({"mode": "m2en", "method": "adapter-fed", **override})
 
     @pytest.mark.parametrize("override", [

@@ -1,4 +1,4 @@
-"""Parameter set storage, counting, payloads, and linear combination."""
+"""Parameter set storage, counting, payload sizes, and linear combination."""
 
 import numpy as np
 import pytest
@@ -6,16 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedmt.errors import ConfigurationError, StructuralMismatchError
-from fedmt.params import (
-    CommPayloadSpec,
-    NamedParamSet,
-    ParamTensor,
-    count_params,
-    payload,
-)
-from fedmt.presets import adapter_param_count
+from fedmt.federation import FedConfig
+from fedmt.model import ModelConfig, adapter_sites, build_model
+from fedmt.params import NamedParamSet, ParamTensor, count_params
+from fedmt.presets import mbart50_summary
 
 from test_federation import global_aggregate
+from test_pruning import oracle_adapter_params
 
 
 def make_set(spec, dtype=np.float64, rng=None):
@@ -42,8 +39,6 @@ class TestCountParams:
         pset = make_set(BASIC)
         assert count_params(pset, "all") == 6 + 4 + 4
         assert count_params(pset, "trainable_only") == 10
-        assert count_params(pset, "side=encoder") == 6
-        assert count_params(pset, "side=decoder") == 4
 
     def test_trainable_plus_frozen_is_all(self):
         pset = make_set(BASIC)
@@ -74,37 +69,30 @@ class TestCountParams:
         assert abs(count_params(pset, "all") - 8e6) / 8e6 < 0.01
 
     def test_single_adapter_count(self):
-        assert adapter_param_count(1024, 64) == 2 * 1024 * 64 + 64 + 1024 == 132_160
-        assert abs(adapter_param_count(1024, 64) - 131_000) / 131_000 < 0.01
+        # every site of a built model holds one bottleneck adapter
+        config = ModelConfig(vocab_size=20, model_dim=16, num_heads=2, ffn_dim=32,
+                             enc_layers=1, dec_layers=1, adapter_bottleneck=3)
+        model = build_model(config, 0)
+        for site in adapter_sites(config):
+            one = model.params.filter(lambda t: t.name.startswith(site.prefix + "."))
+            assert count_params(one) == oracle_adapter_params(16, 3) == 2 * 16 * 3 + 3 + 16
 
 
 class TestPayload:
-    def test_reference_full_model_bytes(self):
-        spec = payload(610_900_000, bytes_per_param=4)
-        assert spec.total_bytes == 2_443_600_000
-        assert spec.gigabytes == pytest.approx(2.44, abs=0.005)
+    """Payload sizes are parameter counts times the bytes per parameter
+    (decimal units, 1 GB = 1e9 B)."""
 
-    def test_zero_params(self):
-        assert payload(0).total_bytes == 0
+    def test_reference_full_model_bytes(self):
+        s = mbart50_summary()
+        assert s["backbone_params"] * 4 == 2_443_600_000
+        assert s["backbone_gb"] == pytest.approx(2.44, abs=0.005)
 
     def test_adapter_total_bytes(self):
-        assert payload(7_929_600, bytes_per_param=4).total_bytes == 31_718_400
-
-    def test_from_param_set(self):
-        pset = make_set(BASIC)
-        assert payload(pset, "trainable_only", 4).total_bytes == 40
-
-    def test_linear_scaling(self):
-        base = payload(1234, bytes_per_param=4).total_bytes
-        assert payload(3 * 1234, bytes_per_param=4).total_bytes == 3 * base
-
-    def test_invariant_enforced(self):
-        spec = CommPayloadSpec(10, 4, 40)
-        assert spec.total_bytes == spec.param_count * spec.bytes_per_param
+        assert mbart50_summary()["adapter_gb"] * 1e9 == pytest.approx(31_718_400)
 
     def test_bad_bytes_per_param(self):
-        with pytest.raises(ValueError):
-            payload(10, bytes_per_param=0)
+        with pytest.raises(ConfigurationError):
+            FedConfig(bytes_per_param=0)
 
 
 class TestLinearCombine:

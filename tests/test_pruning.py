@@ -1,16 +1,39 @@
-"""Adapter pruning thirds: selection, flags, conservation, counts."""
+"""Adapter pruning thirds: selection, flags, conservation, counts.
+
+The closed forms below are the oracle for the sublayer table: one adapter
+holds 2*d*b + b + d parameters, and a model has 2 adapter sites per encoder
+layer and 3 per decoder layer.
+"""
 
 import numpy as np
 import pytest
 
 from fedmt.errors import ConfigurationError
-from fedmt.model import Batch, ModelConfig, apply_pruning, build_model, forward
+from fedmt.model import (
+    PRUNING_STRATEGIES,
+    Batch,
+    ModelConfig,
+    adapter_sites,
+    apply_pruning,
+    build_model,
+    forward,
+    param_layout,
+    pruning_mask,
+)
 from fedmt.params import count_params
-from fedmt.presets import adapter_param_count
+from fedmt.presets import MBART50_CONFIG, mbart50_summary
 
 CFG = ModelConfig(vocab_size=20, model_dim=16, num_heads=2, ffn_dim=32,
                   enc_layers=6, dec_layers=6, adapter_bottleneck=4,
                   max_seq_len=12, dtype="float64")
+
+
+def oracle_adapter_params(d, b):
+    return 2 * d * b + b + d
+
+
+def oracle_sites(enc_layers, dec_layers):
+    return 2 * enc_layers + 3 * dec_layers
 
 
 def active_layers(model, side):
@@ -74,7 +97,7 @@ class TestCounts:
 
     def test_third_counts_match_formula(self):
         base = build_model(CFG, 0)
-        per = adapter_param_count(CFG.model_dim, CFG.adapter_bottleneck)
+        per = oracle_adapter_params(CFG.model_dim, CFG.adapter_bottleneck)
         assert self.adapter_count(base) == 30 * per
         for strategy in ("input_end", "middle", "output_end"):
             pruned = apply_pruning(base, strategy)
@@ -82,13 +105,35 @@ class TestCounts:
 
     def test_reference_dims_match_published_scale(self):
         # formula at d=1024, b=64, 12+12 layers: thirds of 60 adapters
-        per = adapter_param_count(1024, 64)
+        per = oracle_adapter_params(1024, 64)
         full = 60 * per
         third = 20 * per
         assert full == 7_929_600
         assert third == 2_643_200
         assert abs(third - 2.7e6) / 2.7e6 < 0.05
         assert abs(full - 8.1e6) / 8.1e6 < 0.05
+        s = mbart50_summary()
+        assert (s["per_adapter_params"], s["adapter_params"], s["adapter_params_third"]) == (
+            per, full, third)
+        # per-layer norms (2 per encoder, 3 per decoder layer) plus the two final ones
+        assert s["adapter_plus_layernorm_params"] - full == (60 + 2) * 2 * 1024
+
+    @pytest.mark.parametrize("strategy", PRUNING_STRATEGIES)
+    @pytest.mark.parametrize("config", [CFG, MBART50_CONFIG], ids=["toy", "mbart50"])
+    def test_layout_counts_match_closed_form(self, config, strategy):
+        layout = param_layout(config)
+        per = oracle_adapter_params(config.model_dim, config.adapter_bottleneck)
+        n_sites = oracle_sites(config.enc_layers, config.dec_layers)
+        sites = adapter_sites(config)
+        assert len(sites) == n_sites
+        for site in sites:
+            assert sum(np.prod(t.shape) for t in layout if t.site == site) == per
+        kept = pruning_mask(config, strategy)
+        kept_sites = n_sites if strategy == "all" else n_sites // 3
+        assert sum(kept.values()) == kept_sites
+        assert sum(
+            np.prod(t.shape) for t in layout if t.site is not None and kept[t.site.prefix]
+        ) == kept_sites * per
 
 
 class TestForwardSemantics:

@@ -13,17 +13,24 @@ def test_param_file_round_trip(tmp_path):
     pset = NamedParamSet([
         ParamTensor("enc.a", rng.normal(size=(3, 4)).astype(np.float32), True, "encoder"),
         ParamTensor("dec.b", rng.normal(size=(7,)).astype(np.float32), False, "decoder"),
-        ParamTensor("emb.c", rng.normal(size=(2, 2, 2)).astype(np.float32), True, "shared"),
+        ParamTensor("emb.c", rng.normal(size=(2, 2, 2)), True, "shared"),  # float64
     ])
     path = tmp_path / "params.bin"
     save_param_set(pset, path)
-    loaded = load_param_set(path, dtype=np.float32)
+    loaded = load_param_set(path)
     assert loaded.names == pset.names
     for t in pset:
         other = loaded[t.name]
         assert other.trainable == t.trainable
         assert other.side == t.side
+        assert other.values.dtype == t.values.dtype
         assert np.array_equal(other.values, t.values)
+
+
+def test_param_file_refuses_other_dtypes(tmp_path):
+    pset = NamedParamSet([ParamTensor("x", np.arange(3), True, "shared")])  # int64
+    with pytest.raises(CheckpointError):
+        save_param_set(pset, tmp_path / "params.bin")
 
 
 def test_param_file_is_stable_bytes(tmp_path):
@@ -51,7 +58,44 @@ def test_checkpoint_round_trip(tmp_path):
         assert loaded.params[t.name].trainable == t.trainable
 
 
-@pytest.mark.parametrize("cut", ["magic", "header", "payload", "trailing"])
+def test_float64_checkpoint_round_trips_bitwise(tmp_path):
+    config = ModelConfig(vocab_size=20, model_dim=8, num_heads=2, ffn_dim=16,
+                         enc_layers=1, dec_layers=1, adapter_bottleneck=2,
+                         max_seq_len=12, dtype="float64")
+    model = build_model(config, 5)
+    model = model.with_params(model.params.replace_values(
+        {"emb.token.weight": np.full((20, 8), 0.1)}
+    ))
+    save_checkpoint(model, tmp_path / "ckpt")
+    loaded = load_checkpoint(tmp_path / "ckpt")
+    assert loaded.config == config
+    assert loaded.params.values("emb.token.weight")[0, 0] == 0.1
+    for t in model.params:
+        other = loaded.params.values(t.name)
+        assert other.dtype == np.float64
+        assert other.tobytes() == t.values.tobytes()
+
+
+@pytest.mark.parametrize("damage", ["missing", "unparsable", "invalid", "unknown", "mask"])
+def test_damaged_meta_raises_checkpoint_error(tmp_path, damage):
+    config = ModelConfig(vocab_size=20, model_dim=8, num_heads=2, ffn_dim=16,
+                         enc_layers=1, dec_layers=1, adapter_bottleneck=2, max_seq_len=12)
+    save_checkpoint(build_model(config, 0), tmp_path / "ckpt")
+    meta = tmp_path / "ckpt.meta"
+    text = meta.read_text()
+    meta.write_text({
+        "missing": text.replace("model_dim=8\n", ""),
+        "unparsable": text.replace("model_dim=8", "model_dim=eight"),
+        "invalid": text.replace("num_heads=2", "num_heads=0"),
+        "unknown": text + "colour=blue\n",
+        "mask": text.replace("enc.layer0.attn_adapter=1", "enc.layer0.attn_adapter=yes"),
+    }[damage])
+    assert meta.read_text() != text
+    with pytest.raises(CheckpointError):
+        load_checkpoint(tmp_path / "ckpt")
+
+
+@pytest.mark.parametrize("cut", ["magic", "version", "header", "payload", "trailing"])
 def test_damaged_param_file_raises_checkpoint_error(tmp_path, cut):
     pset = NamedParamSet([
         ParamTensor("enc.a", np.ones((3, 4), np.float32), True, "encoder"),
@@ -63,6 +107,7 @@ def test_damaged_param_file_raises_checkpoint_error(tmp_path, cut):
     payload_start = len(data) - 4 * (12 + 5)
     damaged = {
         "magic": b"XXXX" + data[4:],
+        "version": data[:4] + (1).to_bytes(4, "little") + data[8:],  # the float32-only format
         "header": data[:20],  # inside the first tensor's header
         "payload": data[: payload_start + 10],
         "trailing": data + b"\0",
