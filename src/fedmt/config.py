@@ -156,6 +156,12 @@ def _validate_experiment(cfg: ExperimentConfig) -> None:
         raise ConfigurationError(
             f"ablation={cfg.ablation}: method {cfg.method!r} has no clustering to ablate"
         )
+    # encoder rows are tag + tokens + EOS, decoder rows BOS/EOS + tokens + affix
+    if cfg.data.length_range[1] + 2 > cfg.model.max_seq_len:
+        raise ConfigurationError(
+            f"data.length_range: longest sentence {cfg.data.length_range[1]} plus 2 "
+            f"special tokens exceeds model.max_seq_len={cfg.model.max_seq_len}"
+        )
     if cfg.fed.aggregation != cfg.aggregation:
         raise ConfigurationError(
             "aggregation: top-level value and fed.aggregation disagree"

@@ -72,33 +72,29 @@ class _Sgd:
     def __init__(self, lr: float):
         self.lr = lr
 
-    def step(self, values: dict[str, np.ndarray], grads: Mapping[str, np.ndarray]) -> None:
-        for name, g in grads.items():
-            values[name] = values[name] - self.lr * g
+    def step(self, flat: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """Updated copy of the flat trainable values; ``flat`` is unchanged."""
+        return flat - self.lr * grad
 
 
 class _Adam:
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
 
-    def step(self, values: dict[str, np.ndarray], grads: Mapping[str, np.ndarray]) -> None:
+    def step(self, flat: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """Updated copy of the flat trainable values; ``flat`` is unchanged."""
         self.t += 1
         correction1 = 1.0 - self.beta1**self.t
         correction2 = 1.0 - self.beta2**self.t
-        for name, g in grads.items():
-            m = self.m.get(name)
-            if m is None:
-                m = np.zeros_like(g)
-                self.v[name] = np.zeros_like(g)
-            v = self.v[name]
-            m = self.beta1 * m + (1 - self.beta1) * g
-            v = self.beta2 * v + (1 - self.beta2) * g * g
-            self.m[name], self.v[name] = m, v
-            step = self.lr * (m / correction1) / (np.sqrt(v / correction2) + self.eps)
-            values[name] = values[name] - step
+        if self.m is None:
+            self.m, self.v = np.zeros_like(grad), np.zeros_like(grad)
+        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
+        self.v = self.beta2 * self.v + (1 - self.beta2) * grad * grad
+        step = self.lr * (self.m / correction1) / (np.sqrt(self.v / correction2) + self.eps)
+        return flat - step
 
 
 def make_optimizer(kind: str, learning_rate: float):
@@ -136,10 +132,16 @@ def train_epochs(
 
     The optimizer steps once per ``grad_accumulation`` micro-batches (the
     trailing partial window still steps) on the token-mean gradient. A zero
-    learning rate never steps. Frozen tensors are untouched.
+    learning rate never steps. Frozen tensors are untouched. The trainable
+    values live in one flat buffer, so each optimizer step is one
+    elementwise update; every step makes a new buffer, since earlier models
+    keep views of the old one.
     """
-    trainable = set(model.trainable_names())
-    values = {name: model.params.values(name) for name in trainable}
+    names = model.trainable_names()
+    trainable = set(names)
+    shapes = [model.params.values(name).shape for name in names]
+    bounds = np.cumsum([0] + [int(np.prod(shape)) for shape in shapes])
+    flat = np.concatenate([model.params.values(name).ravel() for name in names])
     optimizer = make_optimizer(optimizer_kind, learning_rate)
     loss_total = 0.0
     tokens_total = 0
@@ -152,8 +154,11 @@ def train_epochs(
             loss_total += result.total
             tokens_total += result.token_count
             if learning_rate > 0:
-                scaled = {n: g / result.token_count for n, g in grads.items()}
-                optimizer.step(values, scaled)
+                flat_grad = np.concatenate([grads[name].ravel() for name in names])
+                flat_grad /= result.token_count
+                flat = optimizer.step(flat, flat_grad)
+                values = {name: flat[lo:hi].reshape(shape)
+                          for name, lo, hi, shape in zip(names, bounds, bounds[1:], shapes)}
                 model = model.with_params(model.params.replace_values(values))
             steps += 1
     return model, LocalStats(loss_total / max(1, tokens_total), tokens_total, steps)

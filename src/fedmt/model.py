@@ -11,7 +11,15 @@ alongside the adapters. The output projection is tied to the token
 embedding.
 
 Forward and backward passes are written directly in numpy; gradients are
-exact, which lets tests pin them against central finite differences.
+exact, which lets tests pin them against central finite differences. They
+run on packed rows: each stack gathers the real (non-pad) positions of its
+batch once, every position-wise op (embedding, layer norms, FFN, adapters,
+the tied logits and the cross-entropy) sees only those [N_real, d] rows, and
+attention places them on the padded grid only for its score, softmax and
+context products. Pad keys are masked and pad positions carry no loss, so
+pad rows contribute exactly zero; packing changes only the order of sums.
+Greedy decoding feeds one new position per step through the same sublayer
+loop, reading earlier keys and values from a KV cache.
 """
 
 from __future__ import annotations
@@ -170,7 +178,7 @@ def pruning_mask(config: ModelConfig, strategy: str) -> dict[str, bool]:
 @dataclass(frozen=True)
 class Batch:
     """One padded batch. Gold targets are the decoder inputs shifted by one;
-    pad positions are excluded from the loss via tgt_mask."""
+    the masks mark the real positions, the only ones the model computes."""
 
     src: np.ndarray        # [B, S] int token ids
     src_mask: np.ndarray   # [B, S] bool, True at real tokens
@@ -323,28 +331,38 @@ def _ffn_bwd(dy, cache, key: str, grads, want):
     return nn.linear_bwd(dh1, c1, f"{key}.fc1", grads, want)
 
 
-def _embed(model: ToyModel, ids: np.ndarray):
+def _embed(model: ToyModel, ids: np.ndarray, rows: nn.Rows, offset: int):
+    """Scaled embeddings plus positions of the packed token ids ``ids``; the
+    grid's first column is position ``offset``."""
     cfg = model.config
-    if ids.shape[1] > cfg.max_seq_len:
+    if offset + rows.length > cfg.max_seq_len:
         raise ConfigurationError(
-            f"sequence length {ids.shape[1]} exceeds max_seq_len={cfg.max_seq_len}"
+            f"sequence length {offset + rows.length} exceeds max_seq_len={cfg.max_seq_len}"
         )
     emb = model.params.values("emb.token.weight")
     scale = np.asarray(np.sqrt(cfg.model_dim), dtype=cfg.np_dtype)
     pos = nn.sinusoidal_positions(cfg.max_seq_len, cfg.model_dim, cfg.np_dtype)
-    return emb[ids] * scale + pos[: ids.shape[1]], scale
+    return emb[ids] * scale + pos[rows.index % rows.length + offset], scale
 
 
-def _stack_fwd(model: ToyModel, side: str, ids: np.ndarray, self_mask: np.ndarray,
-               memory: np.ndarray | None = None, memory_mask: np.ndarray | None = None):
-    """One stack over token ids: embedding, every sublayer, final layer norm.
+def _stack_fwd(model: ToyModel, side: str, ids: np.ndarray, mask: np.ndarray,
+               self_mask: np.ndarray, memory=None, kv_cache: dict | None = None):
+    """One stack over the real tokens of ``ids`` (``mask`` True there):
+    embedding, every sublayer, final layer norm, each on the packed rows
+    [N, d].
 
-    Self-attention attends under ``self_mask``; cross-attention reads
-    ``memory`` under ``memory_mask``. Returns the output and the cache that
+    Self-attention attends under ``self_mask`` [B, 1, Tq, Tk]; when Tk
+    exceeds Tq the grid continues a prefix of Tk - Tq earlier positions.
+    Cross-attention reads ``memory``, the encoder's (packed output, rows,
+    key mask). ``kv_cache`` maps each attention block to its head-split keys
+    and values: self-attention appends its new ones, cross-attention
+    computes them once. Returns the packed output and the cache that
     ``_stack_bwd`` takes.
     """
     cfg, p = model.config, model.params
-    x, scale = _embed(model, ids)
+    rows = nn.Rows.of(mask)
+    x, scale = _embed(model, ids.reshape(-1)[rows.index], rows,
+                      self_mask.shape[-1] - rows.length)
     caches = []
     for ln, block, site in _sublayers(cfg, side):
         ln_key = f"{site.layer_key}.{ln}"
@@ -353,8 +371,14 @@ def _stack_fwd(model: ToyModel, side: str, ids: np.ndarray, self_mask: np.ndarra
         if block == "ffn":
             out, block_c = _ffn_fwd(h, p, key)
         else:
-            kv, mask = (h, self_mask) if block == "self_attn" else (memory, memory_mask)
-            out, block_c = nn.attention_fwd(h, kv, _attn_params(p, key), mask, cfg.num_heads)
+            kv_in, kv_rows, kv_mask = (h, rows, self_mask) if block == "self_attn" else memory
+            past = None if kv_cache is None else kv_cache.get(key)
+            if block == "cross_attn" and past is not None:
+                kv_in = None  # the memory's keys and values do not change
+            out, block_c = nn.attention_fwd(h, kv_in, _attn_params(p, key), kv_mask,
+                                            cfg.num_heads, rows, kv_rows, past)
+            if kv_cache is not None:
+                kv_cache[key] = (block_c.k, block_c.v)
         x = x + out
         ad_c = None
         if model.adapter_mask.get(site.prefix, False):
@@ -391,8 +415,8 @@ def _stack_bwd(model: ToyModel, side: str, dout: np.ndarray, cache, grads, want,
 
 
 def encode(model: ToyModel, src: np.ndarray, src_mask: np.ndarray):
-    """Encoder stack output plus cache."""
-    return _stack_fwd(model, "encoder", src, src_mask[:, None, None, :])
+    """Encoder output at the real source positions [N_src, d], plus cache."""
+    return _stack_fwd(model, "encoder", src, src_mask, src_mask[:, None, None, :])
 
 
 def decode_logits(
@@ -401,17 +425,32 @@ def decode_logits(
     src_mask: np.ndarray,
     tgt_in: np.ndarray,
     tgt_mask: np.ndarray,
+    kv_cache: dict | None = None,
 ):
-    """Decoder stack over a (possibly partial) target prefix."""
-    t_len = tgt_in.shape[1]
-    causal = np.tril(np.ones((t_len, t_len), dtype=bool))[None, None]
-    dec_out, cache = _stack_fwd(model, "decoder", tgt_in, causal & tgt_mask[:, None, None, :],
-                                enc_out, src_mask[:, None, None, :])
+    """Logits [N_tgt, V] at the real positions of ``tgt_in`` (row-major),
+    plus cache, given the packed encoder output ``enc_out``.
+
+    Without ``kv_cache`` ``tgt_in`` is a whole target prefix. With it (an
+    empty dict at the first step), ``tgt_in`` continues the prefix the cache
+    holds, and the cache is extended in place: the prefix's key mask under
+    ``"mask"`` and each attention block's keys and values under its name.
+    """
+    key_mask = tgt_mask
+    if kv_cache:
+        key_mask = np.concatenate([kv_cache["mask"], tgt_mask], axis=1)
+    q_len, k_len = tgt_in.shape[1], key_mask.shape[1]
+    causal = np.arange(k_len) <= np.arange(k_len - q_len, k_len)[:, None]
+    memory = (enc_out, nn.Rows.of(src_mask), src_mask[:, None, None, :])
+    dec_out, cache = _stack_fwd(model, "decoder", tgt_in, tgt_mask,
+                                causal & key_mask[:, None, None, :], memory, kv_cache)
+    if kv_cache is not None:
+        kv_cache["mask"] = key_mask
     return dec_out @ model.params.values("emb.token.weight").T, cache
 
 
 def forward(model: ToyModel, batch: Batch):
-    """Logits [B, T, V] plus the cache needed for backward."""
+    """Logits [N_real, V] at the real target positions, row-major (the order
+    of ``batch.tgt_gold[batch.tgt_mask]``), plus the cache for backward."""
     enc_out, enc_cache = encode(model, batch.src, batch.src_mask)
     logits, dec_cache = decode_logits(
         model, enc_out, batch.src_mask, batch.tgt_in, batch.tgt_mask
@@ -420,7 +459,7 @@ def forward(model: ToyModel, batch: Batch):
 
 
 def backward(model: ToyModel, batch: Batch, cache, dlogits: np.ndarray, needed: set[str] | None = None):
-    """Gradients of the loss wrt parameters, given d(loss)/d(logits).
+    """Gradients of the loss wrt parameters, given d(loss)/d(logits) [N_real, V].
 
     ``needed`` limits which parameter gradients are materialized (None = all);
     activation gradients always propagate fully.
@@ -433,9 +472,10 @@ def backward(model: ToyModel, batch: Batch, cache, dlogits: np.ndarray, needed: 
     dy = _stack_bwd(model, "decoder", dlogits @ emb, dec, grads, want, d_enc_out)
     dx = _stack_bwd(model, "encoder", d_enc_out, enc, grads, want)
     if want("emb.token.weight"):
-        d_emb = np.einsum("btv,btd->vd", dlogits, dec["out"])
-        for ids, d_in, stack in ((batch.tgt_in, dy, dec), (batch.src, dx, enc)):
-            np.add.at(d_emb, ids.reshape(-1), (d_in * stack["scale"]).reshape(-1, emb.shape[1]))
+        d_emb = dlogits.T @ dec["out"]
+        for ids, mask, d_in, stack in ((batch.tgt_in, batch.tgt_mask, dy, dec),
+                                       (batch.src, batch.src_mask, dx, enc)):
+            np.add.at(d_emb, ids[mask], d_in * stack["scale"])
         grads["emb.token.weight"] = d_emb
     return grads
 
@@ -452,19 +492,18 @@ class LossResult:
 
 
 def _cross_entropy(logits: np.ndarray, batch: Batch, need_grad: bool = True):
+    """Summed loss of packed logits [N_real, V] against the real gold ids."""
+    gold = batch.tgt_gold[batch.tgt_mask]
+    rows = np.arange(gold.size)
     shifted = logits - logits.max(axis=-1, keepdims=True)
     exps = np.exp(shifted)
     sums = exps.sum(axis=-1, keepdims=True)
-    log_probs = shifted - np.log(sums)
-    b_idx, t_idx = np.indices(batch.tgt_gold.shape)
-    gold_lp = log_probs[b_idx, t_idx, batch.tgt_gold]
-    total = -(gold_lp * batch.tgt_mask).sum()
+    total = -(shifted[rows, gold] - np.log(sums[:, 0])).sum()
     count = batch.token_count
     if not need_grad:
         return float(total), count, None
     dlogits = exps / sums
-    dlogits[b_idx, t_idx, batch.tgt_gold] -= 1.0
-    dlogits *= batch.tgt_mask[:, :, None]
+    dlogits[rows, gold] -= 1.0
     return float(total), count, dlogits
 
 
@@ -510,18 +549,20 @@ def decode_greedy(model: ToyModel, src: np.ndarray, src_mask: np.ndarray,
                   bos_id: int, eos_id: int, max_len: int) -> list[list[int]]:
     """Greedy decoding; returns token ids per sentence without BOS/EOS.
 
-    The encoder runs once; the decoder recomputes the whole prefix each
-    step (no KV cache, fine at toy scale)."""
+    The encoder runs once. Each step feeds only the newest token to
+    ``decode_logits`` with a KV cache: every decoder layer computes its
+    cross-attention keys and values from the encoder output once and
+    appends one self-attention key and value per step."""
     bsz = src.shape[0]
     enc_out, _ = encode(model, src, src_mask)
     tgt = np.full((bsz, 1), bos_id, dtype=src.dtype)
+    step_mask = np.ones((bsz, 1), dtype=bool)
+    kv_cache: dict = {}
     finished = np.zeros(bsz, dtype=bool)
     outputs: list[list[int]] = [[] for _ in range(bsz)]
     for _ in range(max_len):
-        logits, _ = decode_logits(
-            model, enc_out, src_mask, tgt, np.ones_like(tgt, dtype=bool)
-        )
-        nxt = logits[:, -1, :].argmax(axis=-1).astype(src.dtype)
+        logits, _ = decode_logits(model, enc_out, src_mask, tgt, step_mask, kv_cache)
+        nxt = logits.argmax(axis=-1).astype(src.dtype)
         for j in range(bsz):
             if not finished[j]:
                 if int(nxt[j]) == eos_id:
@@ -530,10 +571,8 @@ def decode_greedy(model: ToyModel, src: np.ndarray, src_mask: np.ndarray,
                     outputs[j].append(int(nxt[j]))
         if finished.all():
             break
-        tgt = np.concatenate([tgt, nxt[:, None]], axis=1)
+        tgt = nxt[:, None]
     return outputs
-
-
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,16 @@ layer has parameters, a dict of parameter gradients keyed by local name
 (``"q.weight"``, ``"bias"``, ...). Callers prefix these keys to full tensor
 paths. Gradient computation for a parameter can be skipped by passing a
 ``want`` predicate that returns False for its key.
+
+The model passes packed rows [N, d] of real tokens. Position-wise primitives
+do not care; attention takes each input's ``Rows`` and places the rows on
+the padded [B, T] grid only around its score, softmax and context products.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -112,7 +116,31 @@ def layer_norm_bwd(dy: np.ndarray, cache, key: str, grads: dict, want: WantFn = 
 
 
 # ---------------------------------------------------------------------------
-# multi-head attention
+# packed rows and multi-head attention
+
+
+class Rows(NamedTuple):
+    """Where packed rows sit in a [batch, length] grid: ``index`` holds the
+    flat position b * length + t of every real token, in row-major order."""
+
+    index: np.ndarray
+    batch: int
+    length: int
+
+    @classmethod
+    def of(cls, mask: np.ndarray) -> "Rows":
+        """The real positions of a [batch, length] boolean mask."""
+        return cls(np.flatnonzero(mask), *mask.shape)
+
+    def scatter(self, x: np.ndarray) -> np.ndarray:
+        """Packed rows [N, d] onto the grid [batch, length, d], zero at pads."""
+        grid = np.zeros((self.batch * self.length, x.shape[-1]), dtype=x.dtype)
+        grid[self.index] = x
+        return grid.reshape(self.batch, self.length, -1)
+
+    def gather(self, grid: np.ndarray) -> np.ndarray:
+        """The packed rows [N, d] of a grid [batch, length, d]."""
+        return grid.reshape(self.batch * self.length, -1)[self.index]
 
 
 def _split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
@@ -125,47 +153,82 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, s, h * dh)
 
 
+class AttentionCache(NamedTuple):
+    q_lin: tuple
+    k_lin: tuple | None  # None when every key came from ``past``
+    v_lin: tuple | None
+    out_lin: tuple
+    q: np.ndarray  # [B, H, Tq, dh]
+    k: np.ndarray  # [B, H, Tk, dh], past keys included
+    v: np.ndarray
+    attn: np.ndarray
+    scale: float
+    q_rows: Rows
+    kv_rows: Rows | None
+
+
 def attention_fwd(
     q_in: np.ndarray,
-    kv_in: np.ndarray,
+    kv_in: np.ndarray | None,
     p: dict[str, tuple[np.ndarray, np.ndarray]],
     mask: np.ndarray,
     num_heads: int,
+    q_rows: Rows,
+    kv_rows: Rows | None,
+    past: tuple[np.ndarray, np.ndarray] | None = None,
 ):
-    """Multi-head attention; ``mask`` is boolean, True where keys may be attended,
-    broadcastable to [B, 1, Sq, Sk]."""
+    """Multi-head attention over packed rows.
+
+    ``q_in`` [Nq, d] and ``kv_in`` [Nk, d] are the real rows of the query
+    and key grids, placed by ``q_rows`` and ``kv_rows``. The projections run
+    on the packed rows; only the score, softmax and context products run on
+    the grid. ``mask`` is boolean, True where keys may be attended,
+    broadcastable to [B, 1, Tq, Tk]. ``past`` holds head-split keys and
+    values [B, H, Tp, dh] of earlier positions, placed before the keys of
+    ``kv_in``; ``kv_in`` may then be None. The cache's ``k`` and ``v`` hold
+    every key and value, ``past`` included.
+    """
     q_flat, q_cache = linear_fwd(q_in, *p["q"])
-    k_flat, k_cache = linear_fwd(kv_in, *p["k"])
-    v_flat, v_cache = linear_fwd(kv_in, *p["v"])
-    q = _split_heads(q_flat, num_heads)
-    k = _split_heads(k_flat, num_heads)
-    v = _split_heads(v_flat, num_heads)
+    q = _split_heads(q_rows.scatter(q_flat), num_heads)
+    k_cache = v_cache = None
+    if kv_in is None:
+        k, v = past
+    else:
+        k_flat, k_cache = linear_fwd(kv_in, *p["k"])
+        v_flat, v_cache = linear_fwd(kv_in, *p["v"])
+        k = _split_heads(kv_rows.scatter(k_flat), num_heads)
+        v = _split_heads(kv_rows.scatter(v_flat), num_heads)
+        if past is not None:
+            k = np.concatenate([past[0], k], axis=2)
+            v = np.concatenate([past[1], v], axis=2)
     scale = 1.0 / math.sqrt(q.shape[-1])
     scores = (q @ k.swapaxes(-1, -2)) * scale
     scores = np.where(mask, scores, _NEG_INF)
     scores -= scores.max(axis=-1, keepdims=True)
     exps = np.exp(scores)
     attn = exps / exps.sum(axis=-1, keepdims=True)
-    ctx = _merge_heads(attn @ v)
+    ctx = q_rows.gather(_merge_heads(attn @ v))
     out, o_cache = linear_fwd(ctx, *p["out"])
-    cache = (q_cache, k_cache, v_cache, o_cache, q, k, v, attn, scale, num_heads)
-    return out, cache
+    return out, AttentionCache(q_cache, k_cache, v_cache, o_cache, q, k, v, attn, scale,
+                               q_rows, kv_rows)
 
 
-def attention_bwd(dout: np.ndarray, cache, key: str, grads: dict, want: WantFn = _want_all):
-    q_cache, k_cache, v_cache, o_cache, q, k, v, attn, scale, num_heads = cache
-    dctx = linear_bwd(dout, o_cache, f"{key}.out", grads, want)
-    dctx = _split_heads(dctx, num_heads)
-    dattn = dctx @ v.swapaxes(-1, -2)
-    dv = attn.swapaxes(-1, -2) @ dctx
+def attention_bwd(dout: np.ndarray, cache: AttentionCache, key: str, grads: dict,
+                  want: WantFn = _want_all):
+    """Gradients of the packed query and key rows; ``past`` is not supported."""
+    c = cache
+    dctx = linear_bwd(dout, c.out_lin, f"{key}.out", grads, want)
+    dctx = _split_heads(c.q_rows.scatter(dctx), c.q.shape[1])
+    dattn = dctx @ c.v.swapaxes(-1, -2)
+    dv = c.attn.swapaxes(-1, -2) @ dctx
     # softmax backward; masked entries have attn == 0, so their gradient vanishes
-    dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-    dscores *= scale
-    dq = dscores @ k
-    dk = dscores.swapaxes(-1, -2) @ q
-    dq_in = linear_bwd(_merge_heads(dq), q_cache, f"{key}.q", grads, want)
-    dkv_in = linear_bwd(_merge_heads(dk), k_cache, f"{key}.k", grads, want)
-    dkv_in += linear_bwd(_merge_heads(dv), v_cache, f"{key}.v", grads, want)
+    dscores = c.attn * (dattn - (dattn * c.attn).sum(axis=-1, keepdims=True))
+    dscores *= c.scale
+    dq = dscores @ c.k
+    dk = dscores.swapaxes(-1, -2) @ c.q
+    dq_in = linear_bwd(c.q_rows.gather(_merge_heads(dq)), c.q_lin, f"{key}.q", grads, want)
+    dkv_in = linear_bwd(c.kv_rows.gather(_merge_heads(dk)), c.k_lin, f"{key}.k", grads, want)
+    dkv_in += linear_bwd(c.kv_rows.gather(_merge_heads(dv)), c.v_lin, f"{key}.v", grads, want)
     return dq_in, dkv_in
 
 

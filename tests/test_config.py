@@ -149,6 +149,7 @@ class TestValueTypes:
         ({"fed": {"rounds": 0}}, "fed: rounds"),
         ({"warmup": {"epochs": -1}}, "warmup: "),
         ({"data": {"scale": 0}}, r"data\.scale must"),
+        ({"data": {"length_range": [4, 47]}}, r"data\.length_range: "),
     ])
     def test_wrong_type_rejected_with_key(self, override, key):
         with pytest.raises(ConfigurationError, match=f"^{key}"):
@@ -159,6 +160,7 @@ class TestValueTypes:
         {"fed": {"learning_rate": 1}},  # an integer is a number
         {"fed": {"full_model_learning_rate": None}},
         {"data": {"cross_family_overlap": 0.0}},
+        {"data": {"length_range": [4, 46]}},  # 46 + 2 fills max_seq_len=48
     ])
     def test_well_typed_value_accepted(self, override):
         config_from_dict({"mode": "m2en", "method": "adapter-fed", **override})

@@ -1,10 +1,12 @@
 """Aggregation rules, local training, the round loop, and the ledger."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fedmt.clustering import ClusterAssignment
-from fedmt.data import build_vocab
+from fedmt.data import batches, build_vocab
 from fedmt.errors import ConfigurationError, PartitionError, StructuralMismatchError
 from fedmt.federation import (
     CommLedger,
@@ -14,8 +16,9 @@ from fedmt.federation import (
     inner_cluster_aggregate,
     local_update,
     run_experiment,
+    train_epochs,
 )
-from fedmt.model import ModelConfig, build_model
+from fedmt.model import ModelConfig, build_model, grad, merge_batches
 from fedmt.params import NamedParamSet, ParamTensor, count_params
 from fedmt.presets import make_clients
 
@@ -304,6 +307,41 @@ class TestLocalUpdate:
         updated, stats = local_update(clients[0], model, cfg, vocab, round_index=1)
         assert not updated.params.equals(model.params)
         assert stats.tokens > 0
+
+
+def per_tensor_training(model, samples, vocab, seed, kind, lr, batch_size, accumulation):
+    """Reference loop: one epoch, the optimizer applied one tensor at a time."""
+    values = {name: model.params.values(name) for name in model.trainable_names()}
+    first = {name: np.zeros_like(v) for name, v in values.items()}
+    second = {name: np.zeros_like(v) for name, v in values.items()}
+    micro = batches(samples, vocab, batch_size, seed=seed)
+    for t, start in enumerate(range(0, len(micro), accumulation), 1):
+        result, grads = grad(model, merge_batches(micro[start:start + accumulation]),
+                             needed=set(values))
+        for name, g in grads.items():
+            g = g / result.token_count
+            if kind == "sgd":
+                values[name] = values[name] - lr * g
+                continue
+            first[name] = 0.9 * first[name] + (1 - 0.9) * g
+            second[name] = 0.999 * second[name] + (1 - 0.999) * g * g
+            values[name] = values[name] - lr * (first[name] / (1.0 - 0.9**t)) / (
+                np.sqrt(second[name] / (1.0 - 0.999**t)) + 1e-8)
+        model = model.with_params(model.params.replace_values(values))
+    return model, t
+
+
+@pytest.mark.parametrize("kind", ["adam", "sgd"])
+def test_flat_optimizer_step_is_bitwise_the_per_tensor_update(tiny_setup, kind):
+    clients, vocab, model = tiny_setup
+    for dtype in ("float32", "float64"):
+        start = build_model(dataclasses.replace(model.config, dtype=dtype), 0)
+        samples = [(s, t, clients[0].tgt.code) for s, t in clients[0].data.train]
+        trained, stats = train_epochs(start, samples, vocab, [7], 2, 1, kind, 1e-2)
+        expected, steps = per_tensor_training(start, samples, vocab, 7, kind, 1e-2, 2, 1)
+        assert stats.optimizer_steps == steps >= 3
+        assert trained.params.equals(expected.params)
+        assert not trained.params.equals(start.params)
 
 
 class TestRunExperiment:

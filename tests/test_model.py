@@ -123,9 +123,10 @@ class TestLoss:
         logits, _ = forward(model, batch)
         # emulate a perfectly confident model via the cross-entropy path
         from fedmt.model import _cross_entropy
+        # logits are packed [N_real, V], in the order of tgt_gold[tgt_mask]
         sharp = np.full_like(logits, -1e4)
-        b_idx, t_idx = np.indices(batch.tgt_gold.shape)
-        sharp[b_idx, t_idx, batch.tgt_gold] = 1e4
+        gold = batch.tgt_gold[batch.tgt_mask]
+        sharp[np.arange(gold.size), gold] = 1e4
         total, count, _ = _cross_entropy(sharp, batch, need_grad=False)
         assert total / count == pytest.approx(0.0, abs=1e-9)
 

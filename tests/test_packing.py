@@ -1,0 +1,238 @@
+"""Oracles for the packed-row model and the KV-cached greedy decoder.
+
+The model runs every position-wise op on the real tokens only and decodes
+one new position per step from a KV cache. The references here do neither:
+a padded forward/backward that runs every op on the whole [B, T] grid, and a
+greedy loop that re-runs ``decode_logits`` over the full prefix each step.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from fedmt.data import build_vocab, make_batch
+from fedmt.federation import train_epochs
+from fedmt.model import (
+    ATTN_PROJECTIONS,
+    DECODER_SUBLAYERS,
+    ENCODER_SUBLAYERS,
+    Batch,
+    ModelConfig,
+    apply_pruning,
+    build_model,
+    decode_greedy,
+    decode_logits,
+    encode,
+    grad,
+)
+from fedmt.nn import (
+    Rows,
+    adapter_bwd,
+    adapter_fwd,
+    attention_bwd,
+    attention_fwd,
+    gelu_bwd,
+    gelu_fwd,
+    layer_norm_bwd,
+    layer_norm_fwd,
+    linear_bwd,
+    linear_fwd,
+    sinusoidal_positions,
+)
+from fedmt.presets import make_clients
+
+CONFIG = ModelConfig(vocab_size=29, model_dim=16, num_heads=2, ffn_dim=32,
+                     enc_layers=3, dec_layers=3, adapter_bottleneck=4,
+                     max_seq_len=16, dtype="float64")
+
+
+def ragged_batch(config, seed):
+    """Four rows of different lengths; pad slots hold random ids, so a pad
+    that leaks into the result changes it."""
+    rng = np.random.default_rng(seed)
+    src_len, tgt_len = np.array([9, 3, 6, 1]), np.array([2, 8, 5, 1])
+    src_mask = np.arange(9) < src_len[:, None]
+    tgt_mask = np.arange(8) < tgt_len[:, None]
+    src = rng.integers(3, config.vocab_size, size=src_mask.shape)
+    tgt_in = rng.integers(3, config.vocab_size, size=tgt_mask.shape)
+    tgt_in[:, 0] = 1
+    tgt_gold = rng.integers(3, config.vocab_size, size=tgt_mask.shape)
+    return Batch(src, src_mask, tgt_in, tgt_gold, tgt_mask, tgt_len)
+
+
+def with_random_adapters(model, seed=1):
+    rng = np.random.default_rng(seed)
+    return model.with_params(model.params.replace_values({
+        t.name: rng.normal(0, 0.3, t.shape) for t in model.params if "_adapter." in t.name
+    }))
+
+
+# ---------------------------------------------------------------------------
+# padded reference: every op on every grid position, pads included
+
+
+def padded_loss_and_grads(model, batch):
+    """Summed loss and the gradient of every tensor, computed on the padded
+    grid: pad keys are masked in attention and pad positions in the loss."""
+    cfg, p = model.config, model.params
+    emb = p.values("emb.token.weight")
+    pos = sinusoidal_positions(cfg.max_seq_len, cfg.model_dim, np.float64)
+    scale = math.sqrt(cfg.model_dim)
+    pair = lambda key, name: (p.values(f"{key}.{name}.weight"), p.values(f"{key}.{name}.bias"))
+
+    def sublayers(stack, layers, table):
+        return [(f"{stack}.layer{i}", ln, block, f"{stack}.layer{i}.{slot}_adapter")
+                for i in range(layers) for ln, block, slot in table]
+
+    def stack_fwd(stack, layers, table, ids, self_mask, memory=None):
+        bsz, length = ids.shape
+        rows = Rows(np.arange(bsz * length), bsz, length)
+        x = (emb[ids] * scale + pos[:length]).reshape(bsz * length, -1)
+        caches = []
+        for layer, ln, block, adapter in sublayers(stack, layers, table):
+            h, ln_c = layer_norm_fwd(x, *pair(layer, ln))
+            key = f"{layer}.{block}"
+            if block == "ffn":
+                h1, c1 = linear_fwd(h, *pair(key, "fc1"))
+                a, ca = gelu_fwd(h1)
+                out, c2 = linear_fwd(a, *pair(key, "fc2"))
+                block_c = (c1, ca, c2)
+            else:
+                attn_p = {proj: pair(key, proj) for proj in ATTN_PROJECTIONS}
+                kv, kv_rows, mask = (h, rows, self_mask) if block == "self_attn" else memory
+                out, block_c = attention_fwd(h, kv, attn_p, mask, cfg.num_heads, rows, kv_rows)
+            x = x + out
+            ad_c = None
+            if model.adapter_mask.get(adapter, False):
+                ad_p = {name: pair(adapter, name) for name in ("down", "up")}
+                x, ad_c = adapter_fwd(x, ad_p, cfg.adapter_nonlinearity)
+            caches.append((ln_c, block_c, ad_c))
+        out, final_c = layer_norm_fwd(x, *pair(stack, "final_ln"))
+        return out, rows, caches, final_c
+
+    def stack_bwd(stack, layers, table, dout, caches, final_c, grads, d_memory=None):
+        dx = layer_norm_bwd(dout, final_c, f"{stack}.final_ln", grads)
+        for (layer, ln, block, adapter), (ln_c, block_c, ad_c) in zip(
+                reversed(sublayers(stack, layers, table)), reversed(caches)):
+            if ad_c is not None:
+                dx = adapter_bwd(dx, ad_c, adapter, grads)
+            key = f"{layer}.{block}"
+            if block == "ffn":
+                c1, ca, c2 = block_c
+                dh = linear_bwd(gelu_bwd(linear_bwd(dx, c2, f"{key}.fc2", grads), ca), c1,
+                                f"{key}.fc1", grads)
+            else:
+                dq, dkv = attention_bwd(dx, block_c, key, grads)
+                if block == "self_attn":
+                    dh = dq + dkv
+                else:
+                    d_memory += dkv
+                    dh = dq
+            dx = dx + layer_norm_bwd(dh, ln_c, f"{layer}.{ln}", grads)
+        return dx
+
+    grads = {}
+    enc_out, enc_rows, enc_caches, enc_final = stack_fwd(
+        "enc", cfg.enc_layers, ENCODER_SUBLAYERS, batch.src, batch.src_mask[:, None, None, :])
+    t_len = batch.tgt_in.shape[1]
+    causal = np.tril(np.ones((t_len, t_len), bool))[None, None]
+    dec_out, _, dec_caches, dec_final = stack_fwd(
+        "dec", cfg.dec_layers, DECODER_SUBLAYERS, batch.tgt_in,
+        causal & batch.tgt_mask[:, None, None, :],
+        (enc_out, enc_rows, batch.src_mask[:, None, None, :]))
+
+    logits = dec_out @ emb.T
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    probs = np.exp(shifted) / np.exp(shifted).sum(axis=-1, keepdims=True)
+    gold = batch.tgt_gold.reshape(-1)
+    real = batch.tgt_mask.reshape(-1)
+    everywhere = np.arange(gold.size)
+    total = -(np.log(probs[everywhere, gold]) * real).sum()
+    dlogits = probs.copy()
+    dlogits[everywhere, gold] -= 1.0
+    dlogits *= real[:, None]
+
+    d_enc_out = np.zeros_like(enc_out)
+    dy = stack_bwd("dec", cfg.dec_layers, DECODER_SUBLAYERS, dlogits @ emb, dec_caches,
+                   dec_final, grads, d_enc_out)
+    dx = stack_bwd("enc", cfg.enc_layers, ENCODER_SUBLAYERS, d_enc_out, enc_caches,
+                   enc_final, grads)
+    d_emb = dlogits.T @ dec_out
+    np.add.at(d_emb, batch.tgt_in.reshape(-1), dy * scale)
+    np.add.at(d_emb, batch.src.reshape(-1), dx * scale)
+    grads["emb.token.weight"] = d_emb
+    return total, grads
+
+
+def adapter_model(nonlinearity="relu", seed=11):
+    config = ModelConfig(**{**CONFIG.__dict__, "adapter_nonlinearity": nonlinearity})
+    return with_random_adapters(build_model(config, seed))
+
+
+PACKING_CASES = {
+    "relu-adapters": lambda: adapter_model("relu"),
+    "gelu-adapters": lambda: adapter_model("gelu"),
+    "pruning-middle": lambda: apply_pruning(adapter_model("relu"), "middle"),
+    "fully-trainable": lambda: with_random_adapters(build_model(CONFIG, 5, freeze_backbone=False)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PACKING_CASES))
+def test_packed_loss_and_gradients_match_the_padded_grid(case):
+    model = PACKING_CASES[case]()
+    batch = ragged_batch(model.config, seed=3)
+    result, grads = grad(model, batch)
+    total, expected = padded_loss_and_grads(model, batch)
+    assert result.total == pytest.approx(total, rel=1e-10)
+    assert result.token_count == int(batch.tgt_mask.sum())
+    assert sorted(grads) == sorted(model.trainable_names())
+    for name, g in grads.items():
+        np.testing.assert_allclose(g, expected[name], rtol=1e-10, err_msg=name)
+
+
+# ---------------------------------------------------------------------------
+# KV-cached greedy decoding against the full-prefix recompute
+
+
+def full_prefix_greedy(model, src, src_mask, bos_id, eos_id, max_len):
+    """Greedy decoding that re-runs the decoder over the whole prefix at
+    every step and reads the newest position's logits."""
+    bsz = src.shape[0]
+    enc_out, _ = encode(model, src, src_mask)
+    tgt = np.full((bsz, 1), bos_id, dtype=src.dtype)
+    finished = np.zeros(bsz, dtype=bool)
+    outputs = [[] for _ in range(bsz)]
+    for _ in range(max_len):
+        logits, _ = decode_logits(model, enc_out, src_mask, tgt, np.ones_like(tgt, dtype=bool))
+        nxt = logits.reshape(bsz, tgt.shape[1], -1)[:, -1].argmax(axis=-1).astype(src.dtype)
+        for j in range(bsz):
+            if not finished[j]:
+                if nxt[j] == eos_id:
+                    finished[j] = True
+                else:
+                    outputs[j].append(int(nxt[j]))
+        if finished.all():
+            break
+        tgt = np.concatenate([tgt, nxt[:, None]], axis=1)
+    return outputs
+
+
+def test_kv_cached_decoding_matches_the_full_prefix_recompute():
+    languages, clients = make_clients("m2m", seed=2, scale=1 / 64, length_range=(4, 10))
+    vocab = build_vocab([c.data for c in clients], languages)
+    config = ModelConfig(vocab_size=len(vocab), model_dim=32, num_heads=4, ffn_dim=64,
+                         enc_layers=2, dec_layers=2, max_seq_len=24, dtype="float64")
+    # a few epochs of full-model training, so that decodes stop at EOS
+    samples = [(s, t, c.tgt.code) for c in clients for s, t in c.data.train]
+    model, _ = train_epochs(build_model(config, 4, freeze_backbone=False), samples, vocab,
+                            [1, 2, 3], 8, 1, "adam", 1e-2)
+    lengths = []
+    for client in clients:
+        batch = make_batch(client.data.test, vocab, client.tgt.code)
+        got = decode_greedy(model, batch.src, batch.src_mask, bos_id=1, eos_id=2, max_len=14)
+        want = full_prefix_greedy(model, batch.src, batch.src_mask, 1, 2, 14)
+        assert got == want, client.id
+        lengths.extend(len(ids) for ids in got)
+    # the decodes are not trivial: some stop early, some run to the cap
+    assert min(lengths) < 14 and max(lengths) == 14
