@@ -356,7 +356,9 @@ def run_experiment(
 
     ``assignment=None`` disables aggregation entirely (purely local
     training; the ledger stays empty). Checkpoint selection is per client:
-    the round whose post-aggregation parameters give the lowest dev loss.
+    among rounds 1..T, the first round whose post-aggregation parameters
+    give the lowest dev loss. Round 0, the initial model, is never selected,
+    even when its dev loss is lower.
     """
     ids = [c.id for c in clients]
     if sorted(ids) != sorted(initial_models):
@@ -421,7 +423,8 @@ def run_centralized(
     federated local updates), evaluated on every client's dev split.
 
     Nothing is transferred, so the ledger stays empty. Every client shares
-    the checkpoint of the round with the lowest mean dev loss.
+    the checkpoint of the first round among 1..T with the lowest mean dev
+    loss; as in :func:`run_experiment`, round 0 is never selected.
     """
     samples = [(s, t, c.tgt.code) for c in clients for s, t in c.data.train]
     by_id = {c.id: c for c in clients}

@@ -346,23 +346,24 @@ def _embed(model: ToyModel, ids: np.ndarray, rows: nn.Rows, offset: int):
 
 
 def _stack_fwd(model: ToyModel, side: str, ids: np.ndarray, mask: np.ndarray,
-               self_mask: np.ndarray, memory=None, kv_cache: dict | None = None):
+               self_bias: np.ndarray, memory=None, kv_cache: dict | None = None):
     """One stack over the real tokens of ``ids`` (``mask`` True there):
     embedding, every sublayer, final layer norm, each on the packed rows
     [N, d].
 
-    Self-attention attends under ``self_mask`` [B, 1, Tq, Tk]; when Tk
-    exceeds Tq the grid continues a prefix of Tk - Tq earlier positions.
+    Self-attention attends under ``self_bias``, the key-major mask of
+    ``nn.attention_bias`` built once for every layer; when its Tk exceeds
+    Tq the grid continues a prefix of Tk - Tq earlier positions.
     Cross-attention reads ``memory``, the encoder's (packed output, rows,
-    key mask). ``kv_cache`` maps each attention block to its head-split keys
-    and values: self-attention appends its new ones, cross-attention
-    computes them once. Returns the packed output and the cache that
-    ``_stack_bwd`` takes.
+    key bias). ``kv_cache`` maps each attention block to its transposed
+    keys and its values: self-attention appends its new ones,
+    cross-attention computes them once. Returns the packed output and the
+    cache that ``_stack_bwd`` takes.
     """
     cfg, p = model.config, model.params
     rows = nn.Rows.of(mask)
     x, scale = _embed(model, ids.reshape(-1)[rows.index], rows,
-                      self_mask.shape[-1] - rows.length)
+                      self_bias.shape[0] - rows.length)
     caches = []
     for ln, block, site in _sublayers(cfg, side):
         ln_key = f"{site.layer_key}.{ln}"
@@ -371,14 +372,14 @@ def _stack_fwd(model: ToyModel, side: str, ids: np.ndarray, mask: np.ndarray,
         if block == "ffn":
             out, block_c = _ffn_fwd(h, p, key)
         else:
-            kv_in, kv_rows, kv_mask = (h, rows, self_mask) if block == "self_attn" else memory
+            kv_in, kv_rows, kv_bias = (h, rows, self_bias) if block == "self_attn" else memory
             past = None if kv_cache is None else kv_cache.get(key)
             if block == "cross_attn" and past is not None:
                 kv_in = None  # the memory's keys and values do not change
-            out, block_c = nn.attention_fwd(h, kv_in, _attn_params(p, key), kv_mask,
+            out, block_c = nn.attention_fwd(h, kv_in, _attn_params(p, key), kv_bias,
                                             cfg.num_heads, rows, kv_rows, past)
             if kv_cache is not None:
-                kv_cache[key] = (block_c.k, block_c.v)
+                kv_cache[key] = (block_c.kt, block_c.v)
         x = x + out
         ad_c = None
         if model.adapter_mask.get(site.prefix, False):
@@ -416,7 +417,8 @@ def _stack_bwd(model: ToyModel, side: str, dout: np.ndarray, cache, grads, want,
 
 def encode(model: ToyModel, src: np.ndarray, src_mask: np.ndarray):
     """Encoder output at the real source positions [N_src, d], plus cache."""
-    return _stack_fwd(model, "encoder", src, src_mask, src_mask[:, None, None, :])
+    bias = nn.attention_bias(src_mask, model.config.np_dtype)
+    return _stack_fwd(model, "encoder", src, src_mask, bias)
 
 
 def decode_logits(
@@ -438,11 +440,10 @@ def decode_logits(
     key_mask = tgt_mask
     if kv_cache:
         key_mask = np.concatenate([kv_cache["mask"], tgt_mask], axis=1)
-    q_len, k_len = tgt_in.shape[1], key_mask.shape[1]
-    causal = np.arange(k_len) <= np.arange(k_len - q_len, k_len)[:, None]
-    memory = (enc_out, nn.Rows.of(src_mask), src_mask[:, None, None, :])
-    dec_out, cache = _stack_fwd(model, "decoder", tgt_in, tgt_mask,
-                                causal & key_mask[:, None, None, :], memory, kv_cache)
+    dtype = model.config.np_dtype
+    memory = (enc_out, nn.Rows.of(src_mask), nn.attention_bias(src_mask, dtype))
+    self_bias = nn.attention_bias(key_mask, dtype, q_len=tgt_in.shape[1])
+    dec_out, cache = _stack_fwd(model, "decoder", tgt_in, tgt_mask, self_bias, memory, kv_cache)
     if kv_cache is not None:
         kv_cache["mask"] = key_mask
     return dec_out @ model.params.values("emb.token.weight").T, cache

@@ -14,6 +14,7 @@ the padded [B, T] grid only around its score, softmax and context products.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, NamedTuple
 
@@ -95,24 +96,33 @@ ACTIVATIONS = {"relu": (relu_fwd, relu_bwd), "gelu": (gelu_fwd, gelu_bwd)}
 
 
 def layer_norm_fwd(x: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float = 1e-5):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc**2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    return g * xhat + b, (xhat, inv, g)
+    # Row statistics as products with a 1/d vector: a gemv reduces the short
+    # feature axis far faster than ``mean(axis=-1)``.
+    avg = np.full(x.shape[-1], 1.0 / x.shape[-1], dtype=x.dtype)
+    xhat = x - (x @ avg)[..., None]
+    inv = 1.0 / np.sqrt((xhat * xhat) @ avg + eps)
+    xhat *= inv[..., None]
+    y = xhat * g
+    y += b
+    return y, (xhat, inv, g)
 
 
 def layer_norm_bwd(dy: np.ndarray, cache, key: str, grads: dict, want: WantFn = _want_all):
     xhat, inv, g = cache
+    d = xhat.shape[-1]
+    dy_xhat = dy * xhat
     if want(f"{key}.weight"):
-        grads[f"{key}.weight"] = (dy * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0)
+        grads[f"{key}.weight"] = dy_xhat.reshape(-1, d).sum(axis=0)
     if want(f"{key}.bias"):
-        grads[f"{key}.bias"] = dy.reshape(-1, dy.shape[-1]).sum(axis=0)
-    dxhat = dy * g
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    return inv * (dxhat - m1 - xhat * m2)
+        grads[f"{key}.bias"] = dy.reshape(-1, d).sum(axis=0)
+    # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), dxhat = dy * g
+    g_avg = g / d
+    m1, m2 = dy @ g_avg, dy_xhat @ g_avg
+    dx = dy * g
+    dx -= m1[..., None]
+    dx -= np.multiply(xhat, m2[..., None], out=dy_xhat)
+    dx *= inv[..., None]
+    return dx
 
 
 # ---------------------------------------------------------------------------
@@ -132,25 +142,35 @@ class Rows(NamedTuple):
         """The real positions of a [batch, length] boolean mask."""
         return cls(np.flatnonzero(mask), *mask.shape)
 
-    def scatter(self, x: np.ndarray) -> np.ndarray:
-        """Packed rows [N, d] onto the grid [batch, length, d], zero at pads."""
+    def heads(self, x: np.ndarray, num_heads: int) -> np.ndarray:
+        """Packed rows [N, H * dh] as a head-major view [batch, H, length, dh]
+        of a zero grid [batch, length, H, dh]."""
         grid = np.zeros((self.batch * self.length, x.shape[-1]), dtype=x.dtype)
         grid[self.index] = x
-        return grid.reshape(self.batch, self.length, -1)
+        return grid.reshape(self.batch, self.length, num_heads, -1).transpose(0, 2, 1, 3)
 
-    def gather(self, grid: np.ndarray) -> np.ndarray:
-        """The packed rows [N, d] of a grid [batch, length, d]."""
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The packed rows [N, H * dh] of the head-major product ``a @ b``
+        [batch, H, length, dh], written straight into the row layout."""
+        grid = np.empty((self.batch, self.length, a.shape[1], b.shape[-1]), dtype=b.dtype)
+        np.matmul(a, b, out=grid.transpose(0, 2, 1, 3))
         return grid.reshape(self.batch * self.length, -1)[self.index]
 
 
-def _split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
-    b, s, d = x.shape
-    return x.reshape(b, s, num_heads, d // num_heads).transpose(0, 2, 1, 3)
+def attention_bias(key_mask: np.ndarray, dtype, q_len: int | None = None) -> np.ndarray:
+    """The additive mask ``attention_fwd`` takes: 0 where a key may be
+    attended and -1e9 where not, key-major.
 
-
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    b, h, s, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, s, h * dh)
+    ``key_mask`` [B, Tk] is True at real keys; the bias is [Tk, B, 1, 1].
+    With ``q_len`` the queries are the last ``q_len`` positions of the key
+    sequence and each sees only keys up to its own (causal): [Tk, B, 1, Tq].
+    """
+    allowed = key_mask.T[:, :, None, None]
+    if q_len is not None:
+        k_len = key_mask.shape[1]
+        causal = np.arange(k_len)[:, None] <= np.arange(k_len - q_len, k_len)
+        allowed = allowed & causal[:, None, None, :]
+    return np.where(allowed, 0.0, _NEG_INF).astype(dtype)
 
 
 class AttentionCache(NamedTuple):
@@ -158,10 +178,10 @@ class AttentionCache(NamedTuple):
     k_lin: tuple | None  # None when every key came from ``past``
     v_lin: tuple | None
     out_lin: tuple
-    q: np.ndarray  # [B, H, Tq, dh]
-    k: np.ndarray  # [B, H, Tk, dh], past keys included
-    v: np.ndarray
-    attn: np.ndarray
+    q: np.ndarray  # scaled queries [B, H, Tq, dh]
+    kt: np.ndarray  # transposed keys [B, H, dh, Tk], past keys included
+    v: np.ndarray  # values [B, H, Tk, dh], past values included
+    attn: np.ndarray  # key-major softmax weights [Tk, B, H, Tq]
     scale: float
     q_rows: Rows
     kv_rows: Rows | None
@@ -171,7 +191,7 @@ def attention_fwd(
     q_in: np.ndarray,
     kv_in: np.ndarray | None,
     p: dict[str, tuple[np.ndarray, np.ndarray]],
-    mask: np.ndarray,
+    bias: np.ndarray,
     num_heads: int,
     q_rows: Rows,
     kv_rows: Rows | None,
@@ -182,34 +202,42 @@ def attention_fwd(
     ``q_in`` [Nq, d] and ``kv_in`` [Nk, d] are the real rows of the query
     and key grids, placed by ``q_rows`` and ``kv_rows``. The projections run
     on the packed rows; only the score, softmax and context products run on
-    the grid. ``mask`` is boolean, True where keys may be attended,
-    broadcastable to [B, 1, Tq, Tk]. ``past`` holds head-split keys and
-    values [B, H, Tp, dh] of earlier positions, placed before the keys of
-    ``kv_in``; ``kv_in`` may then be None. The cache's ``k`` and ``v`` hold
-    every key and value, ``past`` included.
+    the grid. ``bias`` is the additive key-major mask of
+    :func:`attention_bias`, broadcastable to [Tk, B, 1, Tq]. ``past`` holds
+    the transposed keys [B, H, dh, Tp] and the values [B, H, Tp, dh] of
+    earlier positions, placed before those of ``kv_in``; ``kv_in`` may then
+    be None. The cache's ``kt`` and ``v`` hold every key and value, ``past``
+    included.
+
+    The softmax weights are held key-major, so its max and sum reduce over
+    the leading axis, vectorised across batch, heads and queries. Keys are
+    held transposed: every product then reads its second operand with unit
+    stride along its last axis, which BLAS needs to run fast at these sizes.
     """
     q_flat, q_cache = linear_fwd(q_in, *p["q"])
-    q = _split_heads(q_rows.scatter(q_flat), num_heads)
+    scale = 1.0 / math.sqrt(q_flat.shape[-1] // num_heads)
+    q_flat *= scale  # scaled here, on [Nq, d] rather than on the scores
+    q = q_rows.heads(q_flat, num_heads)
     k_cache = v_cache = None
     if kv_in is None:
-        k, v = past
+        kt, v = past
     else:
         k_flat, k_cache = linear_fwd(kv_in, *p["k"])
         v_flat, v_cache = linear_fwd(kv_in, *p["v"])
-        k = _split_heads(kv_rows.scatter(k_flat), num_heads)
-        v = _split_heads(kv_rows.scatter(v_flat), num_heads)
+        kt = np.ascontiguousarray(kv_rows.heads(k_flat, num_heads).swapaxes(-1, -2))
+        v = kv_rows.heads(v_flat, num_heads)
         if past is not None:
-            k = np.concatenate([past[0], k], axis=2)
+            kt = np.concatenate([past[0], kt], axis=3)
             v = np.concatenate([past[1], v], axis=2)
-    scale = 1.0 / math.sqrt(q.shape[-1])
-    scores = (q @ k.swapaxes(-1, -2)) * scale
-    scores = np.where(mask, scores, _NEG_INF)
-    scores -= scores.max(axis=-1, keepdims=True)
-    exps = np.exp(scores)
-    attn = exps / exps.sum(axis=-1, keepdims=True)
-    ctx = q_rows.gather(_merge_heads(attn @ v))
+    b, h, q_len, _ = q.shape
+    attn = np.empty((kt.shape[3], b, h, q_len), dtype=q.dtype)
+    np.add((q @ kt).transpose(3, 0, 1, 2), bias, out=attn)
+    attn -= attn.max(axis=0)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=0)
+    ctx = q_rows.matmul(attn.transpose(1, 2, 3, 0), v)
     out, o_cache = linear_fwd(ctx, *p["out"])
-    return out, AttentionCache(q_cache, k_cache, v_cache, o_cache, q, k, v, attn, scale,
+    return out, AttentionCache(q_cache, k_cache, v_cache, o_cache, q, kt, v, attn, scale,
                                q_rows, kv_rows)
 
 
@@ -218,17 +246,21 @@ def attention_bwd(dout: np.ndarray, cache: AttentionCache, key: str, grads: dict
     """Gradients of the packed query and key rows; ``past`` is not supported."""
     c = cache
     dctx = linear_bwd(dout, c.out_lin, f"{key}.out", grads, want)
-    dctx = _split_heads(c.q_rows.scatter(dctx), c.q.shape[1])
-    dattn = dctx @ c.v.swapaxes(-1, -2)
-    dv = c.attn.swapaxes(-1, -2) @ dctx
-    # softmax backward; masked entries have attn == 0, so their gradient vanishes
-    dscores = c.attn * (dattn - (dattn * c.attn).sum(axis=-1, keepdims=True))
-    dscores *= c.scale
-    dq = dscores @ c.k
-    dk = dscores.swapaxes(-1, -2) @ c.q
-    dq_in = linear_bwd(c.q_rows.gather(_merge_heads(dq)), c.q_lin, f"{key}.q", grads, want)
-    dkv_in = linear_bwd(c.kv_rows.gather(_merge_heads(dk)), c.k_lin, f"{key}.k", grads, want)
-    dkv_in += linear_bwd(c.kv_rows.gather(_merge_heads(dv)), c.v_lin, f"{key}.v", grads, want)
+    dctx = c.q_rows.heads(dctx, c.q.shape[1])
+    dv = c.kv_rows.matmul(c.attn.transpose(1, 2, 0, 3), dctx)
+    # softmax backward, key-major: attn * (dattn - sum over keys of attn *
+    # dattn). Masked entries have attn == 0, so their gradient vanishes. The
+    # expanded form attn * dattn - attn * sum loses digits on saturated rows.
+    dattn = (c.v @ np.ascontiguousarray(dctx.swapaxes(-1, -2))).transpose(2, 0, 1, 3)
+    dscores = np.multiply(dattn, c.attn, out=np.empty_like(c.attn))
+    np.subtract(dattn, dscores.sum(axis=0), out=dscores)
+    dscores *= c.attn
+    dq = c.q_rows.matmul(dscores.transpose(1, 2, 3, 0), c.kt.swapaxes(-1, -2))
+    dq *= c.scale
+    dk = c.kv_rows.matmul(dscores.transpose(1, 2, 0, 3), c.q)  # q holds the scale
+    dq_in = linear_bwd(dq, c.q_lin, f"{key}.q", grads, want)
+    dkv_in = linear_bwd(dk, c.k_lin, f"{key}.k", grads, want)
+    dkv_in += linear_bwd(dv, c.v_lin, f"{key}.v", grads, want)
     return dq_in, dkv_in
 
 
@@ -258,8 +290,11 @@ def adapter_bwd(dout: np.ndarray, cache, key: str, grads: dict, want: WantFn = _
 # positional encoding
 
 
+@functools.lru_cache(maxsize=None)
 def sinusoidal_positions(max_len: int, dim: int, dtype=np.float64) -> np.ndarray:
-    """Fixed sinusoidal position table [max_len, dim]; never trained."""
+    """Fixed sinusoidal position table [max_len, dim]; never trained. Built
+    once per (max_len, dim, dtype) and returned read-only, since every
+    caller shares the one copy."""
     positions = np.arange(max_len, dtype=np.float64)[:, None]
     half = dim // 2
     freqs = np.exp(-math.log(10000.0) * np.arange(half, dtype=np.float64) / half)
@@ -267,4 +302,6 @@ def sinusoidal_positions(max_len: int, dim: int, dtype=np.float64) -> np.ndarray
     table = np.zeros((max_len, dim), dtype=np.float64)
     table[:, 0::2] = np.sin(angles)
     table[:, 1::2] = np.cos(angles[:, : dim - half])
-    return table.astype(dtype)
+    table = table.astype(dtype)
+    table.flags.writeable = False
+    return table
