@@ -83,18 +83,33 @@ class _Adam:
         self.t = 0
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
+        self._scratch: np.ndarray | None = None
 
     def step(self, flat: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        """Updated copy of the flat trainable values; ``flat`` is unchanged."""
+        """Updated copy of the flat trainable values; ``flat`` is unchanged.
+
+        The moments are updated in place and the denominator goes to one
+        persistent scratch buffer, each operation in the order of
+        ``lr * (m / c1) / (sqrt(v / c2) + eps)``, so the result is bitwise
+        that formula's."""
         self.t += 1
         correction1 = 1.0 - self.beta1**self.t
         correction2 = 1.0 - self.beta2**self.t
         if self.m is None:
             self.m, self.v = np.zeros_like(grad), np.zeros_like(grad)
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1 - self.beta2) * grad * grad
-        step = self.lr * (self.m / correction1) / (np.sqrt(self.v / correction2) + self.eps)
-        return flat - step
+            self._scratch = np.empty_like(grad)
+        m, v, denom = self.m, self.v, self._scratch
+        m *= self.beta1
+        m += grad * (1 - self.beta1)
+        v *= self.beta2
+        v += (grad * (1 - self.beta2)) * grad
+        np.divide(v, correction2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        step = m / correction1
+        step *= self.lr
+        step /= denom
+        return np.subtract(flat, step, out=step)
 
 
 def make_optimizer(kind: str, learning_rate: float):

@@ -435,17 +435,22 @@ def decode_logits(
     Without ``kv_cache`` ``tgt_in`` is a whole target prefix. With it (an
     empty dict at the first step), ``tgt_in`` continues the prefix the cache
     holds, and the cache is extended in place: the prefix's key mask under
-    ``"mask"`` and each attention block's keys and values under its name.
+    ``"mask"``, the encoder memory (rows and key bias of ``src_mask``, built
+    at the first step) under ``"memory"`` and each attention block's keys
+    and values under its name.
     """
-    key_mask = tgt_mask
+    dtype = model.config.np_dtype
     if kv_cache:
         key_mask = np.concatenate([kv_cache["mask"], tgt_mask], axis=1)
-    dtype = model.config.np_dtype
-    memory = (enc_out, nn.Rows.of(src_mask), nn.attention_bias(src_mask, dtype))
+        memory = kv_cache["memory"]
+    else:
+        key_mask = tgt_mask
+        memory = (enc_out, nn.Rows.of(src_mask), nn.attention_bias(src_mask, dtype))
     self_bias = nn.attention_bias(key_mask, dtype, q_len=tgt_in.shape[1])
     dec_out, cache = _stack_fwd(model, "decoder", tgt_in, tgt_mask, self_bias, memory, kv_cache)
     if kv_cache is not None:
         kv_cache["mask"] = key_mask
+        kv_cache["memory"] = memory
     return dec_out @ model.params.values("emb.token.weight").T, cache
 
 

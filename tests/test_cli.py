@@ -2,9 +2,14 @@
 
 import csv
 import json
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from fedmt import cli
 from fedmt.cli import main
 from fedmt.config import ADAPTER_METHODS, METHODS
 from fedmt.model import THIRDS
@@ -172,3 +177,49 @@ def test_gradient_clustering_with_pruned_first_layer_exit_0(tmp_path):
     out = tmp_path / "report"
     assert main(["run", "--config", cfg_path, "--out", str(out), "--no-checkpoints"]) == 0
     assert "gradients" in (out / "seed_1" / "clusters.txt").read_text()
+
+
+# Calls cli.main, then runs one gradient to touch its working set, then
+# prints the minor page faults of four more probe-sized gradients (default
+# model dimensions, a ragged batch of 64 sentences).
+_FAULTS_AFTER_MAIN = """
+import contextlib, io, resource, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from fedmt import cli
+from fedmt.model import Batch, ModelConfig, build_model, grad
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["count-params", "--preset", "mbart50"])
+model = build_model(ModelConfig(vocab_size=90), 0)
+rng = np.random.default_rng(0)
+src_len, tgt_len = rng.integers(5, 15, size=(2, 64))
+src_mask = np.arange(14) < src_len[:, None]
+tgt_mask = np.arange(14) < tgt_len[:, None]
+src, tgt_in, tgt_gold = rng.integers(3, 90, size=(3, 64, 14))
+tgt_in[:, 0] = 1
+batch = Batch(src, src_mask, tgt_in, tgt_gold, tgt_mask, tgt_len)
+grad(model, batch)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(4):
+    grad(model, batch)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap policy is glibc-only")
+def test_main_keeps_freed_gradient_memory_mapped():
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", _FAULTS_AFTER_MAIN, str(src)],
+                          capture_output=True, text=True, check=True)
+    # glibc's defaults hand each batch's ~49 MB of activations back to the
+    # kernel and fault them in again: about 38k faults for these four grads
+    assert int(done.stdout.strip().splitlines()[-1]) < 5000
+    assert cli._keep_heap_mapped()
+
+
+def test_heap_policy_is_left_alone_off_glibc(monkeypatch):
+    opened = []
+    monkeypatch.setattr(platform, "libc_ver", lambda *args, **kwargs: ("musl", "1.2"))
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda *args, **kwargs: opened.append(args))
+    assert cli._keep_heap_mapped() is False
+    assert opened == []

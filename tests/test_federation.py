@@ -15,6 +15,7 @@ from fedmt.federation import (
     evaluate_dev_loss,
     inner_cluster_aggregate,
     local_update,
+    make_optimizer,
     run_experiment,
     train_epochs,
 )
@@ -342,6 +343,29 @@ def test_flat_optimizer_step_is_bitwise_the_per_tensor_update(tiny_setup, kind):
         assert stats.optimizer_steps == steps >= 3
         assert trained.params.equals(expected.params)
         assert not trained.params.equals(start.params)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_step_is_bitwise_the_textbook_formula(dtype):
+    rng = np.random.default_rng(3)
+    flat = rng.normal(size=1000).astype(dtype)
+    optimizer = make_optimizer("adam", 1e-2)
+    m = v = np.zeros_like(flat)
+    returned = []
+    for t in range(1, 6):
+        g = rng.normal(size=flat.size).astype(dtype)
+        m = 0.9 * m + (1 - 0.9) * g
+        v = 0.999 * v + (1 - 0.999) * g * g
+        expected = flat - 1e-2 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+        before = flat.copy()
+        flat_next = optimizer.step(flat, g)
+        assert flat_next.dtype == dtype
+        assert np.array_equal(flat_next, expected)
+        assert np.array_equal(flat, before)  # earlier models keep views of it
+        returned.append(flat_next)
+        flat = flat_next
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(returned)
+                   for b in returned[i + 1:])
 
 
 class TestRunExperiment:
