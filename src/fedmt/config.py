@@ -143,6 +143,10 @@ def _validate_experiment(cfg: ExperimentConfig) -> None:
         raise ConfigurationError(f"pruning: unknown value {cfg.pruning!r}")
     if not cfg.seeds:
         raise ConfigurationError("seeds: need at least one seed")
+    if min(cfg.seeds) < 0:
+        raise ConfigurationError(f"seeds: must be non-negative, got {min(cfg.seeds)}")
+    if len(set(cfg.seeds)) < len(cfg.seeds):
+        raise ConfigurationError(f"seeds: each seed may appear once, got {list(cfg.seeds)}")
     if cfg.pruning != "all":
         if cfg.method not in ADAPTER_METHODS:
             raise ConfigurationError(

@@ -19,7 +19,10 @@ attention places them on the padded grid only for its score, softmax and
 context products. Pad keys are masked and pad positions carry no loss, so
 pad rows contribute exactly zero; packing changes only the order of sums.
 Greedy decoding feeds one new position per step through the same sublayer
-loop, reading earlier keys and values from a KV cache.
+loop, reading earlier keys and values from a KV cache. A forward keeps
+only what its own backward reads: ``loss`` and greedy decoding keep no
+cache, and a gradient pass keeps a linear's input only for a weight
+gradient it computes, so a frozen backbone holds no inputs for its weights.
 """
 
 from __future__ import annotations
@@ -200,20 +203,20 @@ def merge_batches(batches: list[Batch]) -> Batch:
     """Concatenate batches, re-padding to the widest sequence."""
     if len(batches) == 1:
         return batches[0]
-    s = max(b.src.shape[1] for b in batches)
-    t = max(b.tgt_in.shape[1] for b in batches)
 
-    def pad(a: np.ndarray, width: int, value=0) -> np.ndarray:
-        return np.pad(a, ((0, 0), (0, width - a.shape[1])), constant_values=value)
+    def stack(arrays: list[np.ndarray]) -> np.ndarray:
+        # one zero (PAD, False) array, each batch copied into its rows
+        out = np.zeros((sum(a.shape[0] for a in arrays), max(a.shape[1] for a in arrays)),
+                       dtype=np.result_type(*arrays))
+        row = 0
+        for a in arrays:
+            out[row:row + a.shape[0], :a.shape[1]] = a
+            row += a.shape[0]
+        return out
 
-    return Batch(
-        src=np.concatenate([pad(b.src, s) for b in batches]),
-        src_mask=np.concatenate([pad(b.src_mask, s, False) for b in batches]),
-        tgt_in=np.concatenate([pad(b.tgt_in, t) for b in batches]),
-        tgt_gold=np.concatenate([pad(b.tgt_gold, t) for b in batches]),
-        tgt_mask=np.concatenate([pad(b.tgt_mask, t, False) for b in batches]),
-        lengths=np.concatenate([b.lengths for b in batches]),
-    )
+    grids = ("src", "src_mask", "tgt_in", "tgt_gold", "tgt_mask")
+    return Batch(**{name: stack([getattr(b, name) for b in batches]) for name in grids},
+                 lengths=np.concatenate([b.lengths for b in batches]))
 
 
 @dataclass
@@ -317,10 +320,12 @@ def _adapter_params(p: NamedParamSet, key: str) -> dict[str, tuple[np.ndarray, n
     }
 
 
-def _ffn_fwd(x, p: NamedParamSet, key: str):
-    h1, c1 = nn.linear_fwd(x, p.values(f"{key}.fc1.weight"), p.values(f"{key}.fc1.bias"))
+def _ffn_fwd(x, p: NamedParamSet, key: str, want: nn.WantFn | None):
+    h1, c1 = nn.linear_fwd(x, p.values(f"{key}.fc1.weight"), p.values(f"{key}.fc1.bias"),
+                           nn.keeps_input(want, f"{key}.fc1"))
     a, ca = nn.gelu_fwd(h1)
-    out, c2 = nn.linear_fwd(a, p.values(f"{key}.fc2.weight"), p.values(f"{key}.fc2.bias"))
+    out, c2 = nn.linear_fwd(a, p.values(f"{key}.fc2.weight"), p.values(f"{key}.fc2.bias"),
+                            nn.keeps_input(want, f"{key}.fc2"))
     return out, (c1, ca, c2)
 
 
@@ -346,7 +351,8 @@ def _embed(model: ToyModel, ids: np.ndarray, rows: nn.Rows, offset: int):
 
 
 def _stack_fwd(model: ToyModel, side: str, ids: np.ndarray, mask: np.ndarray,
-               self_bias: np.ndarray, memory=None, kv_cache: dict | None = None):
+               self_bias: np.ndarray, memory=None, kv_cache: dict | None = None,
+               want: nn.WantFn | None = nn.want_all):
     """One stack over the real tokens of ``ids`` (``mask`` True there):
     embedding, every sublayer, final layer norm, each on the packed rows
     [N, d].
@@ -359,34 +365,42 @@ def _stack_fwd(model: ToyModel, side: str, ids: np.ndarray, mask: np.ndarray,
     keys and its values: self-attention appends its new ones,
     cross-attention computes them once. Returns the packed output and the
     cache that ``_stack_bwd`` takes.
+
+    ``want`` is the backward's predicate. With ``want`` None (inference) no
+    sublayer cache is kept, so each sublayer's activations are freed as the
+    next one runs, and the cache is None.
     """
     cfg, p = model.config, model.params
     rows = nn.Rows.of(mask)
     x, scale = _embed(model, ids.reshape(-1)[rows.index], rows,
                       self_bias.shape[0] - rows.length)
-    caches = []
+    caches = [] if want is not None else None
     for ln, block, site in _sublayers(cfg, side):
         ln_key = f"{site.layer_key}.{ln}"
         h, ln_c = nn.layer_norm_fwd(x, p.values(f"{ln_key}.weight"), p.values(f"{ln_key}.bias"))
         key = f"{site.layer_key}.{block}"
         if block == "ffn":
-            out, block_c = _ffn_fwd(h, p, key)
+            out, block_c = _ffn_fwd(h, p, key, want)
         else:
             kv_in, kv_rows, kv_bias = (h, rows, self_bias) if block == "self_attn" else memory
             past = None if kv_cache is None else kv_cache.get(key)
             if block == "cross_attn" and past is not None:
                 kv_in = None  # the memory's keys and values do not change
             out, block_c = nn.attention_fwd(h, kv_in, _attn_params(p, key), kv_bias,
-                                            cfg.num_heads, rows, kv_rows, past)
+                                            cfg.num_heads, rows, kv_rows, past, key, want)
             if kv_cache is not None:
                 kv_cache[key] = (block_c.kt, block_c.v)
         x = x + out
         ad_c = None
         if model.adapter_mask.get(site.prefix, False):
-            x, ad_c = nn.adapter_fwd(x, _adapter_params(p, site.prefix), cfg.adapter_nonlinearity)
-        caches.append((ln_c, block_c, ad_c))
+            x, ad_c = nn.adapter_fwd(x, _adapter_params(p, site.prefix),
+                                     cfg.adapter_nonlinearity, site.prefix, want)
+        if caches is not None:
+            caches.append((ln_c, block_c, ad_c))
     final = f"{STACK_NAMES[side]}.final_ln"
     out, final_c = nn.layer_norm_fwd(x, p.values(f"{final}.weight"), p.values(f"{final}.bias"))
+    if caches is None:
+        return out, None
     return out, {"sublayers": caches, "final_ln": final_c, "out": out, "scale": scale}
 
 
@@ -415,10 +429,12 @@ def _stack_bwd(model: ToyModel, side: str, dout: np.ndarray, cache, grads, want,
     return dx
 
 
-def encode(model: ToyModel, src: np.ndarray, src_mask: np.ndarray):
-    """Encoder output at the real source positions [N_src, d], plus cache."""
+def encode(model: ToyModel, src: np.ndarray, src_mask: np.ndarray,
+           want: nn.WantFn | None = nn.want_all):
+    """Encoder output at the real source positions [N_src, d], plus the
+    cache for ``want`` (None with ``want`` None; see ``_stack_fwd``)."""
     bias = nn.attention_bias(src_mask, model.config.np_dtype)
-    return _stack_fwd(model, "encoder", src, src_mask, bias)
+    return _stack_fwd(model, "encoder", src, src_mask, bias, want=want)
 
 
 def decode_logits(
@@ -428,16 +444,19 @@ def decode_logits(
     tgt_in: np.ndarray,
     tgt_mask: np.ndarray,
     kv_cache: dict | None = None,
+    want: nn.WantFn | None = nn.want_all,
 ):
     """Logits [N_tgt, V] at the real positions of ``tgt_in`` (row-major),
-    plus cache, given the packed encoder output ``enc_out``.
+    plus the cache for ``want`` (see ``_stack_fwd``), given the packed
+    encoder output ``enc_out``.
 
     Without ``kv_cache`` ``tgt_in`` is a whole target prefix. With it (an
     empty dict at the first step), ``tgt_in`` continues the prefix the cache
     holds, and the cache is extended in place: the prefix's key mask under
     ``"mask"``, the encoder memory (rows and key bias of ``src_mask``, built
     at the first step) under ``"memory"`` and each attention block's keys
-    and values under its name.
+    and values under its name. A call with ``kv_cache`` is an inference
+    pass whatever ``want`` says: it keeps no cache and returns None.
     """
     dtype = model.config.np_dtype
     if kv_cache:
@@ -447,32 +466,38 @@ def decode_logits(
         key_mask = tgt_mask
         memory = (enc_out, nn.Rows.of(src_mask), nn.attention_bias(src_mask, dtype))
     self_bias = nn.attention_bias(key_mask, dtype, q_len=tgt_in.shape[1])
-    dec_out, cache = _stack_fwd(model, "decoder", tgt_in, tgt_mask, self_bias, memory, kv_cache)
+    dec_out, cache = _stack_fwd(model, "decoder", tgt_in, tgt_mask, self_bias, memory, kv_cache,
+                                None if kv_cache is not None else want)
     if kv_cache is not None:
         kv_cache["mask"] = key_mask
         kv_cache["memory"] = memory
     return dec_out @ model.params.values("emb.token.weight").T, cache
 
 
-def forward(model: ToyModel, batch: Batch):
+def forward(model: ToyModel, batch: Batch, want: nn.WantFn | None = nn.want_all):
     """Logits [N_real, V] at the real target positions, row-major (the order
-    of ``batch.tgt_gold[batch.tgt_mask]``), plus the cache for backward."""
-    enc_out, enc_cache = encode(model, batch.src, batch.src_mask)
+    of ``batch.tgt_gold[batch.tgt_mask]``), plus the cache that ``backward``
+    takes with the same ``want``. The default keeps what every gradient
+    reads; ``want`` None is an inference pass, which returns no cache."""
+    enc_out, enc_cache = encode(model, batch.src, batch.src_mask, want)
     logits, dec_cache = decode_logits(
-        model, enc_out, batch.src_mask, batch.tgt_in, batch.tgt_mask
+        model, enc_out, batch.src_mask, batch.tgt_in, batch.tgt_mask, want=want
     )
+    if want is None:
+        return logits, None
     return logits, {"enc": enc_cache, "dec": dec_cache}
 
 
-def backward(model: ToyModel, batch: Batch, cache, dlogits: np.ndarray, needed: set[str] | None = None):
+def backward(model: ToyModel, batch: Batch, cache, dlogits: np.ndarray,
+             want: nn.WantFn = nn.want_all):
     """Gradients of the loss wrt parameters, given d(loss)/d(logits) [N_real, V].
 
-    ``needed`` limits which parameter gradients are materialized (None = all);
-    activation gradients always propagate fully.
+    ``want`` limits which parameter gradients are materialized; activation
+    gradients always propagate fully. The forward that built ``cache`` must
+    have been given a ``want`` that holds for every weight this one wants.
     """
     emb = model.params.values("emb.token.weight")
     grads: dict[str, np.ndarray] = {}
-    want = (lambda _name: True) if needed is None else (lambda name: name in needed)
     enc, dec = cache["enc"], cache["dec"]
     d_enc_out = np.zeros_like(enc["out"])
     dy = _stack_bwd(model, "decoder", dlogits @ emb, dec, grads, want, d_enc_out)
@@ -524,7 +549,7 @@ def _check_batch(model: ToyModel, batch: Batch) -> None:
 
 def loss(model: ToyModel, batch: Batch) -> LossResult:
     _check_batch(model, batch)
-    logits, _ = forward(model, batch)
+    logits, _ = forward(model, batch, want=None)
     total, count, _ = _cross_entropy(logits, batch, need_grad=False)
     if not np.isfinite(total):
         raise NumericError("non-finite loss")
@@ -534,13 +559,14 @@ def loss(model: ToyModel, batch: Batch) -> LossResult:
 def grad(model: ToyModel, batch: Batch, needed: set[str] | None = None):
     """Loss plus analytic gradients of the *summed* loss over trainable tensors."""
     _check_batch(model, batch)
-    logits, cache = forward(model, batch)
+    if needed is None:
+        needed = {t.name for t in model.params if t.trainable}
+    want = needed.__contains__
+    logits, cache = forward(model, batch, want)
     total, count, dlogits = _cross_entropy(logits, batch)
     if not np.isfinite(total):
         raise NumericError("non-finite loss")
-    if needed is None:
-        needed = {t.name for t in model.params if t.trainable}
-    grads = backward(model, batch, cache, dlogits, needed)
+    grads = backward(model, batch, cache, dlogits, want)
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient for {name!r}")
@@ -560,7 +586,7 @@ def decode_greedy(model: ToyModel, src: np.ndarray, src_mask: np.ndarray,
     cross-attention keys and values from the encoder output once and
     appends one self-attention key and value per step."""
     bsz = src.shape[0]
-    enc_out, _ = encode(model, src, src_mask)
+    enc_out, _ = encode(model, src, src_mask, want=None)
     tgt = np.full((bsz, 1), bos_id, dtype=src.dtype)
     step_mask = np.ones((bsz, 1), dtype=bool)
     kv_cache: dict = {}

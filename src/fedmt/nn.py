@@ -7,6 +7,9 @@ layer has parameters, a dict of parameter gradients keyed by local name
 paths. Gradient computation for a parameter can be skipped by passing a
 ``want`` predicate that returns False for its key.
 
+A forward keeps a linear's input, which only its weight gradient reads,
+when ``want`` holds for that weight; ``want`` None (inference) keeps none.
+
 The model passes packed rows [N, d] of real tokens. Position-wise primitives
 do not care; attention takes each input's ``Rows`` and places the rows on
 the padded [B, T] grid only around its score, softmax and context products.
@@ -25,24 +28,31 @@ _NEG_INF = -1e9
 WantFn = Callable[[str], bool]
 
 
-def _want_all(_: str) -> bool:
+def want_all(_: str) -> bool:
     return True
+
+
+def keeps_input(want: WantFn | None, key: str) -> bool:
+    """Whether a forward keeps linear ``key``'s input for its weight gradient."""
+    return want is not None and want(f"{key}.weight")
 
 
 # ---------------------------------------------------------------------------
 # linear / activations / layer norm
 
 
-def linear_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+def linear_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray, keep_input: bool = True):
     y = x @ w
     y += b
-    return y, (x, w)
+    return y, (x if keep_input else None, w)
 
 
-def linear_bwd(dy: np.ndarray, cache, key: str, grads: dict, want: WantFn = _want_all):
+def linear_bwd(dy: np.ndarray, cache, key: str, grads: dict, want: WantFn = want_all):
     x, w = cache
     dx = dy @ w.T
     if want(f"{key}.weight"):
+        if x is None:
+            raise ValueError(f"no weight gradient for {key}.weight: its forward kept no input")
         x2 = x.reshape(-1, x.shape[-1])
         dy2 = dy.reshape(-1, dy.shape[-1])
         grads[f"{key}.weight"] = x2.T @ dy2
@@ -107,7 +117,7 @@ def layer_norm_fwd(x: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float = 1e-
     return y, (xhat, inv, g)
 
 
-def layer_norm_bwd(dy: np.ndarray, cache, key: str, grads: dict, want: WantFn = _want_all):
+def layer_norm_bwd(dy: np.ndarray, cache, key: str, grads: dict, want: WantFn = want_all):
     xhat, inv, g = cache
     d = xhat.shape[-1]
     dy_xhat = dy * xhat
@@ -196,6 +206,8 @@ def attention_fwd(
     q_rows: Rows,
     kv_rows: Rows | None,
     past: tuple[np.ndarray, np.ndarray] | None = None,
+    key: str = "",
+    want: WantFn | None = want_all,
 ):
     """Multi-head attention over packed rows.
 
@@ -207,14 +219,15 @@ def attention_fwd(
     the transposed keys [B, H, dh, Tp] and the values [B, H, Tp, dh] of
     earlier positions, placed before those of ``kv_in``; ``kv_in`` may then
     be None. The cache's ``kt`` and ``v`` hold every key and value, ``past``
-    included.
+    included. Each projection keeps its input only when ``want`` holds for
+    ``"{key}.{projection}.weight"``.
 
     The softmax weights are held key-major, so its max and sum reduce over
     the leading axis, vectorised across batch, heads and queries. Keys are
     held transposed: every product then reads its second operand with unit
     stride along its last axis, which BLAS needs to run fast at these sizes.
     """
-    q_flat, q_cache = linear_fwd(q_in, *p["q"])
+    q_flat, q_cache = linear_fwd(q_in, *p["q"], keeps_input(want, f"{key}.q"))
     scale = 1.0 / math.sqrt(q_flat.shape[-1] // num_heads)
     q_flat *= scale  # scaled here, on [Nq, d] rather than on the scores
     q = q_rows.heads(q_flat, num_heads)
@@ -222,8 +235,8 @@ def attention_fwd(
     if kv_in is None:
         kt, v = past
     else:
-        k_flat, k_cache = linear_fwd(kv_in, *p["k"])
-        v_flat, v_cache = linear_fwd(kv_in, *p["v"])
+        k_flat, k_cache = linear_fwd(kv_in, *p["k"], keeps_input(want, f"{key}.k"))
+        v_flat, v_cache = linear_fwd(kv_in, *p["v"], keeps_input(want, f"{key}.v"))
         kt = np.ascontiguousarray(kv_rows.heads(k_flat, num_heads).swapaxes(-1, -2))
         v = kv_rows.heads(v_flat, num_heads)
         if past is not None:
@@ -236,13 +249,13 @@ def attention_fwd(
     np.exp(attn, out=attn)
     attn /= attn.sum(axis=0)
     ctx = q_rows.matmul(attn.transpose(1, 2, 3, 0), v)
-    out, o_cache = linear_fwd(ctx, *p["out"])
+    out, o_cache = linear_fwd(ctx, *p["out"], keeps_input(want, f"{key}.out"))
     return out, AttentionCache(q_cache, k_cache, v_cache, o_cache, q, kt, v, attn, scale,
                                q_rows, kv_rows)
 
 
 def attention_bwd(dout: np.ndarray, cache: AttentionCache, key: str, grads: dict,
-                  want: WantFn = _want_all):
+                  want: WantFn = want_all):
     """Gradients of the packed query and key rows; ``past`` is not supported."""
     c = cache
     dctx = linear_bwd(dout, c.out_lin, f"{key}.out", grads, want)
@@ -268,16 +281,17 @@ def attention_bwd(dout: np.ndarray, cache: AttentionCache, key: str, grads: dict
 # bottleneck adapter
 
 
-def adapter_fwd(h: np.ndarray, p: dict[str, tuple[np.ndarray, np.ndarray]], nonlinearity: str):
+def adapter_fwd(h: np.ndarray, p: dict[str, tuple[np.ndarray, np.ndarray]], nonlinearity: str,
+                key: str = "", want: WantFn | None = want_all):
     """Residual bottleneck h + up(act(down(h))); the model skips pruned adapters."""
     act_fwd, _ = ACTIVATIONS[nonlinearity]
-    z, down_cache = linear_fwd(h, *p["down"])
+    z, down_cache = linear_fwd(h, *p["down"], keeps_input(want, f"{key}.down"))
     a, act_cache = act_fwd(z)
-    delta, up_cache = linear_fwd(a, *p["up"])
+    delta, up_cache = linear_fwd(a, *p["up"], keeps_input(want, f"{key}.up"))
     return h + delta, (down_cache, act_cache, up_cache, nonlinearity)
 
 
-def adapter_bwd(dout: np.ndarray, cache, key: str, grads: dict, want: WantFn = _want_all):
+def adapter_bwd(dout: np.ndarray, cache, key: str, grads: dict, want: WantFn = want_all):
     down_cache, act_cache, up_cache, nonlinearity = cache
     _, act_bwd = ACTIVATIONS[nonlinearity]
     da = linear_bwd(dout, up_cache, f"{key}.up", grads, want)

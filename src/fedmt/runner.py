@@ -190,7 +190,6 @@ class SeedResult:
     best_round: dict[str, int]
     trainable_params: int
     total_params: int
-    backbone: NamedParamSet
     final_models: dict[str, ToyModel]
 
     @property
@@ -211,7 +210,6 @@ def _seed_result(
     seed: int,
     clients: list[Client],
     vocab: Vocab,
-    backbone: NamedParamSet,
     initial: ToyModel,
     assignment: ClusterAssignment | None,
     result: FedRunResult,
@@ -260,7 +258,6 @@ def _seed_result(
         best_round=result.best_round,
         trainable_params=count_params(initial.params, "trainable_only"),
         total_params=count_params(initial.params, "all"),
-        backbone=backbone,
         final_models=dict(result.best_models),
     )
 
@@ -280,4 +277,4 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> SeedResult:
         assignment = make_assignment(cfg, seed, clients, initial, vocab)
         result = run_experiment(clients, {c.id: initial for c in clients}, fed_cfg, vocab,
                                 assignment)
-    return _seed_result(cfg, seed, clients, vocab, backbone, initial, assignment, result)
+    return _seed_result(cfg, seed, clients, vocab, initial, assignment, result)

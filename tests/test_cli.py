@@ -160,6 +160,13 @@ class TestExitCodes:
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 1
         assert "evaluate_test_bleu" in capsys.readouterr().err
 
+    def test_negative_seed_override_exit_1(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, TINY_RUN)
+        out = tmp_path / "x"
+        assert main(["run", "--config", cfg_path, "--out", str(out), "--seeds=-3"]) == 1
+        assert "seeds: " in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("method, pruning", METHOD_PRUNING)
 def test_every_method_and_pruning_runs(tmp_path, method, pruning):

@@ -150,6 +150,8 @@ class TestValueTypes:
         ({"warmup": {"epochs": -1}}, "warmup: "),
         ({"data": {"scale": 0}}, r"data\.scale must"),
         ({"data": {"length_range": [4, 47]}}, r"data\.length_range: "),
+        ({"seeds": [-1]}, "seeds: "),
+        ({"seeds": [1, 1]}, "seeds: "),
     ])
     def test_wrong_type_rejected_with_key(self, override, key):
         with pytest.raises(ConfigurationError, match=f"^{key}"):

@@ -1,6 +1,7 @@
 """Model construction, adapters, loss, and the naive-forward oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from fedmt.model import (
     ModelConfig,
     ToyModel,
     adapter_sites,
+    backward,
     build_model,
     decode_greedy,
     forward,
+    grad,
     loss,
     merge_batches,
 )
@@ -273,6 +276,82 @@ class TestMergeBatches:
         assert loss(model, merged).total == pytest.approx(
             loss(model, b1).total + loss(model, b2).total, rel=1e-9
         )
+
+    def test_merge_equals_padding_each_batch(self):
+        batches = [random_batch(TINY, seed=1, bsz=2, s_len=4, t_len=5),
+                   random_batch(TINY, seed=2, bsz=3, s_len=6, t_len=3)]
+        merged = merge_batches(batches)
+        for name in ("src", "src_mask", "tgt_in", "tgt_gold", "tgt_mask", "lengths"):
+            parts = [getattr(b, name) for b in batches]
+            if parts[0].ndim == 2:
+                width = max(a.shape[1] for a in parts)
+                parts = [np.pad(a, ((0, 0), (0, width - a.shape[1]))) for a in parts]
+            expected = np.concatenate(parts)
+            assert getattr(merged, name).dtype == expected.dtype, name
+            assert np.array_equal(getattr(merged, name), expected), name
+
+
+def probe_batch(vocab_size=90, size=64, width=14):
+    """A ragged batch of probe size: 5 to 14 real tokens per row."""
+    rng = np.random.default_rng(0)
+    src_len, tgt_len = rng.integers(5, width + 1, size=(2, size))
+    src_mask = np.arange(width) < src_len[:, None]
+    tgt_mask = np.arange(width) < tgt_len[:, None]
+    src, tgt_in, tgt_gold = rng.integers(3, vocab_size, size=(3, size, width))
+    tgt_in[:, 0] = 1
+    return Batch(src, src_mask, tgt_in, tgt_gold, tgt_mask, tgt_len)
+
+
+def traced_peak(fn):
+    """The most memory ``fn`` held at once, in bytes, as tracemalloc counts
+    it (numpy reports its buffers), and what ``fn`` returned."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return tracemalloc.get_traced_memory()[1] - base, result
+    finally:
+        tracemalloc.stop()
+
+
+class TestWhatAPassKeeps:
+    """A forward keeps only what its own backward reads."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_inference_pass_holds_a_fraction_of_a_kept_forward(self, dtype):
+        config = ModelConfig(vocab_size=90, dtype=dtype)
+        model, batch = build_model(config, 0), probe_batch()
+        loss(model, batch)  # warm the shared position table
+        loss_peak, result = traced_peak(lambda: loss(model, batch))
+        kept_peak, (kept_logits, kept_cache) = traced_peak(lambda: forward(model, batch))
+        assert loss_peak < 0.25 * kept_peak
+        logits, cache = forward(model, batch, want=None)
+        assert cache is None and kept_cache is not None
+        assert np.array_equal(logits, kept_logits)
+        trainable = build_model(config, 0, freeze_backbone=False)
+        assert result.total == grad(trainable, batch)[0].total
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_adapter_gradient_holds_less_than_a_full_one(self, dtype):
+        config = ModelConfig(vocab_size=90, dtype=dtype)
+        model, batch = build_model(config, 0), probe_batch()
+        trainable = build_model(config, 0, freeze_backbone=False)
+        needed = {n for n in model.trainable_names() if n.startswith("enc.layer1.ffn_adapter.")}
+        assert len(needed) == 4
+        narrow_peak, (_, narrow) = traced_peak(lambda: grad(model, batch, needed))
+        full_peak, (_, everything) = traced_peak(lambda: grad(trainable, batch))
+        assert narrow_peak < 0.8 * full_peak
+        assert sorted(narrow) == sorted(needed)
+        for name in needed:
+            assert np.array_equal(narrow[name], everything[name]), name
+
+    def test_backward_names_a_weight_whose_input_was_not_kept(self):
+        model, batch = build_model(TINY, 0), random_batch(TINY)
+        logits, cache = forward(model, batch, want=lambda name: "adapter" in name)
+        with pytest.raises(ValueError, match=r"dec\.layer1\.ffn\.fc2\.weight"):
+            backward(model, batch, cache, np.ones_like(logits),
+                     lambda name: name == "dec.layer1.ffn.fc2.weight")
 
 
 class TestDecodeGreedy:
