@@ -272,9 +272,9 @@ def assemble(
     clients: Sequence[Client],
     mode: str,
     strategy: str,
-    ablation: str = "both",
+    ablation: str,
+    seed: int,
     k: int | None = None,
-    seed: int = 0,
     features: Sequence[GradientFeature] | None = None,
 ) -> ClusterAssignment:
     """Build the encoder/decoder cluster sets for a strategy and ablation.

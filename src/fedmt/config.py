@@ -1,9 +1,14 @@
 """Experiment configuration: JSON parsing, validation, defaults, snapshots.
 
 A minimal config only needs ``mode`` and ``method``; everything else
-takes the field defaults of the config dataclasses, which are the only
-defaults (batch size 8, learning rate 1e-3, 5 rounds, a gradient-
-accumulation window of 2 to match the 1/16-scaled corpora). Unknown keys,
+takes the field defaults of the config dataclasses (batch size 8, learning
+rate 1e-3, 5 rounds, a gradient-accumulation window of 2 to match the
+1/16-scaled corpora). ``ExperimentConfig`` and ``WarmupConfig`` live here,
+each other section next to the code it configures: ``DataConfig`` in
+``fedmt.data``, ``ModelConfig`` in ``fedmt.model`` and ``FedConfig`` in
+``fedmt.federation``. These field defaults are the only defaults: the
+functions that read a setting take its section, or take the value with
+no default of their own. Unknown keys,
 values of the wrong JSON type and invalid combinations are rejected with
 the offending key path.
 """
@@ -17,6 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
+from .data import DataConfig
 from .errors import ConfigurationError
 from .federation import AGGREGATIONS, FedConfig
 from .model import PRUNING_STRATEGIES, ModelConfig
@@ -50,31 +56,6 @@ METHOD_STRATEGY = {
     "adapter-gradients": "gradients",
     "adapter-families": "families",
 }
-
-
-@dataclass(frozen=True)
-class DataConfig:
-    scale: float = 1.0 / 16.0
-    alphabet_size: int = 64
-    length_range: tuple[int, int] = (4, 12)
-    intra_family_overlap: float = 1.0
-    cross_family_overlap: float | None = None
-    zipf_exponent: float = 1.0  # skewed latent symbols make token statistics a family signature
-
-    def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ConfigurationError("data.scale must be positive")
-        if self.alphabet_size < 8:
-            raise ConfigurationError("data.alphabet_size must be >= 8")
-        lo, hi = self.length_range
-        if not (1 <= lo <= hi):
-            raise ConfigurationError(f"data.length_range invalid: {self.length_range}")
-        if not 0.0 <= self.intra_family_overlap <= 1.0:
-            raise ConfigurationError("data.intra_family_overlap must be in [0, 1]")
-        if self.cross_family_overlap not in (None, 0.0):
-            raise ConfigurationError("data.cross_family_overlap must be null (chance) or 0.0")
-        if self.zipf_exponent < 0:
-            raise ConfigurationError("data.zipf_exponent must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -242,7 +223,7 @@ def config_from_dict(raw: Mapping[str, Any]) -> ExperimentConfig:
         if key not in raw:
             raise ConfigurationError(f"{key}: required key missing")
     raw = dict(raw)
-    aggregation = raw.get("aggregation", "fedmean")
+    aggregation = raw.get("aggregation", ExperimentConfig.aggregation)
     if aggregation not in AGGREGATIONS:  # checked here: the fed section is built from it
         raise ConfigurationError(f"aggregation: unknown value {aggregation!r}")
     for key, cls in _SECTIONS.items():

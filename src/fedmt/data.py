@@ -28,6 +28,34 @@ PAD, BOS, EOS, UNK = 0, 1, 2, 3
 _SPECIALS = ("<pad>", "<bos>", "<eos>", "<unk>")
 
 
+@dataclass(frozen=True)
+class DataConfig:
+    """The corpora: client sizes as a share of the reference layout's, and
+    the languages and sentences every generator draws."""
+
+    scale: float = 1.0 / 16.0
+    alphabet_size: int = 64
+    length_range: tuple[int, int] = (4, 12)
+    intra_family_overlap: float = 1.0
+    cross_family_overlap: float | None = None
+    zipf_exponent: float = 1.0  # skewed latent symbols make token statistics a family signature
+
+    def __post_init__(self) -> None:
+        if self.scale <= 0:
+            raise ConfigurationError("data.scale must be positive")
+        if self.alphabet_size < 8:
+            raise ConfigurationError("data.alphabet_size must be >= 8")
+        lo, hi = self.length_range
+        if not (1 <= lo <= hi):
+            raise ConfigurationError(f"data.length_range invalid: {self.length_range}")
+        if not 0.0 <= self.intra_family_overlap <= 1.0:
+            raise ConfigurationError("data.intra_family_overlap must be in [0, 1]")
+        if self.cross_family_overlap not in (None, 0.0):
+            raise ConfigurationError("data.cross_family_overlap must be null (chance) or 0.0")
+        if self.zipf_exponent < 0:
+            raise ConfigurationError("data.zipf_exponent must be >= 0")
+
+
 def derive_seed(*words: int) -> int:
     """A 32-bit seed drawn from the SeedSequence over ``words``."""
     return int(np.random.SeedSequence(list(words)).generate_state(1)[0])
@@ -109,22 +137,14 @@ def _deranged_permutation(
 
 
 def generate_languages(
-    family_plan: Mapping[str, Sequence[str]],
-    intra_family_overlap: float = 1.0,
-    seed: int = 0,
-    alphabet_size: int = 64,
-    cross_family_overlap: float | None = None,
+    family_plan: Mapping[str, Sequence[str]], data: DataConfig, seed: int
 ) -> list[LanguageSpec]:
-    """Build language specs per family.
+    """Build language specs per family over ``data.alphabet_size`` symbols.
 
-    ``cross_family_overlap=None`` leaves cross-family agreement at chance
-    level (~1/alphabet_size); ``0.0`` enforces pairwise-disjoint family base
-    tables. Other values are not supported.
+    ``data.cross_family_overlap`` None leaves cross-family agreement at
+    chance level (~1/alphabet_size); ``0.0`` enforces pairwise-disjoint
+    family base tables.
     """
-    if not 0.0 <= intra_family_overlap <= 1.0:
-        raise ConfigurationError("intra_family_overlap must be in [0, 1]")
-    if cross_family_overlap not in (None, 0.0):
-        raise ConfigurationError("cross_family_overlap must be None (chance) or 0.0")
     codes = [c for members in family_plan.values() for c in members]
     if len(set(codes)) != len(codes):
         raise ConfigurationError("language codes must be unique across families")
@@ -133,12 +153,12 @@ def generate_languages(
     specs: list[LanguageSpec] = []
     bases: list[np.ndarray] = []
     for family in sorted(family_plan):
-        if cross_family_overlap == 0.0:
-            base = _deranged_permutation(bases, alphabet_size, rng)
+        if data.cross_family_overlap == 0.0:
+            base = _deranged_permutation(bases, data.alphabet_size, rng)
         else:
-            base = rng.permutation(alphabet_size)
+            base = rng.permutation(data.alphabet_size)
         bases.append(base)
-        positions = _resample_positions(alphabet_size, intra_family_overlap, rng)
+        positions = _resample_positions(data.alphabet_size, data.intra_family_overlap, rng)
         for code in family_plan[family]:
             table = _perturb_permutation(base, positions, rng)
             specs.append(LanguageSpec(code, family, tuple(int(x) for x in table), _affix_token(code)))
@@ -173,36 +193,29 @@ def latent_distribution(alphabet_size: int, zipf_exponent: float) -> np.ndarray:
 
 
 def generate_corpus(
-    src: LanguageSpec,
-    tgt: LanguageSpec,
-    n_train: int,
-    length_range: tuple[int, int] = (4, 12),
-    seed: int = 0,
-    alphabet_size: int = 64,
-    zipf_exponent: float = 1.0,
+    src: LanguageSpec, tgt: LanguageSpec, n_train: int, data: DataConfig, seed: int
 ) -> ClientDataset:
-    """Sample unique latent sentences and render them in both languages.
+    """Sample unique latent sentences and render them in both languages;
+    lengths, alphabet and symbol skew come from ``data``.
 
     Split sizes follow the 6:2:2 rule with ``n_train`` as the 6 share;
     remainders from the 2 shares are balanced to within one sentence.
     """
     if n_train <= 0:
         raise ConfigurationError("n_train must be positive")
-    lo, hi = length_range
-    if not (1 <= lo <= hi):
-        raise ConfigurationError(f"invalid length range {length_range}")
     n_dev = (n_train + 2) // 3
     n_test = (n_train + 1) // 3
     total = n_train + n_dev + n_test
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x3C4D]))
-    alphabet = _alphabet(alphabet_size)
-    probs = latent_distribution(alphabet_size, zipf_exponent)
+    alphabet = _alphabet(data.alphabet_size)
+    probs = latent_distribution(data.alphabet_size, data.zipf_exponent)
+    lo, hi = data.length_range
     seen: set[tuple[int, ...]] = set()
     pairs: list[SentencePair] = []
     while len(pairs) < total:
         length = int(rng.integers(lo, hi + 1))
-        latent = tuple(int(x) for x in rng.choice(alphabet_size, size=length, p=probs))
+        latent = tuple(int(x) for x in rng.choice(data.alphabet_size, size=length, p=probs))
         if latent in seen:
             continue
         seen.add(latent)

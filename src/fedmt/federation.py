@@ -216,7 +216,7 @@ def _stable_id(text: str) -> int:
 def inner_cluster_aggregate(
     params_by_client: Mapping[str, NamedParamSet],
     assignment: ClusterAssignment,
-    rule: str = "fedmean",
+    rule: str,
     sizes_by_client: Mapping[str, int] | None = None,
 ) -> dict[str, NamedParamSet]:
     """Average trainable tensors within each cluster and broadcast the
@@ -300,13 +300,12 @@ def estimate_transfer(
 
 
 class CommLedger:
-    """Per-round, per-client transfer accounting under a bandwidth model."""
+    """Per-round, per-client transfer accounting under ``cfg``'s bandwidth
+    model."""
 
-    def __init__(self, bandwidth_bps: float = 1e9, bytes_per_param: int = 4):
-        if bandwidth_bps <= 0 or bytes_per_param <= 0:
-            raise ConfigurationError("bandwidth and bytes_per_param must be positive")
-        self.bandwidth_bps = bandwidth_bps
-        self.bytes_per_param = bytes_per_param
+    def __init__(self, cfg: FedConfig):
+        self.bandwidth_bps = cfg.bandwidth_bps
+        self.bytes_per_param = cfg.bytes_per_param
         self.entries: list[LedgerEntry] = []
 
     def record_sync(self, round_index: int, client: str, param_count: int) -> None:
@@ -383,7 +382,7 @@ def run_experiment(
     by_id = {c.id: c for c in clients}
     models = {cid: initial_models[cid] for cid in ids}
     sizes = {cid: by_id[cid].n_train for cid in ids}
-    ledger = CommLedger(cfg.bandwidth_bps, cfg.bytes_per_param)
+    ledger = CommLedger(cfg)
 
     round0 = {
         cid: evaluate_dev_loss(models[cid], by_id[cid], vocab, cfg.eval_batch_size)
@@ -464,7 +463,7 @@ def run_centralized(
             best_mean, best_round, best_model, best_dev = mean_dev, round_index, model, dev
     return FedRunResult(
         history,
-        CommLedger(cfg.bandwidth_bps, cfg.bytes_per_param),
+        CommLedger(cfg),
         {cid: best_round for cid in ids},
         best_dev,
         {cid: best_model for cid in ids},

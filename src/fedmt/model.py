@@ -397,6 +397,7 @@ def _stack_fwd(model: ToyModel, side: str, ids: np.ndarray, mask: np.ndarray,
                                      cfg.adapter_nonlinearity, site.prefix, want)
         if caches is not None:
             caches.append((ln_c, block_c, ad_c))
+        del h, ln_c, out, block_c, ad_c  # an inference pass frees them before the next sublayer
     final = f"{STACK_NAMES[side]}.final_ln"
     out, final_c = nn.layer_norm_fwd(x, p.values(f"{final}.weight"), p.values(f"{final}.bias"))
     if caches is None:

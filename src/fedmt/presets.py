@@ -3,8 +3,8 @@
 Two client layouts ship with the simulator: ``m2en`` (eight clients, four
 source-language families, all translating into English) and ``m2m`` (twelve
 clients over ten languages in four groups). Client training-set sizes follow
-the skewed per-pair corpus sizes of the reference layout, scaled by a
-configurable factor (default 1/16).
+the skewed per-pair corpus sizes of the reference layout, scaled by
+``DataConfig.scale``.
 
 ``mbart50_summary`` reproduces the communication arithmetic at full
 mBART-50 scale (d=1024, 12+12 layers, bottleneck 64) from the model's own
@@ -16,7 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .data import ClientDataset, LanguageSpec, derive_seed, generate_corpus, generate_languages
+from .data import (
+    ClientDataset,
+    DataConfig,
+    LanguageSpec,
+    derive_seed,
+    generate_corpus,
+    generate_languages,
+)
 from .errors import ConfigurationError
 from .model import ModelConfig, adapter_sites, param_layout, pruning_mask
 
@@ -65,9 +72,6 @@ M2M_PAIR_PLAN: tuple[tuple[str, str, int], ...] = (
     ("lv", "pl", 3712),
 )
 
-DEFAULT_SCALE = 1.0 / 16.0
-
-
 def family_plan(mode: str) -> dict[str, tuple[str, ...]]:
     if mode == "m2en":
         return dict(M2EN_FAMILY_PLAN)
@@ -82,13 +86,6 @@ def pair_plan(mode: str) -> tuple[tuple[str, str, int], ...]:
     if mode == "m2m":
         return M2M_PAIR_PLAN
     raise ConfigurationError(f"unknown mode {mode!r}; expected one of {MODES}")
-
-
-def num_source_families(mode: str) -> int:
-    plan = pair_plan(mode)
-    fams = family_plan(mode)
-    code_to_family = {c: f for f, members in fams.items() for c in members}
-    return len({code_to_family[src] for src, _, _ in plan})
 
 
 @dataclass(frozen=True)
@@ -106,37 +103,18 @@ class Client:
 
 
 def make_clients(
-    mode: str,
-    seed: int,
-    scale: float = DEFAULT_SCALE,
-    intra_family_overlap: float = 1.0,
-    cross_family_overlap: float | None = None,
-    alphabet_size: int = 64,
-    length_range: tuple[int, int] = (4, 12),
-    zipf_exponent: float = 1.0,
+    mode: str, seed: int, data: DataConfig
 ) -> tuple[list[LanguageSpec], list[Client]]:
-    """Languages plus one client per preset pair, sizes scaled and floored at 12."""
-    languages = generate_languages(
-        family_plan(mode),
-        intra_family_overlap=intra_family_overlap,
-        seed=seed,
-        alphabet_size=alphabet_size,
-        cross_family_overlap=cross_family_overlap,
-    )
+    """Languages plus one client per preset pair, sizes scaled by
+    ``data.scale`` and floored at 12."""
+    languages = generate_languages(family_plan(mode), data, seed)
     by_code = {spec.code: spec for spec in languages}
     clients = []
     for idx, (src, tgt, full_size) in enumerate(pair_plan(mode)):
-        n_train = max(12, int(round(full_size * scale)))
-        data = generate_corpus(
-            by_code[src],
-            by_code[tgt],
-            n_train,
-            length_range=length_range,
-            seed=derive_seed(seed, 0xC11E, idx),
-            alphabet_size=alphabet_size,
-            zipf_exponent=zipf_exponent,
-        )
-        clients.append(Client(id=f"{src}-{tgt}", src=by_code[src], tgt=by_code[tgt], data=data))
+        n_train = max(12, int(round(full_size * data.scale)))
+        corpus = generate_corpus(by_code[src], by_code[tgt], n_train, data,
+                                 derive_seed(seed, 0xC11E, idx))
+        clients.append(Client(id=f"{src}-{tgt}", src=by_code[src], tgt=by_code[tgt], data=corpus))
     return languages, clients
 
 
@@ -144,10 +122,8 @@ def make_warmup_data(
     mode: str,
     languages: list[LanguageSpec],
     seed: int,
-    sentences_per_pair: int = 64,
-    alphabet_size: int = 64,
-    length_range: tuple[int, int] = (4, 12),
-    zipf_exponent: float = 1.0,
+    sentences_per_pair: int,
+    data: DataConfig,
 ) -> list[ClientDataset]:
     """Small mixed corpus over the preset pairs, sampled from a stream
     disjoint from the client corpora; used to pre-train the shared backbone."""
@@ -155,15 +131,8 @@ def make_warmup_data(
     corpora = []
     for idx, (src, tgt, _) in enumerate(pair_plan(mode)):
         corpora.append(
-            generate_corpus(
-                by_code[src],
-                by_code[tgt],
-                sentences_per_pair,
-                length_range=length_range,
-                seed=derive_seed(seed, 0x3A93, idx),
-                alphabet_size=alphabet_size,
-                zipf_exponent=zipf_exponent,
-            )
+            generate_corpus(by_code[src], by_code[tgt], sentences_per_pair, data,
+                            derive_seed(seed, 0x3A93, idx))
         )
     return corpora
 
@@ -183,7 +152,7 @@ CONTROLLER_LAYERS_EXCHANGED = 8
 CONTROLLER_LAYERS_TOTAL = 24
 
 
-def transfer_seconds(total_bytes: float, bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS) -> float:
+def transfer_seconds(total_bytes: float, bandwidth_bps: float) -> float:
     if bandwidth_bps <= 0:
         raise ConfigurationError("bandwidth must be positive")
     return total_bytes * 8.0 / bandwidth_bps
@@ -206,6 +175,7 @@ def mbart50_summary() -> dict[str, float]:
     adapters_third = count(lambda t: t.site is not None and kept[t.site.prefix])
     backbone_bytes = MBART50_BACKBONE_PARAMS * FP32_BYTES
     adapter_bytes = adapters_total * FP32_BYTES
+    backbone_s = transfer_seconds(backbone_bytes, DEFAULT_BANDWIDTH_BPS)
     return {
         "model_dim": cfg.model_dim,
         "bottleneck": cfg.adapter_bottleneck,
@@ -219,9 +189,9 @@ def mbart50_summary() -> dict[str, float]:
         "adapter_params_third": adapters_third,
         "backbone_gb": backbone_bytes / 1e9,
         "adapter_gb": adapter_bytes / 1e9,
-        "backbone_transfer_s": transfer_seconds(backbone_bytes),
-        "backbone_transfer_s_12_clients": 12 * transfer_seconds(backbone_bytes),
-        "adapter_transfer_s": transfer_seconds(adapter_bytes),
+        "backbone_transfer_s": backbone_s,
+        "backbone_transfer_s_12_clients": 12 * backbone_s,
+        "adapter_transfer_s": transfer_seconds(adapter_bytes, DEFAULT_BANDWIDTH_BPS),
         "adapter_saving_fraction": 1.0 - adapters_total / MBART50_BACKBONE_PARAMS,
         "pruned_saving_fraction": 1.0 - adapters_third / adapters_total,
         "controller_saving_fraction": 1.0 - CONTROLLER_LAYERS_EXCHANGED / CONTROLLER_LAYERS_TOTAL,

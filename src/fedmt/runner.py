@@ -15,14 +15,16 @@ from dataclasses import dataclass
 from .bleu import macro_micro, pair_scores
 from .clustering import ClusterAssignment, assemble, compute_gradient_feature
 from .config import ExperimentConfig
-from .data import LanguageSpec, Vocab, build_vocab, derive_seed, make_batch
+from .data import BOS, EOS, LanguageSpec, Vocab, build_vocab, derive_seed, make_batch
 from .federation import CommLedger, FedRunResult, run_centralized, run_experiment, train_epochs
 from .model import ModelConfig, ToyModel, apply_pruning, build_model, decode_greedy
 from .params import NamedParamSet, count_params
-from .presets import Client, make_clients, make_warmup_data, num_source_families
+from .presets import Client, make_clients, make_warmup_data
 
 TEST_DECODE_BATCH_SIZE = 128
 
+# One entry each: a run sets up its seeds one after another and never goes
+# back to an earlier seed's corpora or backbone.
 _DATA_CACHE: dict = {}
 _WARMUP_CACHE: dict = {}
 
@@ -35,17 +37,9 @@ def prepare_data(cfg: ExperimentConfig, seed: int) -> tuple[list[LanguageSpec], 
     """Languages, clients, and the vocabulary for one seed (cached)."""
     key = _data_key(cfg, seed)
     if key not in _DATA_CACHE:
-        languages, clients = make_clients(
-            cfg.mode,
-            seed=seed,
-            scale=cfg.data.scale,
-            intra_family_overlap=cfg.data.intra_family_overlap,
-            cross_family_overlap=cfg.data.cross_family_overlap,
-            alphabet_size=cfg.data.alphabet_size,
-            length_range=cfg.data.length_range,
-            zipf_exponent=cfg.data.zipf_exponent,
-        )
+        languages, clients = make_clients(cfg.mode, seed, cfg.data)
         vocab = build_vocab([c.data for c in clients], languages)
+        _DATA_CACHE.clear()
         _DATA_CACHE[key] = (languages, clients, vocab)
     return _DATA_CACHE[key]
 
@@ -65,15 +59,8 @@ def warmup_backbone(cfg: ExperimentConfig, seed: int) -> NamedParamSet:
     model_cfg = bind_model_config(cfg, vocab)
     model = build_model(model_cfg, _model_seed(seed), with_adapters=False, freeze_backbone=False)
     if cfg.warmup.epochs > 0:
-        corpora = make_warmup_data(
-            cfg.mode,
-            languages,
-            seed=seed,
-            sentences_per_pair=cfg.warmup.sentences_per_pair,
-            alphabet_size=cfg.data.alphabet_size,
-            length_range=cfg.data.length_range,
-            zipf_exponent=cfg.data.zipf_exponent,
-        )
+        corpora = make_warmup_data(cfg.mode, languages, seed,
+                                   cfg.warmup.sentences_per_pair, cfg.data)
         samples = [(s, t, ds.tgt) for ds in corpora for s, t in ds.train]
         epoch_seeds = [derive_seed(seed, 0xAB1E, epoch) for epoch in range(cfg.warmup.epochs)]
         model, _ = train_epochs(
@@ -83,6 +70,7 @@ def warmup_backbone(cfg: ExperimentConfig, seed: int) -> NamedParamSet:
     backbone = NamedParamSet(
         t.with_values(t.values.copy()).with_trainable(False) for t in model.params
     )
+    _WARMUP_CACHE.clear()
     _WARMUP_CACHE[key] = backbone
     return backbone
 
@@ -127,13 +115,11 @@ def make_assignment(
             compute_gradient_feature(client, probe_model, vocab)
             for client in sorted(clients, key=lambda c: c.id)
         ]
-    k = num_source_families(cfg.mode)
     return assemble(
         clients,
         cfg.mode,
         strategy,
-        ablation=cfg.ablation if strategy != "none" else "both",
-        k=k,
+        ablation=cfg.ablation,
         seed=seed,
         features=features,
     )
@@ -161,7 +147,7 @@ def evaluate_test_bleu(
             batch = make_batch(chunk, vocab, client.tgt.code)
             decoded = decode_greedy(
                 model, batch.src, batch.src_mask,
-                bos_id=1, eos_id=2, max_len=length_cap,
+                bos_id=BOS, eos_id=EOS, max_len=length_cap,
             )
             hyps.extend(tuple(vocab.decode(ids)) for ids in decoded)
             refs.extend(t for _, t in chunk)

@@ -22,7 +22,7 @@ from fedmt.clustering import (
     compute_gradient_feature,
 )
 from fedmt.config import config_from_dict
-from fedmt.data import build_vocab
+from fedmt.data import DataConfig, build_vocab
 from fedmt.federation import (
     FedConfig,
     estimate_transfer,
@@ -109,19 +109,19 @@ def test_criterion_2_aggregation_oracles():
     params = {f"c{i}": s for i, s in enumerate(sets)}
     ids = tuple(sorted(params))
     global_assignment = ClusterAssignment((ids,), (ids,), "none", "m2en")
-    aggregated = inner_cluster_aggregate(params, global_assignment)
+    aggregated = inner_cluster_aggregate(params, global_assignment, rule="fedmean")
     for cid in ids:
         assert aggregated[cid].equals(aggregated[ids[0]])
 
     singletons = ClusterAssignment(
         tuple((i,) for i in ids), tuple((i,) for i in ids), "families", "m2m"
     )
-    identity = inner_cluster_aggregate(params, singletons)
+    identity = inner_cluster_aggregate(params, singletons, rule="fedmean")
     for cid in ids:
         assert identity[cid].equals(params[cid])
 
     # bitwise intra-cluster equality after every round of a small run
-    languages, clients = make_clients("m2en", seed=0, scale=1 / 128)
+    languages, clients = make_clients("m2en", 0, DataConfig(scale=1 / 128))
     clients = clients[:4]
     vocab = build_vocab([c.data for c in clients], languages)
     config = ModelConfig(vocab_size=len(vocab), model_dim=16, num_heads=2,

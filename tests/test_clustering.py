@@ -15,18 +15,19 @@ from fedmt.clustering import (
 )
 from fedmt.errors import ConfigurationError, DegenerateFeatureError, PartitionError
 from fedmt.model import adapter_sites, param_layout
-from fedmt.presets import MBART50_CONFIG, make_clients, num_source_families
+from fedmt.data import DataConfig
+from fedmt.presets import MBART50_CONFIG, make_clients
 
 
 @pytest.fixture(scope="module")
 def m2en_clients():
-    _, clients = make_clients("m2en", seed=0, scale=1 / 64)
+    _, clients = make_clients("m2en", 0, DataConfig(scale=1 / 64))
     return clients
 
 
 @pytest.fixture(scope="module")
 def m2m_clients():
-    _, clients = make_clients("m2m", seed=0, scale=1 / 64)
+    _, clients = make_clients("m2m", 0, DataConfig(scale=1 / 64))
     return clients
 
 
@@ -219,43 +220,44 @@ class TestRandomClustering:
 
 class TestAssemble:
     def test_none_strategy_single_global_clusters(self, m2en_clients):
-        a = assemble(m2en_clients, "m2en", "none")
+        a = assemble(m2en_clients, "m2en", "none", ablation="both", seed=0)
         assert a.m_e == 1 and a.m_d == 1
 
     def test_families_m2en(self, m2en_clients):
-        a = assemble(m2en_clients, "m2en", "families")
+        a = assemble(m2en_clients, "m2en", "families", ablation="both", seed=0)
         assert a.m_e == 4 and a.m_d == 1
 
     def test_gradients_m2en_clusters_decoder_too(self, m2en_clients):
         feats = features_from_rows(np.eye(8))
-        a = assemble(m2en_clients, "m2en", "gradients", k=4, features=feats)
+        a = assemble(m2en_clients, "m2en", "gradients", ablation="both", seed=0, k=4,
+                     features=feats)
         assert a.m_e == a.m_d == 4
         assert a.encoder_clusters == a.decoder_clusters
 
     def test_random_m2en_decoder_global(self, m2en_clients):
-        a = assemble(m2en_clients, "m2en", "random", seed=1)
-        assert a.m_e == num_source_families("m2en") == 4
+        a = assemble(m2en_clients, "m2en", "random", ablation="both", seed=1)
+        assert a.m_e == len({c.src.family for c in m2en_clients}) == 4
         assert a.m_d == 1
 
     def test_random_m2m_both_sides_clustered(self, m2m_clients):
-        a = assemble(m2m_clients, "m2m", "random", seed=1)
+        a = assemble(m2m_clients, "m2m", "random", ablation="both", seed=1)
         assert a.m_e == a.m_d == 4
 
     def test_encoder_only_ablation(self, m2m_clients):
-        a = assemble(m2m_clients, "m2m", "families", ablation="encoder_only")
+        a = assemble(m2m_clients, "m2m", "families", ablation="encoder_only", seed=0)
         assert a.m_e == 4 and a.m_d == 1
 
     def test_decoder_only_ablation(self, m2m_clients):
-        a = assemble(m2m_clients, "m2m", "families", ablation="decoder_only")
+        a = assemble(m2m_clients, "m2m", "families", ablation="decoder_only", seed=0)
         assert a.m_e == 1 and a.m_d == 4
 
     def test_none_ablation_globalizes_both(self, m2m_clients):
-        a = assemble(m2m_clients, "m2m", "families", ablation="none")
+        a = assemble(m2m_clients, "m2m", "families", ablation="none", seed=0)
         assert a.m_e == a.m_d == 1
 
     def test_gradients_requires_features(self, m2en_clients):
         with pytest.raises(ConfigurationError):
-            assemble(m2en_clients, "m2en", "gradients")
+            assemble(m2en_clients, "m2en", "gradients", ablation="both", seed=0)
 
 
 def test_probe_slice_dim_matches_reference_scale():

@@ -152,6 +152,11 @@ class TestValueTypes:
         ({"data": {"length_range": [4, 47]}}, r"data\.length_range: "),
         ({"seeds": [-1]}, "seeds: "),
         ({"seeds": [1, 1]}, "seeds: "),
+        ({"data": {"intra_family_overlap": 1.5}}, r"data\.intra_family_overlap must"),
+        ({"data": {"cross_family_overlap": 0.5}}, r"data\.cross_family_overlap must"),
+        ({"data": {"length_range": [5, 4]}}, r"data\.length_range invalid"),
+        ({"data": {"alphabet_size": 4}}, r"data\.alphabet_size must"),
+        ({"data": {"zipf_exponent": -1}}, r"data\.zipf_exponent must"),
     ])
     def test_wrong_type_rejected_with_key(self, override, key):
         with pytest.raises(ConfigurationError, match=f"^{key}"):

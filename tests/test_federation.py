@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fedmt.clustering import ClusterAssignment
-from fedmt.data import batches, build_vocab
+from fedmt.data import DataConfig, batches, build_vocab
 from fedmt.errors import ConfigurationError, PartitionError, StructuralMismatchError
 from fedmt.federation import (
     CommLedger,
@@ -111,7 +111,7 @@ class TestFedMean:
     def test_empty_rejected(self):
         assignment = ClusterAssignment((("a",),), (("a",),), "none", "m2en")
         with pytest.raises(ValueError):
-            inner_cluster_aggregate({}, assignment)
+            inner_cluster_aggregate({}, assignment, rule="fedmean")
 
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(2)
@@ -142,7 +142,7 @@ class TestInnerClusterAggregate:
         assignment = ClusterAssignment(
             (("a", "b", "c"),), (("a", "b", "c"),), "none", "m2en"
         )
-        out = inner_cluster_aggregate(params, assignment)
+        out = inner_cluster_aggregate(params, assignment, rule="fedmean")
         for cid in params:
             assert out[cid].values("enc.w")[0] == pytest.approx(3.0)
             assert out[cid].values("dec.w")[0] == pytest.approx(30.0)
@@ -153,7 +153,7 @@ class TestInnerClusterAggregate:
         assignment = ClusterAssignment(
             (("a",), ("b",)), (("a",), ("b",)), "families", "m2m"
         )
-        out = inner_cluster_aggregate(params, assignment)
+        out = inner_cluster_aggregate(params, assignment, rule="fedmean")
         for cid in params:
             assert out[cid].equals(params[cid])
 
@@ -162,7 +162,7 @@ class TestInnerClusterAggregate:
         assignment = ClusterAssignment(
             (("c1", "c2"), ("c3", "c4")), (("c1", "c2", "c3", "c4"),), "families", "m2en"
         )
-        out = inner_cluster_aggregate(params, assignment)
+        out = inner_cluster_aggregate(params, assignment, rule="fedmean")
         # encoder side averaged within {c1,c2} and {c3,c4}
         assert out["c1"].values("enc.w")[0] == pytest.approx(2.0)
         assert out["c2"].values("enc.w")[0] == pytest.approx(2.0)
@@ -176,14 +176,14 @@ class TestInnerClusterAggregate:
         assignment = ClusterAssignment(
             (("a", "b"), ("c", "d")), (("a", "c"), ("b", "d")), "random", "m2m"
         )
-        out = inner_cluster_aggregate(params, assignment)
+        out = inner_cluster_aggregate(params, assignment, rule="fedmean")
         assert np.array_equal(out["a"].values("enc.w"), out["b"].values("enc.w"))
         assert np.array_equal(out["a"].values("dec.w"), out["c"].values("dec.w"))
 
     def test_frozen_untouched(self):
         params = self._params({"a": 1, "b": 5})
         assignment = ClusterAssignment((("a", "b"),), (("a", "b"),), "none", "m2en")
-        out = inner_cluster_aggregate(params, assignment)
+        out = inner_cluster_aggregate(params, assignment, rule="fedmean")
         for cid in params:
             assert out[cid].values("frozen.w")[0] == 42.0
 
@@ -201,7 +201,7 @@ class TestInnerClusterAggregate:
         )
         assignment = ClusterAssignment((("a", "b"),), (("a", "b"),), "none", "m2en")
         with pytest.raises(StructuralMismatchError):
-            inner_cluster_aggregate(params, assignment)
+            inner_cluster_aggregate(params, assignment, rule="fedmean")
 
     def test_trainable_flag_mismatch_rejected(self):
         params = self._params({"a": 1, "b": 2})
@@ -211,13 +211,13 @@ class TestInnerClusterAggregate:
         )
         assignment = ClusterAssignment((("a", "b"),), (("a", "b"),), "none", "m2en")
         with pytest.raises(StructuralMismatchError, match="incompatible"):
-            inner_cluster_aggregate(params, assignment)
+            inner_cluster_aggregate(params, assignment, rule="fedmean")
 
     def test_client_mismatch_rejected(self):
         params = self._params({"a": 1, "b": 2})
         assignment = ClusterAssignment((("a",),), (("a",),), "none", "m2en")
         with pytest.raises(PartitionError):
-            inner_cluster_aggregate(params, assignment)
+            inner_cluster_aggregate(params, assignment, rule="fedmean")
 
 
 class TestEstimateTransfer:
@@ -244,15 +244,15 @@ class TestEstimateTransfer:
 
 class TestCommLedger:
     def test_record_sync_counts_both_directions(self):
-        ledger = CommLedger(bandwidth_bps=1e9, bytes_per_param=4)
+        ledger = CommLedger(FedConfig(bandwidth_bps=1e9, bytes_per_param=4))
         ledger.record_sync(1, "a", 1000)
         assert ledger.total_bytes() == 2 * 4000
         assert ledger.total_bytes("uplink") == 4000
         assert ledger.total_seconds("uplink") == pytest.approx(4000 * 8 / 1e9)
 
     def test_totals_invariant_to_order(self):
-        l1 = CommLedger()
-        l2 = CommLedger()
+        l1 = CommLedger(FedConfig())
+        l2 = CommLedger(FedConfig())
         for cid in ("a", "b", "c"):
             l1.record_sync(1, cid, 10)
         for cid in ("c", "a", "b"):
@@ -263,7 +263,7 @@ class TestCommLedger:
 
 @pytest.fixture(scope="module")
 def tiny_setup():
-    languages, clients = make_clients("m2en", seed=0, scale=1 / 128)
+    languages, clients = make_clients("m2en", 0, DataConfig(scale=1 / 128))
     clients = clients[:4]
     vocab = build_vocab([c.data for c in clients], languages)
     config = ModelConfig(vocab_size=len(vocab), model_dim=16, num_heads=2,

@@ -326,6 +326,14 @@ class TestWhatAPassKeeps:
         loss_peak, result = traced_peak(lambda: loss(model, batch))
         kept_peak, (kept_logits, kept_cache) = traced_peak(lambda: forward(model, batch))
         assert loss_peak < 0.25 * kept_peak
+        # Each sublayer's activations are freed before the next one runs. The
+        # widest sublayer is the FFN: GELU holds its input, its tanh and its
+        # output, three [N, ffn_dim] arrays, at once. Everything else alive
+        # then (residual stream, layer-norm output, encoder memory, logits) is
+        # model_dim or vocab wide, under one more such array at ffn_dim = 8 *
+        # model_dim. Holding the previous sublayer's caches too goes past four.
+        n = max(int(batch.src_mask.sum()), int(batch.tgt_mask.sum()))
+        assert loss_peak < 4 * n * config.ffn_dim * config.np_dtype.itemsize
         logits, cache = forward(model, batch, want=None)
         assert cache is None and kept_cache is not None
         assert np.array_equal(logits, kept_logits)

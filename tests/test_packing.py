@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from fedmt.data import build_vocab, make_batch
+from fedmt.data import DataConfig, build_vocab, make_batch
 from fedmt.federation import train_epochs
 from fedmt.model import (
     ATTN_PROJECTIONS,
@@ -230,7 +230,7 @@ def full_prefix_greedy(model, src, src_mask, bos_id, eos_id, max_len):
 
 
 def test_kv_cached_decoding_matches_the_full_prefix_recompute():
-    languages, clients = make_clients("m2m", seed=2, scale=1 / 64, length_range=(4, 10))
+    languages, clients = make_clients("m2m", 2, DataConfig(scale=1 / 64, length_range=(4, 10)))
     vocab = build_vocab([c.data for c in clients], languages)
     config = ModelConfig(vocab_size=len(vocab), model_dim=32, num_heads=4, ffn_dim=64,
                          enc_layers=2, dec_layers=2, max_seq_len=24, dtype="float64")

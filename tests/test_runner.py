@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from fedmt import runner
 from fedmt.config import config_from_dict
 from fedmt.data import derive_seed
 from fedmt.federation import run_centralized, train_epochs
@@ -47,6 +48,15 @@ class TestWarmup:
     def test_backbone_fully_frozen(self):
         backbone = warmup_backbone(cfg_for("adapter-fed"), 1)
         assert all(not t.trainable for t in backbone)
+
+    def test_set_up_caches_keep_only_the_latest_seed(self):
+        cfg = cfg_for("adapter-fed")
+        for seed in (1, 2):
+            prepare_data(cfg, seed)
+            backbone = warmup_backbone(cfg, seed)
+        assert [key[-1] for key in runner._DATA_CACHE] == [2]
+        assert [key[-1] for key in runner._WARMUP_CACHE] == [2]
+        assert warmup_backbone(cfg, 2) is backbone
 
 
 class TestMethodModels:
