@@ -21,7 +21,7 @@ from .model import ToyModel, grad
 from .presets import Client
 
 STRATEGIES = ("none", "families", "gradients", "random")
-ABLATIONS = ("both", "encoder_only", "decoder_only", "none")
+ABLATIONS = ("both", "encoder_only", "decoder_only")
 
 Cluster = tuple[str, ...]
 
@@ -279,10 +279,10 @@ def assemble(
 ) -> ClusterAssignment:
     """Build the encoder/decoder cluster sets for a strategy and ablation.
 
-    ``encoder_only`` collapses the decoder side to one global cluster,
-    ``decoder_only`` the encoder side, and ``none`` both (the no-clustering
-    baseline). ``k`` defaults to the number of distinct source families so
-    every strategy produces the same number of clusters.
+    ``encoder_only`` collapses the decoder side to one global cluster and
+    ``decoder_only`` the encoder side; strategy ``none`` (the no-clustering
+    baseline) has one on each side. ``k`` defaults to the number of distinct
+    source families so every strategy produces the same number of clusters.
     """
     if strategy not in STRATEGIES:
         raise ConfigurationError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -293,7 +293,7 @@ def assemble(
     if k is None:
         k = len({c.src.family for c in clients})
 
-    if strategy == "none" or ablation == "none":
+    if strategy == "none":
         encoder = decoder = global_clusters
     elif strategy == "families":
         encoder = cluster_by_family(clients, "encoder")
@@ -306,9 +306,8 @@ def assemble(
             raise ConfigurationError("gradient clustering requires features")
         encoder = cluster_by_gradient(features, k, seed)
         decoder = encoder
-    if strategy != "none":
-        if ablation == "encoder_only":
-            decoder = global_clusters
-        elif ablation == "decoder_only":
-            encoder = global_clusters
+    if ablation == "encoder_only":
+        decoder = global_clusters
+    elif ablation == "decoder_only":
+        encoder = global_clusters
     return ClusterAssignment(encoder, decoder, strategy, mode)

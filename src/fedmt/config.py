@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
+from .clustering import ABLATIONS
 from .data import DataConfig
 from .errors import ConfigurationError
 from .federation import AGGREGATIONS, FedConfig
@@ -49,7 +50,6 @@ ADAPTER_METHODS = (
 CLUSTERING_METHODS = ("adapter-random", "adapter-gradients", "adapter-families")
 AGGREGATING_METHODS = ("model-fed", "adapter-fed") + CLUSTERING_METHODS
 CENTRALIZED_METHODS = ("centralized-model", "centralized-adapter")
-ABLATIONS = ("both", "encoder_only", "decoder_only")
 
 METHOD_STRATEGY = {
     "adapter-random": "random",

@@ -83,13 +83,13 @@ class _Adam:
         self.t = 0
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
-        self._scratch: np.ndarray | None = None
 
     def step(self, flat: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        """Updated copy of the flat trainable values; ``flat`` is unchanged.
+        """Updated copy of the flat trainable values; ``flat`` is unchanged
+        and ``grad`` is overwritten.
 
-        The moments are updated in place and the denominator goes to one
-        persistent scratch buffer, each operation in the order of
+        The moments are updated in place and the denominator is written into
+        the spent ``grad``, each operation in the order of
         ``lr * (m / c1) / (sqrt(v / c2) + eps)``, so the result is bitwise
         that formula's."""
         self.t += 1
@@ -97,13 +97,12 @@ class _Adam:
         correction2 = 1.0 - self.beta2**self.t
         if self.m is None:
             self.m, self.v = np.zeros_like(grad), np.zeros_like(grad)
-            self._scratch = np.empty_like(grad)
-        m, v, denom = self.m, self.v, self._scratch
+        m, v = self.m, self.v
         m *= self.beta1
         m += grad * (1 - self.beta1)
         v *= self.beta2
         v += (grad * (1 - self.beta2)) * grad
-        np.divide(v, correction2, out=denom)
+        denom = np.divide(v, correction2, out=grad)
         np.sqrt(denom, out=denom)
         denom += self.eps
         step = m / correction1
@@ -170,8 +169,10 @@ def train_epochs(
             tokens_total += result.token_count
             if learning_rate > 0:
                 flat_grad = np.concatenate([grads[name].ravel() for name in names])
+                del grads
                 flat_grad /= result.token_count
                 flat = optimizer.step(flat, flat_grad)
+                del flat_grad  # now the step's denominator
                 values = {name: flat[lo:hi].reshape(shape)
                           for name, lo, hi, shape in zip(names, bounds, bounds[1:], shapes)}
                 model = model.with_params(model.params.replace_values(values))

@@ -323,7 +323,7 @@ def _adapter_params(p: NamedParamSet, key: str) -> dict[str, tuple[np.ndarray, n
 def _ffn_fwd(x, p: NamedParamSet, key: str, want: nn.WantFn | None):
     h1, c1 = nn.linear_fwd(x, p.values(f"{key}.fc1.weight"), p.values(f"{key}.fc1.bias"),
                            nn.keeps_input(want, f"{key}.fc1"))
-    a, ca = nn.gelu_fwd(h1)
+    a, ca = nn.gelu_fwd(h1, want is not None)
     out, c2 = nn.linear_fwd(a, p.values(f"{key}.fc2.weight"), p.values(f"{key}.fc2.bias"),
                             nn.keeps_input(want, f"{key}.fc2"))
     return out, (c1, ca, c2)

@@ -9,6 +9,8 @@ paths. Gradient computation for a parameter can be skipped by passing a
 
 A forward keeps a linear's input, which only its weight gradient reads,
 when ``want`` holds for that weight; ``want`` None (inference) keeps none.
+An activation's ``keep`` flag says whether a backward will run: GELU then
+keeps its derivative, ReLU its mask; without it they keep nothing.
 
 The model passes packed rows [N, d] of real tokens. Position-wise primitives
 do not care; attention takes each input's ``Rows`` and places the rows on
@@ -61,8 +63,8 @@ def linear_bwd(dy: np.ndarray, cache, key: str, grads: dict, want: WantFn = want
     return dx
 
 
-def relu_fwd(x: np.ndarray):
-    return np.maximum(x, 0.0), (x > 0.0)
+def relu_fwd(x: np.ndarray, keep: bool = True):
+    return np.maximum(x, 0.0), (x > 0.0) if keep else None
 
 
 def relu_bwd(dy: np.ndarray, cache) -> np.ndarray:
@@ -72,10 +74,11 @@ def relu_bwd(dy: np.ndarray, cache) -> np.ndarray:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def gelu_fwd(x: np.ndarray):
-    # tanh approximation; smooth everywhere, which keeps finite-difference
-    # checks meaningful. Written with in-place ops: these arrays are the
-    # per-batch hot path and extra temporaries blow the cache.
+def gelu_fwd(x: np.ndarray, keep: bool = True):
+    """tanh-approximated GELU (smooth, so finite-difference checks stay
+    meaningful), written in place: this is the per-batch hot path. With
+    ``keep`` the cache is the derivative 0.5·(x·C(1 + 3a·x²)(1 − t²) + 1 + t),
+    so the backward is one product; tests pin its operation order bitwise."""
     t = x * x
     t *= 0.044715
     t += 1.0
@@ -83,23 +86,24 @@ def gelu_fwd(x: np.ndarray):
     t *= _GELU_C
     np.tanh(t, out=t)
     out = t + 1.0
+    deriv = None
+    if keep:
+        deriv = x * x
+        deriv *= 3 * 0.044715
+        deriv += 1.0
+        deriv *= _GELU_C
+        t *= t
+        deriv *= np.subtract(1.0, t, out=t)
+        deriv *= x
+        deriv += out  # still 1 + t
+        deriv *= 0.5
     out *= x
     out *= 0.5
-    return out, (x, t)
+    return out, deriv
 
 
 def gelu_bwd(dy: np.ndarray, cache) -> np.ndarray:
-    x, t = cache
-    du_dx = x * x
-    du_dx *= 3 * 0.044715
-    du_dx += 1.0
-    du_dx *= _GELU_C
-    du_dx *= 1.0 - t * t
-    du_dx *= x
-    du_dx += 1.0 + t
-    du_dx *= 0.5
-    du_dx *= dy
-    return du_dx
+    return cache * dy
 
 
 ACTIVATIONS = {"relu": (relu_fwd, relu_bwd), "gelu": (gelu_fwd, gelu_bwd)}
@@ -286,7 +290,7 @@ def adapter_fwd(h: np.ndarray, p: dict[str, tuple[np.ndarray, np.ndarray]], nonl
     """Residual bottleneck h + up(act(down(h))); the model skips pruned adapters."""
     act_fwd, _ = ACTIVATIONS[nonlinearity]
     z, down_cache = linear_fwd(h, *p["down"], keeps_input(want, f"{key}.down"))
-    a, act_cache = act_fwd(z)
+    a, act_cache = act_fwd(z, want is not None)
     delta, up_cache = linear_fwd(a, *p["up"], keeps_input(want, f"{key}.up"))
     return h + delta, (down_cache, act_cache, up_cache, nonlinearity)
 

@@ -252,8 +252,12 @@ class TestAssemble:
         assert a.m_e == 1 and a.m_d == 4
 
     def test_none_ablation_globalizes_both(self, m2m_clients):
-        a = assemble(m2m_clients, "m2m", "families", ablation="none", seed=0)
+        a = assemble(m2m_clients, "m2m", "none", ablation="both", seed=0)
         assert a.m_e == a.m_d == 1
+
+    def test_none_ablation_rejected(self, m2m_clients):
+        with pytest.raises(ConfigurationError, match="unknown ablation 'none'"):
+            assemble(m2m_clients, "m2m", "families", ablation="none", seed=0)
 
     def test_gradients_requires_features(self, m2en_clients):
         with pytest.raises(ConfigurationError):

@@ -157,6 +157,7 @@ class TestValueTypes:
         ({"data": {"length_range": [5, 4]}}, r"data\.length_range invalid"),
         ({"data": {"alphabet_size": 4}}, r"data\.alphabet_size must"),
         ({"data": {"zipf_exponent": -1}}, r"data\.zipf_exponent must"),
+        ({"ablation": "none"}, "ablation: "),
     ])
     def test_wrong_type_rejected_with_key(self, override, key):
         with pytest.raises(ConfigurationError, match=f"^{key}"):

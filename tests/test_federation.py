@@ -362,6 +362,7 @@ def test_adam_step_is_bitwise_the_textbook_formula(dtype):
         assert flat_next.dtype == dtype
         assert np.array_equal(flat_next, expected)
         assert np.array_equal(flat, before)  # earlier models keep views of it
+        assert not np.shares_memory(flat_next, flat) and not np.shares_memory(flat_next, g)
         returned.append(flat_next)
         flat = flat_next
     assert not any(np.shares_memory(a, b) for i, a in enumerate(returned)

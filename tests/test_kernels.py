@@ -1,4 +1,4 @@
-"""Oracles for the attention and layer-norm kernels.
+"""Oracles for the attention, layer-norm and GELU kernels.
 
 The kernels hold attention scores key-major, take an additive key-major
 mask and compute layer-norm row statistics as products with a 1/d vector.
@@ -6,6 +6,10 @@ The references here are the straightforward formulas they replaced: scores
 query-major with a boolean mask applied by ``np.where``, max and sum along
 the last axis, and ``mean``-based layer norm. Both run in float64; the
 kernels reorder sums, so they must agree within rtol 1e-10 (atol 0).
+
+GELU's forward keeps its derivative instead of its input and tanh; it keeps
+every operation of the backward it replaced, so it must match that
+backward bitwise, in float32 and float64.
 """
 
 import math
@@ -18,12 +22,15 @@ from fedmt.nn import (
     attention_bias,
     attention_bwd,
     attention_fwd,
+    gelu_bwd,
+    gelu_fwd,
     layer_norm_bwd,
     layer_norm_fwd,
     sinusoidal_positions,
 )
 
 RTOL = 1e-10
+GELU_C = math.sqrt(2.0 / math.pi)
 D, HEADS = 16, 2
 PROJECTIONS = ("q", "k", "v", "out")
 
@@ -49,6 +56,33 @@ def ref_layer_norm_bwd(dy, cache):
     m1 = dxhat.mean(axis=-1, keepdims=True)
     m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
     return inv * (dxhat - m1 - xhat * m2), grads
+
+
+def ref_gelu_fwd(x):
+    t = x * x
+    t *= 0.044715
+    t += 1.0
+    t *= x
+    t *= GELU_C
+    np.tanh(t, out=t)
+    out = t + 1.0
+    out *= x
+    out *= 0.5
+    return out, (x, t)
+
+
+def ref_gelu_bwd(dy, cache):
+    x, t = cache
+    du_dx = x * x
+    du_dx *= 3 * 0.044715
+    du_dx += 1.0
+    du_dx *= GELU_C
+    du_dx *= 1.0 - t * t
+    du_dx *= x
+    du_dx += 1.0 + t
+    du_dx *= 0.5
+    du_dx *= dy
+    return du_dx
 
 
 def split_heads(rows, x):
@@ -241,3 +275,19 @@ def test_position_table_is_built_once_and_read_only():
     assert table.dtype == np.float32
     with pytest.raises(ValueError):
         table[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_matches_the_input_and_tanh_reference_bitwise(dtype):
+    rng = np.random.default_rng(6)
+    edges = [0.0, 1e-4, -1e-4, 3.0, -3.0, 12.0, -12.0]  # 12: tanh saturates
+    x = np.concatenate([edges, rng.normal(0.0, 2.0, size=37 * 8 - len(edges))])
+    x = x.astype(dtype).reshape(37, 8)
+    dy = rng.normal(size=x.shape).astype(dtype)
+    out, cache = gelu_fwd(x)
+    ref_out, ref_cache = ref_gelu_fwd(x)
+    assert out.dtype == dtype and np.array_equal(out, ref_out)
+    dx = gelu_bwd(dy, cache)
+    assert dx.dtype == dtype and np.array_equal(dx, ref_gelu_bwd(dy, ref_cache))
+    inference_out, no_cache = gelu_fwd(x, keep=False)
+    assert no_cache is None and np.array_equal(inference_out, ref_out)

@@ -354,6 +354,28 @@ class TestWhatAPassKeeps:
         for name in needed:
             assert np.array_equal(narrow[name], everything[name]), name
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_a_gradient_pass_keeps_one_array_per_gelu(self, dtype):
+        # In units of one [N, ffn_dim] array. Keeping GELU's input and tanh
+        # read 26.0 (first encoder adapter) and 38.5 (every tensor) units;
+        # keeping only its derivative is one array fewer in each of the six
+        # FFNs. Each bound is that reading minus six, plus two units of slack.
+        config = ModelConfig(vocab_size=90, dtype=dtype)
+        model, batch = build_model(config, 0), probe_batch()
+        trainable = build_model(config, 0, freeze_backbone=False)
+        n = max(int(batch.src_mask.sum()), int(batch.tgt_mask.sum()))
+        unit = n * config.ffn_dim * config.np_dtype.itemsize
+        needed = {name for name in model.trainable_names()
+                  if name.startswith("enc.layer0.attn_adapter.")}
+        assert len(needed) == 4
+        grad(model, batch, needed)  # warm the shared position table
+        adapter_peak, (_, adapter) = traced_peak(lambda: grad(model, batch, needed))
+        full_peak, (_, everything) = traced_peak(lambda: grad(trainable, batch))
+        assert adapter_peak < 22 * unit
+        assert full_peak < 34 * unit
+        for name in needed:
+            assert np.array_equal(adapter[name], everything[name]), name
+
     def test_backward_names_a_weight_whose_input_was_not_kept(self):
         model, batch = build_model(TINY, 0), random_batch(TINY)
         logits, cache = forward(model, batch, want=lambda name: "adapter" in name)
