@@ -68,14 +68,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     write_config_snapshot(out_dir / "config.json", cfg)
     results = []
     for seed in cfg.seeds:
-        result = run_seed(cfg, seed)
+        result, models = run_seed(cfg, seed)
         seed_dir = out_dir / f"seed_{seed}"
         write_seed_report(seed_dir, result)
         if args.save_checkpoints:
             ckpt_dir = seed_dir / "checkpoints"
             ckpt_dir.mkdir(exist_ok=True)
-            for cid, model in sorted(result.final_models.items()):
-                save_checkpoint(model, ckpt_dir / cid)
+            for cid in sorted(models):
+                save_checkpoint(models[cid], ckpt_dir / cid)
+        del models  # not held through the next seed's run
         results.append(result)
         print(f"seed {seed}: mean dev loss {result.mean_round0_dev:.4f} -> "
               f"{result.mean_best_dev:.4f}"

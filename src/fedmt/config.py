@@ -147,6 +147,14 @@ def _validate_experiment(cfg: ExperimentConfig) -> None:
             f"data.length_range: longest sentence {cfg.data.length_range[1]} plus 2 "
             f"special tokens exceeds model.max_seq_len={cfg.model.max_seq_len}"
         )
+    if cfg.model.vocab_size:
+        raise ConfigurationError(
+            "model.vocab_size: set from the corpus vocabulary at run time; leave it 0"
+        )
+    if cfg.fed.seed:
+        raise ConfigurationError(
+            "fed.seed: set from each run seed (`seeds` or --seeds); leave it 0"
+        )
     if cfg.fed.aggregation != cfg.aggregation:
         raise ConfigurationError(
             "aggregation: top-level value and fed.aggregation disagree"

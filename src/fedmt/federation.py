@@ -318,11 +318,11 @@ class CommLedger:
                 LedgerEntry(round_index, client, direction, param_count, n_bytes, seconds)
             )
 
-    def total_bytes(self, direction: str | None = None) -> int:
-        return sum(e.bytes for e in self.entries if direction in (None, e.direction))
+    def total_bytes(self) -> int:
+        return sum(e.bytes for e in self.entries)
 
-    def total_seconds(self, direction: str | None = None) -> float:
-        return sum(e.seconds for e in self.entries if direction in (None, e.direction))
+    def total_seconds(self) -> float:
+        return sum(e.seconds for e in self.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +331,9 @@ class CommLedger:
 
 @dataclass
 class RoundState:
+    """What the round hook sees after round ``index``: each client's
+    post-aggregation parameters and losses."""
+
     index: int
     params: dict[str, NamedParamSet]
     dev_loss: dict[str, float]
@@ -339,12 +342,15 @@ class RoundState:
 
 @dataclass
 class FedRunResult:
-    rounds: list[RoundState]
-    ledger: CommLedger
+    """Per-round losses, in the run's client order, and each client's
+    selected checkpoint. Entry ``r`` of ``dev_loss`` and ``train_loss`` is
+    round ``r``; round 0, the initial models, has no train losses."""
+
+    dev_loss: list[dict[str, float]]
+    train_loss: list[dict[str, float]]
     best_round: dict[str, int]
-    best_dev_loss: dict[str, float]
     best_models: dict[str, ToyModel]
-    round0_dev_loss: dict[str, float]
+    ledger: CommLedger
 
 
 def evaluate_dev_loss(model: ToyModel, client: Client, vocab: Vocab, eval_batch_size: int) -> float:
@@ -373,7 +379,8 @@ def run_experiment(
     training; the ledger stays empty). Checkpoint selection is per client:
     among rounds 1..T, the first round whose post-aggregation parameters
     give the lowest dev loss. Round 0, the initial model, is never selected,
-    even when its dev loss is lower.
+    even when its dev loss is lower. ``round_hook`` is the one view of the
+    parameters of every round: the result keeps only the selected models.
     """
     ids = [c.id for c in clients]
     if sorted(ids) != sorted(initial_models):
@@ -385,22 +392,21 @@ def run_experiment(
     sizes = {cid: by_id[cid].n_train for cid in ids}
     ledger = CommLedger(cfg)
 
-    round0 = {
+    dev_loss = [{
         cid: evaluate_dev_loss(models[cid], by_id[cid], vocab, cfg.eval_batch_size)
         for cid in ids
-    }
+    }]
+    train_loss: list[dict[str, float]] = [{}]
     best_round = {cid: 0 for cid in ids}
-    best_dev = dict(round0)
     best_models = {cid: models[cid] for cid in ids}
-    history: list[RoundState] = []
 
     for round_index in range(1, cfg.rounds + 1):
-        train_losses = {}
+        train = {}
         for cid in ids:
             models[cid], stats = local_update(
                 by_id[cid], models[cid], cfg, vocab, round_index
             )
-            train_losses[cid] = stats.train_loss
+            train[cid] = stats.train_loss
         if assignment is not None:
             params = {cid: models[cid].params for cid in ids}
             aggregated = inner_cluster_aggregate(
@@ -410,21 +416,20 @@ def run_experiment(
             for cid in ids:
                 models[cid] = models[cid].with_params(aggregated[cid])
                 ledger.record_sync(round_index, cid, sync_count)
-        dev_losses = {
+        dev = {
             cid: evaluate_dev_loss(models[cid], by_id[cid], vocab, cfg.eval_batch_size)
             for cid in ids
         }
         for cid in ids:
-            if dev_losses[cid] < best_dev[cid] or best_round[cid] == 0:
-                best_dev[cid] = dev_losses[cid]
+            if best_round[cid] == 0 or dev[cid] < dev_loss[best_round[cid]][cid]:
                 best_round[cid] = round_index
                 best_models[cid] = models[cid]
-        state = RoundState(round_index, {cid: models[cid].params for cid in ids},
-                           dev_losses, train_losses)
-        history.append(state)
+        dev_loss.append(dev)
+        train_loss.append(train)
         if round_hook is not None:
-            round_hook(state)
-    return FedRunResult(history, ledger, best_round, best_dev, best_models, round0)
+            round_hook(RoundState(round_index, {cid: models[cid].params for cid in ids},
+                                  dev, train))
+    return FedRunResult(dev_loss, train_loss, best_round, best_models, ledger)
 
 
 def run_centralized(
@@ -434,8 +439,9 @@ def run_centralized(
     vocab: Vocab,
 ) -> FedRunResult:
     """The centralized baseline: one model trained on the pooled client
-    data, one epoch per round from a fresh optimizer (the same schedule as
-    federated local updates), evaluated on every client's dev split.
+    data, ``cfg.local_epochs`` epochs per round from a fresh optimizer (the
+    same schedule as federated local updates), evaluated on every client's
+    dev split in sorted client order.
 
     Nothing is transferred, so the ledger stays empty. Every client shares
     the checkpoint of the first round among 1..T with the lowest mean dev
@@ -445,28 +451,24 @@ def run_centralized(
     by_id = {c.id: c for c in clients}
     ids = sorted(by_id)
     model = initial
-    round0 = {cid: evaluate_dev_loss(model, by_id[cid], vocab, cfg.eval_batch_size) for cid in ids}
+    dev_loss = [{cid: evaluate_dev_loss(model, by_id[cid], vocab, cfg.eval_batch_size)
+                 for cid in ids}]
+    train_loss: list[dict[str, float]] = [{}]
     best_mean = None
     best_round = 0
     best_model = model
-    best_dev = dict(round0)
-    history: list[RoundState] = []
     for round_index in range(1, cfg.rounds + 1):
+        epoch_seeds = [derive_seed(cfg.seed, 0xCE27, round_index, epoch)
+                       for epoch in range(cfg.local_epochs)]
         model, stats = train_epochs(
-            model, samples, vocab, [derive_seed(cfg.seed, 0xCE27, round_index)],
+            model, samples, vocab, epoch_seeds,
             cfg.batch_size, cfg.grad_accumulation, cfg.optimizer, cfg.learning_rate,
         )
         dev = {cid: evaluate_dev_loss(model, by_id[cid], vocab, cfg.eval_batch_size) for cid in ids}
-        history.append(RoundState(round_index, {cid: model.params for cid in ids}, dev,
-                                  {cid: stats.train_loss for cid in ids}))
+        dev_loss.append(dev)
+        train_loss.append({cid: stats.train_loss for cid in ids})
         mean_dev = sum(dev.values()) / len(dev)
         if best_mean is None or mean_dev < best_mean:
-            best_mean, best_round, best_model, best_dev = mean_dev, round_index, model, dev
-    return FedRunResult(
-        history,
-        CommLedger(cfg),
-        {cid: best_round for cid in ids},
-        best_dev,
-        {cid: best_model for cid in ids},
-        round0,
-    )
+            best_mean, best_round, best_model = mean_dev, round_index, model
+    return FedRunResult(dev_loss, train_loss, {cid: best_round for cid in ids},
+                        {cid: best_model for cid in ids}, CommLedger(cfg))

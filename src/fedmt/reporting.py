@@ -28,13 +28,13 @@ def write_metrics_csv(path: Path, result: SeedResult) -> None:
         writer = csv.writer(handle)
         writer.writerow(["phase", "round", "client", "pair",
                          "train_loss", "dev_loss", "best_round", "test_bleu"])
-        for row in result.round_rows:
+        for row in sorted(result.round_rows, key=lambda row: (row["round"], row["client"])):
             phase = "round0" if row["round"] == 0 else "round"
             writer.writerow([
                 phase, row["round"], row["client"], row["pair"],
                 fnum(row["train_loss"]), fnum(row["dev_loss"]), "", "",
             ])
-        for row in result.final_rows:
+        for row in sorted(result.final_rows, key=lambda row: row["client"]):
             writer.writerow([
                 "final", "", row["client"], row["pair"],
                 "", fnum(row["dev_loss"]), row["best_round"], fnum(row["test_bleu"]),
@@ -66,7 +66,8 @@ def _mean(values: Sequence[float]) -> float:
 
 def write_summary(out_dir: Path, cfg: ExperimentConfig, results: list[SeedResult]) -> dict:
     """Seed-averaged per-pair BLEU, macro/micro, and transfer-time table."""
-    pairs = sorted(results[0].per_pair_bleu) if results[0].per_pair_bleu else []
+    pairs = sorted(row["client"] for row in results[0].final_rows) if cfg.evaluate_test_bleu else []
+    bleu_by_seed = [{row["client"]: row["test_bleu"] for row in r.final_rows} for r in results]
     summary: dict = {
         "method": cfg.method,
         "mode": cfg.mode,
@@ -74,7 +75,7 @@ def write_summary(out_dir: Path, cfg: ExperimentConfig, results: list[SeedResult
         "trainable_params": results[0].trainable_params,
         "total_params": results[0].total_params,
         "per_pair_bleu": {
-            p: _mean([r.per_pair_bleu[p] for r in results]) for p in pairs
+            p: _mean([bleu[p] for bleu in bleu_by_seed]) for p in pairs
         },
         "macro_bleu": _mean([r.macro for r in results]) if pairs else None,
         "micro_bleu": _mean([r.micro for r in results]) if pairs else None,
@@ -85,7 +86,7 @@ def write_summary(out_dir: Path, cfg: ExperimentConfig, results: list[SeedResult
     }
 
     payload_bytes = results[0].trainable_params * cfg.fed.bytes_per_param
-    n_clients = len(results[0].round0_dev_loss)
+    n_clients = len(results[0].final_rows)
     per_client_s, serialized_s = estimate_transfer(
         payload_bytes, n_clients, cfg.fed.bandwidth_bps
     )

@@ -16,7 +16,7 @@ from .bleu import macro_micro, pair_scores
 from .clustering import ClusterAssignment, assemble, compute_gradient_feature
 from .config import ExperimentConfig
 from .data import BOS, EOS, LanguageSpec, Vocab, build_vocab, derive_seed, make_batch
-from .federation import CommLedger, FedRunResult, run_centralized, run_experiment, train_epochs
+from .federation import CommLedger, run_centralized, run_experiment, train_epochs
 from .model import ModelConfig, ToyModel, apply_pruning, build_model, decode_greedy
 from .params import NamedParamSet, count_params
 from .presets import Client, make_clients, make_warmup_data
@@ -162,94 +162,36 @@ def evaluate_test_bleu(
 
 @dataclass
 class SeedResult:
+    """One seed's report figures. The rows come in the run's client order,
+    which the seed means below sum in; ``metrics.csv`` sorts them."""
+
     seed: int
-    method: str
     round_rows: list[dict]
     final_rows: list[dict]
-    per_pair_bleu: dict[str, float]
     macro: float | None
     micro: float | None
     ledger: CommLedger
     assignment: ClusterAssignment | None
-    round0_dev_loss: dict[str, float]
-    best_dev_loss: dict[str, float]
-    best_round: dict[str, int]
     trainable_params: int
     total_params: int
-    final_models: dict[str, ToyModel]
 
     @property
     def mean_round0_dev(self) -> float:
-        return sum(self.round0_dev_loss.values()) / len(self.round0_dev_loss)
+        losses = [row["dev_loss"] for row in self.round_rows if row["round"] == 0]
+        return sum(losses) / len(losses)
 
     @property
     def mean_best_dev(self) -> float:
-        return sum(self.best_dev_loss.values()) / len(self.best_dev_loss)
+        return sum(row["dev_loss"] for row in self.final_rows) / len(self.final_rows)
 
 
 def _decode_cap(cfg: ExperimentConfig) -> int:
     return min(cfg.model.max_seq_len - 1, cfg.data.length_range[1] + 4)
 
 
-def _seed_result(
-    cfg: ExperimentConfig,
-    seed: int,
-    clients: list[Client],
-    vocab: Vocab,
-    initial: ToyModel,
-    assignment: ClusterAssignment | None,
-    result: FedRunResult,
-) -> SeedResult:
-    by_id = {c.id: c for c in clients}
-    round_rows = []
-    for cid in sorted(result.round0_dev_loss):
-        round_rows.append({
-            "round": 0, "client": cid, "pair": by_id[cid].data.pair,
-            "train_loss": None, "dev_loss": result.round0_dev_loss[cid],
-        })
-    for state in result.rounds:
-        for cid in sorted(state.dev_loss):
-            round_rows.append({
-                "round": state.index, "client": cid, "pair": by_id[cid].data.pair,
-                "train_loss": state.train_loss[cid], "dev_loss": state.dev_loss[cid],
-            })
-    per_pair: dict[str, float] = {}
-    macro = micro = None
-    if cfg.evaluate_test_bleu:
-        per_pair, outputs = evaluate_test_bleu(
-            result.best_models, clients, vocab, _decode_cap(cfg)
-        )
-        macro, micro = macro_micro(outputs)
-    final_rows = [
-        {
-            "client": cid, "pair": by_id[cid].data.pair,
-            "best_round": result.best_round[cid],
-            "dev_loss": result.best_dev_loss[cid],
-            "test_bleu": per_pair.get(cid),
-        }
-        for cid in sorted(result.best_round)
-    ]
-    return SeedResult(
-        seed=seed,
-        method=cfg.method,
-        round_rows=round_rows,
-        final_rows=final_rows,
-        per_pair_bleu=per_pair,
-        macro=macro,
-        micro=micro,
-        ledger=result.ledger,
-        assignment=assignment,
-        round0_dev_loss=result.round0_dev_loss,
-        best_dev_loss=result.best_dev_loss,
-        best_round=result.best_round,
-        trainable_params=count_params(initial.params, "trainable_only"),
-        total_params=count_params(initial.params, "all"),
-        final_models=dict(result.best_models),
-    )
-
-
-def run_seed(cfg: ExperimentConfig, seed: int) -> SeedResult:
-    """Run the configured method for one seed and return in-memory results."""
+def run_seed(cfg: ExperimentConfig, seed: int) -> tuple[SeedResult, dict[str, ToyModel]]:
+    """Run the configured method for one seed. Returns its report figures
+    and each client's selected model, which only checkpoints read."""
     _, clients, vocab = prepare_data(cfg, seed)
     backbone = warmup_backbone(cfg, seed)
     initial = build_method_model(cfg, seed, vocab, backbone)
@@ -263,4 +205,33 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> SeedResult:
         assignment = make_assignment(cfg, seed, clients, initial, vocab)
         result = run_experiment(clients, {c.id: initial for c in clients}, fed_cfg, vocab,
                                 assignment)
-    return _seed_result(cfg, seed, clients, vocab, initial, assignment, result)
+    pairs = {c.id: c.data.pair for c in clients}
+    round_rows = [
+        {"round": index, "client": cid, "pair": pairs[cid],
+         "train_loss": result.train_loss[index].get(cid), "dev_loss": dev_loss}
+        for index, losses in enumerate(result.dev_loss)
+        for cid, dev_loss in losses.items()
+    ]
+    per_pair: dict[str, float] = {}
+    macro = micro = None
+    if cfg.evaluate_test_bleu:
+        per_pair, outputs = evaluate_test_bleu(
+            result.best_models, clients, vocab, _decode_cap(cfg)
+        )
+        macro, micro = macro_micro(outputs)
+    final_rows = [
+        {"client": cid, "pair": pairs[cid], "best_round": best,
+         "dev_loss": result.dev_loss[best][cid], "test_bleu": per_pair.get(cid)}
+        for cid, best in result.best_round.items()
+    ]
+    return SeedResult(
+        seed=seed,
+        round_rows=round_rows,
+        final_rows=final_rows,
+        macro=macro,
+        micro=micro,
+        ledger=result.ledger,
+        assignment=assignment,
+        trainable_params=count_params(initial.params, "trainable_only"),
+        total_params=count_params(initial.params, "all"),
+    ), result.best_models

@@ -229,12 +229,14 @@ def test_criterion_4_frozen_backbone_bit_identical():
     fed_cfg = dataclasses.replace(cfg.fed, seed=1)
     cids = tuple(sorted(c.id for c in clients))
     assignment = ClusterAssignment((cids[:2], cids[2:]), (cids,), "families", "m2en")
-    result = run_experiment(
-        clients, {c.id: initial for c in clients}, fed_cfg, vocab, assignment
+    seen = []
+    run_experiment(
+        clients, {c.id: initial for c in clients}, fed_cfg, vocab, assignment,
+        round_hook=seen.append,
     )
     checked = 0
     for cid in cids:
-        final = result.rounds[-1].params[cid]
+        final = seen[-1].params[cid]
         for t in final:
             if not t.trainable:
                 assert np.array_equal(t.values, initial.params.values(t.name))
@@ -272,7 +274,7 @@ def test_criterion_7_bleu_correctness():
 
 def test_criterion_8_byte_identical_metrics(tmp_path):
     payload_cfg = {
-        "mode": "m2en", "method": "adapter-random", "seeds": [3],
+        "mode": "m2en", "method": "adapter-random", "seeds": [3, 4],
         "evaluate_test_bleu": True,
         "data": {"scale": 0.01, "alphabet_size": 16, "length_range": [3, 6]},
         "model": {"model_dim": 16, "num_heads": 2, "ffn_dim": 32,
@@ -289,10 +291,9 @@ def test_criterion_8_byte_identical_metrics(tmp_path):
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(out),
                          "--no-checkpoints"]) == 0
         outs.append(out)
-    a = (outs[0] / "seed_3" / "metrics.csv").read_bytes()
-    b = (outs[1] / "seed_3" / "metrics.csv").read_bytes()
-    assert a == b
-    comm_a = (outs[0] / "seed_3" / "comm.csv").read_bytes()
-    comm_b = (outs[1] / "seed_3" / "comm.csv").read_bytes()
-    assert comm_a == comm_b
-    report(8, "two identical runs produced byte-identical metrics.csv")
+    names = ["seed_3/metrics.csv", "seed_3/comm.csv", "seed_4/metrics.csv",
+             "seed_4/comm.csv", "summary.json", "summary.csv"]
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    report(8, "two identical two-seed runs produced byte-identical metrics.csv, comm.csv "
+              "and summary.json/.csv")

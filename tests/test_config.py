@@ -158,6 +158,8 @@ class TestValueTypes:
         ({"data": {"alphabet_size": 4}}, r"data\.alphabet_size must"),
         ({"data": {"zipf_exponent": -1}}, r"data\.zipf_exponent must"),
         ({"ablation": "none"}, "ablation: "),
+        ({"model": {"vocab_size": 90}}, "model.vocab_size: set from the corpus vocabulary"),
+        ({"fed": {"seed": 3}}, "fed.seed: set from each run seed"),
     ])
     def test_wrong_type_rejected_with_key(self, override, key):
         with pytest.raises(ConfigurationError, match=f"^{key}"):

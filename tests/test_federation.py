@@ -247,8 +247,7 @@ class TestCommLedger:
         ledger = CommLedger(FedConfig(bandwidth_bps=1e9, bytes_per_param=4))
         ledger.record_sync(1, "a", 1000)
         assert ledger.total_bytes() == 2 * 4000
-        assert ledger.total_bytes("uplink") == 4000
-        assert ledger.total_seconds("uplink") == pytest.approx(4000 * 8 / 1e9)
+        assert ledger.total_seconds() == pytest.approx(2 * 4000 * 8 / 1e9)
 
     def test_totals_invariant_to_order(self):
         l1 = CommLedger(FedConfig())
@@ -378,9 +377,10 @@ class TestRunExperiment:
         clients, vocab, model = tiny_setup
         client = clients[0]
         cfg = FedConfig(rounds=1, learning_rate=1e-3, grad_accumulation=2, seed=5)
-        result = run_experiment([client], {client.id: model}, cfg, vocab, None)
+        seen = []
+        run_experiment([client], {client.id: model}, cfg, vocab, None, round_hook=seen.append)
         direct, _ = local_update(client, model, cfg, vocab, round_index=1)
-        final = result.rounds[-1].params[client.id]
+        final = seen[-1].params[client.id]
         assert final.equals(direct.params)
 
     def test_no_assignment_means_no_ledger_entries(self, tiny_setup):
@@ -398,13 +398,13 @@ class TestRunExperiment:
         seen = []
         result = run_experiment(
             clients, {c.id: model for c in clients}, cfg, vocab, assignment,
-            round_hook=lambda state: seen.append(state.index),
+            round_hook=seen.append,
         )
-        assert seen == [1, 2]
+        assert [state.index for state in seen] == [1, 2]
         payload = count_params(model.params, "trainable_only")
         # 2 rounds x 4 clients x (uplink + downlink)
         assert result.ledger.total_bytes() == 2 * 4 * 2 * payload * 4
-        for state in result.rounds:
+        for state in seen:
             names = [t.name for t in state.params[clients[0].id] if t.trainable]
             for name in names:
                 reference = state.params[clients[0].id].values(name)
@@ -426,15 +426,15 @@ class TestRunExperiment:
     def test_determinism(self, tiny_setup):
         clients, vocab, model = tiny_setup
         cfg = FedConfig(rounds=2, learning_rate=1e-3, grad_accumulation=2, seed=9)
+        s1, s2 = [], []
         r1 = run_experiment(clients, {c.id: model for c in clients}, cfg, vocab,
-                            self._assignment(clients))
+                            self._assignment(clients), round_hook=s1.append)
         r2 = run_experiment(clients, {c.id: model for c in clients}, cfg, vocab,
-                            self._assignment(clients))
+                            self._assignment(clients), round_hook=s2.append)
         assert r1.best_round == r2.best_round
-        for cid in r1.best_dev_loss:
-            assert r1.best_dev_loss[cid] == r2.best_dev_loss[cid]
-        for cid in r1.rounds[-1].params:
-            assert r1.rounds[-1].params[cid].equals(r2.rounds[-1].params[cid])
+        assert r1.dev_loss == r2.dev_loss
+        for cid in s1[-1].params:
+            assert s1[-1].params[cid].equals(s2[-1].params[cid])
 
     def test_fedconfig_validation(self):
         with pytest.raises(ConfigurationError):

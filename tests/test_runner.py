@@ -1,6 +1,7 @@
 """Runner orchestration: warm-up sharing, method wiring, seed results."""
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -94,44 +95,44 @@ class TestMethodModels:
 
 class TestRunSeed:
     def test_adapter_local_has_empty_ledger(self):
-        res = run_seed(cfg_for("adapter-local"), 1)
+        res, _ = run_seed(cfg_for("adapter-local"), 1)
         assert res.ledger.entries == []
         assert res.assignment is None
 
     def test_aggregating_method_meters_comm(self):
-        res = run_seed(cfg_for("adapter-fed"), 1)
-        n_clients = len(res.round0_dev_loss)
+        res, _ = run_seed(cfg_for("adapter-fed"), 1)
+        n_clients = len(res.final_rows)
         rounds = 2
         assert len(res.ledger.entries) == rounds * n_clients * 2
         assert res.ledger.total_bytes() == rounds * n_clients * 2 * res.trainable_params * 4
 
     def test_comm_ratio_adapter_vs_model_fed(self):
-        adapter = run_seed(cfg_for("adapter-fed"), 1)
-        full = run_seed(cfg_for("model-fed"), 1)
+        adapter, _ = run_seed(cfg_for("adapter-fed"), 1)
+        full, _ = run_seed(cfg_for("model-fed"), 1)
         ratio = adapter.ledger.total_bytes() / full.ledger.total_bytes()
         assert ratio == pytest.approx(adapter.trainable_params / full.trainable_params)
         assert ratio < 0.12  # tiny test dims; the desk preset is < 0.02
 
     def test_centralized_runs_without_ledger(self):
-        res = run_seed(cfg_for("centralized-adapter"), 1)
+        res, _ = run_seed(cfg_for("centralized-adapter"), 1)
         assert res.ledger.entries == []
         assert len({r["round"] for r in res.round_rows}) == 3  # rounds 0..2
-        assert len(res.best_round) == 8
+        assert len(res.final_rows) == 8
 
     def test_frozen_backbone_bit_identical_after_run(self):
         # layer norms stay trainable alongside adapters, so the invariant
         # covers exactly the tensors the final models mark frozen
         cfg = cfg_for("adapter-families")
         backbone = warmup_backbone(cfg, 1)
-        res = run_seed(cfg, 1)
-        for cid, model in res.final_models.items():
+        _, models = run_seed(cfg, 1)
+        for cid, model in models.items():
             frozen = [t for t in model.params if not t.trainable]
             assert frozen
             for t in frozen:
                 assert np.array_equal(t.values, backbone.values(t.name))
 
     def test_round_rows_cover_all_clients_and_rounds(self):
-        res = run_seed(cfg_for("adapter-random"), 1)
+        res, _ = run_seed(cfg_for("adapter-random"), 1)
         per_round = {}
         for row in res.round_rows:
             per_round.setdefault(row["round"], set()).add(row["client"])
@@ -139,27 +140,46 @@ class TestRunSeed:
         assert all(len(v) == 8 for v in per_round.values())
 
     def test_gradient_method_builds_assignment(self):
-        res = run_seed(cfg_for("adapter-gradients"), 1)
+        res, _ = run_seed(cfg_for("adapter-gradients"), 1)
         assert res.assignment is not None
         assert res.assignment.m_e == res.assignment.m_d == 4
+
+    def test_result_holds_no_parameters(self):
+        # the selected models come back beside the result, not inside it
+        res, _ = run_seed(cfg_for("model-fed"), 1)
+        assert len(pickle.dumps(res)) < res.total_params * 4
+
+
+def centralized_round_one(local_epochs):
+    """A one-round centralized run beside ``train_epochs`` over the pooled
+    samples with that round's epoch seeds."""
+    cfg = cfg_for("centralized-adapter")
+    _, clients, vocab = prepare_data(cfg, 1)
+    initial = build_method_model(cfg, 1, vocab, warmup_backbone(cfg, 1))
+    fed_cfg = dataclasses.replace(cfg.fed, seed=1, rounds=1, local_epochs=local_epochs)
+    result = run_centralized(clients, initial, fed_cfg, vocab)
+    samples = [(s, t, c.tgt.code) for c in clients for s, t in c.data.train]
+    # epoch e of round r shuffles with the centralized stream's seed for (seed, r, e)
+    epoch_seeds = [derive_seed(1, 0xCE27, 1, epoch) for epoch in range(local_epochs)]
+    direct, stats = train_epochs(
+        initial, samples, vocab, epoch_seeds, fed_cfg.batch_size,
+        fed_cfg.grad_accumulation, fed_cfg.optimizer, fed_cfg.learning_rate,
+    )
+    return clients, result, direct, stats
 
 
 class TestCentralized:
     def test_round_one_matches_train_epochs_on_pooled_samples(self):
-        cfg = cfg_for("centralized-adapter")
-        _, clients, vocab = prepare_data(cfg, 1)
-        initial = build_method_model(cfg, 1, vocab, warmup_backbone(cfg, 1))
-        fed_cfg = dataclasses.replace(cfg.fed, seed=1, rounds=1)
-        result = run_centralized(clients, initial, fed_cfg, vocab)
-        samples = [(s, t, c.tgt.code) for c in clients for s, t in c.data.train]
-        # round r shuffles with the centralized stream's seed for (seed, r)
-        direct, stats = train_epochs(
-            initial, samples, vocab, [derive_seed(1, 0xCE27, 1)], fed_cfg.batch_size,
-            fed_cfg.grad_accumulation, fed_cfg.optimizer, fed_cfg.learning_rate,
-        )
-        (state,) = result.rounds
-        assert sorted(state.params) == sorted(c.id for c in clients)
-        for cid, params in state.params.items():
-            assert params.equals(direct.params)
-            assert state.train_loss[cid] == stats.train_loss
-        assert result.best_round == {cid: 1 for cid in state.params}
+        clients, result, direct, stats = centralized_round_one(local_epochs=1)
+        # round 1 is the only round after round 0, so it is the selected one
+        assert sorted(result.best_models) == sorted(c.id for c in clients)
+        assert result.best_round == {cid: 1 for cid in result.best_models}
+        for cid, model in result.best_models.items():
+            assert model.params.equals(direct.params)
+            assert result.train_loss[1][cid] == stats.train_loss
+
+    def test_a_round_runs_fed_local_epochs_epochs(self):
+        _, result, direct, stats = centralized_round_one(local_epochs=2)
+        for cid, model in result.best_models.items():
+            assert model.params.equals(direct.params)
+            assert result.train_loss[1][cid] == stats.train_loss
