@@ -79,9 +79,10 @@ def pair_scores(outputs: PairOutputs) -> list[PairScore]:
     ]
 
 
-def macro_micro(outputs: PairOutputs) -> tuple[float, float]:
-    """Macro: unweighted mean of per-pair BLEU. Micro: corpus BLEU over the
-    pooled hypotheses/references of all pairs."""
+def macro_micro(outputs: PairOutputs) -> tuple[list[PairScore], float, float]:
+    """Per-pair BLEU, their macro and the micro score. Macro: unweighted mean
+    of per-pair BLEU. Micro: corpus BLEU over the pooled
+    hypotheses/references of all pairs."""
     if not outputs:
         raise ValueError("need at least one language pair")
     scores = pair_scores(outputs)
@@ -92,4 +93,4 @@ def macro_micro(outputs: PairOutputs) -> tuple[float, float]:
         pooled_hyps.extend(hyps)
         pooled_refs.extend(refs)
     micro = corpus_bleu(pooled_hyps, pooled_refs)
-    return macro, micro
+    return scores, macro, micro

@@ -66,14 +66,6 @@ class ClusterAssignment:
         return tuple(sorted(i for c in self.encoder_clusters for i in c))
 
     @property
-    def m_e(self) -> int:
-        return len(self.encoder_clusters)
-
-    @property
-    def m_d(self) -> int:
-        return len(self.decoder_clusters)
-
-    @property
     def shared_clusters(self) -> tuple[Cluster, ...]:
         if self.mode == "m2m":
             return self.decoder_clusters

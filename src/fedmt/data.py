@@ -179,10 +179,6 @@ class ClientDataset:
     def pair(self) -> str:
         return f"{self.src}-{self.tgt}"
 
-    @property
-    def n_train(self) -> int:
-        return len(self.train)
-
 
 def latent_distribution(alphabet_size: int, zipf_exponent: float) -> np.ndarray:
     """Latent symbol probabilities; Zipf-like so surface token statistics
@@ -306,7 +302,7 @@ def _encode_batch(samples: Sequence[MixedSample], vocab: Vocab) -> Batch:
         tgt_gold[j, : len(g_row)] = g_row
         tgt_in[j, : len(i_row)] = i_row
         tgt_mask[j, : len(g_row)] = True
-    return Batch(src, src_mask, tgt_in, tgt_gold, tgt_mask, tgt_mask.sum(axis=1))
+    return Batch(src, src_mask, tgt_in, tgt_gold, tgt_mask)
 
 
 def make_batch(pairs: Sequence[SentencePair], vocab: Vocab, tgt_code: str) -> Batch:

@@ -1,12 +1,14 @@
 """Training loop, server/client rounds, and communication metering.
 
-One round is: every client runs a local epoch of gradient-accumulated
-steps, then the server averages trainable parameters within each encoder
-cluster, each decoder cluster, and each shared cluster, and broadcasts the
-result back to the cluster members. Frozen tensors never move and never
-count toward communication. Clients are simulated in-process; a "transfer"
-is a ledger event, not I/O. The centralized baseline runs the same training
-loop over the pooled client data.
+One round is: every party runs ``local_epochs`` epochs of
+gradient-accumulated steps on its pooled training set, then the server
+averages trainable parameters within each encoder cluster, each decoder
+cluster, and each shared cluster, and broadcasts the result back to the
+cluster members. Frozen tensors never move and never count toward
+communication. Clients are simulated in-process; a "transfer" is a ledger
+event, not I/O. A federated run has one party per client; the centralized
+baseline is one party of every client, run through the same round loop
+with no aggregation.
 """
 
 from __future__ import annotations
@@ -142,7 +144,7 @@ def train_epochs(
 ) -> tuple[ToyModel, LocalStats]:
     """One shuffled epoch per seed of gradient-accumulated steps, starting
     from a fresh optimizer. The single training loop of the simulator:
-    backbone warm-up, client updates and centralized training all run it.
+    the backbone warm-up and every party's local update run it.
 
     The optimizer steps once per ``grad_accumulation`` micro-batches (the
     trailing partial window still steps) on the token-mean gradient. A zero
@@ -180,27 +182,57 @@ def train_epochs(
     return model, LocalStats(loss_total / max(1, tokens_total), tokens_total, steps)
 
 
+@dataclass(frozen=True)
+class Party:
+    """Clients that train one model on their pooled training sets.
+
+    A federated run has one party per client (:meth:`of`); a centralized run
+    has one party of every client (:meth:`pooled`). ``clients`` are in id
+    order; ``samples`` keep the order the clients came in. Epoch ``e`` of
+    round ``r`` shuffles with ``derive_seed(seed, stream, r, e, *seed_tail)``.
+    """
+
+    id: str
+    clients: tuple[Client, ...]
+    samples: tuple[MixedSample, ...]
+    stream: int
+    seed_tail: tuple[int, ...]
+
+    @classmethod
+    def of(cls, client: Client) -> Party:
+        return cls(client.id, (client,), _train_samples([client]), 0x10CA1,
+                   (_stable_id(client.id),))
+
+    @classmethod
+    def pooled(cls, clients: Sequence[Client]) -> Party:
+        return cls("pooled", tuple(sorted(clients, key=lambda c: c.id)),
+                   _train_samples(clients), 0xCE27, ())
+
+
+def _train_samples(clients: Sequence[Client]) -> tuple[MixedSample, ...]:
+    return tuple((s, t, c.tgt.code) for c in clients for s, t in c.data.train)
+
+
 def local_update(
-    client: Client,
+    party: Party,
     model: ToyModel,
     cfg: FedConfig,
     vocab: Vocab,
     round_index: int,
 ) -> tuple[ToyModel, LocalStats]:
-    """``cfg.local_epochs`` epochs of :func:`train_epochs` on the client's
-    train set, with a fresh optimizer each round."""
-    if not client.data.train:
-        raise ConfigurationError(f"client {client.id!r} has no training data")
+    """``cfg.local_epochs`` epochs of :func:`train_epochs` on the party's
+    pooled train set, with a fresh optimizer each round."""
+    if not party.samples:
+        raise ConfigurationError(f"party {party.id!r} has no training data")
     epoch_seeds = [
-        derive_seed(cfg.seed, 0x10CA1, round_index, epoch, _stable_id(client.id))
+        derive_seed(cfg.seed, party.stream, round_index, epoch, *party.seed_tail)
         for epoch in range(cfg.local_epochs)
     ]
-    samples = [(s, t, client.tgt.code) for s, t in client.data.train]
     try:
-        return train_epochs(model, samples, vocab, epoch_seeds, cfg.batch_size,
+        return train_epochs(model, party.samples, vocab, epoch_seeds, cfg.batch_size,
                             cfg.grad_accumulation, cfg.optimizer, cfg.learning_rate)
     except NumericError as err:
-        raise NumericError(f"round {round_index}, client {client.id}: {err}") from err
+        raise NumericError(f"round {round_index}, party {party.id}: {err}") from err
 
 
 def _stable_id(text: str) -> int:
@@ -331,8 +363,9 @@ class CommLedger:
 
 @dataclass
 class RoundState:
-    """What the round hook sees after round ``index``: each client's
-    post-aggregation parameters and losses."""
+    """What the round hook sees after round ``index``: each party's
+    post-aggregation parameters, keyed by party id, and each client's
+    losses."""
 
     index: int
     params: dict[str, NamedParamSet]
@@ -342,9 +375,10 @@ class RoundState:
 
 @dataclass
 class FedRunResult:
-    """Per-round losses, in the run's client order, and each client's
-    selected checkpoint. Entry ``r`` of ``dev_loss`` and ``train_loss`` is
-    round ``r``; round 0, the initial models, has no train losses."""
+    """Per-round losses of every client, parties in the run's order and each
+    party's clients in id order, and each client's selected checkpoint, the
+    one its party selected. Entry ``r`` of ``dev_loss`` and ``train_loss`` is
+    round ``r``; round 0, the initial model, has no train losses."""
 
     dev_loss: list[dict[str, float]]
     train_loss: list[dict[str, float]]
@@ -366,109 +400,71 @@ def evaluate_dev_loss(model: ToyModel, client: Client, vocab: Vocab, eval_batch_
 
 
 def run_experiment(
-    clients: Sequence[Client],
-    initial_models: Mapping[str, ToyModel],
+    parties: Sequence[Party],
+    initial: ToyModel,
     cfg: FedConfig,
     vocab: Vocab,
     assignment: ClusterAssignment | None,
     round_hook: Callable[[RoundState], None] | None = None,
 ) -> FedRunResult:
-    """T rounds of local updates plus (optional) inner-cluster aggregation.
+    """T rounds of local updates plus (optional) inner-cluster aggregation,
+    every party starting from ``initial``. The one round loop of the
+    simulator: federated runs have one party per client, centralized runs
+    one pooled party.
 
-    ``assignment=None`` disables aggregation entirely (purely local
-    training; the ledger stays empty). Checkpoint selection is per client:
-    among rounds 1..T, the first round whose post-aggregation parameters
-    give the lowest dev loss. Round 0, the initial model, is never selected,
-    even when its dev loss is lower. ``round_hook`` is the one view of the
-    parameters of every round: the result keeps only the selected models.
+    ``assignment=None`` disables aggregation entirely (each party trains
+    alone; the ledger stays empty); otherwise it clusters the party ids.
+    Checkpoint selection is per party, on the mean dev loss over its
+    clients: among rounds 1..T, the first round whose post-aggregation
+    parameters give the lowest mean. Round 0, the initial model, is never
+    selected, even when its dev loss is lower. ``round_hook`` is the one view
+    of the parameters of every round: the result keeps only the selected
+    models.
     """
-    ids = [c.id for c in clients]
-    if sorted(ids) != sorted(initial_models):
-        raise ConfigurationError("initial_models must cover exactly the client set")
+    ids = [p.id for p in parties]
     if assignment is not None:
         assignment.validate_clients(ids)
-    by_id = {c.id: c for c in clients}
-    models = {cid: initial_models[cid] for cid in ids}
-    sizes = {cid: by_id[cid].n_train for cid in ids}
+    models = {pid: initial for pid in ids}
+    sizes = {p.id: len(p.samples) for p in parties}
     ledger = CommLedger(cfg)
 
-    dev_loss = [{
-        cid: evaluate_dev_loss(models[cid], by_id[cid], vocab, cfg.eval_batch_size)
-        for cid in ids
-    }]
+    def evaluate() -> dict[str, float]:
+        return {c.id: evaluate_dev_loss(models[p.id], c, vocab, cfg.eval_batch_size)
+                for p in parties for c in p.clients}
+
+    dev_loss = [evaluate()]
     train_loss: list[dict[str, float]] = [{}]
-    best_round = {cid: 0 for cid in ids}
-    best_models = {cid: models[cid] for cid in ids}
+    best: dict[str, tuple[float, int, ToyModel]] = {}  # party id -> (mean dev, round, model)
 
     for round_index in range(1, cfg.rounds + 1):
         train = {}
-        for cid in ids:
-            models[cid], stats = local_update(
-                by_id[cid], models[cid], cfg, vocab, round_index
+        for party in parties:
+            models[party.id], stats = local_update(
+                party, models[party.id], cfg, vocab, round_index
             )
-            train[cid] = stats.train_loss
+            train.update((c.id, stats.train_loss) for c in party.clients)
         if assignment is not None:
-            params = {cid: models[cid].params for cid in ids}
+            params = {pid: models[pid].params for pid in ids}
             aggregated = inner_cluster_aggregate(
                 params, assignment, rule=cfg.aggregation, sizes_by_client=sizes
             )
             sync_count = count_params(params[ids[0]], "trainable_only")
-            for cid in ids:
-                models[cid] = models[cid].with_params(aggregated[cid])
-                ledger.record_sync(round_index, cid, sync_count)
-        dev = {
-            cid: evaluate_dev_loss(models[cid], by_id[cid], vocab, cfg.eval_batch_size)
-            for cid in ids
-        }
-        for cid in ids:
-            if best_round[cid] == 0 or dev[cid] < dev_loss[best_round[cid]][cid]:
-                best_round[cid] = round_index
-                best_models[cid] = models[cid]
+            for pid in ids:
+                models[pid] = models[pid].with_params(aggregated[pid])
+                ledger.record_sync(round_index, pid, sync_count)
+        dev = evaluate()
+        for party in parties:
+            mean = sum(dev[c.id] for c in party.clients) / len(party.clients)
+            if party.id not in best or mean < best[party.id][0]:
+                best[party.id] = (mean, round_index, models[party.id])
         dev_loss.append(dev)
         train_loss.append(train)
         if round_hook is not None:
-            round_hook(RoundState(round_index, {cid: models[cid].params for cid in ids},
+            round_hook(RoundState(round_index, {pid: models[pid].params for pid in ids},
                                   dev, train))
-    return FedRunResult(dev_loss, train_loss, best_round, best_models, ledger)
-
-
-def run_centralized(
-    clients: Sequence[Client],
-    initial: ToyModel,
-    cfg: FedConfig,
-    vocab: Vocab,
-) -> FedRunResult:
-    """The centralized baseline: one model trained on the pooled client
-    data, ``cfg.local_epochs`` epochs per round from a fresh optimizer (the
-    same schedule as federated local updates), evaluated on every client's
-    dev split in sorted client order.
-
-    Nothing is transferred, so the ledger stays empty. Every client shares
-    the checkpoint of the first round among 1..T with the lowest mean dev
-    loss; as in :func:`run_experiment`, round 0 is never selected.
-    """
-    samples = [(s, t, c.tgt.code) for c in clients for s, t in c.data.train]
-    by_id = {c.id: c for c in clients}
-    ids = sorted(by_id)
-    model = initial
-    dev_loss = [{cid: evaluate_dev_loss(model, by_id[cid], vocab, cfg.eval_batch_size)
-                 for cid in ids}]
-    train_loss: list[dict[str, float]] = [{}]
-    best_mean = None
-    best_round = 0
-    best_model = model
-    for round_index in range(1, cfg.rounds + 1):
-        epoch_seeds = [derive_seed(cfg.seed, 0xCE27, round_index, epoch)
-                       for epoch in range(cfg.local_epochs)]
-        model, stats = train_epochs(
-            model, samples, vocab, epoch_seeds,
-            cfg.batch_size, cfg.grad_accumulation, cfg.optimizer, cfg.learning_rate,
-        )
-        dev = {cid: evaluate_dev_loss(model, by_id[cid], vocab, cfg.eval_batch_size) for cid in ids}
-        dev_loss.append(dev)
-        train_loss.append({cid: stats.train_loss for cid in ids})
-        mean_dev = sum(dev.values()) / len(dev)
-        if best_mean is None or mean_dev < best_mean:
-            best_mean, best_round, best_model = mean_dev, round_index, model
-    return FedRunResult(dev_loss, train_loss, {cid: best_round for cid in ids},
-                        {cid: best_model for cid in ids}, CommLedger(cfg))
+    return FedRunResult(
+        dev_loss, train_loss,
+        {c.id: best[p.id][1] for p in parties for c in p.clients},
+        {c.id: best[p.id][2] for p in parties for c in p.clients},
+        ledger,
+    )

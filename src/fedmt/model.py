@@ -188,7 +188,6 @@ class Batch:
     tgt_in: np.ndarray     # [B, T] decoder input (BOS + sentence)
     tgt_gold: np.ndarray   # [B, T] gold output (sentence + EOS)
     tgt_mask: np.ndarray   # [B, T] bool
-    lengths: np.ndarray    # [B] gold token counts
 
     @property
     def size(self) -> int:
@@ -214,9 +213,8 @@ def merge_batches(batches: list[Batch]) -> Batch:
             row += a.shape[0]
         return out
 
-    grids = ("src", "src_mask", "tgt_in", "tgt_gold", "tgt_mask")
-    return Batch(**{name: stack([getattr(b, name) for b in batches]) for name in grids},
-                 lengths=np.concatenate([b.lengths for b in batches]))
+    return Batch(**{f.name: stack([getattr(b, f.name) for b in batches])
+                    for f in dataclasses.fields(Batch)})
 
 
 @dataclass
@@ -519,7 +517,6 @@ def backward(model: ToyModel, batch: Batch, cache, dlogits: np.ndarray,
 @dataclass(frozen=True)
 class LossResult:
     total: float       # summed negative log-likelihood over non-pad positions
-    token_mean: float
     token_count: int
 
 
@@ -554,7 +551,7 @@ def loss(model: ToyModel, batch: Batch) -> LossResult:
     total, count, _ = _cross_entropy(logits, batch, need_grad=False)
     if not np.isfinite(total):
         raise NumericError("non-finite loss")
-    return LossResult(total, total / count, count)
+    return LossResult(total, count)
 
 
 def grad(model: ToyModel, batch: Batch, needed: set[str] | None = None):
@@ -571,7 +568,7 @@ def grad(model: ToyModel, batch: Batch, needed: set[str] | None = None):
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient for {name!r}")
-    return LossResult(total, total / count, count), grads
+    return LossResult(total, count), grads
 
 
 # ---------------------------------------------------------------------------

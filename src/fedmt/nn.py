@@ -1,11 +1,12 @@
 """Dense-layer primitives with explicit forward/backward passes.
 
 Each ``*_fwd`` returns ``(output, cache)``; the matching ``*_bwd`` takes the
-upstream gradient plus the cache and returns input gradients and, where the
-layer has parameters, a dict of parameter gradients keyed by local name
-(``"q.weight"``, ``"bias"``, ...). Callers prefix these keys to full tensor
-paths. Gradient computation for a parameter can be skipped by passing a
-``want`` predicate that returns False for its key.
+upstream gradient plus the cache and returns only input gradients. A layer
+with parameters also takes its tensor path ``key`` (``"enc.layer0.ffn.fc1"``)
+and the caller's ``grads`` dict, and writes each parameter gradient into it
+under its full name (``f"{key}.weight"``, ``f"{key}.bias"``, ...). Gradient
+computation for a parameter can be skipped by passing a ``want`` predicate
+that returns False for its full name.
 
 A forward keeps a linear's input, which only its weight gradient reads,
 when ``want`` holds for that weight; ``want`` None (inference) keeps none.

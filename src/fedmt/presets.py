@@ -97,10 +97,6 @@ class Client:
     tgt: LanguageSpec
     data: ClientDataset
 
-    @property
-    def n_train(self) -> int:
-        return self.data.n_train
-
 
 def make_clients(
     mode: str, seed: int, data: DataConfig

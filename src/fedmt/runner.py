@@ -4,7 +4,9 @@ The shared backbone is produced in-simulator: a short centralized warm-up
 of the full model on a small held-out mixed corpus, identical for every
 method under the same seed. Adapter methods then freeze it and train
 adapters (+ layer norms); ``model-fed`` and ``centralized-model`` start
-from the same checkpoint with everything trainable.
+from the same checkpoint with everything trainable. Federated methods run
+one party per client and centralized ones a single pooled party, both
+through :func:`fedmt.federation.run_experiment`.
 """
 
 from __future__ import annotations
@@ -12,11 +14,11 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .bleu import macro_micro, pair_scores
+from .bleu import macro_micro
 from .clustering import ClusterAssignment, assemble, compute_gradient_feature
 from .config import ExperimentConfig
 from .data import BOS, EOS, LanguageSpec, Vocab, build_vocab, derive_seed, make_batch
-from .federation import CommLedger, run_centralized, run_experiment, train_epochs
+from .federation import CommLedger, Party, run_experiment, train_epochs
 from .model import ModelConfig, ToyModel, apply_pruning, build_model, decode_greedy
 from .params import NamedParamSet, count_params
 from .presets import Client, make_clients, make_warmup_data
@@ -134,8 +136,9 @@ def evaluate_test_bleu(
     clients: list[Client],
     vocab: Vocab,
     length_cap: int,
-) -> tuple[dict[str, float], dict[str, tuple[list, list]]]:
-    """Greedy-decode every client's test set and score BLEU per pair."""
+) -> dict[str, tuple[list, list]]:
+    """Greedy-decode every client's test set: hypotheses and references by
+    client id, in id order."""
     outputs: dict[str, tuple[list, list]] = {}
     for client in sorted(clients, key=lambda c: c.id):
         model = models_by_client[client.id]
@@ -152,8 +155,7 @@ def evaluate_test_bleu(
             hyps.extend(tuple(vocab.decode(ids)) for ids in decoded)
             refs.extend(t for _, t in chunk)
         outputs[client.id] = (hyps, refs)
-    per_pair = {s.pair: s.bleu for s in pair_scores(outputs)}
-    return per_pair, outputs
+    return outputs
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +200,10 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> tuple[SeedResult, dict[str, To
     fed_cfg = dataclasses.replace(
         cfg.fed, seed=seed, learning_rate=cfg.fed.rate_for(cfg.uses_adapters)
     )
-    if cfg.is_centralized:
-        assignment = None
-        result = run_centralized(clients, initial, fed_cfg, vocab)
-    else:
-        assignment = make_assignment(cfg, seed, clients, initial, vocab)
-        result = run_experiment(clients, {c.id: initial for c in clients}, fed_cfg, vocab,
-                                assignment)
+    assignment = make_assignment(cfg, seed, clients, initial, vocab)
+    parties = ([Party.pooled(clients)] if cfg.is_centralized
+               else [Party.of(client) for client in clients])
+    result = run_experiment(parties, initial, fed_cfg, vocab, assignment)
     pairs = {c.id: c.data.pair for c in clients}
     round_rows = [
         {"round": index, "client": cid, "pair": pairs[cid],
@@ -215,10 +214,9 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> tuple[SeedResult, dict[str, To
     per_pair: dict[str, float] = {}
     macro = micro = None
     if cfg.evaluate_test_bleu:
-        per_pair, outputs = evaluate_test_bleu(
-            result.best_models, clients, vocab, _decode_cap(cfg)
-        )
-        macro, micro = macro_micro(outputs)
+        outputs = evaluate_test_bleu(result.best_models, clients, vocab, _decode_cap(cfg))
+        scores, macro, micro = macro_micro(outputs)
+        per_pair = {s.pair: s.bleu for s in scores}
     final_rows = [
         {"client": cid, "pair": pairs[cid], "best_round": best,
          "dev_loss": result.dev_loss[best][cid], "test_bleu": per_pair.get(cid)}

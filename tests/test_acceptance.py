@@ -25,6 +25,7 @@ from fedmt.config import config_from_dict
 from fedmt.data import DataConfig, build_vocab
 from fedmt.federation import (
     FedConfig,
+    Party,
     estimate_transfer,
     inner_cluster_aggregate,
     run_experiment,
@@ -143,7 +144,7 @@ def test_criterion_2_aggregation_oracles():
                     assert np.array_equal(state.params[cid].values(name), ref)
 
     run_experiment(
-        clients, {c.id: model for c in clients},
+        [Party.of(c) for c in clients], model,
         FedConfig(rounds=3, learning_rate=2e-3, grad_accumulation=1),
         vocab, assignment, round_hook=check_equality,
     )
@@ -181,7 +182,7 @@ def test_criterion_3_gradient_finite_differences():
         tgt_gold = batch_rng.integers(4, 19, size=(2, 5))
         tgt_mask = np.ones((2, 5), bool)
         tgt_mask[1, 4:] = False
-        batch = Batch(src, src_mask, tgt_in, tgt_gold, tgt_mask, tgt_mask.sum(1))
+        batch = Batch(src, src_mask, tgt_in, tgt_gold, tgt_mask)
 
         _, grads = grad(model, batch)
         picker = np.random.default_rng(batch_seed + 50)
@@ -231,7 +232,7 @@ def test_criterion_4_frozen_backbone_bit_identical():
     assignment = ClusterAssignment((cids[:2], cids[2:]), (cids,), "families", "m2en")
     seen = []
     run_experiment(
-        clients, {c.id: initial for c in clients}, fed_cfg, vocab, assignment,
+        [Party.of(c) for c in clients], initial, fed_cfg, vocab, assignment,
         round_hook=seen.append,
     )
     checked = 0
@@ -262,7 +263,7 @@ def test_criterion_7_bleu_correctness():
         "p2": ([tuple("ghij")], [tuple("ghi")]),
         "p3": ([tuple("k")], [tuple("klm")]),
     }
-    _, micro = macro_micro(outputs)
+    _, _, micro = macro_micro(outputs)
     assert micro == pytest.approx(naive_pooled_bleu(outputs), abs=1e-9)
     report(7, "identity 100.0, brevity-penalty case 77.88, pooled micro "
               "matches the independent oracle at 1e-9")
@@ -274,7 +275,7 @@ def test_criterion_7_bleu_correctness():
 
 def test_criterion_8_byte_identical_metrics(tmp_path):
     payload_cfg = {
-        "mode": "m2en", "method": "adapter-random", "seeds": [3, 4],
+        "mode": "m2en", "seeds": [3, 4],
         "evaluate_test_bleu": True,
         "data": {"scale": 0.01, "alphabet_size": 16, "length_range": [3, 6]},
         "model": {"model_dim": 16, "num_heads": 2, "ffn_dim": 32,
@@ -283,17 +284,19 @@ def test_criterion_8_byte_identical_metrics(tmp_path):
         "fed": {"rounds": 2, "grad_accumulation": 1},
         "warmup": {"sentences_per_pair": 8, "epochs": 1},
     }
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(payload_cfg), encoding="utf-8")
-    outs = []
-    for name in ("run_a", "run_b"):
-        out = tmp_path / name
-        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out),
-                         "--no-checkpoints"]) == 0
-        outs.append(out)
     names = ["seed_3/metrics.csv", "seed_3/comm.csv", "seed_4/metrics.csv",
              "seed_4/comm.csv", "summary.json", "summary.csv"]
-    for name in names:
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
-    report(8, "two identical two-seed runs produced byte-identical metrics.csv, comm.csv "
-              "and summary.json/.csv")
+    methods = ("adapter-random", "centralized-adapter")
+    for method in methods:
+        cfg_path = tmp_path / f"{method}.json"
+        cfg_path.write_text(json.dumps(dict(payload_cfg, method=method)), encoding="utf-8")
+        outs = []
+        for name in ("run_a", "run_b"):
+            out = tmp_path / method / name
+            assert cli_main(["run", "--config", str(cfg_path), "--out", str(out),
+                             "--no-checkpoints"]) == 0
+            outs.append(out)
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (method, name)
+    report(8, f"two identical two-seed runs of each of {', '.join(methods)} produced "
+              "byte-identical metrics.csv, comm.csv and summary.json/.csv")

@@ -90,7 +90,7 @@ def naive_pooled_bleu(outputs):
 class TestMacroMicro:
     def test_single_pair_macro_equals_micro(self):
         outputs = {"xx-yy": ([toks("a b c")], [toks("a b d")])}
-        macro, micro = macro_micro(outputs)
+        _, macro, micro = macro_micro(outputs)
         assert macro == pytest.approx(micro)
         assert macro == pytest.approx(corpus_bleu(*outputs["xx-yy"]))
 
@@ -99,7 +99,7 @@ class TestMacroMicro:
             "p1": ([toks("a b c d")], [toks("a b c d")]),      # 100
             "p2": ([toks("a b c d")], [toks("a b c d e")]),    # 77.88
         }
-        macro, _ = macro_micro(outputs)
+        _, macro, _ = macro_micro(outputs)
         scores = [s.bleu for s in pair_scores(outputs)]
         assert macro == pytest.approx(sum(scores) / 2)
 
@@ -108,7 +108,7 @@ class TestMacroMicro:
             "p1": ([toks("a b")], [toks("a b")]),
             "p2": ([toks("c")], [toks("d")]),
         }
-        macro, _ = macro_micro(outputs)
+        _, macro, _ = macro_micro(outputs)
         assert macro == pytest.approx((100.0 + 0.0) / 2)
 
     def test_micro_matches_naive_pooled(self):
@@ -117,7 +117,7 @@ class TestMacroMicro:
             "p2": ([toks("g h i j")], [toks("g h i")]),
             "p3": ([toks("k")], [toks("k l m")]),
         }
-        _, micro = macro_micro(outputs)
+        _, _, micro = macro_micro(outputs)
         assert micro == pytest.approx(naive_pooled_bleu(outputs), abs=1e-9)
 
     def test_macro_pair_order_invariant(self):
@@ -125,8 +125,8 @@ class TestMacroMicro:
             "p1": ([toks("a b c")], [toks("a b d")]),
             "p2": ([toks("e f")], [toks("e f")]),
         }
-        macro1, _ = macro_micro(outputs)
-        macro2, _ = macro_micro(dict(reversed(list(outputs.items()))))
+        _, macro1, _ = macro_micro(outputs)
+        _, macro2, _ = macro_micro(dict(reversed(list(outputs.items()))))
         assert macro1 == pytest.approx(macro2)
 
     def test_empty_rejected(self):

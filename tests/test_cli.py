@@ -204,7 +204,7 @@ src_mask = np.arange(14) < src_len[:, None]
 tgt_mask = np.arange(14) < tgt_len[:, None]
 src, tgt_in, tgt_gold = rng.integers(3, 90, size=(3, 64, 14))
 tgt_in[:, 0] = 1
-batch = Batch(src, src_mask, tgt_in, tgt_gold, tgt_mask, tgt_len)
+batch = Batch(src, src_mask, tgt_in, tgt_gold, tgt_mask)
 grad(model, batch)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(4):

@@ -34,7 +34,7 @@ def m2m_clients():
 class TestClusterAssignment:
     def test_valid_partition_accepted(self):
         a = ClusterAssignment((("a", "b"), ("c",)), (("a", "b", "c"),), "families", "m2en")
-        assert a.m_e == 2 and a.m_d == 1
+        assert len(a.encoder_clusters) == 2 and len(a.decoder_clusters) == 1
         assert a.client_ids == ("a", "b", "c")
 
     def test_empty_cluster_rejected(self):
@@ -221,39 +221,39 @@ class TestRandomClustering:
 class TestAssemble:
     def test_none_strategy_single_global_clusters(self, m2en_clients):
         a = assemble(m2en_clients, "m2en", "none", ablation="both", seed=0)
-        assert a.m_e == 1 and a.m_d == 1
+        assert len(a.encoder_clusters) == 1 and len(a.decoder_clusters) == 1
 
     def test_families_m2en(self, m2en_clients):
         a = assemble(m2en_clients, "m2en", "families", ablation="both", seed=0)
-        assert a.m_e == 4 and a.m_d == 1
+        assert len(a.encoder_clusters) == 4 and len(a.decoder_clusters) == 1
 
     def test_gradients_m2en_clusters_decoder_too(self, m2en_clients):
         feats = features_from_rows(np.eye(8))
         a = assemble(m2en_clients, "m2en", "gradients", ablation="both", seed=0, k=4,
                      features=feats)
-        assert a.m_e == a.m_d == 4
+        assert len(a.encoder_clusters) == len(a.decoder_clusters) == 4
         assert a.encoder_clusters == a.decoder_clusters
 
     def test_random_m2en_decoder_global(self, m2en_clients):
         a = assemble(m2en_clients, "m2en", "random", ablation="both", seed=1)
-        assert a.m_e == len({c.src.family for c in m2en_clients}) == 4
-        assert a.m_d == 1
+        assert len(a.encoder_clusters) == len({c.src.family for c in m2en_clients}) == 4
+        assert len(a.decoder_clusters) == 1
 
     def test_random_m2m_both_sides_clustered(self, m2m_clients):
         a = assemble(m2m_clients, "m2m", "random", ablation="both", seed=1)
-        assert a.m_e == a.m_d == 4
+        assert len(a.encoder_clusters) == len(a.decoder_clusters) == 4
 
     def test_encoder_only_ablation(self, m2m_clients):
         a = assemble(m2m_clients, "m2m", "families", ablation="encoder_only", seed=0)
-        assert a.m_e == 4 and a.m_d == 1
+        assert len(a.encoder_clusters) == 4 and len(a.decoder_clusters) == 1
 
     def test_decoder_only_ablation(self, m2m_clients):
         a = assemble(m2m_clients, "m2m", "families", ablation="decoder_only", seed=0)
-        assert a.m_e == 1 and a.m_d == 4
+        assert len(a.encoder_clusters) == 1 and len(a.decoder_clusters) == 4
 
     def test_none_ablation_globalizes_both(self, m2m_clients):
         a = assemble(m2m_clients, "m2m", "none", ablation="both", seed=0)
-        assert a.m_e == a.m_d == 1
+        assert len(a.encoder_clusters) == len(a.decoder_clusters) == 1
 
     def test_none_ablation_rejected(self, m2m_clients):
         with pytest.raises(ConfigurationError, match="unknown ablation 'none'"):

@@ -92,7 +92,7 @@ class TestGenerateCorpus:
     def test_split_sizes_and_disjointness(self):
         src, tgt, _ = two_languages()
         ds = generate_corpus(src, tgt, 60, SMALL, seed=1)
-        assert ds.n_train == 60
+        assert len(ds.train) == 60
         assert len(ds.dev) == 20 and len(ds.test) == 20
         all_pairs = ds.train + ds.dev + ds.test
         assert len(set(all_pairs)) == len(all_pairs)
@@ -129,7 +129,7 @@ class TestGenerateCorpus:
 
     def test_preset_sizes_follow_plan_ratios(self):
         _, clients = make_clients("m2en", 0, DataConfig(scale=1 / 16))
-        sizes = {c.id: c.n_train for c in clients}
+        sizes = {c.id: len(c.data.train) for c in clients}
         assert sizes["zh-en"] == 624 and sizes["he-en"] == 120
         assert sizes["zh-en"] / sizes["he-en"] == pytest.approx(9984 / 1920)
 
@@ -205,7 +205,7 @@ class TestBatches:
         ds, vocab = self._dataset()
         batch = make_batch(ds.train[:4], vocab, "yy")
         for j in range(batch.size):
-            n = int(batch.lengths[j])
+            n = int(batch.tgt_mask[j].sum())
             assert np.array_equal(batch.tgt_in[j, 1:n], batch.tgt_gold[j, : n - 1])
         assert all(batch.tgt_in[:, 0] == 1)  # BOS
 

@@ -6,16 +6,24 @@ import numpy as np
 import pytest
 
 from fedmt.clustering import ClusterAssignment
-from fedmt.data import DataConfig, batches, build_vocab
-from fedmt.errors import ConfigurationError, PartitionError, StructuralMismatchError
+from fedmt import federation
+from fedmt.data import DataConfig, batches, build_vocab, derive_seed
+from fedmt.errors import (
+    ConfigurationError,
+    NumericError,
+    PartitionError,
+    StructuralMismatchError,
+)
 from fedmt.federation import (
     CommLedger,
     FedConfig,
+    Party,
     estimate_transfer,
     evaluate_dev_loss,
     inner_cluster_aggregate,
     local_update,
     make_optimizer,
+    _stable_id,
     run_experiment,
     train_epochs,
 )
@@ -272,11 +280,15 @@ def tiny_setup():
     return clients, vocab, model
 
 
+def parties(clients):
+    return [Party.of(c) for c in clients]
+
+
 class TestLocalUpdate:
     def test_zero_learning_rate_is_noop(self, tiny_setup):
         clients, vocab, model = tiny_setup
         cfg = FedConfig(rounds=1, learning_rate=0.0, grad_accumulation=2)
-        updated, stats = local_update(clients[0], model, cfg, vocab, round_index=1)
+        updated, stats = local_update(Party.of(clients[0]), model, cfg, vocab, round_index=1)
         assert updated.params.equals(model.params)
         assert stats.optimizer_steps > 0
 
@@ -287,7 +299,7 @@ class TestLocalUpdate:
             cfg = FedConfig(rounds=1, learning_rate=5e-3, grad_accumulation=1,
                             local_epochs=2, seed=seed)
             before = evaluate_dev_loss(model, clients[0], vocab, cfg.eval_batch_size)
-            updated, _ = local_update(clients[0], model, cfg, vocab, round_index=1)
+            updated, _ = local_update(Party.of(clients[0]), model, cfg, vocab, round_index=1)
             after = evaluate_dev_loss(updated, clients[0], vocab, cfg.eval_batch_size)
             improvements.append(after < before)
         assert sum(improvements) >= 2
@@ -295,7 +307,7 @@ class TestLocalUpdate:
     def test_frozen_tensors_bit_identical(self, tiny_setup):
         clients, vocab, model = tiny_setup
         cfg = FedConfig(rounds=1, learning_rate=1e-2, grad_accumulation=1)
-        updated, _ = local_update(clients[0], model, cfg, vocab, round_index=1)
+        updated, _ = local_update(Party.of(clients[0]), model, cfg, vocab, round_index=1)
         for t in model.params:
             if not t.trainable:
                 assert np.array_equal(updated.params.values(t.name), t.values)
@@ -304,9 +316,29 @@ class TestLocalUpdate:
         clients, vocab, model = tiny_setup
         cfg = FedConfig(rounds=1, learning_rate=1e-2, optimizer="sgd",
                         grad_accumulation=4)
-        updated, stats = local_update(clients[0], model, cfg, vocab, round_index=1)
+        updated, stats = local_update(Party.of(clients[0]), model, cfg, vocab, round_index=1)
         assert not updated.params.equals(model.params)
         assert stats.tokens > 0
+
+    def test_epochs_shuffle_with_the_client_stream(self, tiny_setup):
+        # epoch e of round r shuffles with derive_seed(seed, 0x10CA1, r, e, _stable_id(id))
+        clients, vocab, model = tiny_setup
+        client = clients[0]
+        cfg = FedConfig(rounds=1, learning_rate=1e-2, grad_accumulation=1, local_epochs=2,
+                        seed=4)
+        updated, stats = local_update(Party.of(client), model, cfg, vocab, round_index=1)
+        samples = [(s, t, client.tgt.code) for s, t in client.data.train]
+
+        def trained(stream, *tail):
+            seeds = [derive_seed(4, stream, 1, epoch, *tail) for epoch in range(2)]
+            return train_epochs(model, samples, vocab, seeds, cfg.batch_size,
+                                cfg.grad_accumulation, cfg.optimizer, cfg.learning_rate)
+
+        direct, direct_stats = trained(0x10CA1, _stable_id(client.id))
+        assert updated.params.equals(direct.params)
+        assert stats == direct_stats
+        other, _ = trained(0xCE27)  # the shuffle order shows in the result
+        assert not updated.params.equals(other.params)
 
 
 def per_tensor_training(model, samples, vocab, seed, kind, lr, batch_size, accumulation):
@@ -378,8 +410,8 @@ class TestRunExperiment:
         client = clients[0]
         cfg = FedConfig(rounds=1, learning_rate=1e-3, grad_accumulation=2, seed=5)
         seen = []
-        run_experiment([client], {client.id: model}, cfg, vocab, None, round_hook=seen.append)
-        direct, _ = local_update(client, model, cfg, vocab, round_index=1)
+        run_experiment([Party.of(client)], model, cfg, vocab, None, round_hook=seen.append)
+        direct, _ = local_update(Party.of(client), model, cfg, vocab, round_index=1)
         final = seen[-1].params[client.id]
         assert final.equals(direct.params)
 
@@ -387,7 +419,7 @@ class TestRunExperiment:
         clients, vocab, model = tiny_setup
         cfg = FedConfig(rounds=2, learning_rate=1e-3, grad_accumulation=2)
         result = run_experiment(
-            clients, {c.id: model for c in clients}, cfg, vocab, None
+            parties(clients), model, cfg, vocab, None
         )
         assert result.ledger.entries == []
 
@@ -397,7 +429,7 @@ class TestRunExperiment:
         assignment = self._assignment(clients)
         seen = []
         result = run_experiment(
-            clients, {c.id: model for c in clients}, cfg, vocab, assignment,
+            parties(clients), model, cfg, vocab, assignment,
             round_hook=seen.append,
         )
         assert [state.index for state in seen] == [1, 2]
@@ -415,7 +447,7 @@ class TestRunExperiment:
         clients, vocab, model = tiny_setup
         cfg = FedConfig(rounds=2, learning_rate=2e-3, grad_accumulation=1)
         result = run_experiment(
-            clients, {c.id: model for c in clients}, cfg, vocab,
+            parties(clients), model, cfg, vocab,
             self._assignment(clients),
         )
         for cid, final_model in result.best_models.items():
@@ -427,14 +459,39 @@ class TestRunExperiment:
         clients, vocab, model = tiny_setup
         cfg = FedConfig(rounds=2, learning_rate=1e-3, grad_accumulation=2, seed=9)
         s1, s2 = [], []
-        r1 = run_experiment(clients, {c.id: model for c in clients}, cfg, vocab,
+        r1 = run_experiment(parties(clients), model, cfg, vocab,
                             self._assignment(clients), round_hook=s1.append)
-        r2 = run_experiment(clients, {c.id: model for c in clients}, cfg, vocab,
+        r2 = run_experiment(parties(clients), model, cfg, vocab,
                             self._assignment(clients), round_hook=s2.append)
         assert r1.best_round == r2.best_round
         assert r1.dev_loss == r2.dev_loss
         for cid in s1[-1].params:
             assert s1[-1].params[cid].equals(s2[-1].params[cid])
+
+    def test_pooled_party_hook_sees_one_parameter_set_per_round(self, tiny_setup):
+        clients, vocab, model = tiny_setup
+        cfg = FedConfig(rounds=3, learning_rate=1e-3, grad_accumulation=2)
+        seen = []
+        result = run_experiment([Party.pooled(clients)], model, cfg, vocab, None,
+                                round_hook=seen.append)
+        assert [state.index for state in seen] == [1, 2, 3]
+        assert all(list(state.params) == ["pooled"] for state in seen)
+        ids = sorted(c.id for c in clients)
+        assert all(list(state.dev_loss) == ids for state in seen)
+        assert all(set(state.train_loss.values()) == {state.train_loss[ids[0]]}
+                   for state in seen)
+        assert len(set(result.best_round.values())) == 1
+
+    def test_pooled_party_numeric_error_names_the_round(self, tiny_setup, monkeypatch):
+        clients, vocab, model = tiny_setup
+
+        def diverge(*args, **kwargs):
+            raise NumericError("non-finite loss")
+
+        monkeypatch.setattr(federation, "train_epochs", diverge)
+        cfg = FedConfig(rounds=2, learning_rate=1e-3)
+        with pytest.raises(NumericError, match=r"^round 1, party pooled: non-finite loss$"):
+            run_experiment([Party.pooled(clients)], model, cfg, vocab, None)
 
     def test_fedconfig_validation(self):
         with pytest.raises(ConfigurationError):

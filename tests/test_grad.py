@@ -35,7 +35,7 @@ def random_batch(seed):
     tgt_gold = rng.integers(4, SMOOTH.vocab_size, size=(bsz, t_len))
     tgt_mask = np.ones((bsz, t_len), bool)
     tgt_mask[1, 4:] = False
-    return Batch(src, src_mask, tgt_in, tgt_gold, tgt_mask, tgt_mask.sum(1))
+    return Batch(src, src_mask, tgt_in, tgt_gold, tgt_mask)
 
 
 def fd_max_rel_error(model, batch, coords_per_tensor=25, seed=0):
@@ -93,7 +93,6 @@ class TestGradients:
             np.concatenate([batch.tgt_in] * 2),
             np.concatenate([batch.tgt_gold] * 2),
             np.concatenate([batch.tgt_mask] * 2),
-            np.concatenate([batch.lengths] * 2),
         )
         res1, g1 = grad(model, batch)
         res2, g2 = grad(model, doubled)

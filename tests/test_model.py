@@ -37,7 +37,7 @@ def random_batch(config, seed=0, bsz=3, s_len=6, t_len=5):
     tgt_gold = rng.integers(4, config.vocab_size, size=(bsz, t_len))
     tgt_mask = np.ones((bsz, t_len), bool)
     tgt_mask[1, t_len - 1:] = False
-    return Batch(src, src_mask, tgt_in, tgt_gold, tgt_mask, tgt_mask.sum(1))
+    return Batch(src, src_mask, tgt_in, tgt_gold, tgt_mask)
 
 
 class TestBuildModel:
@@ -118,7 +118,8 @@ class TestLoss:
         ))
         batch = random_batch(TINY)
         result = loss(zeroed, batch)
-        assert result.token_mean == pytest.approx(math.log(TINY.vocab_size), abs=1e-9)
+        assert result.total / result.token_count == pytest.approx(math.log(TINY.vocab_size),
+                                                                  abs=1e-9)
 
     def test_sharp_correct_logits_drive_loss_to_zero(self):
         model = build_model(TINY, 3)
@@ -137,7 +138,7 @@ class TestLoss:
         model = build_model(TINY, 3)
         batch = random_batch(TINY)
         empty = Batch(batch.src, batch.src_mask, batch.tgt_in, batch.tgt_gold,
-                      np.zeros_like(batch.tgt_mask), np.zeros_like(batch.lengths))
+                      np.zeros_like(batch.tgt_mask))
         with pytest.raises(ValueError):
             loss(model, empty)
 
@@ -145,7 +146,7 @@ class TestLoss:
         model = build_model(TINY, 3)
         batch = random_batch(TINY)
         bad = Batch(batch.src + TINY.vocab_size, batch.src_mask, batch.tgt_in,
-                    batch.tgt_gold, batch.tgt_mask, batch.lengths)
+                    batch.tgt_gold, batch.tgt_mask)
         with pytest.raises(ConfigurationError):
             loss(model, bad)
 
@@ -237,7 +238,7 @@ def naive_loss(model: ToyModel, batch: Batch) -> float:
             x = naive_adapter(x, get_ad(f"{key}.ffn_adapter"), cfg.adapter_nonlinearity)
         enc = ln("enc.final_ln", x)
 
-        t_len = int(batch.lengths[j])
+        t_len = int(batch.tgt_mask[j].sum())
         tgt_in = batch.tgt_in[j][:t_len]
         y = emb[tgt_in] * math.sqrt(cfg.model_dim) + pos[:t_len]
         causal = np.tril(np.ones((t_len, t_len), bool))
@@ -281,7 +282,7 @@ class TestMergeBatches:
         batches = [random_batch(TINY, seed=1, bsz=2, s_len=4, t_len=5),
                    random_batch(TINY, seed=2, bsz=3, s_len=6, t_len=3)]
         merged = merge_batches(batches)
-        for name in ("src", "src_mask", "tgt_in", "tgt_gold", "tgt_mask", "lengths"):
+        for name in ("src", "src_mask", "tgt_in", "tgt_gold", "tgt_mask"):
             parts = [getattr(b, name) for b in batches]
             if parts[0].ndim == 2:
                 width = max(a.shape[1] for a in parts)
@@ -299,7 +300,7 @@ def probe_batch(vocab_size=90, size=64, width=14):
     tgt_mask = np.arange(width) < tgt_len[:, None]
     src, tgt_in, tgt_gold = rng.integers(3, vocab_size, size=(3, size, width))
     tgt_in[:, 0] = 1
-    return Batch(src, src_mask, tgt_in, tgt_gold, tgt_mask, tgt_len)
+    return Batch(src, src_mask, tgt_in, tgt_gold, tgt_mask)
 
 
 def traced_peak(fn):

@@ -59,7 +59,7 @@ def ragged_batch(config, seed):
     tgt_in = rng.integers(3, config.vocab_size, size=tgt_mask.shape)
     tgt_in[:, 0] = 1
     tgt_gold = rng.integers(3, config.vocab_size, size=tgt_mask.shape)
-    return Batch(src, src_mask, tgt_in, tgt_gold, tgt_mask, tgt_len)
+    return Batch(src, src_mask, tgt_in, tgt_gold, tgt_mask)
 
 
 def with_random_adapters(model, seed=1):

@@ -160,7 +160,7 @@ class TestForwardSemantics:
         src = rng2.integers(4, 20, size=(2, 5))
         batch = Batch(src, np.ones((2, 5), bool),
                       np.concatenate([np.ones((2, 1), int), src[:, :4]], axis=1),
-                      src, np.ones((2, 5), bool), np.full(2, 5))
+                      src, np.ones((2, 5), bool))
         la, _ = forward(pruned, batch)
         lb, _ = forward(zeroed, batch)
         assert np.allclose(la, lb, atol=1e-12)

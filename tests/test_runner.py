@@ -6,10 +6,10 @@ import pickle
 import numpy as np
 import pytest
 
-from fedmt import runner
+from fedmt import bleu, runner
 from fedmt.config import config_from_dict
 from fedmt.data import derive_seed
-from fedmt.federation import run_centralized, train_epochs
+from fedmt.federation import Party, run_experiment, train_epochs
 from fedmt.runner import (
     build_method_model,
     prepare_data,
@@ -142,7 +142,22 @@ class TestRunSeed:
     def test_gradient_method_builds_assignment(self):
         res, _ = run_seed(cfg_for("adapter-gradients"), 1)
         assert res.assignment is not None
-        assert res.assignment.m_e == res.assignment.m_d == 4
+        assert len(res.assignment.encoder_clusters) == len(res.assignment.decoder_clusters) == 4
+
+    def test_each_pair_is_scored_once(self, monkeypatch):
+        # one corpus BLEU per client plus the pooled micro score
+        corpus_bleu = bleu.corpus_bleu
+        calls = []
+
+        def counting(hyps, refs):
+            calls.append(len(hyps))
+            return corpus_bleu(hyps, refs)
+
+        monkeypatch.setattr(bleu, "corpus_bleu", counting)
+        res, _ = run_seed(cfg_for("adapter-families", evaluate_test_bleu=True), 1)
+        n_clients = len(res.final_rows)
+        assert n_clients == 8
+        assert len(calls) == n_clients + 1
 
     def test_result_holds_no_parameters(self):
         # the selected models come back beside the result, not inside it
@@ -157,7 +172,7 @@ def centralized_round_one(local_epochs):
     _, clients, vocab = prepare_data(cfg, 1)
     initial = build_method_model(cfg, 1, vocab, warmup_backbone(cfg, 1))
     fed_cfg = dataclasses.replace(cfg.fed, seed=1, rounds=1, local_epochs=local_epochs)
-    result = run_centralized(clients, initial, fed_cfg, vocab)
+    result = run_experiment([Party.pooled(clients)], initial, fed_cfg, vocab, None)
     samples = [(s, t, c.tgt.code) for c in clients for s, t in c.data.train]
     # epoch e of round r shuffles with the centralized stream's seed for (seed, r, e)
     epoch_seeds = [derive_seed(1, 0xCE27, 1, epoch) for epoch in range(local_epochs)]
