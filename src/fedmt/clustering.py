@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Vocab, batches
+from .data import Vocab, batches, make_batch
 from .errors import ConfigurationError, DegenerateFeatureError, PartitionError
 from .model import ToyModel, grad
 from .presets import Client
@@ -141,13 +141,13 @@ def compute_gradient_feature(
     accum = {name: np.zeros(probe_model.params.values(name).shape, dtype=np.float64)
              for name in slice_names}
     needed = set(slice_names)
-    samples = [(s, t, client.tgt.code) for s, t in client.data.train]
-    for batch in batches(samples, vocab, PROBE_BATCH_SIZE):
+    train = make_batch(client.data.train, vocab, client.tgt.code)
+    for batch in batches(train, PROBE_BATCH_SIZE):
         _, grads = grad(probe_model, batch, needed=needed)
         for name in slice_names:
             accum[name] += grads[name]
     flat = np.concatenate([accum[name].reshape(-1) for name in slice_names])
-    flat /= max(1, len(client.data.train))
+    flat /= train.size
     return GradientFeature(client.id, flat)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,32 +30,17 @@ from .federation import AGGREGATIONS, FedConfig
 from .model import PRUNING_STRATEGIES, ModelConfig
 from .presets import MODES
 
-METHODS = (
-    "model-fed",
-    "adapter-fed",
-    "adapter-local",
-    "adapter-random",
-    "adapter-gradients",
-    "adapter-families",
-    "centralized-model",
-    "centralized-adapter",
-)
-ADAPTER_METHODS = (
-    "adapter-fed",
-    "adapter-local",
-    "adapter-random",
-    "adapter-gradients",
-    "adapter-families",
-    "centralized-adapter",
-)
-CLUSTERING_METHODS = ("adapter-random", "adapter-gradients", "adapter-families")
-AGGREGATING_METHODS = ("model-fed", "adapter-fed") + CLUSTERING_METHODS
-CENTRALIZED_METHODS = ("centralized-model", "centralized-adapter")
-
-METHOD_STRATEGY = {
-    "adapter-random": "random",
-    "adapter-gradients": "gradients",
-    "adapter-families": "families",
+# method -> (trains adapters on a frozen backbone, clustering strategy or
+# None when it never aggregates, one pooled party rather than one per client)
+METHODS = {
+    "model-fed": (False, "none", False),
+    "adapter-fed": (True, "none", False),
+    "adapter-local": (True, None, False),
+    "adapter-random": (True, "random", False),
+    "adapter-gradients": (True, "gradients", False),
+    "adapter-families": (True, "families", False),
+    "centralized-model": (False, None, True),
+    "centralized-adapter": (True, None, True),
 }
 
 
@@ -98,19 +84,19 @@ class ExperimentConfig:
 
     @property
     def strategy(self) -> str:
-        return METHOD_STRATEGY.get(self.method, "none")
+        return METHODS[self.method][1] or "none"
 
     @property
     def uses_adapters(self) -> bool:
-        return self.method in ADAPTER_METHODS
+        return METHODS[self.method][0]
 
     @property
     def is_centralized(self) -> bool:
-        return self.method in CENTRALIZED_METHODS
+        return METHODS[self.method][2]
 
     @property
     def aggregates(self) -> bool:
-        return self.method in AGGREGATING_METHODS
+        return METHODS[self.method][1] is not None
 
 
 def _validate_experiment(cfg: ExperimentConfig) -> None:
@@ -129,7 +115,7 @@ def _validate_experiment(cfg: ExperimentConfig) -> None:
     if len(set(cfg.seeds)) < len(cfg.seeds):
         raise ConfigurationError(f"seeds: each seed may appear once, got {list(cfg.seeds)}")
     if cfg.pruning != "all":
-        if cfg.method not in ADAPTER_METHODS:
+        if not cfg.uses_adapters:
             raise ConfigurationError(
                 f"pruning={cfg.pruning}: method {cfg.method!r} has no adapters to prune"
             )
@@ -137,7 +123,7 @@ def _validate_experiment(cfg: ExperimentConfig) -> None:
             raise ConfigurationError(
                 "pruning: enc_layers and dec_layers must be divisible by 3"
             )
-    if cfg.ablation != "both" and cfg.method not in CLUSTERING_METHODS:
+    if cfg.ablation != "both" and cfg.strategy == "none":
         raise ConfigurationError(
             f"ablation={cfg.ablation}: method {cfg.method!r} has no clustering to ablate"
         )
@@ -165,13 +151,14 @@ def _validate_experiment(cfg: ExperimentConfig) -> None:
 # dict/json plumbing
 
 
-_EXPECTED = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+_EXPECTED = {bool: "true or false", int: "an integer", float: "a finite number",
+             str: "a string"}
 
 
 def _check_value(key: str, value: Any, hint: Any) -> None:
     """Reject a JSON value of the wrong type for its field. Booleans must be
-    true or false; integers must not be floats or booleans; numbers must not
-    be booleans; nested sections are checked when they are built."""
+    true or false; integers must not be floats or booleans; numbers must be
+    finite and not booleans; nested sections are checked when they are built."""
     args = typing.get_args(hint)
     if type(None) in args:
         if value is None:
@@ -188,7 +175,8 @@ def _check_value(key: str, value: Any, hint: Any) -> None:
             return
         expected = "a list" if variadic else f"a list of {len(args)} items"
     elif hint is float:
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if (isinstance(value, int) and not isinstance(value, bool)) or (
+                isinstance(value, float) and math.isfinite(value)):
             return
         expected = _EXPECTED[hint]
     else:

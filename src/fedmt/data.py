@@ -8,6 +8,9 @@ small model and the family structure of the languages is a single knob:
 languages in the same family share a fraction ``intra_family_overlap`` of
 their substitution entries, while cross-family overlap sits at chance level
 (or exactly zero when requested).
+
+Strings stop here: ``make_batch`` encodes a whole split once, and every
+batch after that is a selection of its rows (``batches``).
 """
 
 from __future__ import annotations
@@ -251,85 +254,55 @@ class Vocab:
         return self.index[_tag_token(code)]
 
 
-def build_vocab(
-    corpora: Sequence[ClientDataset],
-    languages: Sequence[LanguageSpec] | None = None,
-) -> Vocab:
-    """Vocabulary over all corpus tokens plus one tag per language.
-
-    Passing ``languages`` additionally admits every alphabet/affix token
-    those languages can produce, so rare tokens missing from a small sample
-    still get ids. The result is independent of corpus iteration order.
-    """
-    if not corpora:
-        raise ValueError("need at least one corpus")
-    codes: set[str] = set()
-    tokens: set[str] = set()
-    for ds in corpora:
-        codes.update((ds.src, ds.tgt))
-        for split in (ds.train, ds.dev, ds.test):
-            for s, t in split:
-                tokens.update(s)
-                tokens.update(t)
-    if languages is not None:
-        size = len(languages[0].table)
-        alphabet = _alphabet(size)
-        for spec in languages:
-            codes.add(spec.code)
-            tokens.add(spec.affix)
-        tokens.update(alphabet)
-    return Vocab(tags=(_tag_token(c) for c in sorted(codes)), tokens=tokens)
+def build_vocab(languages: Sequence[LanguageSpec]) -> Vocab:
+    """Vocabulary of everything the languages can produce: one tag per
+    language, the shared alphabet and every affix. Every corpus drawn from
+    them is covered, and the result is independent of language order."""
+    if not languages:
+        raise ValueError("need at least one language")
+    tokens = _alphabet(len(languages[0].table)) + [spec.affix for spec in languages]
+    return Vocab(tags=(_tag_token(spec.code) for spec in languages), tokens=tokens)
 
 
-MixedSample = tuple[Sentence, Sentence, str]  # src tokens, tgt tokens, tgt language code
-
-
-def _encode_batch(samples: Sequence[MixedSample], vocab: Vocab) -> Batch:
-    src_rows = [[vocab.tag_id(code)] + vocab.encode(s) + [EOS] for s, _, code in samples]
-    gold_rows = [vocab.encode(t) + [EOS] for _, t, _ in samples]
-    in_rows = [[BOS] + row[:-1] for row in gold_rows]
+def make_batch(pairs: Sequence[SentencePair], vocab: Vocab, tgt_code: str) -> Batch:
+    """Encode sentence pairs, padded to the widest row; the target-language
+    tag is prepended to the encoder input and EOS closes both sides. The one
+    path from strings to ids: a split is encoded once and batched by row
+    selection (:meth:`Batch.take`)."""
+    if not pairs:
+        raise ValueError("cannot encode an empty split")
+    tag = vocab.tag_id(tgt_code)
+    src_rows = [[tag] + vocab.encode(s) + [EOS] for s, _ in pairs]
+    gold_rows = [vocab.encode(t) + [EOS] for _, t in pairs]
     s_len = max(len(r) for r in src_rows)
     t_len = max(len(r) for r in gold_rows)
-    bsz = len(samples)
+    bsz = len(pairs)
     src = np.full((bsz, s_len), PAD, dtype=np.int64)
     src_mask = np.zeros((bsz, s_len), dtype=bool)
     tgt_in = np.full((bsz, t_len), PAD, dtype=np.int64)
     tgt_gold = np.full((bsz, t_len), PAD, dtype=np.int64)
     tgt_mask = np.zeros((bsz, t_len), dtype=bool)
-    for j, (s_row, g_row, i_row) in enumerate(zip(src_rows, gold_rows, in_rows)):
+    for j, (s_row, g_row) in enumerate(zip(src_rows, gold_rows)):
         src[j, : len(s_row)] = s_row
         src_mask[j, : len(s_row)] = True
         tgt_gold[j, : len(g_row)] = g_row
-        tgt_in[j, : len(i_row)] = i_row
+        tgt_in[j, 0] = BOS
+        tgt_in[j, 1 : len(g_row)] = g_row[:-1]
         tgt_mask[j, : len(g_row)] = True
     return Batch(src, src_mask, tgt_in, tgt_gold, tgt_mask)
 
 
-def make_batch(pairs: Sequence[SentencePair], vocab: Vocab, tgt_code: str) -> Batch:
-    """Encode sentence pairs; the target-language tag is prepended to the
-    encoder input and EOS closes both sides."""
-    return _encode_batch([(s, t, tgt_code) for s, t in pairs], vocab)
-
-
-def batches(
-    samples: Sequence[MixedSample],
-    vocab: Vocab,
-    batch_size: int,
-    seed: int | None = None,
-) -> list[Batch]:
-    """One epoch of batches over samples that may span several language
-    pairs; shuffled when a seed is given, final partial batch kept."""
-    if not samples:
-        raise ValueError("cannot batch an empty sample list")
+def batches(corpus: Batch, batch_size: int, seed: int | None = None) -> list[Batch]:
+    """One epoch of batches selected from the rows of an encoded corpus,
+    which may span several language pairs; shuffled when a seed is given,
+    final partial batch kept."""
     if batch_size <= 0:
         raise ConfigurationError("batch_size must be positive")
-    order = list(range(len(samples)))
+    order = np.arange(corpus.size)
     if seed is not None:
-        order = list(np.random.default_rng(np.random.SeedSequence([seed, 0x5E6F])).permutation(len(samples)))
-    return [
-        _encode_batch([samples[i] for i in order[start : start + batch_size]], vocab)
-        for start in range(0, len(samples), batch_size)
-    ]
+        order = np.random.default_rng(np.random.SeedSequence([seed, 0x5E6F])).permutation(corpus.size)
+    return [corpus.take(order[start : start + batch_size])
+            for start in range(0, corpus.size, batch_size)]
 
 
 def export_corpus(dataset: ClientDataset, out_dir: str | Path) -> list[Path]:

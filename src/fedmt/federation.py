@@ -19,9 +19,9 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .clustering import ClusterAssignment
-from .data import MixedSample, Vocab, batches, derive_seed
+from .data import Vocab, batches, derive_seed, make_batch
 from .errors import ConfigurationError, NumericError, StructuralMismatchError
-from .model import ToyModel, grad, loss, merge_batches
+from .model import Batch, ToyModel, grad, loss, merge_batches
 from .params import NamedParamSet, count_params
 from .presets import Client, transfer_seconds
 
@@ -51,8 +51,10 @@ class FedConfig:
             raise ConfigurationError(f"unknown aggregation {self.aggregation!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
-        if self.batch_size < 1 or self.grad_accumulation < 1 or self.local_epochs < 1:
-            raise ConfigurationError("batch_size, grad_accumulation, local_epochs must be >= 1")
+        if min(self.batch_size, self.grad_accumulation, self.local_epochs,
+               self.eval_batch_size) < 1:
+            raise ConfigurationError(
+                "batch_size, grad_accumulation, local_epochs, eval_batch_size must be >= 1")
         if self.learning_rate < 0:
             raise ConfigurationError("learning_rate must be >= 0")
         if self.full_model_learning_rate is not None and self.full_model_learning_rate < 0:
@@ -134,17 +136,17 @@ class LocalStats:
 
 def train_epochs(
     model: ToyModel,
-    samples: Sequence[MixedSample],
-    vocab: Vocab,
+    corpus: Batch,
     epoch_seeds: Sequence[int],
     batch_size: int,
     grad_accumulation: int,
     optimizer_kind: str,
     learning_rate: float,
 ) -> tuple[ToyModel, LocalStats]:
-    """One shuffled epoch per seed of gradient-accumulated steps, starting
-    from a fresh optimizer. The single training loop of the simulator:
-    the backbone warm-up and every party's local update run it.
+    """One shuffled epoch per seed of gradient-accumulated steps over the
+    rows of an encoded corpus, starting from a fresh optimizer. The single
+    training loop of the simulator: the backbone warm-up and every party's
+    local update run it.
 
     The optimizer steps once per ``grad_accumulation`` micro-batches (the
     trailing partial window still steps) on the token-mean gradient. A zero
@@ -163,7 +165,7 @@ def train_epochs(
     tokens_total = 0
     steps = 0
     for epoch_seed in epoch_seeds:
-        micro = batches(samples, vocab, batch_size, seed=epoch_seed)
+        micro = batches(corpus, batch_size, seed=epoch_seed)
         for start in range(0, len(micro), grad_accumulation):
             window = merge_batches(micro[start : start + grad_accumulation])
             result, grads = grad(model, window, needed=trainable)
@@ -188,48 +190,43 @@ class Party:
 
     A federated run has one party per client (:meth:`of`); a centralized run
     has one party of every client (:meth:`pooled`). ``clients`` are in id
-    order; ``samples`` keep the order the clients came in. Epoch ``e`` of
-    round ``r`` shuffles with ``derive_seed(seed, stream, r, e, *seed_tail)``.
+    order. ``corpus`` is the pooled train set, encoded once: each client's
+    split in the order the clients came in, merged into one padded batch
+    whose rows every epoch selects from. Epoch ``e`` of round ``r`` shuffles
+    with ``derive_seed(seed, stream, r, e, *seed_tail)``.
     """
 
     id: str
     clients: tuple[Client, ...]
-    samples: tuple[MixedSample, ...]
+    corpus: Batch
     stream: int
     seed_tail: tuple[int, ...]
 
     @classmethod
-    def of(cls, client: Client) -> Party:
-        return cls(client.id, (client,), _train_samples([client]), 0x10CA1,
-                   (_stable_id(client.id),))
+    def of(cls, client: Client, vocab: Vocab) -> Party:
+        return cls(client.id, (client,), make_batch(client.data.train, vocab, client.tgt.code),
+                   0x10CA1, (_stable_id(client.id),))
 
     @classmethod
-    def pooled(cls, clients: Sequence[Client]) -> Party:
-        return cls("pooled", tuple(sorted(clients, key=lambda c: c.id)),
-                   _train_samples(clients), 0xCE27, ())
-
-
-def _train_samples(clients: Sequence[Client]) -> tuple[MixedSample, ...]:
-    return tuple((s, t, c.tgt.code) for c in clients for s, t in c.data.train)
+    def pooled(cls, clients: Sequence[Client], vocab: Vocab) -> Party:
+        corpus = merge_batches([make_batch(c.data.train, vocab, c.tgt.code) for c in clients])
+        return cls("pooled", tuple(sorted(clients, key=lambda c: c.id)), corpus, 0xCE27, ())
 
 
 def local_update(
     party: Party,
     model: ToyModel,
     cfg: FedConfig,
-    vocab: Vocab,
     round_index: int,
 ) -> tuple[ToyModel, LocalStats]:
     """``cfg.local_epochs`` epochs of :func:`train_epochs` on the party's
     pooled train set, with a fresh optimizer each round."""
-    if not party.samples:
-        raise ConfigurationError(f"party {party.id!r} has no training data")
     epoch_seeds = [
         derive_seed(cfg.seed, party.stream, round_index, epoch, *party.seed_tail)
         for epoch in range(cfg.local_epochs)
     ]
     try:
-        return train_epochs(model, party.samples, vocab, epoch_seeds, cfg.batch_size,
+        return train_epochs(model, party.corpus, epoch_seeds, cfg.batch_size,
                             cfg.grad_accumulation, cfg.optimizer, cfg.learning_rate)
     except NumericError as err:
         raise NumericError(f"round {round_index}, party {party.id}: {err}") from err
@@ -387,12 +384,11 @@ class FedRunResult:
     ledger: CommLedger
 
 
-def evaluate_dev_loss(model: ToyModel, client: Client, vocab: Vocab, eval_batch_size: int) -> float:
-    """Token-mean loss over the client's dev split."""
+def evaluate_dev_loss(model: ToyModel, dev: Batch, eval_batch_size: int) -> float:
+    """Token-mean loss over an encoded dev split."""
     total = 0.0
     tokens = 0
-    samples = [(s, t, client.tgt.code) for s, t in client.data.dev]
-    for batch in batches(samples, vocab, eval_batch_size):
+    for batch in batches(dev, eval_batch_size):
         result = loss(model, batch)
         total += result.total
         tokens += result.token_count
@@ -417,7 +413,8 @@ def run_experiment(
     Checkpoint selection is per party, on the mean dev loss over its
     clients: among rounds 1..T, the first round whose post-aggregation
     parameters give the lowest mean. Round 0, the initial model, is never
-    selected, even when its dev loss is lower. ``round_hook`` is the one view
+    selected, even when its dev loss is lower. Each client's dev split is
+    encoded once, before round 0. ``round_hook`` is the one view
     of the parameters of every round: the result keeps only the selected
     models.
     """
@@ -425,11 +422,13 @@ def run_experiment(
     if assignment is not None:
         assignment.validate_clients(ids)
     models = {pid: initial for pid in ids}
-    sizes = {p.id: len(p.samples) for p in parties}
+    sizes = {p.id: p.corpus.size for p in parties}
     ledger = CommLedger(cfg)
+    dev_sets = {c.id: make_batch(c.data.dev, vocab, c.tgt.code)
+                for p in parties for c in p.clients}
 
     def evaluate() -> dict[str, float]:
-        return {c.id: evaluate_dev_loss(models[p.id], c, vocab, cfg.eval_batch_size)
+        return {c.id: evaluate_dev_loss(models[p.id], dev_sets[c.id], cfg.eval_batch_size)
                 for p in parties for c in p.clients}
 
     dev_loss = [evaluate()]
@@ -439,9 +438,7 @@ def run_experiment(
     for round_index in range(1, cfg.rounds + 1):
         train = {}
         for party in parties:
-            models[party.id], stats = local_update(
-                party, models[party.id], cfg, vocab, round_index
-            )
+            models[party.id], stats = local_update(party, models[party.id], cfg, round_index)
             train.update((c.id, stats.train_loss) for c in party.clients)
         if assignment is not None:
             params = {pid: models[pid].params for pid in ids}

@@ -69,6 +69,10 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.num_heads < 1:
             raise ConfigurationError("num_heads must be >= 1")
+        if self.model_dim < 2:
+            raise ConfigurationError("model_dim must be >= 2")
+        if self.ffn_dim < 1:
+            raise ConfigurationError("ffn_dim must be >= 1")
         if self.model_dim % self.num_heads:
             raise ConfigurationError("model_dim must be divisible by num_heads")
         if self.model_dim % 2:
@@ -196,6 +200,15 @@ class Batch:
     @property
     def token_count(self) -> int:
         return int(self.tgt_mask.sum())
+
+    def take(self, rows: np.ndarray) -> Batch:
+        """The given rows, trimmed to their own widest source and target
+        rows: bitwise what encoding those rows alone gives."""
+        s_len = int(self.src_mask[rows].sum(axis=1).max())
+        t_len = int(self.tgt_mask[rows].sum(axis=1).max())
+        return Batch(self.src[rows, :s_len], self.src_mask[rows, :s_len],
+                     self.tgt_in[rows, :t_len], self.tgt_gold[rows, :t_len],
+                     self.tgt_mask[rows, :t_len])
 
 
 def merge_batches(batches: list[Batch]) -> Batch:

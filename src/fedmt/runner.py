@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from .bleu import macro_micro
 from .clustering import ClusterAssignment, assemble, compute_gradient_feature
 from .config import ExperimentConfig
-from .data import BOS, EOS, LanguageSpec, Vocab, build_vocab, derive_seed, make_batch
+from .data import BOS, EOS, LanguageSpec, Vocab, batches, build_vocab, derive_seed, make_batch
 from .federation import CommLedger, Party, run_experiment, train_epochs
-from .model import ModelConfig, ToyModel, apply_pruning, build_model, decode_greedy
+from .model import (ModelConfig, ToyModel, apply_pruning, build_model, decode_greedy,
+                    merge_batches)
 from .params import NamedParamSet, count_params
 from .presets import Client, make_clients, make_warmup_data
 
@@ -40,7 +41,7 @@ def prepare_data(cfg: ExperimentConfig, seed: int) -> tuple[list[LanguageSpec], 
     key = _data_key(cfg, seed)
     if key not in _DATA_CACHE:
         languages, clients = make_clients(cfg.mode, seed, cfg.data)
-        vocab = build_vocab([c.data for c in clients], languages)
+        vocab = build_vocab(languages)
         _DATA_CACHE.clear()
         _DATA_CACHE[key] = (languages, clients, vocab)
     return _DATA_CACHE[key]
@@ -63,10 +64,10 @@ def warmup_backbone(cfg: ExperimentConfig, seed: int) -> NamedParamSet:
     if cfg.warmup.epochs > 0:
         corpora = make_warmup_data(cfg.mode, languages, seed,
                                    cfg.warmup.sentences_per_pair, cfg.data)
-        samples = [(s, t, ds.tgt) for ds in corpora for s, t in ds.train]
+        corpus = merge_batches([make_batch(ds.train, vocab, ds.tgt) for ds in corpora])
         epoch_seeds = [derive_seed(seed, 0xAB1E, epoch) for epoch in range(cfg.warmup.epochs)]
         model, _ = train_epochs(
-            model, samples, vocab, epoch_seeds, cfg.warmup.batch_size,
+            model, corpus, epoch_seeds, cfg.warmup.batch_size,
             cfg.warmup.grad_accumulation, "adam", cfg.warmup.learning_rate,
         )
     backbone = NamedParamSet(
@@ -137,24 +138,21 @@ def evaluate_test_bleu(
     vocab: Vocab,
     length_cap: int,
 ) -> dict[str, tuple[list, list]]:
-    """Greedy-decode every client's test set: hypotheses and references by
+    """Greedy-decode every client's test set, encoded once and decoded in
+    batches of ``TEST_DECODE_BATCH_SIZE`` rows: hypotheses and references by
     client id, in id order."""
     outputs: dict[str, tuple[list, list]] = {}
     for client in sorted(clients, key=lambda c: c.id):
         model = models_by_client[client.id]
         hyps: list[tuple[str, ...]] = []
-        refs: list[tuple[str, ...]] = []
-        test = client.data.test
-        for start in range(0, len(test), TEST_DECODE_BATCH_SIZE):
-            chunk = test[start : start + TEST_DECODE_BATCH_SIZE]
-            batch = make_batch(chunk, vocab, client.tgt.code)
+        test = make_batch(client.data.test, vocab, client.tgt.code)
+        for batch in batches(test, TEST_DECODE_BATCH_SIZE):
             decoded = decode_greedy(
                 model, batch.src, batch.src_mask,
                 bos_id=BOS, eos_id=EOS, max_len=length_cap,
             )
             hyps.extend(tuple(vocab.decode(ids)) for ids in decoded)
-            refs.extend(t for _, t in chunk)
-        outputs[client.id] = (hyps, refs)
+        outputs[client.id] = (hyps, [t for _, t in client.data.test])
     return outputs
 
 
@@ -201,8 +199,8 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> tuple[SeedResult, dict[str, To
         cfg.fed, seed=seed, learning_rate=cfg.fed.rate_for(cfg.uses_adapters)
     )
     assignment = make_assignment(cfg, seed, clients, initial, vocab)
-    parties = ([Party.pooled(clients)] if cfg.is_centralized
-               else [Party.of(client) for client in clients])
+    parties = ([Party.pooled(clients, vocab)] if cfg.is_centralized
+               else [Party.of(client, vocab) for client in clients])
     result = run_experiment(parties, initial, fed_cfg, vocab, assignment)
     pairs = {c.id: c.data.pair for c in clients}
     round_rows = [

@@ -124,7 +124,7 @@ def test_criterion_2_aggregation_oracles():
     # bitwise intra-cluster equality after every round of a small run
     languages, clients = make_clients("m2en", 0, DataConfig(scale=1 / 128))
     clients = clients[:4]
-    vocab = build_vocab([c.data for c in clients], languages)
+    vocab = build_vocab(languages)
     config = ModelConfig(vocab_size=len(vocab), model_dim=16, num_heads=2,
                          ffn_dim=32, enc_layers=1, dec_layers=1,
                          adapter_bottleneck=2, max_seq_len=32)
@@ -144,7 +144,7 @@ def test_criterion_2_aggregation_oracles():
                     assert np.array_equal(state.params[cid].values(name), ref)
 
     run_experiment(
-        [Party.of(c) for c in clients], model,
+        [Party.of(c, vocab) for c in clients], model,
         FedConfig(rounds=3, learning_rate=2e-3, grad_accumulation=1),
         vocab, assignment, round_hook=check_equality,
     )
@@ -232,7 +232,7 @@ def test_criterion_4_frozen_backbone_bit_identical():
     assignment = ClusterAssignment((cids[:2], cids[2:]), (cids,), "families", "m2en")
     seen = []
     run_experiment(
-        [Party.of(c) for c in clients], initial, fed_cfg, vocab, assignment,
+        [Party.of(c, vocab) for c in clients], initial, fed_cfg, vocab, assignment,
         round_hook=seen.append,
     )
     checked = 0

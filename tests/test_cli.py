@@ -11,7 +11,7 @@ import pytest
 
 from fedmt import cli
 from fedmt.cli import main
-from fedmt.config import ADAPTER_METHODS, METHODS
+from fedmt.config import METHODS
 from fedmt.model import THIRDS
 
 TINY_RUN = {
@@ -29,7 +29,7 @@ TINY_RUN = {
 
 # every (method, pruning) pair the config accepts
 METHOD_PRUNING = [(m, "all") for m in METHODS] + [
-    (m, p) for m in ADAPTER_METHODS for p in THIRDS
+    (m, p) for m, (adapters, _, _) in METHODS.items() if adapters for p in THIRDS
 ]
 SMOKE_RUN = {
     "mode": "m2en",
@@ -159,6 +159,13 @@ class TestExitCodes:
         cfg_path = write_config(tmp_path, payload)
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 1
         assert "evaluate_test_bleu" in capsys.readouterr().err
+
+    def test_non_finite_value_exit_1_without_traceback(self, tmp_path, capsys):
+        payload = dict(TINY_RUN, data=dict(TINY_RUN["data"], scale=float("nan")))
+        cfg_path = write_config(tmp_path, payload)
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error: data.scale" in err and "Traceback" not in err
 
     def test_negative_seed_override_exit_1(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, TINY_RUN)

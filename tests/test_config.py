@@ -160,6 +160,15 @@ class TestValueTypes:
         ({"ablation": "none"}, "ablation: "),
         ({"model": {"vocab_size": 90}}, "model.vocab_size: set from the corpus vocabulary"),
         ({"fed": {"seed": 3}}, "fed.seed: set from each run seed"),
+        # non-finite numbers and sizes that used to fail deep inside a run
+        ({"fed": {"learning_rate": float("nan")}}, "fed.learning_rate: expected a finite"),
+        ({"data": {"scale": float("nan")}}, "data.scale: expected a finite"),
+        ({"fed": {"bandwidth_bps": float("inf")}}, "fed.bandwidth_bps: expected a finite"),
+        ({"model": {"model_dim": 0}}, "model: model_dim must be >= 2"),
+        ({"model": {"model_dim": -4}}, "model: model_dim must be >= 2"),
+        ({"model": {"ffn_dim": 0}}, "model: ffn_dim must be >= 1"),
+        ({"model": {"ffn_dim": -8}}, "model: ffn_dim must be >= 1"),
+        ({"fed": {"eval_batch_size": 0}}, "fed: .*eval_batch_size must be >= 1"),
     ])
     def test_wrong_type_rejected_with_key(self, override, key):
         with pytest.raises(ConfigurationError, match=f"^{key}"):

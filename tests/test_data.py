@@ -1,12 +1,17 @@
 """Synthetic language generation, corpora, vocabulary, batching."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fedmt.data import (
+    BOS,
+    EOS,
     PAD,
     DataConfig,
     UNK,
+    Vocab,
     batches,
     build_vocab,
     export_corpus,
@@ -16,6 +21,7 @@ from fedmt.data import (
     table_overlap,
 )
 from fedmt.errors import ConfigurationError
+from fedmt.model import Batch, merge_batches
 from fedmt.presets import M2EN_FAMILY_PLAN, M2M_FAMILY_PLAN, make_clients
 
 PLAN = {"Fam1": ["aa", "ab"], "Fam2": ["ba", "bb"], "Fam3": ["ca", "cb"]}
@@ -138,22 +144,21 @@ class TestVocab:
     def test_reserved_ids(self):
         _, _, specs = two_languages()
         ds = generate_corpus(specs[0], specs[1], 12, SMALL, seed=0)
-        vocab = build_vocab([ds], specs)
+        vocab = build_vocab(specs)
         assert vocab.index["<pad>"] == PAD == 0
         assert vocab.index["<bos>"] == 1
         assert vocab.index["<eos>"] == 2
         assert vocab.index["<unk>"] == UNK == 3
 
     def test_order_independent(self):
-        _, clients = make_clients("m2en", 1, DataConfig(scale=1 / 64))
-        corpora = [c.data for c in clients]
-        v1 = build_vocab(corpora)
-        v2 = build_vocab(list(reversed(corpora)))
+        languages, _ = make_clients("m2en", 1, DataConfig(scale=1 / 64))
+        v1 = build_vocab(languages)
+        v2 = build_vocab(list(reversed(languages)))
         assert v1.tokens == v2.tokens
 
     def test_no_unk_on_synthetic_data(self):
         languages, clients = make_clients("m2en", 2, DataConfig(scale=1 / 64))
-        vocab = build_vocab([c.data for c in clients], languages)
+        vocab = build_vocab(languages)
         for client in clients:
             for split in (client.data.train, client.data.dev, client.data.test):
                 for s, t in split:
@@ -161,34 +166,35 @@ class TestVocab:
                     assert UNK not in vocab.encode(t)
 
     def test_language_vocab_covers_corpus_vocab(self):
-        # with the languages given, the vocabulary is every token they can
-        # produce, so any one corpus yields the same vocabulary as all of them
+        # the vocabulary is every token the languages can produce, so adding
+        # a scan of every split, as a corpus vocabulary would, changes nothing
         languages, clients = make_clients("m2m", 3, DataConfig(scale=1 / 64))
-        from_one = build_vocab([clients[0].data], languages)
-        from_corpora = build_vocab([c.data for c in clients], languages)
-        assert from_one.tokens == from_corpora.tokens
-
-
-def tagged(pairs, code="yy"):
-    return [(s, t, code) for s, t in pairs]
+        codes = {code for c in clients for code in (c.src.code, c.tgt.code)}
+        scanned = {tok for c in clients for split in (c.data.train, c.data.dev, c.data.test)
+                   for pair in split for side in pair for tok in side}
+        alphabet = {f"w{i:03d}" for i in range(len(languages[0].table))}
+        tokens = scanned | alphabet | {spec.affix for spec in languages}
+        oracle = Vocab(tags=(f"<{code}>" for code in codes | {s.code for s in languages}),
+                       tokens=tokens)
+        assert build_vocab(languages).tokens == oracle.tokens
 
 
 class TestBatches:
     def _dataset(self):
         src, tgt, specs = two_languages()
         ds = generate_corpus(src, tgt, 20, SMALL, seed=4)
-        vocab = build_vocab([ds], specs)
+        vocab = build_vocab(specs)
         return ds, vocab
 
     def test_batch_sizes_with_remainder(self):
         ds, vocab = self._dataset()
-        out = batches(tagged(ds.train), vocab, 8, seed=0)
+        out = batches(make_batch(ds.train, vocab, "yy"), 8, seed=0)
         assert [b.size for b in out] == [8, 8, 4]
 
     def test_same_seed_same_order(self):
         ds, vocab = self._dataset()
-        a = batches(tagged(ds.train), vocab, 8, seed=7)
-        b = batches(tagged(ds.train), vocab, 8, seed=7)
+        a = batches(make_batch(ds.train, vocab, "yy"), 8, seed=7)
+        b = batches(make_batch(ds.train, vocab, "yy"), 8, seed=7)
         for x, y in zip(a, b):
             assert np.array_equal(x.src, y.src)
             assert np.array_equal(x.tgt_gold, y.tgt_gold)
@@ -196,7 +202,7 @@ class TestBatches:
     def test_partition_covers_split_exactly_once(self):
         ds, vocab = self._dataset()
         seen = []
-        for batch in batches(tagged(ds.train), vocab, 8, seed=1):
+        for batch in batches(make_batch(ds.train, vocab, "yy"), 8, seed=1):
             for row, mask in zip(batch.src, batch.src_mask):
                 seen.append(tuple(vocab.decode(row[mask][1:-1])))  # strip tag+EOS
         assert sorted(seen) == sorted(s for s, _ in ds.train)
@@ -217,7 +223,73 @@ class TestBatches:
     def test_empty_split_rejected(self):
         _, vocab = self._dataset()
         with pytest.raises(ValueError):
-            batches([], vocab, 8, seed=0)
+            batches(make_batch([], vocab, "yy"), 8, seed=0)
+
+
+FIELDS = [f.name for f in dataclasses.fields(Batch)]
+
+
+def encode_samples(samples, vocab):
+    """(src, tgt, tgt code) samples encoded from their strings, each side
+    padded to the batch's longest row: the five ``Batch`` arrays."""
+    src_rows = [[vocab.tag_id(code)] + vocab.encode(s) + [EOS] for s, _, code in samples]
+    gold_rows = [vocab.encode(t) + [EOS] for _, t, _ in samples]
+    in_rows = [[BOS] + row[:-1] for row in gold_rows]
+
+    def pad(rows):
+        width = max(len(row) for row in rows)
+        ids = np.array([row + [PAD] * (width - len(row)) for row in rows], dtype=np.int64)
+        mask = np.array([[True] * len(row) + [False] * (width - len(row)) for row in rows])
+        return ids, mask
+
+    src, src_mask = pad(src_rows)
+    tgt_in, _ = pad(in_rows)
+    tgt_gold, tgt_mask = pad(gold_rows)
+    return src, src_mask, tgt_in, tgt_gold, tgt_mask
+
+
+def assert_same_arrays(batch, arrays):
+    for name, expected in zip(FIELDS, arrays):
+        actual = getattr(batch, name)
+        assert (actual.dtype, actual.shape) == (expected.dtype, expected.shape), name
+        assert np.array_equal(actual, expected), name
+
+
+class TestEncodeOnce:
+    """A split is encoded once; every batch is a selection of its rows."""
+
+    def _clients(self):
+        # two m2m clients with different target languages, so the rows carry
+        # different target tags
+        languages, clients = make_clients("m2m", 5, DataConfig(scale=1 / 64))
+        other = next(c for c in clients if c.tgt.code != clients[0].tgt.code)
+        return build_vocab(languages), [clients[0], other]
+
+    @pytest.mark.parametrize("seed", [None, 3, 11])
+    def test_batches_equal_encoding_each_chunk_of_the_permutation(self, seed):
+        vocab, clients = self._clients()
+        corpus = merge_batches([make_batch(c.data.train, vocab, c.tgt.code) for c in clients])
+        samples = [(s, t, c.tgt.code) for c in clients for s, t in c.data.train]
+        order = list(range(len(samples)))
+        if seed is not None:
+            rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5E6F]))
+            order = list(rng.permutation(len(samples)))
+        chunks = [order[start:start + 8] for start in range(0, len(order), 8)]
+        out = batches(corpus, 8, seed=seed)
+        assert len(out) == len(chunks)
+        for batch, chunk in zip(out, chunks):
+            assert_same_arrays(batch, encode_samples([samples[i] for i in chunk], vocab))
+
+    def test_take_equals_encoding_the_rows_alone(self):
+        vocab, (client, _) = self._clients()
+        split = client.data.train
+        encoded = make_batch(split, vocab, client.tgt.code)
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            rows = rng.choice(len(split), size=int(rng.integers(1, len(split) + 1)),
+                              replace=False)
+            alone = make_batch([split[i] for i in rows], vocab, client.tgt.code)
+            assert_same_arrays(encoded.take(rows), [getattr(alone, name) for name in FIELDS])
 
 
 def test_export_corpus_round_trips(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 from fedmt.clustering import ClusterAssignment
 from fedmt import federation
-from fedmt.data import DataConfig, batches, build_vocab, derive_seed
+from fedmt.data import DataConfig, batches, build_vocab, derive_seed, make_batch
 from fedmt.errors import (
     ConfigurationError,
     NumericError,
@@ -272,7 +272,7 @@ class TestCommLedger:
 def tiny_setup():
     languages, clients = make_clients("m2en", 0, DataConfig(scale=1 / 128))
     clients = clients[:4]
-    vocab = build_vocab([c.data for c in clients], languages)
+    vocab = build_vocab(languages)
     config = ModelConfig(vocab_size=len(vocab), model_dim=16, num_heads=2,
                          ffn_dim=32, enc_layers=1, dec_layers=1,
                          adapter_bottleneck=2, max_seq_len=32, dtype="float64")
@@ -280,34 +280,35 @@ def tiny_setup():
     return clients, vocab, model
 
 
-def parties(clients):
-    return [Party.of(c) for c in clients]
+def parties(clients, vocab):
+    return [Party.of(c, vocab) for c in clients]
 
 
 class TestLocalUpdate:
     def test_zero_learning_rate_is_noop(self, tiny_setup):
         clients, vocab, model = tiny_setup
         cfg = FedConfig(rounds=1, learning_rate=0.0, grad_accumulation=2)
-        updated, stats = local_update(Party.of(clients[0]), model, cfg, vocab, round_index=1)
+        updated, stats = local_update(Party.of(clients[0], vocab), model, cfg, round_index=1)
         assert updated.params.equals(model.params)
         assert stats.optimizer_steps > 0
 
     def test_training_reduces_own_loss(self, tiny_setup):
         clients, vocab, model = tiny_setup
+        dev = make_batch(clients[0].data.dev, vocab, clients[0].tgt.code)
         improvements = []
         for seed in (1, 2, 3):
             cfg = FedConfig(rounds=1, learning_rate=5e-3, grad_accumulation=1,
                             local_epochs=2, seed=seed)
-            before = evaluate_dev_loss(model, clients[0], vocab, cfg.eval_batch_size)
-            updated, _ = local_update(Party.of(clients[0]), model, cfg, vocab, round_index=1)
-            after = evaluate_dev_loss(updated, clients[0], vocab, cfg.eval_batch_size)
+            before = evaluate_dev_loss(model, dev, cfg.eval_batch_size)
+            updated, _ = local_update(Party.of(clients[0], vocab), model, cfg, round_index=1)
+            after = evaluate_dev_loss(updated, dev, cfg.eval_batch_size)
             improvements.append(after < before)
         assert sum(improvements) >= 2
 
     def test_frozen_tensors_bit_identical(self, tiny_setup):
         clients, vocab, model = tiny_setup
         cfg = FedConfig(rounds=1, learning_rate=1e-2, grad_accumulation=1)
-        updated, _ = local_update(Party.of(clients[0]), model, cfg, vocab, round_index=1)
+        updated, _ = local_update(Party.of(clients[0], vocab), model, cfg, round_index=1)
         for t in model.params:
             if not t.trainable:
                 assert np.array_equal(updated.params.values(t.name), t.values)
@@ -316,7 +317,7 @@ class TestLocalUpdate:
         clients, vocab, model = tiny_setup
         cfg = FedConfig(rounds=1, learning_rate=1e-2, optimizer="sgd",
                         grad_accumulation=4)
-        updated, stats = local_update(Party.of(clients[0]), model, cfg, vocab, round_index=1)
+        updated, stats = local_update(Party.of(clients[0], vocab), model, cfg, round_index=1)
         assert not updated.params.equals(model.params)
         assert stats.tokens > 0
 
@@ -326,12 +327,12 @@ class TestLocalUpdate:
         client = clients[0]
         cfg = FedConfig(rounds=1, learning_rate=1e-2, grad_accumulation=1, local_epochs=2,
                         seed=4)
-        updated, stats = local_update(Party.of(client), model, cfg, vocab, round_index=1)
-        samples = [(s, t, client.tgt.code) for s, t in client.data.train]
+        updated, stats = local_update(Party.of(client, vocab), model, cfg, round_index=1)
+        corpus = make_batch(client.data.train, vocab, client.tgt.code)
 
         def trained(stream, *tail):
             seeds = [derive_seed(4, stream, 1, epoch, *tail) for epoch in range(2)]
-            return train_epochs(model, samples, vocab, seeds, cfg.batch_size,
+            return train_epochs(model, corpus, seeds, cfg.batch_size,
                                 cfg.grad_accumulation, cfg.optimizer, cfg.learning_rate)
 
         direct, direct_stats = trained(0x10CA1, _stable_id(client.id))
@@ -341,12 +342,12 @@ class TestLocalUpdate:
         assert not updated.params.equals(other.params)
 
 
-def per_tensor_training(model, samples, vocab, seed, kind, lr, batch_size, accumulation):
+def per_tensor_training(model, corpus, seed, kind, lr, batch_size, accumulation):
     """Reference loop: one epoch, the optimizer applied one tensor at a time."""
     values = {name: model.params.values(name) for name in model.trainable_names()}
     first = {name: np.zeros_like(v) for name, v in values.items()}
     second = {name: np.zeros_like(v) for name, v in values.items()}
-    micro = batches(samples, vocab, batch_size, seed=seed)
+    micro = batches(corpus, batch_size, seed=seed)
     for t, start in enumerate(range(0, len(micro), accumulation), 1):
         result, grads = grad(model, merge_batches(micro[start:start + accumulation]),
                              needed=set(values))
@@ -368,9 +369,9 @@ def test_flat_optimizer_step_is_bitwise_the_per_tensor_update(tiny_setup, kind):
     clients, vocab, model = tiny_setup
     for dtype in ("float32", "float64"):
         start = build_model(dataclasses.replace(model.config, dtype=dtype), 0)
-        samples = [(s, t, clients[0].tgt.code) for s, t in clients[0].data.train]
-        trained, stats = train_epochs(start, samples, vocab, [7], 2, 1, kind, 1e-2)
-        expected, steps = per_tensor_training(start, samples, vocab, 7, kind, 1e-2, 2, 1)
+        corpus = make_batch(clients[0].data.train, vocab, clients[0].tgt.code)
+        trained, stats = train_epochs(start, corpus, [7], 2, 1, kind, 1e-2)
+        expected, steps = per_tensor_training(start, corpus, 7, kind, 1e-2, 2, 1)
         assert stats.optimizer_steps == steps >= 3
         assert trained.params.equals(expected.params)
         assert not trained.params.equals(start.params)
@@ -410,8 +411,9 @@ class TestRunExperiment:
         client = clients[0]
         cfg = FedConfig(rounds=1, learning_rate=1e-3, grad_accumulation=2, seed=5)
         seen = []
-        run_experiment([Party.of(client)], model, cfg, vocab, None, round_hook=seen.append)
-        direct, _ = local_update(Party.of(client), model, cfg, vocab, round_index=1)
+        run_experiment([Party.of(client, vocab)], model, cfg, vocab, None,
+                       round_hook=seen.append)
+        direct, _ = local_update(Party.of(client, vocab), model, cfg, round_index=1)
         final = seen[-1].params[client.id]
         assert final.equals(direct.params)
 
@@ -419,7 +421,7 @@ class TestRunExperiment:
         clients, vocab, model = tiny_setup
         cfg = FedConfig(rounds=2, learning_rate=1e-3, grad_accumulation=2)
         result = run_experiment(
-            parties(clients), model, cfg, vocab, None
+            parties(clients, vocab), model, cfg, vocab, None
         )
         assert result.ledger.entries == []
 
@@ -429,7 +431,7 @@ class TestRunExperiment:
         assignment = self._assignment(clients)
         seen = []
         result = run_experiment(
-            parties(clients), model, cfg, vocab, assignment,
+            parties(clients, vocab), model, cfg, vocab, assignment,
             round_hook=seen.append,
         )
         assert [state.index for state in seen] == [1, 2]
@@ -447,7 +449,7 @@ class TestRunExperiment:
         clients, vocab, model = tiny_setup
         cfg = FedConfig(rounds=2, learning_rate=2e-3, grad_accumulation=1)
         result = run_experiment(
-            parties(clients), model, cfg, vocab,
+            parties(clients, vocab), model, cfg, vocab,
             self._assignment(clients),
         )
         for cid, final_model in result.best_models.items():
@@ -459,9 +461,9 @@ class TestRunExperiment:
         clients, vocab, model = tiny_setup
         cfg = FedConfig(rounds=2, learning_rate=1e-3, grad_accumulation=2, seed=9)
         s1, s2 = [], []
-        r1 = run_experiment(parties(clients), model, cfg, vocab,
+        r1 = run_experiment(parties(clients, vocab), model, cfg, vocab,
                             self._assignment(clients), round_hook=s1.append)
-        r2 = run_experiment(parties(clients), model, cfg, vocab,
+        r2 = run_experiment(parties(clients, vocab), model, cfg, vocab,
                             self._assignment(clients), round_hook=s2.append)
         assert r1.best_round == r2.best_round
         assert r1.dev_loss == r2.dev_loss
@@ -472,7 +474,7 @@ class TestRunExperiment:
         clients, vocab, model = tiny_setup
         cfg = FedConfig(rounds=3, learning_rate=1e-3, grad_accumulation=2)
         seen = []
-        result = run_experiment([Party.pooled(clients)], model, cfg, vocab, None,
+        result = run_experiment([Party.pooled(clients, vocab)], model, cfg, vocab, None,
                                 round_hook=seen.append)
         assert [state.index for state in seen] == [1, 2, 3]
         assert all(list(state.params) == ["pooled"] for state in seen)
@@ -491,7 +493,7 @@ class TestRunExperiment:
         monkeypatch.setattr(federation, "train_epochs", diverge)
         cfg = FedConfig(rounds=2, learning_rate=1e-3)
         with pytest.raises(NumericError, match=r"^round 1, party pooled: non-finite loss$"):
-            run_experiment([Party.pooled(clients)], model, cfg, vocab, None)
+            run_experiment([Party.pooled(clients, vocab)], model, cfg, vocab, None)
 
     def test_fedconfig_validation(self):
         with pytest.raises(ConfigurationError):

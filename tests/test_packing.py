@@ -25,6 +25,7 @@ from fedmt.model import (
     decode_logits,
     encode,
     grad,
+    merge_batches,
 )
 from fedmt.nn import (
     Rows,
@@ -231,12 +232,12 @@ def full_prefix_greedy(model, src, src_mask, bos_id, eos_id, max_len):
 
 def test_kv_cached_decoding_matches_the_full_prefix_recompute():
     languages, clients = make_clients("m2m", 2, DataConfig(scale=1 / 64, length_range=(4, 10)))
-    vocab = build_vocab([c.data for c in clients], languages)
+    vocab = build_vocab(languages)
     config = ModelConfig(vocab_size=len(vocab), model_dim=32, num_heads=4, ffn_dim=64,
                          enc_layers=2, dec_layers=2, max_seq_len=24, dtype="float64")
     # a few epochs of full-model training, so that decodes stop at EOS
-    samples = [(s, t, c.tgt.code) for c in clients for s, t in c.data.train]
-    model, _ = train_epochs(build_model(config, 4, freeze_backbone=False), samples, vocab,
+    corpus = merge_batches([make_batch(c.data.train, vocab, c.tgt.code) for c in clients])
+    model, _ = train_epochs(build_model(config, 4, freeze_backbone=False), corpus,
                             [1, 2, 3], 8, 1, "adam", 1e-2)
     lengths = []
     for client in clients:

@@ -8,8 +8,9 @@ import pytest
 
 from fedmt import bleu, runner
 from fedmt.config import config_from_dict
-from fedmt.data import derive_seed
+from fedmt.data import Vocab, derive_seed, make_batch
 from fedmt.federation import Party, run_experiment, train_epochs
+from fedmt.model import merge_batches
 from fedmt.runner import (
     build_method_model,
     prepare_data,
@@ -159,6 +160,28 @@ class TestRunSeed:
         assert n_clients == 8
         assert len(calls) == n_clients + 1
 
+    def test_each_split_is_encoded_once_whatever_the_rounds(self, monkeypatch):
+        # two encodes per sentence pair: train, dev and test, each once
+        encode = Vocab.encode
+        calls = []
+
+        def counting(self, tokens):
+            calls.append(len(tokens))
+            return encode(self, tokens)
+
+        monkeypatch.setattr(Vocab, "encode", counting)
+        counts = []
+        for rounds in (1, 3):
+            cfg = cfg_for("adapter-families", evaluate_test_bleu=True,
+                          fed={"rounds": rounds, "grad_accumulation": 1})
+            _, clients, _ = prepare_data(cfg, 1)
+            warmup_backbone(cfg, 1)  # cached, so the run below does not encode it
+            before = len(calls)
+            run_seed(cfg, 1)
+            counts.append(len(calls) - before)
+        pairs = sum(len(c.data.train) + len(c.data.dev) + len(c.data.test) for c in clients)
+        assert counts == [2 * pairs, 2 * pairs]
+
     def test_result_holds_no_parameters(self):
         # the selected models come back beside the result, not inside it
         res, _ = run_seed(cfg_for("model-fed"), 1)
@@ -172,12 +195,12 @@ def centralized_round_one(local_epochs):
     _, clients, vocab = prepare_data(cfg, 1)
     initial = build_method_model(cfg, 1, vocab, warmup_backbone(cfg, 1))
     fed_cfg = dataclasses.replace(cfg.fed, seed=1, rounds=1, local_epochs=local_epochs)
-    result = run_experiment([Party.pooled(clients)], initial, fed_cfg, vocab, None)
-    samples = [(s, t, c.tgt.code) for c in clients for s, t in c.data.train]
+    result = run_experiment([Party.pooled(clients, vocab)], initial, fed_cfg, vocab, None)
+    pooled = merge_batches([make_batch(c.data.train, vocab, c.tgt.code) for c in clients])
     # epoch e of round r shuffles with the centralized stream's seed for (seed, r, e)
     epoch_seeds = [derive_seed(1, 0xCE27, 1, epoch) for epoch in range(local_epochs)]
     direct, stats = train_epochs(
-        initial, samples, vocab, epoch_seeds, fed_cfg.batch_size,
+        initial, pooled, epoch_seeds, fed_cfg.batch_size,
         fed_cfg.grad_accumulation, fed_cfg.optimizer, fed_cfg.learning_rate,
     )
     return clients, result, direct, stats
