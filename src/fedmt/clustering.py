@@ -15,9 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Vocab, batches, make_batch
+from .data import batches
 from .errors import ConfigurationError, DegenerateFeatureError, PartitionError
-from .model import ToyModel, grad
+from .model import Batch, ToyModel, grad
 from .presets import Client
 
 STRATEGIES = ("none", "families", "gradients", "random")
@@ -122,13 +122,13 @@ def cluster_by_family(clients: Sequence[Client], side: str) -> tuple[Cluster, ..
 
 
 def compute_gradient_feature(
-    client: Client,
+    client_id: str,
+    train: Batch,
     probe_model: ToyModel,
-    vocab: Vocab,
 ) -> GradientFeature:
-    """Mean gradient over the client's full training set, restricted to the
-    first active encoder adapter of the probe model, flattened in name order
-    and L2-normalized.
+    """Mean gradient over a client's encoded training set ``train``,
+    restricted to the first active encoder adapter of the probe model,
+    flattened in name order and L2-normalized.
 
     The probe model must be the same checkpoint for every client.
     """
@@ -141,14 +141,13 @@ def compute_gradient_feature(
     accum = {name: np.zeros(probe_model.params.values(name).shape, dtype=np.float64)
              for name in slice_names}
     needed = set(slice_names)
-    train = make_batch(client.data.train, vocab, client.tgt.code)
     for batch in batches(train, PROBE_BATCH_SIZE):
         _, grads = grad(probe_model, batch, needed=needed)
         for name in slice_names:
             accum[name] += grads[name]
     flat = np.concatenate([accum[name].reshape(-1) for name in slice_names])
     flat /= train.size
-    return GradientFeature(client.id, flat)
+    return GradientFeature(client_id, flat)
 
 
 def _cosine_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:

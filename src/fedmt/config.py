@@ -245,16 +245,4 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
 def config_to_dict(cfg: ExperimentConfig) -> dict[str, Any]:
     """Full snapshot with every default materialized."""
-    return {
-        "mode": cfg.mode,
-        "method": cfg.method,
-        "ablation": cfg.ablation,
-        "pruning": cfg.pruning,
-        "aggregation": cfg.aggregation,
-        "seeds": list(cfg.seeds),
-        "data": dataclasses.asdict(cfg.data),
-        "model": dataclasses.asdict(cfg.model),
-        "fed": dataclasses.asdict(cfg.fed),
-        "warmup": dataclasses.asdict(cfg.warmup),
-        "evaluate_test_bleu": cfg.evaluate_test_bleu,
-    }
+    return dataclasses.asdict(cfg)

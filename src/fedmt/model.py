@@ -19,10 +19,15 @@ attention places them on the padded grid only for its score, softmax and
 context products. Pad keys are masked and pad positions carry no loss, so
 pad rows contribute exactly zero; packing changes only the order of sums.
 Greedy decoding feeds one new position per step through the same sublayer
-loop, reading earlier keys and values from a KV cache. A forward keeps
-only what its own backward reads: ``loss`` and greedy decoding keep no
-cache, and a gradient pass keeps a linear's input only for a weight
-gradient it computes, so a frozen backbone holds no inputs for its weights.
+loop, reading earlier keys and values from a KV cache.
+
+A forward takes a ``want`` predicate over tensor names and is the one place
+that decides which parameter gradients its pass computes: it names a layer
+(``_tensors``) when ``want`` holds for its weight or bias, and the backward
+writes the gradients of exactly the layers its caches name. A forward keeps
+only what that backward reads: ``loss`` and greedy decoding keep no cache,
+and a linear keeps its input only when it is named, so a frozen backbone
+holds no inputs for its weights.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import dataclasses
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,6 +56,12 @@ ATTN_PROJECTIONS = ("q", "k", "v", "out")
 # pruning strategy -> the third of each stack's layers whose adapters stay
 THIRDS = {"input_end": 0, "middle": 1, "output_end": 2}
 PRUNING_STRATEGIES = ("all", *THIRDS)
+
+WantFn = Callable[[str], bool]
+
+
+def want_all(_: str) -> bool:
+    return True
 
 
 @dataclass(frozen=True)
@@ -317,34 +328,27 @@ def build_model(
 # forward / backward
 
 
-def _attn_params(p: NamedParamSet, key: str) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    return {
-        proj: (p.values(f"{key}.{proj}.weight"), p.values(f"{key}.{proj}.bias"))
-        for proj in ATTN_PROJECTIONS
-    }
+def _tensors(p: NamedParamSet, key: str, want: WantFn | None):
+    """Layer ``key`` as the ``(weight, bias, name)`` an ``nn`` forward takes:
+    the name is ``key`` when ``want`` holds for its weight or bias, so the
+    pass computes both, and None when the pass computes neither."""
+    weight, bias = f"{key}.weight", f"{key}.bias"
+    named = want is not None and (want(weight) or want(bias))
+    return p.values(weight), p.values(bias), key if named else None
 
 
-def _adapter_params(p: NamedParamSet, key: str) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    return {
-        "down": (p.values(f"{key}.down.weight"), p.values(f"{key}.down.bias")),
-        "up": (p.values(f"{key}.up.weight"), p.values(f"{key}.up.bias")),
-    }
-
-
-def _ffn_fwd(x, p: NamedParamSet, key: str, want: nn.WantFn | None):
-    h1, c1 = nn.linear_fwd(x, p.values(f"{key}.fc1.weight"), p.values(f"{key}.fc1.bias"),
-                           nn.keeps_input(want, f"{key}.fc1"))
+def _ffn_fwd(x, p: NamedParamSet, key: str, want: WantFn | None):
+    h1, c1 = nn.linear_fwd(x, *_tensors(p, f"{key}.fc1", want))
     a, ca = nn.gelu_fwd(h1, want is not None)
-    out, c2 = nn.linear_fwd(a, p.values(f"{key}.fc2.weight"), p.values(f"{key}.fc2.bias"),
-                            nn.keeps_input(want, f"{key}.fc2"))
+    out, c2 = nn.linear_fwd(a, *_tensors(p, f"{key}.fc2", want))
     return out, (c1, ca, c2)
 
 
-def _ffn_bwd(dy, cache, key: str, grads, want):
+def _ffn_bwd(dy, cache, grads):
     c1, ca, c2 = cache
-    da = nn.linear_bwd(dy, c2, f"{key}.fc2", grads, want)
+    da = nn.linear_bwd(dy, c2, grads)
     dh1 = nn.gelu_bwd(da, ca)
-    return nn.linear_bwd(dh1, c1, f"{key}.fc1", grads, want)
+    return nn.linear_bwd(dh1, c1, grads)
 
 
 def _embed(model: ToyModel, ids: np.ndarray, rows: nn.Rows, offset: int):
@@ -363,7 +367,7 @@ def _embed(model: ToyModel, ids: np.ndarray, rows: nn.Rows, offset: int):
 
 def _stack_fwd(model: ToyModel, side: str, ids: np.ndarray, mask: np.ndarray,
                self_bias: np.ndarray, memory=None, kv_cache: dict | None = None,
-               want: nn.WantFn | None = nn.want_all):
+               want: WantFn | None = want_all):
     """One stack over the real tokens of ``ids`` (``mask`` True there):
     embedding, every sublayer, final layer norm, each on the packed rows
     [N, d].
@@ -377,9 +381,11 @@ def _stack_fwd(model: ToyModel, side: str, ids: np.ndarray, mask: np.ndarray,
     cross-attention computes them once. Returns the packed output and the
     cache that ``_stack_bwd`` takes.
 
-    ``want`` is the backward's predicate. With ``want`` None (inference) no
-    sublayer cache is kept, so each sublayer's activations are freed as the
-    next one runs, and the cache is None.
+    ``want`` names the tensors whose gradients the backward computes (see
+    ``_tensors``). With ``want`` None (inference) no sublayer cache is kept,
+    so each sublayer's activations are freed as the next one runs, and the
+    cache is None. Each sublayer's cache records its block kind, so the
+    backward walks the caches alone.
     """
     cfg, p = model.config, model.params
     rows = nn.Rows.of(mask)
@@ -387,8 +393,7 @@ def _stack_fwd(model: ToyModel, side: str, ids: np.ndarray, mask: np.ndarray,
                       self_bias.shape[0] - rows.length)
     caches = [] if want is not None else None
     for ln, block, site in _sublayers(cfg, side):
-        ln_key = f"{site.layer_key}.{ln}"
-        h, ln_c = nn.layer_norm_fwd(x, p.values(f"{ln_key}.weight"), p.values(f"{ln_key}.bias"))
+        h, ln_c = nn.layer_norm_fwd(x, *_tensors(p, f"{site.layer_key}.{ln}", want))
         key = f"{site.layer_key}.{block}"
         if block == "ffn":
             out, block_c = _ffn_fwd(h, p, key, want)
@@ -397,52 +402,48 @@ def _stack_fwd(model: ToyModel, side: str, ids: np.ndarray, mask: np.ndarray,
             past = None if kv_cache is None else kv_cache.get(key)
             if block == "cross_attn" and past is not None:
                 kv_in = None  # the memory's keys and values do not change
-            out, block_c = nn.attention_fwd(h, kv_in, _attn_params(p, key), kv_bias,
-                                            cfg.num_heads, rows, kv_rows, past, key, want)
+            projections = {proj: _tensors(p, f"{key}.{proj}", want) for proj in ATTN_PROJECTIONS}
+            out, block_c = nn.attention_fwd(h, kv_in, projections, kv_bias, cfg.num_heads,
+                                            rows, kv_rows, past)
             if kv_cache is not None:
                 kv_cache[key] = (block_c.kt, block_c.v)
         x = x + out
         ad_c = None
         if model.adapter_mask.get(site.prefix, False):
-            x, ad_c = nn.adapter_fwd(x, _adapter_params(p, site.prefix),
-                                     cfg.adapter_nonlinearity, site.prefix, want)
+            adapter = {part: _tensors(p, f"{site.prefix}.{part}", want) for part in ("down", "up")}
+            x, ad_c = nn.adapter_fwd(x, adapter, cfg.adapter_nonlinearity, want is not None)
         if caches is not None:
-            caches.append((ln_c, block_c, ad_c))
+            caches.append((ln_c, block, block_c, ad_c))
         del h, ln_c, out, block_c, ad_c  # an inference pass frees them before the next sublayer
-    final = f"{STACK_NAMES[side]}.final_ln"
-    out, final_c = nn.layer_norm_fwd(x, p.values(f"{final}.weight"), p.values(f"{final}.bias"))
+    out, final_c = nn.layer_norm_fwd(x, *_tensors(p, f"{STACK_NAMES[side]}.final_ln", want))
     if caches is None:
         return out, None
     return out, {"sublayers": caches, "final_ln": final_c, "out": out, "scale": scale}
 
 
-def _stack_bwd(model: ToyModel, side: str, dout: np.ndarray, cache, grads, want,
-               d_memory: np.ndarray | None = None) -> np.ndarray:
+def _stack_bwd(dout: np.ndarray, cache, grads, d_memory: np.ndarray | None = None) -> np.ndarray:
     """Gradient through one stack, from its output back to its scaled
     embedding input. Cross-attention adds its memory gradient into
     ``d_memory`` in place."""
-    dx = nn.layer_norm_bwd(dout, cache["final_ln"], f"{STACK_NAMES[side]}.final_ln", grads, want)
-    sublayers = _sublayers(model.config, side)
-    for (ln, block, site), (ln_c, block_c, ad_c) in zip(reversed(sublayers),
-                                                        reversed(cache["sublayers"])):
+    dx = nn.layer_norm_bwd(dout, cache["final_ln"], grads)
+    for ln_c, block, block_c, ad_c in reversed(cache["sublayers"]):
         if ad_c is not None:
-            dx = nn.adapter_bwd(dx, ad_c, site.prefix, grads, want)
-        key = f"{site.layer_key}.{block}"
+            dx = nn.adapter_bwd(dx, ad_c, grads)
         if block == "ffn":
-            dh = _ffn_bwd(dx, block_c, key, grads, want)
+            dh = _ffn_bwd(dx, block_c, grads)
         else:
-            dq, dkv = nn.attention_bwd(dx, block_c, key, grads, want)
+            dq, dkv = nn.attention_bwd(dx, block_c, grads)
             if block == "self_attn":
                 dh = dq + dkv
             else:
                 d_memory += dkv
                 dh = dq
-        dx = dx + nn.layer_norm_bwd(dh, ln_c, f"{site.layer_key}.{ln}", grads, want)
+        dx = dx + nn.layer_norm_bwd(dh, ln_c, grads)
     return dx
 
 
 def encode(model: ToyModel, src: np.ndarray, src_mask: np.ndarray,
-           want: nn.WantFn | None = nn.want_all):
+           want: WantFn | None = want_all):
     """Encoder output at the real source positions [N_src, d], plus the
     cache for ``want`` (None with ``want`` None; see ``_stack_fwd``)."""
     bias = nn.attention_bias(src_mask, model.config.np_dtype)
@@ -456,7 +457,7 @@ def decode_logits(
     tgt_in: np.ndarray,
     tgt_mask: np.ndarray,
     kv_cache: dict | None = None,
-    want: nn.WantFn | None = nn.want_all,
+    want: WantFn | None = want_all,
 ):
     """Logits [N_tgt, V] at the real positions of ``tgt_in`` (row-major),
     plus the cache for ``want`` (see ``_stack_fwd``), given the packed
@@ -486,35 +487,33 @@ def decode_logits(
     return dec_out @ model.params.values("emb.token.weight").T, cache
 
 
-def forward(model: ToyModel, batch: Batch, want: nn.WantFn | None = nn.want_all):
+def forward(model: ToyModel, batch: Batch, want: WantFn | None = want_all):
     """Logits [N_real, V] at the real target positions, row-major (the order
     of ``batch.tgt_gold[batch.tgt_mask]``), plus the cache that ``backward``
-    takes with the same ``want``. The default keeps what every gradient
-    reads; ``want`` None is an inference pass, which returns no cache."""
+    takes. ``want`` decides which parameter gradients that backward
+    computes; the default computes every one. ``want`` None is an inference
+    pass, which returns no cache."""
     enc_out, enc_cache = encode(model, batch.src, batch.src_mask, want)
     logits, dec_cache = decode_logits(
         model, enc_out, batch.src_mask, batch.tgt_in, batch.tgt_mask, want=want
     )
     if want is None:
         return logits, None
-    return logits, {"enc": enc_cache, "dec": dec_cache}
+    return logits, {"enc": enc_cache, "dec": dec_cache, "emb": want("emb.token.weight")}
 
 
-def backward(model: ToyModel, batch: Batch, cache, dlogits: np.ndarray,
-             want: nn.WantFn = nn.want_all):
-    """Gradients of the loss wrt parameters, given d(loss)/d(logits) [N_real, V].
-
-    ``want`` limits which parameter gradients are materialized; activation
-    gradients always propagate fully. The forward that built ``cache`` must
-    have been given a ``want`` that holds for every weight this one wants.
+def backward(model: ToyModel, batch: Batch, cache, dlogits: np.ndarray):
+    """Gradients of the loss wrt parameters, given d(loss)/d(logits) [N_real, V]:
+    those of every layer the forward named in ``cache``, and the embedding's
+    when the forward wanted it. Activation gradients always propagate fully.
     """
     emb = model.params.values("emb.token.weight")
     grads: dict[str, np.ndarray] = {}
     enc, dec = cache["enc"], cache["dec"]
     d_enc_out = np.zeros_like(enc["out"])
-    dy = _stack_bwd(model, "decoder", dlogits @ emb, dec, grads, want, d_enc_out)
-    dx = _stack_bwd(model, "encoder", d_enc_out, enc, grads, want)
-    if want("emb.token.weight"):
+    dy = _stack_bwd(dlogits @ emb, dec, grads, d_enc_out)
+    dx = _stack_bwd(d_enc_out, enc, grads)
+    if cache["emb"]:
         d_emb = dlogits.T @ dec["out"]
         for ids, mask, d_in, stack in ((batch.tgt_in, batch.tgt_mask, dy, dec),
                                        (batch.src, batch.src_mask, dx, enc)):
@@ -568,16 +567,16 @@ def loss(model: ToyModel, batch: Batch) -> LossResult:
 
 
 def grad(model: ToyModel, batch: Batch, needed: set[str] | None = None):
-    """Loss plus analytic gradients of the *summed* loss over trainable tensors."""
+    """Loss plus analytic gradients of the *summed* loss over the tensors in
+    ``needed`` (default: every trainable tensor), exactly those."""
     _check_batch(model, batch)
     if needed is None:
         needed = {t.name for t in model.params if t.trainable}
-    want = needed.__contains__
-    logits, cache = forward(model, batch, want)
+    logits, cache = forward(model, batch, needed.__contains__)
     total, count, dlogits = _cross_entropy(logits, batch)
     if not np.isfinite(total):
         raise NumericError("non-finite loss")
-    grads = backward(model, batch, cache, dlogits, want)
+    grads = {n: g for n, g in backward(model, batch, cache, dlogits).items() if n in needed}
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient for {name!r}")
@@ -656,7 +655,10 @@ def save_checkpoint(model: ToyModel, path_prefix: str | Path) -> None:
 def load_checkpoint(path_prefix: str | Path) -> ToyModel:
     """Read a checkpoint written by :func:`save_checkpoint`. A ``.meta``
     sidecar with a missing, unknown or unparsable key raises
-    :class:`CheckpointError`, as does a damaged ``.params`` file."""
+    :class:`CheckpointError`, as does a damaged ``.params`` file, and so do
+    tensors or adapter sites that disagree with the layout the ``.meta``
+    config describes (:func:`param_layout`, adapters included when the
+    adapter mask is non-empty): a name, shape, side or dtype."""
     prefix = Path(path_prefix)
     meta_path = prefix.parent / (prefix.name + ".meta")
     meta: dict[str, str] = {}
@@ -678,4 +680,20 @@ def load_checkpoint(path_prefix: str | Path) -> ToyModel:
     if meta:
         raise CheckpointError(f"{meta_path}: unknown key {sorted(meta)[0]!r}")
     params = load_param_set(prefix.parent / (prefix.name + ".params"))
+    sites = {site.prefix for site in adapter_sites(config)}
+    if mask and set(mask) != sites:
+        odd = sorted(set(mask) ^ sites)[0]
+        raise CheckpointError(f"{prefix}: adapter site {odd!r} disagrees with the config")
+    layout = {s.name: s for s in param_layout(config) if mask or s.site is None}
+    for t in params:
+        spec = layout.pop(t.name, None)
+        if spec is None:
+            raise CheckpointError(f"{prefix}: tensor {t.name!r} is not in the config's layout")
+        found = (t.shape, t.side, t.values.dtype.name)
+        expected = (spec.shape, spec.side, config.dtype)
+        if found != expected:
+            raise CheckpointError(f"{prefix}: tensor {t.name!r} has (shape, side, dtype) "
+                                  f"{found}, but the config says {expected}")
+    if layout:
+        raise CheckpointError(f"{prefix}: missing tensor {next(iter(layout))!r}")
     return ToyModel(config, params, mask)

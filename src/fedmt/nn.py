@@ -1,16 +1,16 @@
 """Dense-layer primitives with explicit forward/backward passes.
 
-Each ``*_fwd`` returns ``(output, cache)``; the matching ``*_bwd`` takes the
-upstream gradient plus the cache and returns only input gradients. A layer
-with parameters also takes its tensor path ``key`` (``"enc.layer0.ffn.fc1"``)
-and the caller's ``grads`` dict, and writes each parameter gradient into it
-under its full name (``f"{key}.weight"``, ``f"{key}.bias"``, ...). Gradient
-computation for a parameter can be skipped by passing a ``want`` predicate
-that returns False for its full name.
+Each ``*_fwd`` returns ``(output, cache)``; the matching ``*_bwd(dy, cache,
+grads)`` returns only input gradients. A layer with parameters (a linear map
+or a layer norm) arrives as ``(weight, bias, name)``: ``name`` is its tensor
+path (``"enc.layer0.ffn.fc1"``) when this pass computes its gradients, and
+None when it does not. The forward records the name in its cache, and the
+backward writes ``f"{name}.weight"`` and ``f"{name}.bias"`` into ``grads``
+exactly when it is set. A plain ``(weight, bias)`` pair is a frozen layer.
 
-A forward keeps a linear's input, which only its weight gradient reads,
-when ``want`` holds for that weight; ``want`` None (inference) keeps none.
-An activation's ``keep`` flag says whether a backward will run: GELU then
+So the forward alone decides what a pass computes: a linear keeps its
+input, which only its weight gradient reads, only when it is named. An
+activation's ``keep`` flag says whether a backward will run: GELU then
 keeps its derivative, ReLU its mask; without it they keep nothing.
 
 The model passes packed rows [N, d] of real tokens. Position-wise primitives
@@ -22,45 +22,30 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 _NEG_INF = -1e9
-
-WantFn = Callable[[str], bool]
-
-
-def want_all(_: str) -> bool:
-    return True
-
-
-def keeps_input(want: WantFn | None, key: str) -> bool:
-    """Whether a forward keeps linear ``key``'s input for its weight gradient."""
-    return want is not None and want(f"{key}.weight")
 
 
 # ---------------------------------------------------------------------------
 # linear / activations / layer norm
 
 
-def linear_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray, keep_input: bool = True):
+def linear_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray, name: str | None = None):
     y = x @ w
     y += b
-    return y, (x if keep_input else None, w)
+    return y, (x if name is not None else None, w, name)
 
 
-def linear_bwd(dy: np.ndarray, cache, key: str, grads: dict, want: WantFn = want_all):
-    x, w = cache
+def linear_bwd(dy: np.ndarray, cache, grads: dict):
+    x, w, name = cache
     dx = dy @ w.T
-    if want(f"{key}.weight"):
-        if x is None:
-            raise ValueError(f"no weight gradient for {key}.weight: its forward kept no input")
-        x2 = x.reshape(-1, x.shape[-1])
-        dy2 = dy.reshape(-1, dy.shape[-1])
-        grads[f"{key}.weight"] = x2.T @ dy2
-    if want(f"{key}.bias"):
-        grads[f"{key}.bias"] = dy.reshape(-1, dy.shape[-1]).sum(axis=0)
+    if name is not None:
+        d = dy.shape[-1]
+        grads[f"{name}.weight"] = x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, d)
+        grads[f"{name}.bias"] = dy.reshape(-1, d).sum(axis=0)
     return dx
 
 
@@ -110,7 +95,8 @@ def gelu_bwd(dy: np.ndarray, cache) -> np.ndarray:
 ACTIVATIONS = {"relu": (relu_fwd, relu_bwd), "gelu": (gelu_fwd, gelu_bwd)}
 
 
-def layer_norm_fwd(x: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float = 1e-5):
+def layer_norm_fwd(x: np.ndarray, g: np.ndarray, b: np.ndarray, name: str | None = None,
+                   eps: float = 1e-5):
     # Row statistics as products with a 1/d vector: a gemv reduces the short
     # feature axis far faster than ``mean(axis=-1)``.
     avg = np.full(x.shape[-1], 1.0 / x.shape[-1], dtype=x.dtype)
@@ -119,17 +105,16 @@ def layer_norm_fwd(x: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float = 1e-
     xhat *= inv[..., None]
     y = xhat * g
     y += b
-    return y, (xhat, inv, g)
+    return y, (xhat, inv, g, name)
 
 
-def layer_norm_bwd(dy: np.ndarray, cache, key: str, grads: dict, want: WantFn = want_all):
-    xhat, inv, g = cache
+def layer_norm_bwd(dy: np.ndarray, cache, grads: dict):
+    xhat, inv, g, name = cache
     d = xhat.shape[-1]
     dy_xhat = dy * xhat
-    if want(f"{key}.weight"):
-        grads[f"{key}.weight"] = dy_xhat.reshape(-1, d).sum(axis=0)
-    if want(f"{key}.bias"):
-        grads[f"{key}.bias"] = dy.reshape(-1, d).sum(axis=0)
+    if name is not None:
+        grads[f"{name}.weight"] = dy_xhat.reshape(-1, d).sum(axis=0)
+        grads[f"{name}.bias"] = dy.reshape(-1, d).sum(axis=0)
     # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), dxhat = dy * g
     g_avg = g / d
     m1, m2 = dy @ g_avg, dy_xhat @ g_avg
@@ -205,14 +190,12 @@ class AttentionCache(NamedTuple):
 def attention_fwd(
     q_in: np.ndarray,
     kv_in: np.ndarray | None,
-    p: dict[str, tuple[np.ndarray, np.ndarray]],
+    p: dict[str, tuple],
     bias: np.ndarray,
     num_heads: int,
     q_rows: Rows,
     kv_rows: Rows | None,
     past: tuple[np.ndarray, np.ndarray] | None = None,
-    key: str = "",
-    want: WantFn | None = want_all,
 ):
     """Multi-head attention over packed rows.
 
@@ -224,15 +207,15 @@ def attention_fwd(
     the transposed keys [B, H, dh, Tp] and the values [B, H, Tp, dh] of
     earlier positions, placed before those of ``kv_in``; ``kv_in`` may then
     be None. The cache's ``kt`` and ``v`` hold every key and value, ``past``
-    included. Each projection keeps its input only when ``want`` holds for
-    ``"{key}.{projection}.weight"``.
+    included. ``p`` maps each projection (``q``, ``k``, ``v``, ``out``) to
+    its ``(weight, bias[, name])``.
 
     The softmax weights are held key-major, so its max and sum reduce over
     the leading axis, vectorised across batch, heads and queries. Keys are
     held transposed: every product then reads its second operand with unit
     stride along its last axis, which BLAS needs to run fast at these sizes.
     """
-    q_flat, q_cache = linear_fwd(q_in, *p["q"], keeps_input(want, f"{key}.q"))
+    q_flat, q_cache = linear_fwd(q_in, *p["q"])
     scale = 1.0 / math.sqrt(q_flat.shape[-1] // num_heads)
     q_flat *= scale  # scaled here, on [Nq, d] rather than on the scores
     q = q_rows.heads(q_flat, num_heads)
@@ -240,8 +223,8 @@ def attention_fwd(
     if kv_in is None:
         kt, v = past
     else:
-        k_flat, k_cache = linear_fwd(kv_in, *p["k"], keeps_input(want, f"{key}.k"))
-        v_flat, v_cache = linear_fwd(kv_in, *p["v"], keeps_input(want, f"{key}.v"))
+        k_flat, k_cache = linear_fwd(kv_in, *p["k"])
+        v_flat, v_cache = linear_fwd(kv_in, *p["v"])
         kt = np.ascontiguousarray(kv_rows.heads(k_flat, num_heads).swapaxes(-1, -2))
         v = kv_rows.heads(v_flat, num_heads)
         if past is not None:
@@ -254,16 +237,15 @@ def attention_fwd(
     np.exp(attn, out=attn)
     attn /= attn.sum(axis=0)
     ctx = q_rows.matmul(attn.transpose(1, 2, 3, 0), v)
-    out, o_cache = linear_fwd(ctx, *p["out"], keeps_input(want, f"{key}.out"))
+    out, o_cache = linear_fwd(ctx, *p["out"])
     return out, AttentionCache(q_cache, k_cache, v_cache, o_cache, q, kt, v, attn, scale,
                                q_rows, kv_rows)
 
 
-def attention_bwd(dout: np.ndarray, cache: AttentionCache, key: str, grads: dict,
-                  want: WantFn = want_all):
+def attention_bwd(dout: np.ndarray, cache: AttentionCache, grads: dict):
     """Gradients of the packed query and key rows; ``past`` is not supported."""
     c = cache
-    dctx = linear_bwd(dout, c.out_lin, f"{key}.out", grads, want)
+    dctx = linear_bwd(dout, c.out_lin, grads)
     dctx = c.q_rows.heads(dctx, c.q.shape[1])
     dv = c.kv_rows.matmul(c.attn.transpose(1, 2, 0, 3), dctx)
     # softmax backward, key-major: attn * (dattn - sum over keys of attn *
@@ -276,9 +258,9 @@ def attention_bwd(dout: np.ndarray, cache: AttentionCache, key: str, grads: dict
     dq = c.q_rows.matmul(dscores.transpose(1, 2, 3, 0), c.kt.swapaxes(-1, -2))
     dq *= c.scale
     dk = c.kv_rows.matmul(dscores.transpose(1, 2, 0, 3), c.q)  # q holds the scale
-    dq_in = linear_bwd(dq, c.q_lin, f"{key}.q", grads, want)
-    dkv_in = linear_bwd(dk, c.k_lin, f"{key}.k", grads, want)
-    dkv_in += linear_bwd(dv, c.v_lin, f"{key}.v", grads, want)
+    dq_in = linear_bwd(dq, c.q_lin, grads)
+    dkv_in = linear_bwd(dk, c.k_lin, grads)
+    dkv_in += linear_bwd(dv, c.v_lin, grads)
     return dq_in, dkv_in
 
 
@@ -286,22 +268,23 @@ def attention_bwd(dout: np.ndarray, cache: AttentionCache, key: str, grads: dict
 # bottleneck adapter
 
 
-def adapter_fwd(h: np.ndarray, p: dict[str, tuple[np.ndarray, np.ndarray]], nonlinearity: str,
-                key: str = "", want: WantFn | None = want_all):
-    """Residual bottleneck h + up(act(down(h))); the model skips pruned adapters."""
+def adapter_fwd(h: np.ndarray, p: dict[str, tuple], nonlinearity: str, keep: bool = True):
+    """Residual bottleneck h + up(act(down(h))); ``p`` maps ``down`` and
+    ``up`` to their ``(weight, bias[, name])``. The model skips pruned
+    adapters."""
     act_fwd, _ = ACTIVATIONS[nonlinearity]
-    z, down_cache = linear_fwd(h, *p["down"], keeps_input(want, f"{key}.down"))
-    a, act_cache = act_fwd(z, want is not None)
-    delta, up_cache = linear_fwd(a, *p["up"], keeps_input(want, f"{key}.up"))
+    z, down_cache = linear_fwd(h, *p["down"])
+    a, act_cache = act_fwd(z, keep)
+    delta, up_cache = linear_fwd(a, *p["up"])
     return h + delta, (down_cache, act_cache, up_cache, nonlinearity)
 
 
-def adapter_bwd(dout: np.ndarray, cache, key: str, grads: dict, want: WantFn = want_all):
+def adapter_bwd(dout: np.ndarray, cache, grads: dict):
     down_cache, act_cache, up_cache, nonlinearity = cache
     _, act_bwd = ACTIVATIONS[nonlinearity]
-    da = linear_bwd(dout, up_cache, f"{key}.up", grads, want)
+    da = linear_bwd(dout, up_cache, grads)
     dz = act_bwd(da, act_cache)
-    dh = linear_bwd(dz, down_cache, f"{key}.down", grads, want)
+    dh = linear_bwd(dz, down_cache, grads)
     return dout + dh
 
 

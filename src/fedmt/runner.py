@@ -85,19 +85,12 @@ def _model_seed(seed: int) -> int:
 def build_method_model(cfg: ExperimentConfig, seed: int, vocab: Vocab,
                        backbone: NamedParamSet) -> ToyModel:
     """The shared initial checkpoint every client starts from."""
-    model_cfg = bind_model_config(cfg, vocab)
-    if cfg.uses_adapters:
-        model = build_model(
-            model_cfg, _model_seed(seed), with_adapters=True,
-            freeze_backbone=True, backbone=backbone,
-        )
-        if cfg.pruning != "all":
-            model = apply_pruning(model, cfg.pruning)
-        return model
-    return build_model(
-        model_cfg, _model_seed(seed), with_adapters=False,
-        freeze_backbone=False, backbone=backbone,
-    )
+    model = build_model(bind_model_config(cfg, vocab), _model_seed(seed),
+                        with_adapters=cfg.uses_adapters, freeze_backbone=cfg.uses_adapters,
+                        backbone=backbone)
+    if cfg.uses_adapters and cfg.pruning != "all":
+        model = apply_pruning(model, cfg.pruning)
+    return model
 
 
 def make_assignment(
@@ -105,18 +98,19 @@ def make_assignment(
     seed: int,
     clients: list[Client],
     probe_model: ToyModel,
-    vocab: Vocab,
+    parties: list[Party],
 ) -> ClusterAssignment | None:
     """Cluster assignment for the configured method, or None when the method
-    never aggregates (adapter-local, centralized)."""
+    never aggregates (adapter-local, centralized). The gradient probe reads
+    each client's party corpus, the train split the run trains on."""
     if not cfg.aggregates:
         return None
     strategy = cfg.strategy
     features = None
     if strategy == "gradients":
         features = [
-            compute_gradient_feature(client, probe_model, vocab)
-            for client in sorted(clients, key=lambda c: c.id)
+            compute_gradient_feature(party.id, party.corpus, probe_model)
+            for party in sorted(parties, key=lambda p: p.id)
         ]
     return assemble(
         clients,
@@ -198,9 +192,9 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> tuple[SeedResult, dict[str, To
     fed_cfg = dataclasses.replace(
         cfg.fed, seed=seed, learning_rate=cfg.fed.rate_for(cfg.uses_adapters)
     )
-    assignment = make_assignment(cfg, seed, clients, initial, vocab)
     parties = ([Party.pooled(clients, vocab)] if cfg.is_centralized
                else [Party.of(client, vocab) for client in clients])
+    assignment = make_assignment(cfg, seed, clients, initial, parties)
     result = run_experiment(parties, initial, fed_cfg, vocab, assignment)
     pairs = {c.id: c.data.pair for c in clients}
     round_rows = [

@@ -100,8 +100,10 @@ class TestGradients:
         for name in g1:
             assert np.allclose(g2[name], 2 * g1[name], rtol=1e-9, atol=1e-12)
 
-    def test_needed_filter_restricts_outputs(self):
+    @pytest.mark.parametrize("wanted", [{"enc.layer0.attn_adapter.up.weight"},
+                                        {"enc.layer0.attn_adapter.up.bias"}],
+                             ids=["weight", "bias"])
+    def test_needed_filter_restricts_outputs(self, wanted):
         model = randomized_model(11)
-        wanted = {"enc.layer0.attn_adapter.up.weight"}
         _, grads = grad(model, random_batch(5), needed=wanted)
         assert set(grads) == wanted

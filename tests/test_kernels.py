@@ -199,13 +199,14 @@ def is_key_bias(name):
 def test_attention_matches_the_query_major_reference(case):
     rng = np.random.default_rng(7)
     q_in, kv_in, p, q_rows, kv_rows, bias, allowed = ATTENTION_CASES[case](rng)
-    out, cache = attention_fwd(q_in, kv_in, p, bias, HEADS, q_rows, kv_rows)
+    named = {proj: (*p[proj], f"attn.{proj}") for proj in PROJECTIONS}
+    out, cache = attention_fwd(q_in, kv_in, named, bias, HEADS, q_rows, kv_rows)
     ref_out, ref_cache = ref_attention_fwd(q_in, kv_in, p, allowed, q_rows, kv_rows)
     np.testing.assert_allclose(out, ref_out, rtol=RTOL, atol=0)
 
     dout = rng.normal(size=out.shape)
     grads = {}
-    dq_in, dkv_in = attention_bwd(dout, cache, "attn", grads)
+    dq_in, dkv_in = attention_bwd(dout, cache, grads)
     ref_dq, ref_dkv, ref_grads = ref_attention_bwd(dout, ref_cache, p, q_rows, kv_rows)
     for got in (out, dq_in, dkv_in, *grads.values()):
         assert np.all(np.isfinite(got))
@@ -256,12 +257,12 @@ def test_layer_norm_matches_the_mean_based_reference(shape):
     rng = np.random.default_rng(5)
     x = rng.normal(1.0, 3.0, size=shape)
     g, b = rng.normal(1.0, 0.2, D), rng.normal(0.0, 0.2, D)
-    y, cache = layer_norm_fwd(x, g, b)
+    y, cache = layer_norm_fwd(x, g, b, "ln")
     ref_y, ref_cache = ref_layer_norm_fwd(x, g, b)
     np.testing.assert_allclose(y, ref_y, rtol=RTOL, atol=0)
     dy = rng.normal(size=shape)
     grads = {}
-    dx = layer_norm_bwd(dy, cache, "ln", grads)
+    dx = layer_norm_bwd(dy, cache, grads)
     ref_dx, ref_grads = ref_layer_norm_bwd(dy, ref_cache)
     np.testing.assert_allclose(dx, ref_dx, rtol=RTOL, atol=0)
     for name, want in ref_grads.items():

@@ -11,6 +11,7 @@ from fedmt.model import (
     Batch,
     ModelConfig,
     ToyModel,
+    _cross_entropy,
     adapter_sites,
     backward,
     build_model,
@@ -377,12 +378,23 @@ class TestWhatAPassKeeps:
         for name in needed:
             assert np.array_equal(adapter[name], everything[name]), name
 
-    def test_backward_names_a_weight_whose_input_was_not_kept(self):
-        model, batch = build_model(TINY, 0), random_batch(TINY)
+    def test_the_forward_alone_decides_what_a_backward_writes(self):
+        # the backward takes no predicate: it writes the gradients of exactly
+        # the layers its forward named, each bitwise a full gradient's
+        rng = np.random.default_rng(1)
+        model = build_model(TINY, 0, freeze_backbone=False)
+        model = model.with_params(model.params.replace_values({
+            t.name: rng.normal(0, 0.3, t.shape) for t in model.params if "_adapter." in t.name
+        }))
+        batch = random_batch(TINY)
         logits, cache = forward(model, batch, want=lambda name: "adapter" in name)
-        with pytest.raises(ValueError, match=r"dec\.layer1\.ffn\.fc2\.weight"):
-            backward(model, batch, cache, np.ones_like(logits),
-                     lambda name: name == "dec.layer1.ffn.fc2.weight")
+        grads = backward(model, batch, cache, _cross_entropy(logits, batch)[2])
+        _, everything = grad(model, batch)
+        adapters = {t.name for t in model.params if "_adapter." in t.name}
+        assert len(adapters) == 4 * len(adapter_sites(TINY))
+        assert set(grads) == adapters
+        for name in adapters:
+            assert np.array_equal(grads[name], everything[name]), name
 
 
 class TestDecodeGreedy:

@@ -81,7 +81,8 @@ def padded_loss_and_grads(model, batch):
     emb = p.values("emb.token.weight")
     pos = sinusoidal_positions(cfg.max_seq_len, cfg.model_dim, np.float64)
     scale = math.sqrt(cfg.model_dim)
-    pair = lambda key, name: (p.values(f"{key}.{name}.weight"), p.values(f"{key}.{name}.bias"))
+    named = lambda key, name: (p.values(f"{key}.{name}.weight"), p.values(f"{key}.{name}.bias"),
+                               f"{key}.{name}")
 
     def sublayers(stack, layers, table):
         return [(f"{stack}.layer{i}", ln, block, f"{stack}.layer{i}.{slot}_adapter")
@@ -93,45 +94,43 @@ def padded_loss_and_grads(model, batch):
         x = (emb[ids] * scale + pos[:length]).reshape(bsz * length, -1)
         caches = []
         for layer, ln, block, adapter in sublayers(stack, layers, table):
-            h, ln_c = layer_norm_fwd(x, *pair(layer, ln))
+            h, ln_c = layer_norm_fwd(x, *named(layer, ln))
             key = f"{layer}.{block}"
             if block == "ffn":
-                h1, c1 = linear_fwd(h, *pair(key, "fc1"))
+                h1, c1 = linear_fwd(h, *named(key, "fc1"))
                 a, ca = gelu_fwd(h1)
-                out, c2 = linear_fwd(a, *pair(key, "fc2"))
+                out, c2 = linear_fwd(a, *named(key, "fc2"))
                 block_c = (c1, ca, c2)
             else:
-                attn_p = {proj: pair(key, proj) for proj in ATTN_PROJECTIONS}
+                attn_p = {proj: named(key, proj) for proj in ATTN_PROJECTIONS}
                 kv, kv_rows, mask = (h, rows, self_mask) if block == "self_attn" else memory
                 out, block_c = attention_fwd(h, kv, attn_p, mask, cfg.num_heads, rows, kv_rows)
             x = x + out
             ad_c = None
             if model.adapter_mask.get(adapter, False):
-                ad_p = {name: pair(adapter, name) for name in ("down", "up")}
+                ad_p = {name: named(adapter, name) for name in ("down", "up")}
                 x, ad_c = adapter_fwd(x, ad_p, cfg.adapter_nonlinearity)
             caches.append((ln_c, block_c, ad_c))
-        out, final_c = layer_norm_fwd(x, *pair(stack, "final_ln"))
+        out, final_c = layer_norm_fwd(x, *named(stack, "final_ln"))
         return out, rows, caches, final_c
 
     def stack_bwd(stack, layers, table, dout, caches, final_c, grads, d_memory=None):
-        dx = layer_norm_bwd(dout, final_c, f"{stack}.final_ln", grads)
-        for (layer, ln, block, adapter), (ln_c, block_c, ad_c) in zip(
+        dx = layer_norm_bwd(dout, final_c, grads)
+        for (_, _, block, _), (ln_c, block_c, ad_c) in zip(
                 reversed(sublayers(stack, layers, table)), reversed(caches)):
             if ad_c is not None:
-                dx = adapter_bwd(dx, ad_c, adapter, grads)
-            key = f"{layer}.{block}"
+                dx = adapter_bwd(dx, ad_c, grads)
             if block == "ffn":
                 c1, ca, c2 = block_c
-                dh = linear_bwd(gelu_bwd(linear_bwd(dx, c2, f"{key}.fc2", grads), ca), c1,
-                                f"{key}.fc1", grads)
+                dh = linear_bwd(gelu_bwd(linear_bwd(dx, c2, grads), ca), c1, grads)
             else:
-                dq, dkv = attention_bwd(dx, block_c, key, grads)
+                dq, dkv = attention_bwd(dx, block_c, grads)
                 if block == "self_attn":
                     dh = dq + dkv
                 else:
                     d_memory += dkv
                     dh = dq
-            dx = dx + layer_norm_bwd(dh, ln_c, f"{layer}.{ln}", grads)
+            dx = dx + layer_norm_bwd(dh, ln_c, grads)
         return dx
 
     grads = {}

@@ -182,6 +182,25 @@ class TestRunSeed:
         pairs = sum(len(c.data.train) + len(c.data.dev) + len(c.data.test) for c in clients)
         assert counts == [2 * pairs, 2 * pairs]
 
+    def test_the_gradient_probe_reads_the_encoded_train_splits(self, monkeypatch):
+        # the probe encodes nothing: train, dev and test are each encoded once
+        encode = Vocab.encode
+        calls = []
+
+        def counting(self, tokens):
+            calls.append(len(tokens))
+            return encode(self, tokens)
+
+        monkeypatch.setattr(Vocab, "encode", counting)
+        cfg = cfg_for("adapter-gradients", evaluate_test_bleu=True,
+                      fed={"rounds": 1, "grad_accumulation": 1})
+        _, clients, _ = prepare_data(cfg, 1)
+        warmup_backbone(cfg, 1)  # cached, so the run below does not encode it
+        before = len(calls)
+        run_seed(cfg, 1)
+        pairs = sum(len(c.data.train) + len(c.data.dev) + len(c.data.test) for c in clients)
+        assert len(calls) - before == 2 * pairs
+
     def test_result_holds_no_parameters(self):
         # the selected models come back beside the result, not inside it
         res, _ = run_seed(cfg_for("model-fed"), 1)

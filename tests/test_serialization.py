@@ -76,7 +76,8 @@ def test_float64_checkpoint_round_trips_bitwise(tmp_path):
         assert other.tobytes() == t.values.tobytes()
 
 
-@pytest.mark.parametrize("damage", ["missing", "unparsable", "invalid", "unknown", "mask"])
+@pytest.mark.parametrize("damage", ["missing", "unparsable", "invalid", "unknown", "mask",
+                                    "disagrees", "site", "dtype"])
 def test_damaged_meta_raises_checkpoint_error(tmp_path, damage):
     config = ModelConfig(vocab_size=20, model_dim=8, num_heads=2, ffn_dim=16,
                          enc_layers=1, dec_layers=1, adapter_bottleneck=2, max_seq_len=12)
@@ -89,6 +90,9 @@ def test_damaged_meta_raises_checkpoint_error(tmp_path, damage):
         "invalid": text.replace("num_heads=2", "num_heads=0"),
         "unknown": text + "colour=blue\n",
         "mask": text.replace("enc.layer0.attn_adapter=1", "enc.layer0.attn_adapter=yes"),
+        "disagrees": text.replace("model_dim=8\n", "model_dim=16\n"),
+        "site": text + "adapter.enc.layer9.ffn_adapter=1\n",
+        "dtype": text.replace("dtype=float32", "dtype=float64"),
     }[damage])
     assert meta.read_text() != text
     with pytest.raises(CheckpointError):
