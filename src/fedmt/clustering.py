@@ -25,7 +25,7 @@ ABLATIONS = ("both", "encoder_only", "decoder_only")
 
 Cluster = tuple[str, ...]
 
-PROBE_BATCH_SIZE = 64
+PROBE_BATCH_SIZE = 32
 
 
 def _normalize(clusters: Sequence[Sequence[str]]) -> tuple[Cluster, ...]:

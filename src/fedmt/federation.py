@@ -180,7 +180,7 @@ def train_epochs(
                 values = {name: flat[lo:hi].reshape(shape)
                           for name, lo, hi, shape in zip(names, bounds, bounds[1:], shapes)}
                 model = model.with_params(model.params.replace_values(values))
-            steps += 1
+                steps += 1
     return model, LocalStats(loss_total / max(1, tokens_total), tokens_total, steps)
 
 

@@ -424,9 +424,12 @@ def _stack_fwd(model: ToyModel, side: str, ids: np.ndarray, mask: np.ndarray,
 def _stack_bwd(dout: np.ndarray, cache, grads, d_memory: np.ndarray | None = None) -> np.ndarray:
     """Gradient through one stack, from its output back to its scaled
     embedding input. Cross-attention adds its memory gradient into
-    ``d_memory`` in place."""
-    dx = nn.layer_norm_bwd(dout, cache["final_ln"], grads)
-    for ln_c, block, block_c, ad_c in reversed(cache["sublayers"]):
+    ``d_memory`` in place. The walk pops each sublayer's cache from
+    ``cache``, so its activations are freed once its backward has run."""
+    dx = nn.layer_norm_bwd(dout, cache.pop("final_ln"), grads)
+    sublayers = cache.pop("sublayers")
+    while sublayers:
+        ln_c, block, block_c, ad_c = sublayers.pop()
         if ad_c is not None:
             dx = nn.adapter_bwd(dx, ad_c, grads)
         if block == "ffn":
@@ -506,6 +509,7 @@ def backward(model: ToyModel, batch: Batch, cache, dlogits: np.ndarray):
     """Gradients of the loss wrt parameters, given d(loss)/d(logits) [N_real, V]:
     those of every layer the forward named in ``cache``, and the embedding's
     when the forward wanted it. Activation gradients always propagate fully.
+    The walk consumes ``cache`` (see ``_stack_bwd``), so it runs once.
     """
     emb = model.params.values("emb.token.weight")
     grads: dict[str, np.ndarray] = {}

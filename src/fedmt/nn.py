@@ -64,14 +64,15 @@ def gelu_fwd(x: np.ndarray, keep: bool = True):
     """tanh-approximated GELU (smooth, so finite-difference checks stay
     meaningful), written in place: this is the per-batch hot path. With
     ``keep`` the cache is the derivative 0.5·(x·C(1 + 3a·x²)(1 − t²) + 1 + t),
-    so the backward is one product; tests pin its operation order bitwise."""
+    so the backward is one product, written into the cache; without ``keep``
+    the tanh buffer becomes the output. Tests pin the operation order bitwise."""
     t = x * x
     t *= 0.044715
     t += 1.0
     t *= x
     t *= _GELU_C
     np.tanh(t, out=t)
-    out = t + 1.0
+    out = t + 1.0 if keep else np.add(t, 1.0, out=t)
     deriv = None
     if keep:
         deriv = x * x
@@ -89,7 +90,7 @@ def gelu_fwd(x: np.ndarray, keep: bool = True):
 
 
 def gelu_bwd(dy: np.ndarray, cache) -> np.ndarray:
-    return cache * dy
+    return np.multiply(cache, dy, out=cache)
 
 
 ACTIVATIONS = {"relu": (relu_fwd, relu_bwd), "gelu": (gelu_fwd, gelu_bwd)}

@@ -194,8 +194,8 @@ def test_gradient_clustering_with_pruned_first_layer_exit_0(tmp_path):
 
 
 # Calls cli.main, then runs one gradient to touch its working set, then
-# prints the minor page faults of four more probe-sized gradients (default
-# model dimensions, a ragged batch of 64 sentences).
+# prints the minor page faults of four more gradients (default model
+# dimensions, a ragged batch of 64 sentences).
 _FAULTS_AFTER_MAIN = """
 import contextlib, io, resource, sys
 import numpy as np

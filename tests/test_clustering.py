@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from fedmt import clustering
 from fedmt.clustering import (
     ClusterAssignment,
     GradientFeature,
@@ -12,10 +13,11 @@ from fedmt.clustering import (
     cluster_by_family,
     cluster_by_gradient,
     cluster_random,
+    compute_gradient_feature,
 )
 from fedmt.errors import ConfigurationError, DegenerateFeatureError, PartitionError
-from fedmt.model import adapter_sites, param_layout
-from fedmt.data import DataConfig
+from fedmt.model import ModelConfig, adapter_sites, build_model, param_layout
+from fedmt.data import DataConfig, build_vocab, make_batch
 from fedmt.presets import MBART50_CONFIG, make_clients
 
 
@@ -272,3 +274,28 @@ def test_probe_slice_dim_matches_reference_scale():
     size = sum(np.prod(t.shape) for t in param_layout(MBART50_CONFIG) if t.site == first)
     assert size == 132_160
     assert abs(size - 131_000) / 131_000 < 0.01
+
+
+def test_probe_batch_size_moves_no_feature_and_no_cluster(monkeypatch):
+    # The feature is a float64 sum of per-batch float32 gradients, so the
+    # probe batch changes only its low bits. Two families, four clients of
+    # 30 to 156 training sentences, so most span several probe batches.
+    languages, clients = make_clients("m2en", 0, DataConfig(scale=1 / 64))
+    clients = [c for c in clients if c.src.family in ("Sino-Tibetan", "Afro-Asiatic")]
+    assert len(clients) == 4
+    vocab = build_vocab(languages)
+    model = build_model(ModelConfig(vocab_size=len(vocab)), 0)
+    trains = {c.id: make_batch(c.data.train, vocab, c.tgt.code) for c in clients}
+    assert max(t.size for t in trains.values()) > 2 * clustering.PROBE_BATCH_SIZE
+
+    def features():
+        return [compute_gradient_feature(cid, train, model) for cid, train in trains.items()]
+
+    assert clustering.PROBE_BATCH_SIZE == 32
+    default = features()
+    monkeypatch.setattr(clustering, "PROBE_BATCH_SIZE", 64)
+    wide = features()
+    for a, b in zip(default, wide):
+        np.testing.assert_allclose(a.vector, b.vector, rtol=0, atol=1e-6)
+    for seed in (1, 2, 3):
+        assert cluster_by_gradient(default, 2, seed) == cluster_by_gradient(wide, 2, seed)

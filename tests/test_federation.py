@@ -290,7 +290,7 @@ class TestLocalUpdate:
         cfg = FedConfig(rounds=1, learning_rate=0.0, grad_accumulation=2)
         updated, stats = local_update(Party.of(clients[0], vocab), model, cfg, round_index=1)
         assert updated.params.equals(model.params)
-        assert stats.optimizer_steps > 0
+        assert stats.optimizer_steps == 0
 
     def test_training_reduces_own_loss(self, tiny_setup):
         clients, vocab, model = tiny_setup
