@@ -20,11 +20,11 @@ from pathlib import Path
 from .config import parse_config
 from .data import export_corpus
 from .errors import ConfigurationError, FedmtError
-from .model import build_model, save_checkpoint
+from .model import save_checkpoint
 from .params import count_params
 from .presets import mbart50_summary
 from .reporting import write_config_snapshot, write_seed_report, write_summary
-from .runner import bind_model_config, prepare_data, run_seed
+from .runner import build_method_model, prepare_data, run_seed
 
 
 _M_TRIM_THRESHOLD = -1
@@ -114,18 +114,18 @@ def _print_toy_counts(config_path: str) -> None:
     cfg = parse_config(config_path)
     seed = cfg.seeds[0]
     _, _, vocab = prepare_data(cfg, seed)
-    model_cfg = bind_model_config(cfg, vocab)
-    model = build_model(model_cfg, seed)
+    model = build_method_model(cfg, seed, vocab, backbone=None)
+    model_cfg = model.config
     total = count_params(model.params, "all")
     trainable = count_params(model.params, "trainable_only")
     adapters = count_params(
         model.params.filter(lambda t: "_adapter." in t.name), "all"
     )
-    print(f"toy model ({cfg.mode}): vocab {len(vocab)}, d={model_cfg.model_dim}, "
-          f"{model_cfg.enc_layers}+{model_cfg.dec_layers} layers, "
+    print(f"toy model ({cfg.mode}, {cfg.method}, pruning {cfg.pruning}): vocab {len(vocab)}, "
+          f"d={model_cfg.model_dim}, {model_cfg.enc_layers}+{model_cfg.dec_layers} layers, "
           f"bottleneck {model_cfg.adapter_bottleneck}")
     print(f"total params:      {total:>10,}")
-    print(f"trainable params:  {trainable:>10,}  (adapters + layer norms)")
+    print(f"trainable params:  {trainable:>10,}")
     print(f"adapter params:    {adapters:>10,}")
     print(f"payload per sync:  {trainable * cfg.fed.bytes_per_param:>10,} B")
     backbone = total - adapters

@@ -6,9 +6,10 @@ typically frozen. Its layer structure is stated once, in the sublayer tables
 norm, a block whose output is added to the residual stream, and a bottleneck
 adapter after that residual. The parameter layout, the adapter sites,
 pruning, the forward and backward passes and the reference-scale arithmetic
-in ``presets`` all read these tables. Layer-norm parameters stay trainable
-alongside the adapters. The output projection is tied to the token
-embedding.
+in ``presets`` all read these tables. A site's adapter exists exactly when
+the parameter set holds its tensors: a pruned site holds none, and the
+forward skips it. Layer-norm parameters stay trainable alongside the
+adapters. The output projection is tied to the token embedding.
 
 Forward and backward passes are written directly in numpy; gradients are
 exact, which lets tests pin them against central finite differences. They
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -241,21 +242,21 @@ def merge_batches(batches: list[Batch]) -> Batch:
                     for f in dataclasses.fields(Batch)})
 
 
+def _holds(params: NamedParamSet, site: AdapterSite) -> bool:
+    return f"{site.prefix}.down.weight" in params
+
+
 @dataclass
 class ToyModel:
     config: ModelConfig
     params: NamedParamSet
-    adapter_mask: dict[str, bool] = field(default_factory=dict)  # site prefix -> active
-
-    @property
-    def has_adapters(self) -> bool:
-        return bool(self.adapter_mask)
 
     def active_sites(self) -> list[AdapterSite]:
-        return [s for s in adapter_sites(self.config) if self.adapter_mask.get(s.prefix, False)]
+        """The adapter sites whose tensors the parameter set holds."""
+        return [s for s in adapter_sites(self.config) if _holds(self.params, s)]
 
     def with_params(self, params: NamedParamSet) -> "ToyModel":
-        return ToyModel(self.config, params, dict(self.adapter_mask))
+        return ToyModel(self.config, params)
 
     def trainable_names(self) -> list[str]:
         return [t.name for t in self.params if t.trainable]
@@ -292,36 +293,42 @@ def _given_value(backbone: NamedParamSet, spec: TensorSpec, config: ModelConfig)
 def build_model(
     config: ModelConfig,
     rng_seed: int,
-    with_adapters: bool = True,
-    freeze_backbone: bool = True,
+    adapters: str | None = "all",
     backbone: NamedParamSet | None = None,
 ) -> ToyModel:
     """Construct a model deterministically from a seed.
 
+    ``adapters`` None builds the backbone alone, every tensor trainable. A
+    pruning strategy builds the adapters ``pruning_mask`` keeps, trainable,
+    on a frozen backbone whose layer norms still train.
+
     The backbone stream is drawn before (and independently of) the adapter
-    stream, so the same seed yields an identical backbone with or without
-    adapters. Adapter up-projections start at zero, making every adapter an
-    identity residual at initialization. When ``backbone`` is given its
-    values replace the random backbone (shapes must match).
+    stream, and every site draws its adapter, kept or not, so the same seed
+    yields an identical backbone with or without adapters and identical
+    values at a kept site under every strategy. Adapter up-projections start
+    at zero, making every adapter an identity residual at initialization.
+    When ``backbone`` is given its values replace the random backbone
+    (shapes must match).
     """
+    kept = None if adapters is None else pruning_mask(config, adapters)
     backbone_ss, adapter_ss = np.random.SeedSequence(rng_seed).spawn(2)
     backbone_rng = np.random.default_rng(backbone_ss)
     adapter_rng = np.random.default_rng(adapter_ss)
     tensors = []
     for spec in param_layout(config):
         if spec.site is not None:
-            if with_adapters:
+            if kept is not None:
                 value = _init_value(spec, config, adapter_rng)
-                tensors.append(ParamTensor(spec.name, value, True, spec.side))
+                if kept[spec.site.prefix]:
+                    tensors.append(ParamTensor(spec.name, value, True, spec.side))
             continue
         if backbone is None:
             value = _init_value(spec, config, backbone_rng)
         else:
             value = _given_value(backbone, spec, config)
-        trainable = not freeze_backbone or spec.kind in ("ln_weight", "ln_bias")
+        trainable = kept is None or spec.kind in ("ln_weight", "ln_bias")
         tensors.append(ParamTensor(spec.name, value, trainable, spec.side))
-    mask = {site.prefix: True for site in adapter_sites(config)} if with_adapters else {}
-    return ToyModel(config, NamedParamSet(tensors), mask)
+    return ToyModel(config, NamedParamSet(tensors))
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +416,7 @@ def _stack_fwd(model: ToyModel, side: str, ids: np.ndarray, mask: np.ndarray,
                 kv_cache[key] = (block_c.kt, block_c.v)
         x = x + out
         ad_c = None
-        if model.adapter_mask.get(site.prefix, False):
+        if _holds(p, site):
             adapter = {part: _tensors(p, f"{site.prefix}.{part}", want) for part in ("down", "up")}
             x, ad_c = nn.adapter_fwd(x, adapter, cfg.adapter_nonlinearity, want is not None)
         if caches is not None:
@@ -622,36 +629,15 @@ def decode_greedy(model: ToyModel, src: np.ndarray, src_mask: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# adapter pruning
-
-
-def apply_pruning(model: ToyModel, strategy: str) -> ToyModel:
-    """Keep only the adapters ``pruning_mask`` keeps active and trainable;
-    pruned adapters become frozen identity residuals."""
-    if not model.has_adapters:
-        raise ConfigurationError("model has no adapters to prune")
-    mask = pruning_mask(model.config, strategy)
-
-    def retag(t: ParamTensor) -> ParamTensor:
-        for prefix, active in mask.items():
-            if t.name.startswith(prefix + "."):
-                return t.with_trainable(active)
-        return t
-
-    return ToyModel(model.config, NamedParamSet(retag(t) for t in model.params), mask)
-
-
-# ---------------------------------------------------------------------------
 # checkpoints
 
 
 def save_checkpoint(model: ToyModel, path_prefix: str | Path) -> None:
-    """Binary parameter file plus a key=value metadata sidecar."""
+    """Binary parameter file plus a key=value metadata sidecar holding the
+    ``ModelConfig`` fields."""
     prefix = Path(path_prefix)
     save_param_set(model.params, prefix.parent / (prefix.name + ".params"))
     lines = [f"{f.name}={getattr(model.config, f.name)}" for f in dataclasses.fields(ModelConfig)]
-    for prefix_name in sorted(model.adapter_mask):
-        lines.append(f"adapter.{prefix_name}={int(model.adapter_mask[prefix_name])}")
     meta_path = prefix.parent / (prefix.name + ".meta")
     meta_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -660,9 +646,9 @@ def load_checkpoint(path_prefix: str | Path) -> ToyModel:
     """Read a checkpoint written by :func:`save_checkpoint`. A ``.meta``
     sidecar with a missing, unknown or unparsable key raises
     :class:`CheckpointError`, as does a damaged ``.params`` file, and so do
-    tensors or adapter sites that disagree with the layout the ``.meta``
-    config describes (:func:`param_layout`, adapters included when the
-    adapter mask is non-empty): a name, shape, side or dtype."""
+    tensors that disagree with the layout the ``.meta`` config describes
+    (:func:`param_layout`): a name, shape, side or dtype, a missing backbone
+    tensor, or an adapter site holding only some of its tensors."""
     prefix = Path(path_prefix)
     meta_path = prefix.parent / (prefix.name + ".meta")
     meta: dict[str, str] = {}
@@ -675,8 +661,6 @@ def load_checkpoint(path_prefix: str | Path) -> ToyModel:
         config = ModelConfig(**{
             f.name: hints[f.name](meta.pop(f.name)) for f in dataclasses.fields(ModelConfig)
         })
-        mask = {key[len("adapter."):]: bool(int(meta.pop(key)))
-                for key in list(meta) if key.startswith("adapter.")}
     except KeyError as err:
         raise CheckpointError(f"{meta_path}: missing key {err}") from err
     except (ValueError, ConfigurationError) as err:
@@ -684,11 +668,8 @@ def load_checkpoint(path_prefix: str | Path) -> ToyModel:
     if meta:
         raise CheckpointError(f"{meta_path}: unknown key {sorted(meta)[0]!r}")
     params = load_param_set(prefix.parent / (prefix.name + ".params"))
-    sites = {site.prefix for site in adapter_sites(config)}
-    if mask and set(mask) != sites:
-        odd = sorted(set(mask) ^ sites)[0]
-        raise CheckpointError(f"{prefix}: adapter site {odd!r} disagrees with the config")
-    layout = {s.name: s for s in param_layout(config) if mask or s.site is None}
+    layout = {s.name: s for s in param_layout(config)}
+    held: set[AdapterSite | None] = {None}  # the backbone, then each site with a tensor
     for t in params:
         spec = layout.pop(t.name, None)
         if spec is None:
@@ -698,6 +679,8 @@ def load_checkpoint(path_prefix: str | Path) -> ToyModel:
         if found != expected:
             raise CheckpointError(f"{prefix}: tensor {t.name!r} has (shape, side, dtype) "
                                   f"{found}, but the config says {expected}")
-    if layout:
-        raise CheckpointError(f"{prefix}: missing tensor {next(iter(layout))!r}")
-    return ToyModel(config, params, mask)
+        held.add(spec.site)
+    missing = [name for name, spec in layout.items() if spec.site in held]
+    if missing:
+        raise CheckpointError(f"{prefix}: missing tensor {missing[0]!r}")
+    return ToyModel(config, params)

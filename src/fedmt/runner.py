@@ -19,8 +19,7 @@ from .clustering import ClusterAssignment, assemble, compute_gradient_feature
 from .config import ExperimentConfig
 from .data import BOS, EOS, LanguageSpec, Vocab, batches, build_vocab, derive_seed, make_batch
 from .federation import CommLedger, Party, run_experiment, train_epochs
-from .model import (ModelConfig, ToyModel, apply_pruning, build_model, decode_greedy,
-                    merge_batches)
+from .model import ModelConfig, ToyModel, build_model, decode_greedy, merge_batches
 from .params import NamedParamSet, count_params
 from .presets import Client, make_clients, make_warmup_data
 
@@ -60,7 +59,7 @@ def warmup_backbone(cfg: ExperimentConfig, seed: int) -> NamedParamSet:
         return _WARMUP_CACHE[key]
     languages, _, vocab = prepare_data(cfg, seed)
     model_cfg = bind_model_config(cfg, vocab)
-    model = build_model(model_cfg, _model_seed(seed), with_adapters=False, freeze_backbone=False)
+    model = build_model(model_cfg, _model_seed(seed), adapters=None)
     if cfg.warmup.epochs > 0:
         corpora = make_warmup_data(cfg.mode, languages, seed,
                                    cfg.warmup.sentences_per_pair, cfg.data)
@@ -83,14 +82,13 @@ def _model_seed(seed: int) -> int:
 
 
 def build_method_model(cfg: ExperimentConfig, seed: int, vocab: Vocab,
-                       backbone: NamedParamSet) -> ToyModel:
-    """The shared initial checkpoint every client starts from."""
-    model = build_model(bind_model_config(cfg, vocab), _model_seed(seed),
-                        with_adapters=cfg.uses_adapters, freeze_backbone=cfg.uses_adapters,
-                        backbone=backbone)
-    if cfg.uses_adapters and cfg.pruning != "all":
-        model = apply_pruning(model, cfg.pruning)
-    return model
+                       backbone: NamedParamSet | None) -> ToyModel:
+    """The shared initial checkpoint every client starts from: the adapters
+    the pruning strategy keeps on a frozen ``backbone``, or for the
+    full-model methods the trainable backbone alone. ``backbone`` None
+    draws a random one, whose tensors and counts are the same."""
+    return build_model(bind_model_config(cfg, vocab), _model_seed(seed),
+                       adapters=cfg.pruning if cfg.uses_adapters else None, backbone=backbone)
 
 
 def make_assignment(

@@ -35,6 +35,7 @@ from fedmt.params import NamedParamSet, ParamTensor, count_params
 from fedmt.presets import make_clients, mbart50_summary
 from fedmt.runner import build_method_model, prepare_data, run_seed, warmup_backbone
 
+from helpers import with_trainable
 from test_bleu import naive_pooled_bleu
 from test_federation import global_aggregate
 
@@ -162,7 +163,7 @@ def test_criterion_3_gradient_finite_differences():
                          enc_layers=1, dec_layers=1, adapter_bottleneck=4,
                          max_seq_len=12, adapter_nonlinearity="gelu",
                          dtype="float64")
-    model = build_model(config, 3, freeze_backbone=False)
+    model = with_trainable(build_model(config, 3))
     rng = np.random.default_rng(100)
     model = model.with_params(model.params.replace_values({
         t.name: rng.normal(0, 0.3, t.values.shape)
@@ -286,17 +287,23 @@ def test_criterion_8_byte_identical_metrics(tmp_path):
     }
     names = ["seed_3/metrics.csv", "seed_3/comm.csv", "seed_4/metrics.csv",
              "seed_4/comm.csv", "summary.json", "summary.csv"]
-    methods = ("adapter-random", "centralized-adapter")
-    for method in methods:
-        cfg_path = tmp_path / f"{method}.json"
-        cfg_path.write_text(json.dumps(dict(payload_cfg, method=method)), encoding="utf-8")
+    three_layers = dict(payload_cfg["model"], enc_layers=3, dec_layers=3)
+    runs = {  # label -> method config; pruning thirds need layer counts divisible by 3
+        "adapter-random": dict(payload_cfg, method="adapter-random"),
+        "centralized-adapter": dict(payload_cfg, method="centralized-adapter"),
+        "adapter-families-middle": dict(
+            payload_cfg, method="adapter-families", pruning="middle", model=three_layers),
+    }
+    for label, cfg in runs.items():
+        cfg_path = tmp_path / f"{label}.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
         outs = []
         for name in ("run_a", "run_b"):
-            out = tmp_path / method / name
+            out = tmp_path / label / name
             assert cli_main(["run", "--config", str(cfg_path), "--out", str(out),
                              "--no-checkpoints"]) == 0
             outs.append(out)
         for name in names:
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (method, name)
-    report(8, f"two identical two-seed runs of each of {', '.join(methods)} produced "
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (label, name)
+    report(8, f"two identical two-seed runs of each of {', '.join(runs)} produced "
               "byte-identical metrics.csv, comm.csv and summary.json/.csv")

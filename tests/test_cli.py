@@ -126,6 +126,22 @@ class TestCountParams:
         payload = int(out.split("payload per sync:")[1].split()[0].replace(",", ""))
         assert payload == 4 * trainable > 0
 
+    @pytest.mark.parametrize("method, pruning", [("adapter-families", "all"),
+                                                 ("adapter-families", "middle"),
+                                                 ("model-fed", "all")])
+    def test_payload_is_what_a_run_sends(self, tmp_path, capsys, method, pruning):
+        # count-params builds the model the run builds: the method's and the
+        # pruning's, so its payload is every ledger row's bytes
+        cfg_path = write_config(tmp_path, dict(SMOKE_RUN, method=method, pruning=pruning))
+        assert main(["count-params", "--config", cfg_path]) == 0
+        out = capsys.readouterr().out
+        payload = int(out.split("payload per sync:")[1].split()[0].replace(",", ""))
+        report = tmp_path / "report"
+        assert main(["run", "--config", cfg_path, "--out", str(report), "--no-checkpoints"]) == 0
+        with open(report / "seed_1" / "comm.csv") as handle:
+            sent = {int(row["bytes"]) for row in csv.DictReader(handle)}
+        assert sent == {payload}
+
     def test_unknown_preset_is_config_error(self):
         assert main(["count-params", "--preset", "m2m100"]) == 1
 

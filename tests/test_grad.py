@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fedmt.model import Batch, ModelConfig, build_model, grad, loss
+from helpers import with_trainable
 
 SMOOTH = ModelConfig(vocab_size=19, model_dim=8, num_heads=2, ffn_dim=16,
                      enc_layers=1, dec_layers=1, adapter_bottleneck=4,
@@ -13,7 +14,9 @@ EPS = 1e-4
 
 
 def randomized_model(seed, trainable_backbone=True):
-    model = build_model(SMOOTH, seed, freeze_backbone=not trainable_backbone)
+    model = build_model(SMOOTH, seed)
+    if trainable_backbone:
+        model = with_trainable(model)
     rng = np.random.default_rng(seed + 100)
     # zero-init up-projections get generic values so every path carries signal
     updates = {

@@ -22,6 +22,7 @@ from fedmt.model import (
     merge_batches,
 )
 from fedmt.nn import adapter_fwd, sinusoidal_positions
+from helpers import with_trainable
 
 TINY = ModelConfig(vocab_size=23, model_dim=16, num_heads=2, ffn_dim=32,
                    enc_layers=2, dec_layers=2, adapter_bottleneck=4,
@@ -54,10 +55,10 @@ class TestBuildModel:
 
     def test_identity_at_init(self):
         # zero-init up-projections: logits equal the adapter-free backbone's
-        with_adapters = build_model(TINY, 7)
-        backbone_only = build_model(TINY, 7, with_adapters=False)
+        adapted = build_model(TINY, 7)
+        backbone_only = build_model(TINY, 7, adapters=None)
         batch = random_batch(TINY)
-        la, _ = forward(with_adapters, batch)
+        la, _ = forward(adapted, batch)
         lb, _ = forward(backbone_only, batch)
         assert np.array_equal(la, lb)
 
@@ -97,17 +98,24 @@ class TestAdapterApply:
         assert out.tolist() == [[4.0, 5.0]]
 
     def test_pruned_adapter_is_identity(self):
-        # an inactive adapter is skipped whatever its weights: the model
-        # computes exactly the adapter-free backbone
+        # a site whose tensors the model does not hold is skipped: the model
+        # computes exactly what zero up-projections compute, and exactly
+        # the adapter-free backbone
         model = build_model(TINY, 7)
         rng = np.random.default_rng(1)
         noisy = model.params.replace_values({
             t.name: rng.normal(size=t.shape) for t in model.params if "_adapter." in t.name
         })
-        pruned = ToyModel(TINY, noisy, {prefix: False for prefix in model.adapter_mask})
-        backbone = build_model(TINY, 7, with_adapters=False)
+        pruned = model.with_params(noisy.filter(lambda t: "_adapter." not in t.name))
+        zero_up = model.with_params(noisy.replace_values({
+            t.name: np.zeros(t.shape) for t in noisy if "_adapter.up." in t.name
+        }))
+        backbone = build_model(TINY, 7, adapters=None)
+        assert pruned.active_sites() == [] and len(zero_up.active_sites()) == 10
         batch = random_batch(TINY)
-        assert np.array_equal(forward(pruned, batch)[0], forward(backbone, batch)[0])
+        logits = forward(pruned, batch)[0]
+        assert np.array_equal(logits, forward(zero_up, batch)[0])
+        assert np.array_equal(logits, forward(backbone, batch)[0])
 
 
 class TestLoss:
@@ -339,7 +347,7 @@ class TestWhatAPassKeeps:
         logits, cache = forward(model, batch, want=None)
         assert cache is None and kept_cache is not None
         assert np.array_equal(logits, kept_logits)
-        trainable = build_model(config, 0, freeze_backbone=False)
+        trainable = with_trainable(build_model(config, 0))
         assert result.total == grad(trainable, batch)[0].total
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -360,7 +368,7 @@ class TestWhatAPassKeeps:
     def test_adapter_gradient_holds_less_than_a_full_one(self, dtype):
         config = ModelConfig(vocab_size=90, dtype=dtype)
         model, batch = build_model(config, 0), probe_batch()
-        trainable = build_model(config, 0, freeze_backbone=False)
+        trainable = with_trainable(build_model(config, 0))
         needed = {n for n in model.trainable_names() if n.startswith("enc.layer1.ffn_adapter.")}
         assert len(needed) == 4
         narrow_peak, (_, narrow) = traced_peak(lambda: grad(model, batch, needed))
@@ -381,7 +389,7 @@ class TestWhatAPassKeeps:
         # 27.7 units; its bound is that reading plus one unit and a bit.
         config = ModelConfig(vocab_size=90, dtype=dtype)
         model, batch = build_model(config, 0), probe_batch()
-        trainable = build_model(config, 0, freeze_backbone=False)
+        trainable = with_trainable(build_model(config, 0))
         n = max(int(batch.src_mask.sum()), int(batch.tgt_mask.sum()))
         unit = n * config.ffn_dim * config.np_dtype.itemsize
         needed = {name for name in model.trainable_names()
@@ -399,7 +407,7 @@ class TestWhatAPassKeeps:
         # the backward takes no predicate: it writes the gradients of exactly
         # the layers its forward named, each bitwise a full gradient's
         rng = np.random.default_rng(1)
-        model = build_model(TINY, 0, freeze_backbone=False)
+        model = with_trainable(build_model(TINY, 0))
         model = model.with_params(model.params.replace_values({
             t.name: rng.normal(0, 0.3, t.shape) for t in model.params if "_adapter." in t.name
         }))

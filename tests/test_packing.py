@@ -19,7 +19,6 @@ from fedmt.model import (
     ENCODER_SUBLAYERS,
     Batch,
     ModelConfig,
-    apply_pruning,
     build_model,
     decode_greedy,
     decode_logits,
@@ -43,6 +42,7 @@ from fedmt.nn import (
     sinusoidal_positions,
 )
 from fedmt.presets import make_clients
+from helpers import with_trainable
 
 CONFIG = ModelConfig(vocab_size=29, model_dim=16, num_heads=2, ffn_dim=32,
                      enc_layers=3, dec_layers=3, adapter_bottleneck=4,
@@ -107,7 +107,7 @@ def padded_loss_and_grads(model, batch):
                 out, block_c = attention_fwd(h, kv, attn_p, mask, cfg.num_heads, rows, kv_rows)
             x = x + out
             ad_c = None
-            if model.adapter_mask.get(adapter, False):
+            if f"{adapter}.down.weight" in p:  # a pruned site holds no tensors
                 ad_p = {name: named(adapter, name) for name in ("down", "up")}
                 x, ad_c = adapter_fwd(x, ad_p, cfg.adapter_nonlinearity)
             caches.append((ln_c, block_c, ad_c))
@@ -165,16 +165,16 @@ def padded_loss_and_grads(model, batch):
     return total, grads
 
 
-def adapter_model(nonlinearity="relu", seed=11):
+def adapter_model(nonlinearity="relu", seed=11, adapters="all"):
     config = ModelConfig(**{**CONFIG.__dict__, "adapter_nonlinearity": nonlinearity})
-    return with_random_adapters(build_model(config, seed))
+    return with_random_adapters(build_model(config, seed, adapters))
 
 
 PACKING_CASES = {
     "relu-adapters": lambda: adapter_model("relu"),
     "gelu-adapters": lambda: adapter_model("gelu"),
-    "pruning-middle": lambda: apply_pruning(adapter_model("relu"), "middle"),
-    "fully-trainable": lambda: with_random_adapters(build_model(CONFIG, 5, freeze_backbone=False)),
+    "pruning-middle": lambda: adapter_model("relu", adapters="middle"),
+    "fully-trainable": lambda: with_random_adapters(with_trainable(build_model(CONFIG, 5))),
 }
 
 
@@ -236,7 +236,7 @@ def test_kv_cached_decoding_matches_the_full_prefix_recompute():
                          enc_layers=2, dec_layers=2, max_seq_len=24, dtype="float64")
     # a few epochs of full-model training, so that decodes stop at EOS
     corpus = merge_batches([make_batch(c.data.train, vocab, c.tgt.code) for c in clients])
-    model, _ = train_epochs(build_model(config, 4, freeze_backbone=False), corpus,
+    model, _ = train_epochs(with_trainable(build_model(config, 4)), corpus,
                             [1, 2, 3], 8, 1, "adam", 1e-2)
     lengths = []
     for client in clients:

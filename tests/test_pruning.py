@@ -1,4 +1,4 @@
-"""Adapter pruning thirds: selection, flags, conservation, counts.
+"""Adapter pruning thirds: selection, held tensors, conservation, counts.
 
 The closed forms below are the oracle for the sublayer table: one adapter
 holds 2*d*b + b + d parameters, and a model has 2 adapter sites per encoder
@@ -11,10 +11,10 @@ import pytest
 from fedmt.errors import ConfigurationError
 from fedmt.model import (
     PRUNING_STRATEGIES,
+    THIRDS,
     Batch,
     ModelConfig,
     adapter_sites,
-    apply_pruning,
     build_model,
     forward,
     param_layout,
@@ -44,7 +44,7 @@ def active_layers(model, side):
 
 class TestThirds:
     def test_input_end_keeps_first_third(self):
-        model = apply_pruning(build_model(CFG, 0), "input_end")
+        model = build_model(CFG, 0, "input_end")
         assert active_layers(model, "encoder") == [0, 1]
         assert active_layers(model, "decoder") == [0, 1]
 
@@ -52,41 +52,54 @@ class TestThirds:
         cfg = ModelConfig(vocab_size=20, model_dim=16, num_heads=2, ffn_dim=32,
                           enc_layers=12, dec_layers=12, adapter_bottleneck=2,
                           max_seq_len=12)
-        model = apply_pruning(build_model(cfg, 0), "input_end")
+        model = build_model(cfg, 0, "input_end")
         assert active_layers(model, "encoder") == [0, 1, 2, 3]
         assert active_layers(model, "decoder") == [0, 1, 2, 3]
 
     def test_all_keeps_everything(self):
-        model = apply_pruning(build_model(CFG, 0), "all")
+        model = build_model(CFG, 0, "all")
         assert len(model.active_sites()) == 2 * 6 + 3 * 6
 
     def test_thirds_partition_adapter_set(self):
         base = build_model(CFG, 0)
         parts = [
-            {s.prefix for s in apply_pruning(base, strategy).active_sites()}
+            {s.prefix for s in build_model(CFG, 0, strategy).active_sites()}
             for strategy in ("input_end", "middle", "output_end")
         ]
         assert not (parts[0] & parts[1]) and not (parts[1] & parts[2]) and not (parts[0] & parts[2])
         assert parts[0] | parts[1] | parts[2] == {s.prefix for s in base.active_sites()}
 
     def test_pruned_adapters_frozen_and_inactive(self):
-        model = apply_pruning(build_model(CFG, 0), "middle")
-        inactive = [s for s in model.adapter_mask if not model.adapter_mask[s]]
+        # a pruned site holds no tensors, so it has none to train
+        model = build_model(CFG, 0, "middle")
+        inactive = [prefix for prefix, kept in pruning_mask(CFG, "middle").items() if not kept]
         assert inactive
+        active = {s.prefix for s in model.active_sites()}
         for prefix in inactive:
-            for t in model.params:
-                if t.name.startswith(prefix + "."):
-                    assert not t.trainable
+            assert prefix not in active
+            assert not [t.name for t in model.params if t.name.startswith(prefix + ".")]
+        assert all(t.trainable for t in model.params if "_adapter." in t.name)
+
+    @pytest.mark.parametrize("strategy", sorted(THIRDS))
+    def test_kept_sites_hold_the_unpruned_values(self, strategy):
+        # every site draws its adapter, kept or not: a kept site, and the
+        # backbone, hold bitwise what the unpruned model holds
+        full = build_model(CFG, 0)
+        pruned = build_model(CFG, 0, strategy)
+        assert len(pruned.active_sites()) == len(full.active_sites()) // 3
+        for t in pruned.params:
+            assert t.values.tobytes() == full.params.values(t.name).tobytes(), t.name
+            assert t.trainable == full.params[t.name].trainable, t.name
 
     def test_non_divisible_layer_count_rejected(self):
         cfg = ModelConfig(vocab_size=20, model_dim=16, num_heads=2, ffn_dim=32,
                           enc_layers=4, dec_layers=4, adapter_bottleneck=4)
         with pytest.raises(ConfigurationError):
-            apply_pruning(build_model(cfg, 0), "input_end")
+            build_model(cfg, 0, "input_end")
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ConfigurationError):
-            apply_pruning(build_model(CFG, 0), "first_half")
+            build_model(CFG, 0, "first_half")
 
 
 class TestCounts:
@@ -100,8 +113,10 @@ class TestCounts:
         per = oracle_adapter_params(CFG.model_dim, CFG.adapter_bottleneck)
         assert self.adapter_count(base) == 30 * per
         for strategy in ("input_end", "middle", "output_end"):
-            pruned = apply_pruning(base, strategy)
+            pruned = build_model(CFG, 0, strategy)
             assert self.adapter_count(pruned) == 10 * per
+            # the pruned adapters are not held at all
+            assert count_params(pruned.params, "all") == count_params(base.params, "all") - 20 * per
 
     def test_reference_dims_match_published_scale(self):
         # formula at d=1024, b=64, 12+12 layers: thirds of 60 adapters
@@ -138,23 +153,24 @@ class TestCounts:
 
 class TestForwardSemantics:
     def test_pruned_adapters_do_not_alter_forward(self):
-        # randomize all up-projections, then prune: pruned sites must act as
-        # identity, so the forward pass must match a model whose pruned-site
-        # parameters are zeroed instead
+        # randomize all up-projections, then drop the pruned sites' tensors:
+        # the forward pass must match a model that holds every site, with
+        # the pruned sites' up-projections zeroed instead
         model = build_model(CFG, 1)
         rng = np.random.default_rng(0)
         model = model.with_params(model.params.replace_values({
             t.name: rng.normal(0, 0.3, t.values.shape)
             for t in model.params if t.name.endswith("up.weight")
         }))
-        pruned = apply_pruning(model, "output_end")
+        kept = pruning_mask(CFG, "output_end")
+        site_of = {spec.name: spec.site for spec in param_layout(CFG)}
+        dropped = {t.name for t in model.params
+                   if site_of[t.name] is not None and not kept[site_of[t.name].prefix]}
+        pruned = model.with_params(model.params.filter(lambda t: t.name not in dropped))
+        assert {s.prefix for s in pruned.active_sites()} == {p for p, k in kept.items() if k}
         zeroed = model.with_params(model.params.replace_values({
-            t.name: np.zeros(t.values.shape)
-            for t in model.params
-            if t.name.endswith("up.weight") and not any(
-                t.name.startswith(p + ".")
-                for p, active in pruned.adapter_mask.items() if active
-            )
+            name: np.zeros(model.params.values(name).shape)
+            for name in dropped if name.endswith("up.weight")
         }))
         rng2 = np.random.default_rng(3)
         src = rng2.integers(4, 20, size=(2, 5))

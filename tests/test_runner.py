@@ -66,7 +66,7 @@ class TestMethodModels:
         cfg = cfg_for("adapter-families")
         _, _, vocab = prepare_data(cfg, 1)
         model = build_method_model(cfg, 1, vocab, warmup_backbone(cfg, 1))
-        assert model.has_adapters
+        assert model.active_sites()
         frozen = [t for t in model.params if not t.trainable]
         assert frozen
         assert all("_adapter." not in t.name for t in frozen)
@@ -75,7 +75,7 @@ class TestMethodModels:
         cfg = cfg_for("model-fed")
         _, _, vocab = prepare_data(cfg, 1)
         model = build_method_model(cfg, 1, vocab, warmup_backbone(cfg, 1))
-        assert not model.has_adapters
+        assert model.active_sites() == []
         assert all(t.trainable for t in model.params)
 
     def test_pruned_method_model(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedmt.errors import CheckpointError
-from fedmt.model import ModelConfig, apply_pruning, build_model, load_checkpoint, save_checkpoint
+from fedmt.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from fedmt.params import NamedParamSet, ParamTensor, load_param_set, save_param_set
 
 
@@ -47,11 +47,13 @@ def test_checkpoint_round_trip(tmp_path):
     config = ModelConfig(vocab_size=20, model_dim=8, num_heads=2, ffn_dim=16,
                          enc_layers=3, dec_layers=3, adapter_bottleneck=2,
                          max_seq_len=12, dtype="float32")
-    model = apply_pruning(build_model(config, 11), "middle")
+    model = build_model(config, 11, "middle")
     save_checkpoint(model, tmp_path / "ckpt")
+    assert "adapter." not in (tmp_path / "ckpt.meta").read_text()
     loaded = load_checkpoint(tmp_path / "ckpt")
     assert loaded.config == config
-    assert loaded.adapter_mask == model.adapter_mask
+    assert [s.layer for s in loaded.active_sites()] == [1] * 5
+    assert loaded.active_sites() == model.active_sites()
     assert loaded.params.names == model.params.names
     for t in model.params:
         assert np.array_equal(loaded.params.values(t.name), t.values)
@@ -76,8 +78,8 @@ def test_float64_checkpoint_round_trips_bitwise(tmp_path):
         assert other.tobytes() == t.values.tobytes()
 
 
-@pytest.mark.parametrize("damage", ["missing", "unparsable", "invalid", "unknown", "mask",
-                                    "disagrees", "site", "dtype"])
+@pytest.mark.parametrize("damage", ["missing", "unparsable", "invalid", "unknown", "legacy",
+                                    "disagrees", "dtype"])
 def test_damaged_meta_raises_checkpoint_error(tmp_path, damage):
     config = ModelConfig(vocab_size=20, model_dim=8, num_heads=2, ffn_dim=16,
                          enc_layers=1, dec_layers=1, adapter_bottleneck=2, max_seq_len=12)
@@ -89,14 +91,35 @@ def test_damaged_meta_raises_checkpoint_error(tmp_path, damage):
         "unparsable": text.replace("model_dim=8", "model_dim=eight"),
         "invalid": text.replace("num_heads=2", "num_heads=0"),
         "unknown": text + "colour=blue\n",
-        "mask": text.replace("enc.layer0.attn_adapter=1", "enc.layer0.attn_adapter=yes"),
+        # the adapter lines of checkpoints from before the parameter set was
+        # the only record of a model's adapters
+        "legacy": text + "adapter.enc.layer0.attn_adapter=1\n",
         "disagrees": text.replace("model_dim=8\n", "model_dim=16\n"),
-        "site": text + "adapter.enc.layer9.ffn_adapter=1\n",
         "dtype": text.replace("dtype=float32", "dtype=float64"),
     }[damage])
     assert meta.read_text() != text
     with pytest.raises(CheckpointError):
         load_checkpoint(tmp_path / "ckpt")
+
+
+@pytest.mark.parametrize("dropped", ["enc.layer0.attn_adapter.up.bias",
+                                     "dec.layer0.cross_adapter.down.weight",
+                                     "dec.layer0.ln2.weight"])
+def test_params_missing_a_tensor_raise_checkpoint_error(tmp_path, dropped):
+    # one tensor of an adapter site, or of the backbone, is missing; a site
+    # missing all of its tensors is a pruned one and loads
+    config = ModelConfig(vocab_size=20, model_dim=8, num_heads=2, ffn_dim=16,
+                         enc_layers=1, dec_layers=1, adapter_bottleneck=2, max_seq_len=12)
+    model = build_model(config, 0)
+    save_checkpoint(model, tmp_path / "ckpt")
+    save_param_set(model.params.filter(lambda t: t.name != dropped), tmp_path / "ckpt.params")
+    with pytest.raises(CheckpointError, match="missing tensor"):
+        load_checkpoint(tmp_path / "ckpt")
+    prefix = dropped.rsplit(".", 2)[0]
+    if prefix.endswith("_adapter"):
+        save_param_set(model.params.filter(lambda t: not t.name.startswith(prefix + ".")),
+                       tmp_path / "ckpt.params")
+        assert prefix not in {s.prefix for s in load_checkpoint(tmp_path / "ckpt").active_sites()}
 
 
 @pytest.mark.parametrize("cut", ["magic", "version", "header", "payload", "trailing"])
