@@ -116,18 +116,17 @@ def _print_toy_counts(config_path: str) -> None:
     _, _, vocab = prepare_data(cfg, seed)
     model = build_method_model(cfg, seed, vocab, backbone=None)
     model_cfg = model.config
-    total = count_params(model.params, "all")
-    trainable = count_params(model.params, "trainable_only")
-    adapters = count_params(
-        model.params.filter(lambda t: "_adapter." in t.name), "all"
-    )
+    total = count_params(model.params)
+    trainable = count_params(model.params, trainable_only=True)
+    adapters = count_params(model.params.filter(lambda t: "_adapter." in t.name))
+    payload = trainable * cfg.fed.bytes_per_param if cfg.aggregates else 0
     print(f"toy model ({cfg.mode}, {cfg.method}, pruning {cfg.pruning}): vocab {len(vocab)}, "
           f"d={model_cfg.model_dim}, {model_cfg.enc_layers}+{model_cfg.dec_layers} layers, "
           f"bottleneck {model_cfg.adapter_bottleneck}")
     print(f"total params:      {total:>10,}")
     print(f"trainable params:  {trainable:>10,}")
     print(f"adapter params:    {adapters:>10,}")
-    print(f"payload per sync:  {trainable * cfg.fed.bytes_per_param:>10,} B")
+    print(f"payload per sync:  {payload:>10,} B")
     backbone = total - adapters
     print(f"saving vs full:    {100 * (1 - trainable / backbone):>10.2f} %")
 

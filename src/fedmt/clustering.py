@@ -16,11 +16,10 @@ from typing import Sequence
 import numpy as np
 
 from .data import batches
-from .errors import ConfigurationError, DegenerateFeatureError, PartitionError
+from .errors import DegenerateFeatureError, PartitionError
 from .model import Batch, ToyModel, grad
 from .presets import Client
 
-STRATEGIES = ("none", "families", "gradients", "random")
 ABLATIONS = ("both", "encoder_only", "decoder_only")
 
 Cluster = tuple[str, ...]
@@ -98,10 +97,6 @@ class GradientFeature:
             raise DegenerateFeatureError(f"client {self.client_id!r}: zero gradient feature")
         object.__setattr__(self, "vector", np.asarray(self.vector, dtype=np.float64) / norm)
 
-    @property
-    def dimension(self) -> int:
-        return int(self.vector.size)
-
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -110,13 +105,9 @@ class GradientFeature:
 def cluster_by_family(clients: Sequence[Client], side: str) -> tuple[Cluster, ...]:
     """Group clients by source-language family (encoder side) or
     target-language family (decoder side)."""
-    if side not in ("encoder", "decoder"):
-        raise ConfigurationError(f"side must be encoder or decoder, got {side!r}")
     groups: dict[str, list[str]] = {}
     for client in clients:
         family = client.src.family if side == "encoder" else client.tgt.family
-        if not family:
-            raise ConfigurationError(f"client {client.id!r} is missing a family tag")
         groups.setdefault(family, []).append(client.id)
     return _normalize(groups.values())
 
@@ -127,14 +118,13 @@ def compute_gradient_feature(
     probe_model: ToyModel,
 ) -> GradientFeature:
     """Mean gradient over a client's encoded training set ``train``,
-    restricted to the first active encoder adapter of the probe model,
-    flattened in name order and L2-normalized.
+    restricted to the first active encoder adapter of the probe model
+    (every pruning strategy keeps one), flattened in name order and
+    L2-normalized.
 
     The probe model must be the same checkpoint for every client.
     """
-    site = next((s for s in probe_model.active_sites() if s.side == "encoder"), None)
-    if site is None:
-        raise ConfigurationError("probe model has no active encoder adapter")
+    site = next(s for s in probe_model.active_sites() if s.side == "encoder")
     slice_names = sorted(
         t.name for t in probe_model.params if t.name.startswith(site.prefix + ".")
     )
@@ -217,13 +207,6 @@ def cluster_by_gradient(
     index, and an emptied cluster is repaired by moving the point farthest
     from its centroid out of the largest cluster.
     """
-    if k < 1:
-        raise ConfigurationError("k must be >= 1")
-    if k > len(features):
-        raise ConfigurationError(f"k={k} exceeds the number of clients ({len(features)})")
-    dims = {f.dimension for f in features}
-    if len(dims) != 1:
-        raise ConfigurationError(f"feature dimensions differ: {sorted(dims)}")
     feats = sorted(features, key=lambda f: f.client_id)
     ids = [f.client_id for f in feats]
     points = np.stack([f.vector for f in feats])
@@ -243,10 +226,6 @@ def cluster_by_gradient(
 def cluster_random(client_ids: Sequence[str], k: int, seed: int) -> tuple[Cluster, ...]:
     """Seeded shuffle then round-robin; cluster sizes differ by at most one."""
     ids = sorted(client_ids)
-    if k < 1:
-        raise ConfigurationError("k must be >= 1")
-    if k > len(ids):
-        raise ConfigurationError(f"k={k} exceeds the number of clients ({len(ids)})")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7A3D]))
     order = [ids[i] for i in rng.permutation(len(ids))]
     clusters: list[list[str]] = [[] for _ in range(k)]
@@ -275,10 +254,6 @@ def assemble(
     baseline) has one on each side. ``k`` defaults to the number of distinct
     source families so every strategy produces the same number of clusters.
     """
-    if strategy not in STRATEGIES:
-        raise ConfigurationError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    if ablation not in ABLATIONS:
-        raise ConfigurationError(f"unknown ablation {ablation!r}; expected one of {ABLATIONS}")
     all_ids = tuple(sorted(c.id for c in clients))
     global_clusters = (all_ids,)
     if k is None:
@@ -293,8 +268,6 @@ def assemble(
         encoder = cluster_random(all_ids, k, seed)
         decoder = global_clusters if mode == "m2en" else cluster_random(all_ids, k, seed + 1)
     else:  # gradients
-        if features is None:
-            raise ConfigurationError("gradient clustering requires features")
         encoder = cluster_by_gradient(features, k, seed)
         decoder = encoder
     if ablation == "encoder_only":

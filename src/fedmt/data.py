@@ -200,8 +200,6 @@ def generate_corpus(
     Split sizes follow the 6:2:2 rule with ``n_train`` as the 6 share;
     remainders from the 2 shares are balanced to within one sentence.
     """
-    if n_train <= 0:
-        raise ConfigurationError("n_train must be positive")
     n_dev = (n_train + 2) // 3
     n_test = (n_train + 1) // 3
     total = n_train + n_dev + n_test
@@ -296,8 +294,6 @@ def batches(corpus: Batch, batch_size: int, seed: int | None = None) -> list[Bat
     """One epoch of batches selected from the rows of an encoded corpus,
     which may span several language pairs; shuffled when a seed is given,
     final partial batch kept."""
-    if batch_size <= 0:
-        raise ConfigurationError("batch_size must be positive")
     order = np.arange(corpus.size)
     if seed is not None:
         order = np.random.default_rng(np.random.SeedSequence([seed, 0x5E6F])).permutation(corpus.size)

@@ -26,7 +26,6 @@ from .params import NamedParamSet, count_params
 from .presets import Client, transfer_seconds
 
 AGGREGATIONS = ("fedavg", "fedmean")
-OPTIMIZERS = ("adam", "sgd")
 
 
 @dataclass(frozen=True)
@@ -115,12 +114,11 @@ class _Adam:
         return np.subtract(flat, step, out=step)
 
 
+OPTIMIZERS = {"adam": _Adam, "sgd": _Sgd}
+
+
 def make_optimizer(kind: str, learning_rate: float):
-    if kind == "adam":
-        return _Adam(learning_rate)
-    if kind == "sgd":
-        return _Sgd(learning_rate)
-    raise ConfigurationError(f"unknown optimizer {kind!r}")
+    return OPTIMIZERS[kind](learning_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +245,7 @@ def inner_cluster_aggregate(
     params_by_client: Mapping[str, NamedParamSet],
     assignment: ClusterAssignment,
     rule: str,
-    sizes_by_client: Mapping[str, int] | None = None,
+    sizes_by_client: Mapping[str, int],
 ) -> dict[str, NamedParamSet]:
     """Average trainable tensors within each cluster and broadcast the
     result to the members.
@@ -255,11 +253,10 @@ def inner_cluster_aggregate(
     Encoder-side tensors follow the encoder clusters, decoder-side the
     decoder clusters, shared-side the assignment's shared clusters. The
     ``fedmean`` rule weighs members equally, ``fedavg`` by data size
-    n_i / sum(n) within the cluster. With a single global cluster these are
-    plain FedMean and FedAvg. Frozen tensors are left as they are.
+    n_i / sum(n) within the cluster, n_i from ``sizes_by_client``. With a
+    single global cluster these are plain FedMean and FedAvg. Frozen
+    tensors are left as they are.
     """
-    if rule not in AGGREGATIONS:
-        raise ConfigurationError(f"unknown aggregation rule {rule!r}")
     assignment.validate_clients(list(params_by_client))
     client_ids = sorted(params_by_client)
     base = params_by_client[client_ids[0]]
@@ -271,11 +268,6 @@ def inner_cluster_aggregate(
             raise StructuralMismatchError(
                 f"client {cid!r} params incompatible with {client_ids[0]!r}"
             )
-    if rule == "fedavg":
-        if sizes_by_client is None:
-            raise ConfigurationError("fedavg aggregation needs client data sizes")
-        if any(sizes_by_client.get(cid, 0) <= 0 for cid in client_ids):
-            raise ConfigurationError("client data sizes must be positive")
 
     names_by_side = {
         side: [t.name for t in base if t.trainable and t.side == side]
@@ -445,7 +437,7 @@ def run_experiment(
             aggregated = inner_cluster_aggregate(
                 params, assignment, rule=cfg.aggregation, sizes_by_client=sizes
             )
-            sync_count = count_params(params[ids[0]], "trainable_only")
+            sync_count = count_params(params[ids[0]], trainable_only=True)
             for pid in ids:
                 models[pid] = models[pid].with_params(aggregated[pid])
                 ledger.record_sync(round_index, pid, sync_count)

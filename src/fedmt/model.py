@@ -181,12 +181,6 @@ def pruning_mask(config: ModelConfig, strategy: str) -> dict[str, bool]:
     Thirds are taken over layer indices, independently for the encoder and
     the decoder stacks; ``all`` keeps every adapter.
     """
-    if strategy not in PRUNING_STRATEGIES:
-        raise ConfigurationError(f"unknown pruning strategy {strategy!r}")
-    if strategy != "all" and (config.enc_layers % 3 or config.dec_layers % 3):
-        raise ConfigurationError(
-            "pruning thirds require enc_layers and dec_layers divisible by 3"
-        )
     mask = {}
     for site in adapter_sites(config):
         third = (config.enc_layers if site.side == "encoder" else config.dec_layers) // 3

@@ -33,8 +33,6 @@ from .errors import CheckpointError, StructuralMismatchError
 
 SIDES = ("encoder", "decoder", "shared")
 
-COUNT_FILTERS = ("all", "trainable_only")
-
 _MAGIC = b"FMPS"
 _FORMAT_VERSION = 2
 _DTYPES = (np.dtype("<f4"), np.dtype("<f8"))
@@ -139,17 +137,9 @@ class NamedParamSet:
         )
 
 
-def _passes(tensor: ParamTensor, filter: str) -> bool:
-    if filter == "all":
-        return True
-    if filter == "trainable_only":
-        return tensor.trainable
-    raise ValueError(f"unknown filter {filter!r}; expected one of {COUNT_FILTERS}")
-
-
-def count_params(pset: NamedParamSet, filter: str = "all") -> int:
-    """Total number of scalar parameters passing the filter."""
-    return sum(t.size for t in pset if _passes(t, filter))
+def count_params(pset: NamedParamSet, *, trainable_only: bool = False) -> int:
+    """Total number of scalar parameters, or of trainable ones only."""
+    return sum(t.size for t in pset if t.trainable or not trainable_only)
 
 
 def save_param_set(pset: NamedParamSet, path: str | Path) -> None:

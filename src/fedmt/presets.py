@@ -24,10 +24,7 @@ from .data import (
     generate_corpus,
     generate_languages,
 )
-from .errors import ConfigurationError
 from .model import ModelConfig, adapter_sites, param_layout, pruning_mask
-
-MODES = ("m2en", "m2m")
 
 # family -> member language codes
 M2EN_FAMILY_PLAN: dict[str, tuple[str, ...]] = {
@@ -72,20 +69,9 @@ M2M_PAIR_PLAN: tuple[tuple[str, str, int], ...] = (
     ("lv", "pl", 3712),
 )
 
-def family_plan(mode: str) -> dict[str, tuple[str, ...]]:
-    if mode == "m2en":
-        return dict(M2EN_FAMILY_PLAN)
-    if mode == "m2m":
-        return dict(M2M_FAMILY_PLAN)
-    raise ConfigurationError(f"unknown mode {mode!r}; expected one of {MODES}")
-
-
-def pair_plan(mode: str) -> tuple[tuple[str, str, int], ...]:
-    if mode == "m2en":
-        return M2EN_PAIR_PLAN
-    if mode == "m2m":
-        return M2M_PAIR_PLAN
-    raise ConfigurationError(f"unknown mode {mode!r}; expected one of {MODES}")
+# mode -> (family plan, pair plan)
+PLANS = {"m2en": (M2EN_FAMILY_PLAN, M2EN_PAIR_PLAN), "m2m": (M2M_FAMILY_PLAN, M2M_PAIR_PLAN)}
+MODES = tuple(PLANS)
 
 
 @dataclass(frozen=True)
@@ -103,10 +89,11 @@ def make_clients(
 ) -> tuple[list[LanguageSpec], list[Client]]:
     """Languages plus one client per preset pair, sizes scaled by
     ``data.scale`` and floored at 12."""
-    languages = generate_languages(family_plan(mode), data, seed)
+    family_plan, pair_plan = PLANS[mode]
+    languages = generate_languages(family_plan, data, seed)
     by_code = {spec.code: spec for spec in languages}
     clients = []
-    for idx, (src, tgt, full_size) in enumerate(pair_plan(mode)):
+    for idx, (src, tgt, full_size) in enumerate(pair_plan):
         n_train = max(12, int(round(full_size * data.scale)))
         corpus = generate_corpus(by_code[src], by_code[tgt], n_train, data,
                                  derive_seed(seed, 0xC11E, idx))
@@ -124,13 +111,9 @@ def make_warmup_data(
     """Small mixed corpus over the preset pairs, sampled from a stream
     disjoint from the client corpora; used to pre-train the shared backbone."""
     by_code = {spec.code: spec for spec in languages}
-    corpora = []
-    for idx, (src, tgt, _) in enumerate(pair_plan(mode)):
-        corpora.append(
-            generate_corpus(by_code[src], by_code[tgt], sentences_per_pair, data,
+    return [generate_corpus(by_code[src], by_code[tgt], sentences_per_pair, data,
                             derive_seed(seed, 0x3A93, idx))
-        )
-    return corpora
+            for idx, (src, tgt, _) in enumerate(PLANS[mode][1])]
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +132,6 @@ CONTROLLER_LAYERS_TOTAL = 24
 
 
 def transfer_seconds(total_bytes: float, bandwidth_bps: float) -> float:
-    if bandwidth_bps <= 0:
-        raise ConfigurationError("bandwidth must be positive")
     return total_bytes * 8.0 / bandwidth_bps
 
 

@@ -85,7 +85,9 @@ def write_summary(out_dir: Path, cfg: ExperimentConfig, results: list[SeedResult
         "comm_total_seconds": _mean([r.ledger.total_seconds() for r in results]),
     }
 
-    payload_bytes = results[0].trainable_params * cfg.fed.bytes_per_param
+    # what each client sends per sync; methods that never sync send nothing
+    sync_params = results[0].trainable_params if cfg.aggregates else 0
+    payload_bytes = sync_params * cfg.fed.bytes_per_param
     n_clients = len(results[0].final_rows)
     per_client_s, serialized_s = estimate_transfer(
         payload_bytes, n_clients, cfg.fed.bandwidth_bps
@@ -106,7 +108,7 @@ def write_summary(out_dir: Path, cfg: ExperimentConfig, results: list[SeedResult
             [cfg.method]
             + [fnum(summary["per_pair_bleu"][p]) for p in pairs]
             + [fnum(summary["macro_bleu"]), fnum(summary["micro_bleu"]),
-               results[0].trainable_params, fnum(summary["comm_total_bytes"])]
+               sync_params, fnum(summary["comm_total_bytes"])]
         )
 
     lines = [

@@ -220,6 +220,6 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> tuple[SeedResult, dict[str, To
         micro=micro,
         ledger=result.ledger,
         assignment=assignment,
-        trainable_params=count_params(initial.params, "trainable_only"),
-        total_params=count_params(initial.params, "all"),
+        trainable_params=count_params(initial.params, trainable_only=True),
+        total_params=count_params(initial.params),
     ), result.best_models

@@ -111,14 +111,15 @@ def test_criterion_2_aggregation_oracles():
     params = {f"c{i}": s for i, s in enumerate(sets)}
     ids = tuple(sorted(params))
     global_assignment = ClusterAssignment((ids,), (ids,), "none", "m2en")
-    aggregated = inner_cluster_aggregate(params, global_assignment, rule="fedmean")
+    unit_sizes = dict.fromkeys(params, 1)
+    aggregated = inner_cluster_aggregate(params, global_assignment, "fedmean", unit_sizes)
     for cid in ids:
         assert aggregated[cid].equals(aggregated[ids[0]])
 
     singletons = ClusterAssignment(
         tuple((i,) for i in ids), tuple((i,) for i in ids), "families", "m2m"
     )
-    identity = inner_cluster_aggregate(params, singletons, rule="fedmean")
+    identity = inner_cluster_aggregate(params, singletons, "fedmean", unit_sizes)
     for cid in ids:
         assert identity[cid].equals(params[cid])
 

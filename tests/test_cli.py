@@ -3,6 +3,7 @@
 import csv
 import json
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,8 @@ from fedmt import cli
 from fedmt.cli import main
 from fedmt.config import METHODS
 from fedmt.model import THIRDS
+
+from test_config import REFUSED_AT_PARSE
 
 TINY_RUN = {
     "mode": "m2en",
@@ -106,6 +109,17 @@ class TestAdapterLocalLedger:
         with open(out / "seed_1" / "comm.csv") as handle:
             rows = list(csv.DictReader(handle))
         assert rows == []
+        # nothing is sent, so every payload figure of the summary is 0, while
+        # trainable_params still counts what each client trains
+        summary = json.loads((out / "summary.json").read_text())
+        transfer = summary["transfer"]
+        assert transfer["payload_bytes_per_client"] == 0
+        assert transfer["per_client_seconds"] == transfer["serialized_seconds_all_clients"] == 0
+        assert summary["trainable_params"] > 0
+        assert "payload per client per sync: 0 B" in (out / "summary.txt").read_text()
+        with open(out / "summary.csv") as handle:
+            (row,) = csv.DictReader(handle)
+        assert row["comm_params_per_client_round"] == "0"
 
 
 class TestCountParams:
@@ -128,10 +142,12 @@ class TestCountParams:
 
     @pytest.mark.parametrize("method, pruning", [("adapter-families", "all"),
                                                  ("adapter-families", "middle"),
-                                                 ("model-fed", "all")])
+                                                 ("model-fed", "all"),
+                                                 ("adapter-local", "all")])
     def test_payload_is_what_a_run_sends(self, tmp_path, capsys, method, pruning):
         # count-params builds the model the run builds: the method's and the
-        # pruning's, so its payload is every ledger row's bytes
+        # pruning's, so its payload is every ledger row's bytes; a method
+        # that never syncs has no rows and a payload of 0
         cfg_path = write_config(tmp_path, dict(SMOKE_RUN, method=method, pruning=pruning))
         assert main(["count-params", "--config", cfg_path]) == 0
         out = capsys.readouterr().out
@@ -140,7 +156,7 @@ class TestCountParams:
         assert main(["run", "--config", cfg_path, "--out", str(report), "--no-checkpoints"]) == 0
         with open(report / "seed_1" / "comm.csv") as handle:
             sent = {int(row["bytes"]) for row in csv.DictReader(handle)}
-        assert sent == {payload}
+        assert sent == ({payload} if payload else set())
 
     def test_unknown_preset_is_config_error(self):
         assert main(["count-params", "--preset", "m2m100"]) == 1
@@ -182,6 +198,15 @@ class TestExitCodes:
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
         assert "configuration error: data.scale" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("override, key", REFUSED_AT_PARSE)
+    def test_value_refused_at_parse_exit_1_before_any_output(self, tmp_path, capsys,
+                                                             override, key):
+        cfg_path = write_config(tmp_path, {"mode": "m2en", "method": "adapter-fed", **override})
+        out = tmp_path / "x"
+        assert main(["run", "--config", cfg_path, "--out", str(out)]) == 1
+        assert re.search(f"^configuration error: {key}", capsys.readouterr().err)
+        assert not out.exists()
 
     def test_negative_seed_override_exit_1(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, TINY_RUN)

@@ -124,6 +124,18 @@ class TestValidation:
         assert not local.aggregates and local.strategy == "none"
 
 
+# Values that only the config refuses: no function behind it checks them again.
+REFUSED_AT_PARSE = [
+    ({"pruning": "first_half"}, "pruning: unknown value"),
+    ({"fed": {"optimizer": "rmsprop"}}, "fed: unknown optimizer"),
+    ({"fed": {"aggregation": "median"}}, "fed: unknown aggregation"),
+    ({"fed": {"bandwidth_bps": 0}}, "fed: bandwidth .*must be positive"),
+    ({"fed": {"batch_size": 0}}, "fed: batch_size.* must be >= 1"),
+    ({"fed": {"grad_accumulation": 0}}, "fed: .*grad_accumulation.* must be >= 1"),
+    ({"warmup": {"batch_size": 0}}, "warmup: .*batch_size.* must be positive"),
+]
+
+
 class TestValueTypes:
     @pytest.mark.parametrize("override, key", [
         ({"evaluate_test_bleu": "false"}, "evaluate_test_bleu"),
@@ -169,6 +181,7 @@ class TestValueTypes:
         ({"model": {"ffn_dim": 0}}, "model: ffn_dim must be >= 1"),
         ({"model": {"ffn_dim": -8}}, "model: ffn_dim must be >= 1"),
         ({"fed": {"eval_batch_size": 0}}, "fed: .*eval_batch_size must be >= 1"),
+        *REFUSED_AT_PARSE,
     ])
     def test_wrong_type_rejected_with_key(self, override, key):
         with pytest.raises(ConfigurationError, match=f"^{key}"):
