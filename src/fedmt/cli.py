@@ -20,11 +20,12 @@ from pathlib import Path
 from .config import parse_config
 from .data import export_corpus
 from .errors import ConfigurationError, FedmtError
+from .federation import FedConfig
 from .model import save_checkpoint
 from .params import count_params
 from .presets import mbart50_summary
 from .reporting import write_config_snapshot, write_seed_report, write_summary
-from .runner import build_method_model, prepare_data, run_seed
+from .runner import build_method_model, prepare_data, run_seed, sync_param_count
 
 
 _M_TRIM_THRESHOLD = -1
@@ -90,7 +91,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _print_mbart50() -> None:
-    s = mbart50_summary()
+    fed = FedConfig()
+    s = mbart50_summary(fed)
     print("reference-scale preset (mbart50): d=%d, %d+%d layers, bottleneck %d"
           % (s["model_dim"], s["enc_layers"], s["dec_layers"], s["bottleneck"]))
     print(f"backbone params:            {s['backbone_params']:>13,}")
@@ -101,7 +103,8 @@ def _print_mbart50() -> None:
     print(f"pruned third (adapters):    {s['adapter_params_third']:>13,}")
     print(f"payload full model:         {s['backbone_gb']:>10.3f} GB")
     print(f"payload adapters:           {s['adapter_gb']:>10.4f} GB")
-    print(f"transfer full model:        {s['backbone_transfer_s']:>10.2f} s at 1000 Mbps")
+    print(f"transfer full model:        {s['backbone_transfer_s']:>10.2f} s"
+          f" at {fed.bandwidth_bps / 1e6:.0f} Mbps")
     print(f"transfer full, 12 clients:  {s['backbone_transfer_s_12_clients']:>10.1f} s")
     print(f"transfer adapters:          {s['adapter_transfer_s']:>10.3f} s")
     print(f"adapter comm saving:        {100 * s['adapter_saving_fraction']:>10.1f} %")
@@ -119,7 +122,7 @@ def _print_toy_counts(config_path: str) -> None:
     total = count_params(model.params)
     trainable = count_params(model.params, trainable_only=True)
     adapters = count_params(model.params.filter(lambda t: "_adapter." in t.name))
-    payload = trainable * cfg.fed.bytes_per_param if cfg.aggregates else 0
+    payload, _ = cfg.fed.transfer(sync_param_count(cfg, trainable))
     print(f"toy model ({cfg.mode}, {cfg.method}, pruning {cfg.pruning}): vocab {len(vocab)}, "
           f"d={model_cfg.model_dim}, {model_cfg.enc_layers}+{model_cfg.dec_layers} layers, "
           f"bottleneck {model_cfg.adapter_bottleneck}")

@@ -166,11 +166,15 @@ def _renormalize(centroid: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     return centroid / norm
 
 
-def _kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator, max_iter: int):
+KMEANS_MAX_ITER = 100
+KMEANS_RESTARTS = 8
+
+
+def _kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator):
     n = points.shape[0]
     centroids = _kmeans_pp_init(points, k, rng)
     assign = np.full(n, -1)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         new_assign = _cosine_distances(points, centroids).argmin(axis=1)
         # repair empty clusters from the largest one, farthest member first
         for cluster_idx in range(k):
@@ -193,13 +197,8 @@ def _kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator, max_iter:
     return assign, cost
 
 
-def cluster_by_gradient(
-    features: Sequence[GradientFeature],
-    k: int,
-    seed: int,
-    max_iter: int = 100,
-    restarts: int = 8,
-) -> tuple[Cluster, ...]:
+def cluster_by_gradient(features: Sequence[GradientFeature], k: int,
+                        seed: int) -> tuple[Cluster, ...]:
     """Spherical k-means (cosine distance) with k-means++ seeding.
 
     Deterministic per seed: all restarts draw from one seeded stream and the
@@ -213,8 +212,8 @@ def cluster_by_gradient(
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EED]))
     best_assign, best_cost = None, None
-    for _ in range(max(1, restarts)):
-        assign, cost = _kmeans_once(points, k, rng, max_iter)
+    for _ in range(KMEANS_RESTARTS):
+        assign, cost = _kmeans_once(points, k, rng)
         if best_cost is None or cost < best_cost - 1e-12:
             best_assign, best_cost = assign, cost
     clusters = [
@@ -244,20 +243,18 @@ def assemble(
     strategy: str,
     ablation: str,
     seed: int,
-    k: int | None = None,
     features: Sequence[GradientFeature] | None = None,
 ) -> ClusterAssignment:
     """Build the encoder/decoder cluster sets for a strategy and ablation.
 
     ``encoder_only`` collapses the decoder side to one global cluster and
     ``decoder_only`` the encoder side; strategy ``none`` (the no-clustering
-    baseline) has one on each side. ``k`` defaults to the number of distinct
-    source families so every strategy produces the same number of clusters.
+    baseline) has one on each side. The random and gradient strategies make
+    one cluster per distinct source family, as many as ``families`` makes.
     """
     all_ids = tuple(sorted(c.id for c in clients))
     global_clusters = (all_ids,)
-    if k is None:
-        k = len({c.src.family for c in clients})
+    k = len({c.src.family for c in clients})
 
     if strategy == "none":
         encoder = decoder = global_clusters

@@ -1,16 +1,14 @@
 """Experiment configuration: JSON parsing, validation, defaults, snapshots.
 
 A minimal config only needs ``mode`` and ``method``; everything else
-takes the field defaults of the config dataclasses (batch size 8, learning
-rate 1e-3, 5 rounds, a gradient-accumulation window of 2 to match the
-1/16-scaled corpora). ``ExperimentConfig`` and ``WarmupConfig`` live here,
-each other section next to the code it configures: ``DataConfig`` in
-``fedmt.data``, ``ModelConfig`` in ``fedmt.model`` and ``FedConfig`` in
-``fedmt.federation``. These field defaults are the only defaults: the
-functions that read a setting take its section, or take the value with
-no default of their own. Unknown keys,
-values of the wrong JSON type and invalid combinations are rejected with
-the offending key path.
+takes the field defaults of the config dataclasses. ``ExperimentConfig``
+and ``WarmupConfig`` live here, each other section next to the code it
+configures: ``DataConfig`` in ``fedmt.data``, ``ModelConfig`` in
+``fedmt.model`` and ``FedConfig`` in ``fedmt.federation``. These field
+defaults are the only defaults: the functions that read a setting take
+its section, or take the value with no default of their own. Unknown
+keys, values of the wrong JSON type and invalid combinations are
+rejected with the offending key path.
 """
 
 from __future__ import annotations
@@ -48,8 +46,8 @@ METHODS = {
 class WarmupConfig:
     """Centralized warm-up that produces the shared frozen backbone."""
 
-    sentences_per_pair: int = 64
-    epochs: int = 2
+    sentences_per_pair: int = 256
+    epochs: int = 8
     learning_rate: float = 1e-3
     batch_size: int = 8
     grad_accumulation: int = 2

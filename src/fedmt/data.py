@@ -126,16 +126,19 @@ def _perturb_permutation(
     return table
 
 
+DERANGEMENT_TRIES = 10_000
+
+
 def _deranged_permutation(
-    existing: list[np.ndarray], size: int, rng: np.random.Generator, max_tries: int = 10_000
+    existing: list[np.ndarray], size: int, rng: np.random.Generator
 ) -> np.ndarray:
     """A random permutation sharing no entry with any of ``existing``."""
-    for _ in range(max_tries):
+    for _ in range(DERANGEMENT_TRIES):
         cand = rng.permutation(size)
         if all(not np.any(cand == prev) for prev in existing):
             return cand
     raise ConfigurationError(
-        f"could not sample a mutually deranged permutation after {max_tries} tries"
+        f"could not sample a mutually deranged permutation after {DERANGEMENT_TRIES} tries"
     )
 
 

@@ -23,7 +23,7 @@ from .data import Vocab, batches, derive_seed, make_batch
 from .errors import ConfigurationError, NumericError, StructuralMismatchError
 from .model import Batch, ToyModel, grad, loss, merge_batches
 from .params import NamedParamSet, count_params
-from .presets import Client, transfer_seconds
+from .presets import Client
 
 AGGREGATIONS = ("fedavg", "fedmean")
 
@@ -35,8 +35,8 @@ class FedConfig:
     local_epochs: int = 1
     batch_size: int = 8
     grad_accumulation: int = 2
-    learning_rate: float = 1e-3  # adapter methods
-    full_model_learning_rate: float | None = None  # backbone-trainable methods; None: same
+    learning_rate: float = 2e-3  # adapter methods
+    full_model_learning_rate: float | None = 1e-3  # backbone-trainable methods; None: same
     optimizer: str = "adam"
     seed: int = 0
     bandwidth_bps: float = 1e9
@@ -66,6 +66,13 @@ class FedConfig:
             return self.learning_rate
         return self.full_model_learning_rate
 
+    def transfer(self, param_count: int) -> tuple[int, float]:
+        """The bandwidth model: bytes and seconds to send ``param_count``
+        values one way. Every payload and transfer time a run reports or
+        ``count-params`` prints comes from here."""
+        n_bytes = param_count * self.bytes_per_param
+        return n_bytes, n_bytes * 8.0 / self.bandwidth_bps
+
 
 # ---------------------------------------------------------------------------
 # optimizers
@@ -80,9 +87,14 @@ class _Sgd:
         return flat - self.lr * grad
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class _Adam:
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, lr: float):
+        self.lr = lr
         self.t = 0
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
@@ -96,18 +108,18 @@ class _Adam:
         ``lr * (m / c1) / (sqrt(v / c2) + eps)``, so the result is bitwise
         that formula's."""
         self.t += 1
-        correction1 = 1.0 - self.beta1**self.t
-        correction2 = 1.0 - self.beta2**self.t
+        correction1 = 1.0 - ADAM_BETA1**self.t
+        correction2 = 1.0 - ADAM_BETA2**self.t
         if self.m is None:
             self.m, self.v = np.zeros_like(grad), np.zeros_like(grad)
         m, v = self.m, self.v
-        m *= self.beta1
-        m += grad * (1 - self.beta1)
-        v *= self.beta2
-        v += (grad * (1 - self.beta2)) * grad
+        m *= ADAM_BETA1
+        m += grad * (1 - ADAM_BETA1)
+        v *= ADAM_BETA2
+        v += (grad * (1 - ADAM_BETA2)) * grad
         denom = np.divide(v, correction2, out=grad)
         np.sqrt(denom, out=denom)
-        denom += self.eps
+        denom += ADAM_EPS
         step = m / correction1
         step *= self.lr
         step /= denom
@@ -115,10 +127,6 @@ class _Adam:
 
 
 OPTIMIZERS = {"adam": _Adam, "sgd": _Sgd}
-
-
-def make_optimizer(kind: str, learning_rate: float):
-    return OPTIMIZERS[kind](learning_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +166,7 @@ def train_epochs(
     shapes = [model.params.values(name).shape for name in names]
     bounds = np.cumsum([0] + [int(np.prod(shape)) for shape in shapes])
     flat = np.concatenate([model.params.values(name).ravel() for name in names])
-    optimizer = make_optimizer(optimizer_kind, learning_rate)
+    optimizer = OPTIMIZERS[optimizer_kind](learning_rate)
     loss_total = 0.0
     tokens_total = 0
     steps = 0
@@ -255,9 +263,9 @@ def inner_cluster_aggregate(
     ``fedmean`` rule weighs members equally, ``fedavg`` by data size
     n_i / sum(n) within the cluster, n_i from ``sizes_by_client``. With a
     single global cluster these are plain FedMean and FedAvg. Frozen
-    tensors are left as they are.
+    tensors are left as they are. ``assignment`` partitions the client ids;
+    :func:`run_experiment` checks that once, before round 1.
     """
-    assignment.validate_clients(list(params_by_client))
     client_ids = sorted(params_by_client)
     base = params_by_client[client_ids[0]]
     for cid in client_ids[1:]:
@@ -313,27 +321,17 @@ class LedgerEntry:
     seconds: float
 
 
-def estimate_transfer(
-    payload_bytes: float, n_clients: int, bandwidth_bps: float
-) -> tuple[float, float]:
-    """(per-client seconds, serialized total) under shared bandwidth."""
-    per_client = transfer_seconds(payload_bytes, bandwidth_bps)
-    return per_client, per_client * n_clients
-
-
 class CommLedger:
     """Per-round, per-client transfer accounting under ``cfg``'s bandwidth
     model."""
 
     def __init__(self, cfg: FedConfig):
-        self.bandwidth_bps = cfg.bandwidth_bps
-        self.bytes_per_param = cfg.bytes_per_param
+        self.cfg = cfg
         self.entries: list[LedgerEntry] = []
 
     def record_sync(self, round_index: int, client: str, param_count: int) -> None:
         """One uplink plus one downlink of the client's trainable payload."""
-        n_bytes = param_count * self.bytes_per_param
-        seconds = transfer_seconds(n_bytes, self.bandwidth_bps)
+        n_bytes, seconds = self.cfg.transfer(param_count)
         for direction in ("uplink", "downlink"):
             self.entries.append(
                 LedgerEntry(round_index, client, direction, param_count, n_bytes, seconds)

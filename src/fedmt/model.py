@@ -273,17 +273,6 @@ def _init_value(spec: TensorSpec, config: ModelConfig, rng: np.random.Generator)
     return v.astype(config.np_dtype)
 
 
-def _given_value(backbone: NamedParamSet, spec: TensorSpec, config: ModelConfig) -> np.ndarray:
-    if spec.name not in backbone:
-        raise ConfigurationError(f"backbone checkpoint is missing tensor {spec.name!r}")
-    given = backbone.values(spec.name)
-    if given.shape != spec.shape:
-        raise ConfigurationError(
-            f"backbone tensor {spec.name!r} has shape {given.shape}, expected {spec.shape}"
-        )
-    return given.astype(config.np_dtype)
-
-
 def build_model(
     config: ModelConfig,
     rng_seed: int,
@@ -319,7 +308,7 @@ def build_model(
         if backbone is None:
             value = _init_value(spec, config, backbone_rng)
         else:
-            value = _given_value(backbone, spec, config)
+            value = backbone.values(spec.name).astype(config.np_dtype)
         trainable = kept is None or spec.kind in ("ln_weight", "ln_bias")
         tensors.append(ParamTensor(spec.name, value, trainable, spec.side))
     return ToyModel(config, NamedParamSet(tensors))

@@ -96,13 +96,15 @@ def gelu_bwd(dy: np.ndarray, cache) -> np.ndarray:
 ACTIVATIONS = {"relu": (relu_fwd, relu_bwd), "gelu": (gelu_fwd, gelu_bwd)}
 
 
-def layer_norm_fwd(x: np.ndarray, g: np.ndarray, b: np.ndarray, name: str | None = None,
-                   eps: float = 1e-5):
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm_fwd(x: np.ndarray, g: np.ndarray, b: np.ndarray, name: str | None = None):
     # Row statistics as products with a 1/d vector: a gemv reduces the short
     # feature axis far faster than ``mean(axis=-1)``.
     avg = np.full(x.shape[-1], 1.0 / x.shape[-1], dtype=x.dtype)
     xhat = x - (x @ avg)[..., None]
-    inv = 1.0 / np.sqrt((xhat * xhat) @ avg + eps)
+    inv = 1.0 / np.sqrt((xhat * xhat) @ avg + LAYER_NORM_EPS)
     xhat *= inv[..., None]
     y = xhat * g
     y += b

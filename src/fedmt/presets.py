@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .data import (
     ClientDataset,
@@ -25,6 +26,9 @@ from .data import (
     generate_languages,
 )
 from .model import ModelConfig, adapter_sites, param_layout, pruning_mask
+
+if TYPE_CHECKING:  # fedmt.federation imports this module
+    from .federation import FedConfig
 
 # family -> member language codes
 M2EN_FAMILY_PLAN: dict[str, tuple[str, ...]] = {
@@ -122,8 +126,6 @@ def make_warmup_data(
 MBART50_BACKBONE_PARAMS = 610_900_000
 MBART50_CONFIG = ModelConfig(model_dim=1024, num_heads=16, ffn_dim=4096,
                              enc_layers=12, dec_layers=12, adapter_bottleneck=64)
-FP32_BYTES = 4
-DEFAULT_BANDWIDTH_BPS = 1e9  # 1000 Mbps
 
 # a Controller-style baseline exchanges 8 dedicated layers where the plain
 # model would exchange its 24 original layers
@@ -131,13 +133,10 @@ CONTROLLER_LAYERS_EXCHANGED = 8
 CONTROLLER_LAYERS_TOTAL = 24
 
 
-def transfer_seconds(total_bytes: float, bandwidth_bps: float) -> float:
-    return total_bytes * 8.0 / bandwidth_bps
-
-
-def mbart50_summary() -> dict[str, float]:
+def mbart50_summary(fed: FedConfig) -> dict[str, float]:
     """Communication accounting for the full-scale preset, counted on the
-    simulator's own parameter layout at mBART-50 dimensions."""
+    simulator's own parameter layout at mBART-50 dimensions and priced by
+    ``fed``'s bandwidth model."""
     cfg = MBART50_CONFIG
     layout = param_layout(cfg)
     sites = adapter_sites(cfg)
@@ -150,9 +149,8 @@ def mbart50_summary() -> dict[str, float]:
     adapters_total = count(lambda t: t.site is not None)
     layernorm_total = count(lambda t: t.kind in ("ln_weight", "ln_bias"))
     adapters_third = count(lambda t: t.site is not None and kept[t.site.prefix])
-    backbone_bytes = MBART50_BACKBONE_PARAMS * FP32_BYTES
-    adapter_bytes = adapters_total * FP32_BYTES
-    backbone_s = transfer_seconds(backbone_bytes, DEFAULT_BANDWIDTH_BPS)
+    backbone_bytes, backbone_s = fed.transfer(MBART50_BACKBONE_PARAMS)
+    adapter_bytes, adapter_s = fed.transfer(adapters_total)
     return {
         "model_dim": cfg.model_dim,
         "bottleneck": cfg.adapter_bottleneck,
@@ -168,7 +166,7 @@ def mbart50_summary() -> dict[str, float]:
         "adapter_gb": adapter_bytes / 1e9,
         "backbone_transfer_s": backbone_s,
         "backbone_transfer_s_12_clients": 12 * backbone_s,
-        "adapter_transfer_s": transfer_seconds(adapter_bytes, DEFAULT_BANDWIDTH_BPS),
+        "adapter_transfer_s": adapter_s,
         "adapter_saving_fraction": 1.0 - adapters_total / MBART50_BACKBONE_PARAMS,
         "pruned_saving_fraction": 1.0 - adapters_third / adapters_total,
         "controller_saving_fraction": 1.0 - CONTROLLER_LAYERS_EXCHANGED / CONTROLLER_LAYERS_TOTAL,

@@ -13,8 +13,8 @@ from typing import Sequence
 
 from .clustering import ClusterAssignment
 from .config import ExperimentConfig, config_to_dict
-from .federation import CommLedger, estimate_transfer
-from .runner import SeedResult
+from .federation import CommLedger
+from .runner import SeedResult, sync_param_count
 
 
 def fnum(value) -> str:
@@ -85,13 +85,10 @@ def write_summary(out_dir: Path, cfg: ExperimentConfig, results: list[SeedResult
         "comm_total_seconds": _mean([r.ledger.total_seconds() for r in results]),
     }
 
-    # what each client sends per sync; methods that never sync send nothing
-    sync_params = results[0].trainable_params if cfg.aggregates else 0
-    payload_bytes = sync_params * cfg.fed.bytes_per_param
+    sync_params = sync_param_count(cfg, results[0].trainable_params)
+    payload_bytes, per_client_s = cfg.fed.transfer(sync_params)
     n_clients = len(results[0].final_rows)
-    per_client_s, serialized_s = estimate_transfer(
-        payload_bytes, n_clients, cfg.fed.bandwidth_bps
-    )
+    serialized_s = per_client_s * n_clients
     summary["transfer"] = {
         "payload_bytes_per_client": payload_bytes,
         "per_client_seconds": per_client_s,

@@ -91,6 +91,12 @@ def build_method_model(cfg: ExperimentConfig, seed: int, vocab: Vocab,
                        adapters=cfg.pruning if cfg.uses_adapters else None, backbone=backbone)
 
 
+def sync_param_count(cfg: ExperimentConfig, trainable_params: int) -> int:
+    """Values each client sends per sync: its trainable count, or 0 for a
+    method that never syncs."""
+    return trainable_params if cfg.aggregates else 0
+
+
 def make_assignment(
     cfg: ExperimentConfig,
     seed: int,

@@ -147,7 +147,8 @@ class TestCountParams:
     def test_payload_is_what_a_run_sends(self, tmp_path, capsys, method, pruning):
         # count-params builds the model the run builds: the method's and the
         # pruning's, so its payload is every ledger row's bytes; a method
-        # that never syncs has no rows and a payload of 0
+        # that never syncs has no rows and a payload of 0. The summary
+        # states the same payload.
         cfg_path = write_config(tmp_path, dict(SMOKE_RUN, method=method, pruning=pruning))
         assert main(["count-params", "--config", cfg_path]) == 0
         out = capsys.readouterr().out
@@ -157,6 +158,12 @@ class TestCountParams:
         with open(report / "seed_1" / "comm.csv") as handle:
             sent = {int(row["bytes"]) for row in csv.DictReader(handle)}
         assert sent == ({payload} if payload else set())
+        summary = json.loads((report / "summary.json").read_text())
+        assert summary["transfer"]["payload_bytes_per_client"] == payload
+        bytes_per_param = json.loads((report / "config.json").read_text())["fed"]["bytes_per_param"]
+        with open(report / "summary.csv") as handle:
+            (row,) = csv.DictReader(handle)
+        assert int(row["comm_params_per_client_round"]) * bytes_per_param == payload
 
     def test_unknown_preset_is_config_error(self):
         assert main(["count-params", "--preset", "m2m100"]) == 1

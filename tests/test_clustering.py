@@ -221,7 +221,7 @@ class TestAssemble:
 
     def test_gradients_m2en_clusters_decoder_too(self, m2en_clients):
         feats = features_from_rows(np.eye(8))
-        a = assemble(m2en_clients, "m2en", "gradients", ablation="both", seed=0, k=4,
+        a = assemble(m2en_clients, "m2en", "gradients", ablation="both", seed=0,
                      features=feats)
         assert len(a.encoder_clusters) == len(a.decoder_clusters) == 4
         assert a.encoder_clusters == a.decoder_clusters

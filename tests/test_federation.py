@@ -17,12 +17,11 @@ from fedmt.errors import (
 from fedmt.federation import (
     CommLedger,
     FedConfig,
+    OPTIMIZERS,
     Party,
-    estimate_transfer,
     evaluate_dev_loss,
     inner_cluster_aggregate,
     local_update,
-    make_optimizer,
     _stable_id,
     run_experiment,
     train_epochs,
@@ -108,11 +107,6 @@ class TestFedMean:
     def test_single_set_identity(self):
         s = scalar_set(7)
         assert global_aggregate([s]).equals(s)
-
-    def test_empty_rejected(self):
-        assignment = ClusterAssignment((("a",),), (("a",),), "none", "m2en")
-        with pytest.raises(ValueError):
-            inner_cluster_aggregate({}, assignment, rule="fedmean", sizes_by_client={})
 
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(2)
@@ -221,29 +215,27 @@ class TestInnerClusterAggregate:
             inner_cluster_aggregate(params, assignment, rule="fedmean",
                                     sizes_by_client=dict.fromkeys(params, 1))
 
-    def test_client_mismatch_rejected(self):
-        params = self._params({"a": 1, "b": 2})
-        assignment = ClusterAssignment((("a",),), (("a",),), "none", "m2en")
-        with pytest.raises(PartitionError):
-            inner_cluster_aggregate(params, assignment, rule="fedmean",
-                                    sizes_by_client=dict.fromkeys(params, 1))
-
 
 class TestEstimateTransfer:
+    """``FedConfig.transfer``, the one bandwidth model, at the reference
+    1000 Mbps and 4 bytes per value."""
+
     def test_full_model_at_reference_bandwidth(self):
-        per_client, _ = estimate_transfer(2.44e9, 1, 1e9)
+        n_bytes, per_client = FedConfig(bandwidth_bps=1e9).transfer(610_000_000)
+        assert n_bytes == 2.44e9
         assert per_client == pytest.approx(19.52, abs=0.005)
         assert per_client == pytest.approx(19.5, rel=0.005)
 
     def test_twelve_clients_serialized(self):
-        _, total = estimate_transfer(2.44e9, 12, 1e9)
-        assert total == pytest.approx(234, rel=0.005)
+        _, per_client = FedConfig(bandwidth_bps=1e9).transfer(610_000_000)
+        assert 12 * per_client == pytest.approx(234, rel=0.005)
 
     def test_adapter_payload_seconds(self):
-        per_client, _ = estimate_transfer(7_929_600 * 4, 1, 1e9)
+        fed = FedConfig(bandwidth_bps=1e9, bytes_per_param=4)
+        _, per_client = fed.transfer(7_929_600)
         assert per_client == pytest.approx(0.2537, abs=0.0005)
         # the rounded count (8M params) reproduces the quoted 0.26 s
-        rounded, _ = estimate_transfer(8e6 * 4, 1, 1e9)
+        _, rounded = fed.transfer(8_000_000)
         assert rounded == pytest.approx(0.256, abs=1e-9)
 
 
@@ -378,7 +370,7 @@ def test_flat_optimizer_step_is_bitwise_the_per_tensor_update(tiny_setup, kind):
 def test_adam_step_is_bitwise_the_textbook_formula(dtype):
     rng = np.random.default_rng(3)
     flat = rng.normal(size=1000).astype(dtype)
-    optimizer = make_optimizer("adam", 1e-2)
+    optimizer = OPTIMIZERS["adam"](1e-2)
     m = v = np.zeros_like(flat)
     returned = []
     for t in range(1, 6):
@@ -413,6 +405,21 @@ class TestRunExperiment:
         direct, _ = local_update(Party.of(client, vocab), model, cfg, round_index=1)
         final = seen[-1].params[client.id]
         assert final.equals(direct.params)
+
+    def test_client_mismatch_rejected(self, tiny_setup):
+        # checked once, before round 1; aggregation trusts the assignment
+        clients, vocab, model = tiny_setup
+        ids = (clients[0].id,)
+        assignment = ClusterAssignment((ids,), (ids,), "none", "m2en")
+        with pytest.raises(PartitionError):
+            run_experiment(parties(clients[:2], vocab), model, FedConfig(rounds=1), vocab,
+                           assignment)
+
+    def test_empty_rejected(self, tiny_setup):
+        _, vocab, model = tiny_setup
+        assignment = ClusterAssignment((("a",),), (("a",),), "none", "m2en")
+        with pytest.raises(PartitionError):
+            run_experiment([], model, FedConfig(rounds=1), vocab, assignment)
 
     def test_no_assignment_means_no_ledger_entries(self, tiny_setup):
         clients, vocab, model = tiny_setup

@@ -79,12 +79,27 @@ class TestPayload:
     (decimal units, 1 GB = 1e9 B)."""
 
     def test_reference_full_model_bytes(self):
-        s = mbart50_summary()
+        s = mbart50_summary(FedConfig())
         assert s["backbone_params"] * 4 == 2_443_600_000
         assert s["backbone_gb"] == pytest.approx(2.44, abs=0.005)
 
     def test_adapter_total_bytes(self):
-        assert mbart50_summary()["adapter_gb"] * 1e9 == pytest.approx(31_718_400)
+        assert mbart50_summary(FedConfig())["adapter_gb"] * 1e9 == pytest.approx(31_718_400)
+
+    def test_reference_figures_follow_the_bandwidth_model(self):
+        # half the bytes per value at a tenth of the bandwidth: half the
+        # bytes and five times the seconds of the 1000 Mbps, fp32 figures
+        base = mbart50_summary(FedConfig())
+        s = mbart50_summary(FedConfig(bandwidth_bps=1e8, bytes_per_param=2))
+        assert s["backbone_gb"] == pytest.approx(base["backbone_gb"] / 2, rel=1e-12)
+        assert s["adapter_gb"] == pytest.approx(base["adapter_gb"] / 2, rel=1e-12)
+        for key in ("backbone_transfer_s", "backbone_transfer_s_12_clients",
+                    "adapter_transfer_s"):
+            assert s[key] == pytest.approx(5 * base[key], rel=1e-12)
+        assert s["backbone_transfer_s"] == pytest.approx(610_900_000 * 2 * 8 / 1e8, rel=1e-12)
+        # counts and saving fractions do not depend on the bandwidth model
+        assert {k: v for k, v in s.items() if not k.endswith(("_gb", "_s", "_clients"))} == {
+            k: v for k, v in base.items() if not k.endswith(("_gb", "_s", "_clients"))}
 
     def test_bad_bytes_per_param(self):
         with pytest.raises(ConfigurationError):

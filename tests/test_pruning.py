@@ -8,6 +8,7 @@ layer and 3 per decoder layer.
 import numpy as np
 import pytest
 
+from fedmt.federation import FedConfig
 from fedmt.model import (
     PRUNING_STRATEGIES,
     THIRDS,
@@ -116,7 +117,7 @@ class TestCounts:
         assert third == 2_643_200
         assert abs(third - 2.7e6) / 2.7e6 < 0.05
         assert abs(full - 8.1e6) / 8.1e6 < 0.05
-        s = mbart50_summary()
+        s = mbart50_summary(FedConfig())
         assert (s["per_adapter_params"], s["adapter_params"], s["adapter_params_third"]) == (
             per, full, third)
         # per-layer norms (2 per encoder, 3 per decoder layer) plus the two final ones
