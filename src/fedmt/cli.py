@@ -120,8 +120,8 @@ def _print_toy_counts(config_path: str) -> None:
     model = build_method_model(cfg, seed, vocab, backbone=None)
     model_cfg = model.config
     total = count_params(model.params)
-    trainable = count_params(model.params, trainable_only=True)
-    adapters = count_params(model.params.filter(lambda t: "_adapter." in t.name))
+    trainable = count_params(model.params, model.trainable_names())
+    adapters = count_params(model.params.filter(lambda name: "_adapter." in name))
     payload, _ = cfg.fed.transfer(sync_param_count(cfg, trainable))
     print(f"toy model ({cfg.mode}, {cfg.method}, pruning {cfg.pruning}): vocab {len(vocab)}, "
           f"d={model_cfg.model_dim}, {model_cfg.enc_layers}+{model_cfg.dec_layers} layers, "

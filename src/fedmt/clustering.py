@@ -125,9 +125,7 @@ def compute_gradient_feature(
     The probe model must be the same checkpoint for every client.
     """
     site = next(s for s in probe_model.active_sites() if s.side == "encoder")
-    slice_names = sorted(
-        t.name for t in probe_model.params if t.name.startswith(site.prefix + ".")
-    )
+    slice_names = [n for n in probe_model.params.names if n.startswith(site.prefix + ".")]
     accum = {name: np.zeros(probe_model.params.values(name).shape, dtype=np.float64)
              for name in slice_names}
     needed = set(slice_names)

@@ -251,36 +251,31 @@ def _stable_id(text: str) -> int:
 
 def inner_cluster_aggregate(
     params_by_client: Mapping[str, NamedParamSet],
+    names_by_side: Mapping[str, Sequence[str]],
     assignment: ClusterAssignment,
     rule: str,
     sizes_by_client: Mapping[str, int],
 ) -> dict[str, NamedParamSet]:
-    """Average trainable tensors within each cluster and broadcast the
-    result to the members.
+    """Average the tensors ``names_by_side`` names within each cluster and
+    broadcast the result to the members.
 
-    Encoder-side tensors follow the encoder clusters, decoder-side the
-    decoder clusters, shared-side the assignment's shared clusters. The
-    ``fedmean`` rule weighs members equally, ``fedavg`` by data size
-    n_i / sum(n) within the cluster, n_i from ``sizes_by_client``. With a
-    single global cluster these are plain FedMean and FedAvg. Frozen
-    tensors are left as they are. ``assignment`` partitions the client ids;
-    :func:`run_experiment` checks that once, before round 1.
+    The ``encoder`` names follow the encoder clusters, ``decoder`` the
+    decoder clusters, ``shared`` the assignment's shared clusters (a model
+    gives them with ``ToyModel.trainable_by_side``). The ``fedmean`` rule
+    weighs members equally, ``fedavg`` by data size n_i / sum(n) within the
+    cluster, n_i from ``sizes_by_client``. With a single global cluster
+    these are plain FedMean and FedAvg. Tensors not named are left as they
+    are. ``assignment`` partitions the client ids; :func:`run_experiment`
+    checks that once, before round 1.
     """
     client_ids = sorted(params_by_client)
     base = params_by_client[client_ids[0]]
     for cid in client_ids[1:]:
-        other = params_by_client[cid]
-        if not base.compatible_with(other) or any(
-            a.trainable != b.trainable for a, b in zip(base, other)
-        ):
+        if not base.compatible_with(params_by_client[cid]):
             raise StructuralMismatchError(
                 f"client {cid!r} params incompatible with {client_ids[0]!r}"
             )
 
-    names_by_side = {
-        side: [t.name for t in base if t.trainable and t.side == side]
-        for side in ("encoder", "decoder", "shared")
-    }
     updates: dict[str, dict[str, np.ndarray]] = {cid: {} for cid in client_ids}
     for clusters, side in (
         (assignment.encoder_clusters, "encoder"),
@@ -413,6 +408,8 @@ def run_experiment(
         assignment.validate_clients(ids)
     models = {pid: initial for pid in ids}
     sizes = {p.id: p.corpus.size for p in parties}
+    names_by_side = initial.trainable_by_side()
+    sync_count = count_params(initial.params, initial.trainable_names())
     ledger = CommLedger(cfg)
     dev_sets = {c.id: make_batch(c.data.dev, vocab, c.tgt.code)
                 for p in parties for c in p.clients}
@@ -433,9 +430,8 @@ def run_experiment(
         if assignment is not None:
             params = {pid: models[pid].params for pid in ids}
             aggregated = inner_cluster_aggregate(
-                params, assignment, rule=cfg.aggregation, sizes_by_client=sizes
+                params, names_by_side, assignment, rule=cfg.aggregation, sizes_by_client=sizes
             )
-            sync_count = count_params(params[ids[0]], trainable_only=True)
             for pid in ids:
                 models[pid] = models[pid].with_params(aggregated[pid])
                 ledger.record_sync(round_index, pid, sync_count)

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import nn
 from .errors import CheckpointError, ConfigurationError, NumericError
-from .params import NamedParamSet, ParamTensor, load_param_set, save_param_set
+from .params import NamedParamSet, load_param_set, save_param_set
 
 # One pre-norm sublayer computes x <- adapter(x + block(layer_norm(x))).
 # Entries are (layer norm, block, adapter slot); the adapter after the
@@ -253,7 +253,23 @@ class ToyModel:
         return ToyModel(self.config, params)
 
     def trainable_names(self) -> list[str]:
-        return [t.name for t in self.params if t.trainable]
+        """The tensors that train, in name order: a model that holds
+        adapters trains them and every layer norm on a frozen backbone, a
+        model without adapters trains every tensor."""
+        if not self.active_sites():
+            return list(self.params.names)
+        layout = {s.name: s for s in param_layout(self.config)}
+        return [n for n in self.params.names
+                if layout[n].site is not None or layout[n].kind in ("ln_weight", "ln_bias")]
+
+    def trainable_by_side(self) -> dict[str, list[str]]:
+        """:meth:`trainable_names` by the side ``param_layout`` gives each:
+        ``encoder``, ``decoder`` and ``shared``."""
+        sides = {s.name: s.side for s in param_layout(self.config)}
+        by_side: dict[str, list[str]] = {"encoder": [], "decoder": [], "shared": []}
+        for name in self.trainable_names():
+            by_side[sides[name]].append(name)
+        return by_side
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +297,9 @@ def build_model(
 ) -> ToyModel:
     """Construct a model deterministically from a seed.
 
-    ``adapters`` None builds the backbone alone, every tensor trainable. A
-    pruning strategy builds the adapters ``pruning_mask`` keeps, trainable,
-    on a frozen backbone whose layer norms still train.
+    ``adapters`` None builds the backbone alone. A pruning strategy builds
+    the adapters ``pruning_mask`` keeps on the backbone
+    (``ToyModel.trainable_names`` says what trains).
 
     The backbone stream is drawn before (and independently of) the adapter
     stream, and every site draws its adapter, kept or not, so the same seed
@@ -297,20 +313,17 @@ def build_model(
     backbone_ss, adapter_ss = np.random.SeedSequence(rng_seed).spawn(2)
     backbone_rng = np.random.default_rng(backbone_ss)
     adapter_rng = np.random.default_rng(adapter_ss)
-    tensors = []
+    tensors = {}
     for spec in param_layout(config):
         if spec.site is not None:
             if kept is not None:
                 value = _init_value(spec, config, adapter_rng)
                 if kept[spec.site.prefix]:
-                    tensors.append(ParamTensor(spec.name, value, True, spec.side))
-            continue
-        if backbone is None:
-            value = _init_value(spec, config, backbone_rng)
+                    tensors[spec.name] = value
+        elif backbone is None:
+            tensors[spec.name] = _init_value(spec, config, backbone_rng)
         else:
-            value = backbone.values(spec.name).astype(config.np_dtype)
-        trainable = kept is None or spec.kind in ("ln_weight", "ln_bias")
-        tensors.append(ParamTensor(spec.name, value, trainable, spec.side))
+            tensors[spec.name] = backbone.values(spec.name).astype(config.np_dtype)
     return ToyModel(config, NamedParamSet(tensors))
 
 
@@ -565,7 +578,7 @@ def grad(model: ToyModel, batch: Batch, needed: set[str] | None = None):
     ``needed`` (default: every trainable tensor), exactly those."""
     _check_batch(model, batch)
     if needed is None:
-        needed = {t.name for t in model.params if t.trainable}
+        needed = set(model.trainable_names())
     logits, cache = forward(model, batch, needed.__contains__)
     total, count, dlogits = _cross_entropy(logits, batch)
     if not np.isfinite(total):
@@ -630,7 +643,7 @@ def load_checkpoint(path_prefix: str | Path) -> ToyModel:
     sidecar with a missing, unknown or unparsable key raises
     :class:`CheckpointError`, as does a damaged ``.params`` file, and so do
     tensors that disagree with the layout the ``.meta`` config describes
-    (:func:`param_layout`): a name, shape, side or dtype, a missing backbone
+    (:func:`param_layout`): a name, shape or dtype, a missing backbone
     tensor, or an adapter site holding only some of its tensors."""
     prefix = Path(path_prefix)
     meta_path = prefix.parent / (prefix.name + ".meta")
@@ -653,14 +666,15 @@ def load_checkpoint(path_prefix: str | Path) -> ToyModel:
     params = load_param_set(prefix.parent / (prefix.name + ".params"))
     layout = {s.name: s for s in param_layout(config)}
     held: set[AdapterSite | None] = {None}  # the backbone, then each site with a tensor
-    for t in params:
-        spec = layout.pop(t.name, None)
+    for name in params.names:
+        spec = layout.pop(name, None)
         if spec is None:
-            raise CheckpointError(f"{prefix}: tensor {t.name!r} is not in the config's layout")
-        found = (t.shape, t.side, t.values.dtype.name)
-        expected = (spec.shape, spec.side, config.dtype)
+            raise CheckpointError(f"{prefix}: tensor {name!r} is not in the config's layout")
+        values = params.values(name)
+        found = (values.shape, values.dtype.name)
+        expected = (spec.shape, config.dtype)
         if found != expected:
-            raise CheckpointError(f"{prefix}: tensor {t.name!r} has (shape, side, dtype) "
+            raise CheckpointError(f"{prefix}: tensor {name!r} has (shape, dtype) "
                                   f"{found}, but the config says {expected}")
         held.add(spec.site)
     missing = [name for name, spec in layout.items() if spec.site in held]

@@ -1,19 +1,19 @@
 """Named parameter sets: storage, counting, checkpoints.
 
 Every model in the simulator is a :class:`NamedParamSet`: an immutable,
-name-ordered collection of tensors, each tagged with a side (``encoder``,
-``decoder``, or ``shared``) and a trainable flag. Aggregation averages
-these sets in ``federation.inner_cluster_aggregate``.
+name-ordered map from tensor names to arrays. Which tensors train and
+which side of the model each belongs to are read from the model's layout
+(``ToyModel.trainable_names``, ``ToyModel.trainable_by_side``), not stored
+here. Aggregation averages these sets in
+``federation.inner_cluster_aggregate``.
 
 Binary checkpoint format (little-endian):
 
     magic   b"FMPS"
-    u32     format version (2)
+    u32     format version (3; a file of an earlier version is refused)
     u32     tensor count
     per tensor:
         u16     name length, then UTF-8 name
-        u8      side (0=encoder, 1=decoder, 2=shared)
-        u8      trainable flag
         u8      dtype (0=float32, 1=float64)
         u8      ndim, then u32 x ndim shape
     payload:
@@ -23,123 +23,71 @@ Binary checkpoint format (little-endian):
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from .errors import CheckpointError, StructuralMismatchError
 
-SIDES = ("encoder", "decoder", "shared")
-
 _MAGIC = b"FMPS"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 _DTYPES = (np.dtype("<f4"), np.dtype("<f8"))
 
 
-@dataclass(frozen=True)
-class ParamTensor:
-    """One named tensor with a side tag and a trainable flag."""
-
-    name: str
-    values: np.ndarray
-    trainable: bool
-    side: str
-
-    def __post_init__(self) -> None:
-        if self.side not in SIDES:
-            raise ValueError(f"unknown side tag {self.side!r} for tensor {self.name!r}")
-        if not isinstance(self.values, np.ndarray):
-            object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(self.values.shape)
-
-    @property
-    def size(self) -> int:
-        return int(self.values.size)
-
-    def with_values(self, values: np.ndarray) -> "ParamTensor":
-        values = np.asarray(values)
-        if values.shape != self.values.shape:
-            raise StructuralMismatchError(
-                f"tensor {self.name!r}: shape {values.shape} != {self.values.shape}"
-            )
-        return ParamTensor(self.name, values, self.trainable, self.side)
-
-    def with_trainable(self, trainable: bool) -> "ParamTensor":
-        return ParamTensor(self.name, self.values, trainable, self.side)
-
-
 class NamedParamSet:
-    """Immutable, lexicographically ordered map of tensor name -> ParamTensor.
+    """Immutable, lexicographically ordered map of tensor name -> array.
 
     Two sets are aggregation-compatible iff they hold the same names with
-    the same shapes and side tags.
+    the same shapes.
     """
 
-    def __init__(self, tensors: Iterable[ParamTensor]):
-        ordered = sorted(tensors, key=lambda t: t.name)
-        names = [t.name for t in ordered]
-        if len(set(names)) != len(names):
-            dupes = sorted({n for n in names if names.count(n) > 1})
-            raise ValueError(f"duplicate tensor names: {dupes}")
-        self._tensors: dict[str, ParamTensor] = {t.name: t for t in ordered}
+    def __init__(self, tensors: Mapping[str, np.ndarray]):
+        self._values: dict[str, np.ndarray] = {name: tensors[name] for name in sorted(tensors)}
 
     def __len__(self) -> int:
-        return len(self._tensors)
-
-    def __iter__(self) -> Iterator[ParamTensor]:
-        return iter(self._tensors.values())
+        return len(self._values)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
-    def __getitem__(self, name: str) -> ParamTensor:
-        return self._tensors[name]
+        return name in self._values
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(self._tensors.keys())
+        return tuple(self._values)
 
     def values(self, name: str) -> np.ndarray:
-        return self._tensors[name].values
+        return self._values[name]
 
-    def filter(self, predicate: Callable[[ParamTensor], bool]) -> "NamedParamSet":
-        return NamedParamSet(t for t in self if predicate(t))
+    def filter(self, predicate: Callable[[str], bool]) -> "NamedParamSet":
+        return NamedParamSet({n: v for n, v in self._values.items() if predicate(n)})
 
     def compatible_with(self, other: "NamedParamSet") -> bool:
-        if self.names != other.names:
-            return False
-        return all(
-            a.shape == b.shape and a.side == b.side
-            for a, b in zip(self, other)
+        return self.names == other.names and all(
+            v.shape == other.values(n).shape for n, v in self._values.items()
         )
 
     def replace_values(self, updates: Mapping[str, np.ndarray]) -> "NamedParamSet":
         """New set with some tensors' values replaced (shapes must match)."""
-        unknown = set(updates) - set(self._tensors)
+        unknown = set(updates) - set(self._values)
         if unknown:
             raise KeyError(f"unknown tensor names: {sorted(unknown)}")
-        return NamedParamSet(
-            t.with_values(updates[t.name]) if t.name in updates else t for t in self
-        )
+        for name, values in updates.items():
+            if values.shape != self._values[name].shape:
+                raise StructuralMismatchError(
+                    f"tensor {name!r}: shape {values.shape} != {self._values[name].shape}"
+                )
+        return NamedParamSet({**self._values, **updates})
 
     def equals(self, other: "NamedParamSet") -> bool:
         """Bitwise equality of structure and values."""
-        if not self.compatible_with(other):
-            return False
-        return all(
-            a.trainable == b.trainable and np.array_equal(a.values, b.values)
-            for a, b in zip(self, other)
+        return self.compatible_with(other) and all(
+            np.array_equal(v, other.values(n)) for n, v in self._values.items()
         )
 
 
-def count_params(pset: NamedParamSet, *, trainable_only: bool = False) -> int:
-    """Total number of scalar parameters, or of trainable ones only."""
-    return sum(t.size for t in pset if t.trainable or not trainable_only)
+def count_params(pset: NamedParamSet, names: Iterable[str] | None = None) -> int:
+    """Total number of scalar parameters, or of the tensors ``names`` only."""
+    return sum(pset.values(n).size for n in (pset.names if names is None else names))
 
 
 def save_param_set(pset: NamedParamSet, path: str | Path) -> None:
@@ -150,17 +98,17 @@ def save_param_set(pset: NamedParamSet, path: str | Path) -> None:
         struct.pack("<I", _FORMAT_VERSION),
         struct.pack("<I", len(pset)),
     ]
-    for t in pset:
-        if t.values.dtype not in _DTYPES:
-            raise CheckpointError(f"{t.name}: cannot store dtype {t.values.dtype}")
-        name_bytes = t.name.encode("utf-8")
+    for name in pset.names:
+        values = pset.values(name)
+        if values.dtype not in _DTYPES:
+            raise CheckpointError(f"{name}: cannot store dtype {values.dtype}")
+        name_bytes = name.encode("utf-8")
         parts.append(struct.pack("<H", len(name_bytes)))
         parts.append(name_bytes)
-        parts.append(struct.pack("<BBBB", SIDES.index(t.side), int(t.trainable),
-                                 _DTYPES.index(t.values.dtype), t.values.ndim))
-        parts.append(struct.pack(f"<{t.values.ndim}I", *t.shape))
-    for t in pset:
-        parts.append(np.ascontiguousarray(t.values).tobytes())
+        parts.append(struct.pack("<BB", _DTYPES.index(values.dtype), values.ndim))
+        parts.append(struct.pack(f"<{values.ndim}I", *values.shape))
+    for name in pset.names:
+        parts.append(np.ascontiguousarray(pset.values(name)).tobytes())
     Path(path).write_bytes(b"".join(parts))
 
 
@@ -168,8 +116,9 @@ def load_param_set(path: str | Path) -> NamedParamSet:
     """Read a binary checkpoint written by :func:`save_param_set`; every
     tensor comes back at the dtype it was saved with.
 
-    A file that is not a checkpoint, has another format version, or is cut
-    short in its header or payload raises :class:`CheckpointError`.
+    A file that is not a checkpoint, has another format version, names a
+    tensor twice, or is cut short in its header or payload raises
+    :class:`CheckpointError`.
     """
     data = Path(path).read_bytes()
     if data[:4] != _MAGIC:
@@ -186,22 +135,24 @@ def load_param_set(path: str | Path) -> NamedParamSet:
             offset += 2
             name = data[offset : offset + name_len].decode("utf-8")
             offset += name_len
-            side_idx, trainable, dtype_idx, ndim = struct.unpack_from("<BBBB", data, offset)
-            offset += 4
+            dtype_idx, ndim = struct.unpack_from("<BB", data, offset)
+            offset += 2
             shape = struct.unpack_from(f"<{ndim}I", data, offset)
             offset += 4 * ndim
-            headers.append((name, shape, SIDES[side_idx], bool(trainable), _DTYPES[dtype_idx]))
+            headers.append((name, shape, _DTYPES[dtype_idx]))
     except (struct.error, UnicodeDecodeError, IndexError) as err:
         raise CheckpointError(f"{path}: truncated or corrupt header ({err})") from err
-    sizes = [int(np.prod(shape, dtype=np.int64)) for _, shape, _, _, _ in headers]
+    sizes = [int(np.prod(shape, dtype=np.int64)) for _, shape, _ in headers]
     needed = sum(size * dtype.itemsize for (*_, dtype), size in zip(headers, sizes))
     if len(data) - offset != needed:
         raise CheckpointError(
             f"{path}: payload is {len(data) - offset} bytes, header needs {needed}"
         )
-    tensors = []
-    for (name, shape, side, trainable, dtype), size in zip(headers, sizes):
+    tensors = {}
+    for (name, shape, dtype), size in zip(headers, sizes):
+        if name in tensors:
+            raise CheckpointError(f"{path}: tensor {name!r} appears twice")
         values = np.frombuffer(data, dtype=dtype, count=size, offset=offset).astype(dtype.name)
         offset += dtype.itemsize * size
-        tensors.append(ParamTensor(name, values.reshape(shape), trainable, side))
+        tensors[name] = values.reshape(shape)
     return NamedParamSet(tensors)

@@ -69,9 +69,7 @@ def warmup_backbone(cfg: ExperimentConfig, seed: int) -> NamedParamSet:
             model, corpus, epoch_seeds, cfg.warmup.batch_size,
             cfg.warmup.grad_accumulation, "adam", cfg.warmup.learning_rate,
         )
-    backbone = NamedParamSet(
-        t.with_values(t.values.copy()).with_trainable(False) for t in model.params
-    )
+    backbone = NamedParamSet({n: model.params.values(n).copy() for n in model.params.names})
     _WARMUP_CACHE.clear()
     _WARMUP_CACHE[key] = backbone
     return backbone
@@ -226,6 +224,6 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> tuple[SeedResult, dict[str, To
         micro=micro,
         ledger=result.ledger,
         assignment=assignment,
-        trainable_params=count_params(initial.params, trainable_only=True),
+        trainable_params=count_params(initial.params, initial.trainable_names()),
         total_params=count_params(initial.params),
     ), result.best_models

@@ -1,8 +1,10 @@
 """Acceptance suite: one test per criterion, one PASS line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
-Criteria 5 and 6 (gradient clusters recover the families; every method
-learns) are not here yet; the criteria below finish in seconds.
+Criterion 5 (gradient clusters recover the families) is not here yet.
+Criterion 6 (every method learns, and the paper's orderings hold) runs six
+m2en runs on one shared warm-up, about a minute on two cores; the other
+criteria finish in seconds.
 """
 
 import dataclasses
@@ -30,11 +32,10 @@ from fedmt.federation import (
     run_experiment,
 )
 from fedmt.model import Batch, ModelConfig, build_model, grad, loss
-from fedmt.params import NamedParamSet, ParamTensor, count_params
+from fedmt.params import NamedParamSet
 from fedmt.presets import make_clients, mbart50_summary
 from fedmt.runner import build_method_model, prepare_data, run_seed, warmup_backbone
 
-from helpers import with_trainable
 from test_bleu import naive_pooled_bleu
 from test_federation import global_aggregate
 
@@ -73,16 +74,15 @@ def test_criterion_1_parameter_cost_arithmetic():
 # 2. aggregation oracles (exact)
 
 
+_SHAPES = [("enc.a", (4, 3), "encoder"), ("dec.b", (5,), "decoder"),
+           ("emb.c", (2, 3), "shared")]
+_NAMES_BY_SIDE = {side: [name for name, _, s in _SHAPES if s == side]
+                  for side in ("encoder", "decoder", "shared")}
+
+
 def _random_param_sets(rng, n_sets):
-    shapes = [("enc.a", (4, 3), "encoder"), ("dec.b", (5,), "decoder"),
-              ("emb.c", (2, 3), "shared")]
-    sets = []
-    for _ in range(n_sets):
-        sets.append(NamedParamSet([
-            ParamTensor(name, rng.normal(size=shape), True, side)
-            for name, shape, side in shapes
-        ]))
-    return sets
+    return [NamedParamSet({name: rng.normal(size=shape) for name, shape, _ in _SHAPES})
+            for _ in range(n_sets)]
 
 
 def test_criterion_2_aggregation_oracles():
@@ -94,14 +94,14 @@ def test_criterion_2_aggregation_oracles():
         sets = _random_param_sets(rng, n_sets)
         built += n_sets
         sizes = [int(rng.integers(1, 40)) for _ in range(n_sets)]
-        mean = global_aggregate(sets)
-        avg = global_aggregate(sets, "fedavg", sizes)
+        mean = global_aggregate(sets, names_by_side=_NAMES_BY_SIDE)
+        avg = global_aggregate(sets, "fedavg", sizes, _NAMES_BY_SIDE)
         total = sum(sizes)
-        for t in mean:
-            brute_mean = sum(s.values(t.name) for s in sets) / n_sets
-            brute_avg = sum((n / total) * s.values(t.name) for s, n in zip(sets, sizes))
-            assert np.allclose(t.values, brute_mean, atol=1e-12)
-            assert np.allclose(avg.values(t.name), brute_avg, atol=1e-12)
+        for name in mean.names:
+            brute_mean = sum(s.values(name) for s in sets) / n_sets
+            brute_avg = sum((n / total) * s.values(name) for s, n in zip(sets, sizes))
+            assert np.allclose(mean.values(name), brute_mean, atol=1e-12)
+            assert np.allclose(avg.values(name), brute_avg, atol=1e-12)
 
     # every member of the global cluster receives the same, bitwise
     sets = _random_param_sets(np.random.default_rng(7), 4)
@@ -109,14 +109,15 @@ def test_criterion_2_aggregation_oracles():
     ids = tuple(sorted(params))
     global_assignment = ClusterAssignment((ids,), (ids,), "none", "m2en")
     unit_sizes = dict.fromkeys(params, 1)
-    aggregated = inner_cluster_aggregate(params, global_assignment, "fedmean", unit_sizes)
+    aggregated = inner_cluster_aggregate(params, _NAMES_BY_SIDE, global_assignment, "fedmean",
+                                         unit_sizes)
     for cid in ids:
         assert aggregated[cid].equals(aggregated[ids[0]])
 
     singletons = ClusterAssignment(
         tuple((i,) for i in ids), tuple((i,) for i in ids), "families", "m2m"
     )
-    identity = inner_cluster_aggregate(params, singletons, "fedmean", unit_sizes)
+    identity = inner_cluster_aggregate(params, _NAMES_BY_SIDE, singletons, "fedmean", unit_sizes)
     for cid in ids:
         assert identity[cid].equals(params[cid])
 
@@ -128,6 +129,7 @@ def test_criterion_2_aggregation_oracles():
                          ffn_dim=32, enc_layers=1, dec_layers=1,
                          adapter_bottleneck=2, max_seq_len=32)
     model = build_model(config, 0)
+    by_side = model.trainable_by_side()
     cids = tuple(sorted(c.id for c in clients))
     assignment = ClusterAssignment(
         (cids[:2], cids[2:]), (cids,), "families", "m2en"
@@ -135,9 +137,7 @@ def test_criterion_2_aggregation_oracles():
 
     def check_equality(state):
         for cluster, side in ((cids[:2], "encoder"), (cids[2:], "encoder"), (cids, "decoder")):
-            names = [t.name for t in state.params[cluster[0]]
-                     if t.trainable and t.side == side]
-            for name in names:
+            for name in by_side[side]:
                 ref = state.params[cluster[0]].values(name)
                 for cid in cluster[1:]:
                     assert np.array_equal(state.params[cid].values(name), ref)
@@ -161,12 +161,12 @@ def test_criterion_3_gradient_finite_differences():
                          enc_layers=1, dec_layers=1, adapter_bottleneck=4,
                          max_seq_len=12, adapter_nonlinearity="gelu",
                          dtype="float64")
-    model = with_trainable(build_model(config, 3))
+    model = build_model(config, 3)
     rng = np.random.default_rng(100)
     model = model.with_params(model.params.replace_values({
-        t.name: rng.normal(0, 0.3, t.values.shape)
-        for t in model.params
-        if t.name.endswith("up.weight") or t.name.endswith("up.bias")
+        name: rng.normal(0, 0.3, model.params.values(name).shape)
+        for name in model.params.names
+        if name.endswith("up.weight") or name.endswith("up.bias")
     }))
 
     eps = 1e-4
@@ -183,7 +183,7 @@ def test_criterion_3_gradient_finite_differences():
         tgt_mask[1, 4:] = False
         batch = Batch(src, src_mask, tgt_in, tgt_gold, tgt_mask)
 
-        _, grads = grad(model, batch)
+        _, grads = grad(model, batch, needed=set(model.params.names))
         picker = np.random.default_rng(batch_seed + 50)
         for name in sorted(grads):
             flat = model.params.values(name).reshape(-1)
@@ -234,16 +234,77 @@ def test_criterion_4_frozen_backbone_bit_identical():
         [Party.of(c, vocab) for c in clients], initial, fed_cfg, vocab, assignment,
         round_hook=seen.append,
     )
+    frozen = set(initial.params.names) - set(initial.trainable_names())
     checked = 0
     for cid in cids:
         final = seen[-1].params[cid]
-        for t in final:
-            if not t.trainable:
-                assert np.array_equal(t.values, initial.params.values(t.name))
-                checked += 1
+        for name in frozen:
+            assert np.array_equal(final.values(name), initial.params.values(name))
+            checked += 1
     assert checked > 0
     report(4, f"{checked} frozen tensors bit-identical after a 2-round, "
               f"4-client federated run")
+
+
+# ---------------------------------------------------------------------------
+# 6. every method learns; the paper's orderings hold (stated bounds)
+
+CRITERION_6_RUNS = {  # label -> (method, pruning)
+    "families": ("adapter-families", "all"),
+    "gradients": ("adapter-gradients", "all"),
+    "random": ("adapter-random", "all"),
+    "adapter-fed": ("adapter-fed", "all"),
+    "model-fed": ("model-fed", "all"),
+    "pruned": ("adapter-families", "middle"),
+}
+
+
+@pytest.fixture(scope="module")
+def criterion_6_results():
+    """m2en seed 1 at data scale 1/32, 3 rounds, on a 256 x 6 warm-up: one
+    seed result per run. Every run has the same data, model and warm-up
+    config, so the runner's caches warm the backbone once."""
+    results = {}
+    for label, (method, pruning) in CRITERION_6_RUNS.items():
+        cfg = config_from_dict({
+            "mode": "m2en", "method": method, "pruning": pruning, "seeds": [1],
+            "data": {"scale": 1 / 32},
+            "fed": {"rounds": 3, "learning_rate": 2e-3, "full_model_learning_rate": 1e-3},
+            "warmup": {"sentences_per_pair": 256, "epochs": 6, "learning_rate": 1e-3},
+        })
+        results[label], _ = run_seed(cfg, 1)
+    return results
+
+
+def test_criterion_6_every_method_learns(criterion_6_results):
+    # Bounds stated before the run. Measured on a 2-vCPU machine (the 256 x 6
+    # m2en s1 row of ROADMAP's warm-up table): mean dev loss 0.532 at round 0
+    # and 0.309-0.425 at the selected rounds; macro BLEU 78.37 families,
+    # 77.49 gradients, 73.55 random, 71.05 adapter-fed, 74.36 model-fed,
+    # 74.12 pruned; ledger totals 2,088,192 B per adapter method,
+    # 106,389,504 B model-fed and 974,592 B pruned.
+    res = criterion_6_results
+    for label, r in res.items():
+        assert r.mean_best_dev < r.mean_round0_dev, label
+    total = {label: r.ledger.total_bytes() for label, r in res.items()}
+    for label in ("families", "gradients", "random", "adapter-fed"):
+        assert total[label] < 0.02 * total["model-fed"], label
+    bleu = {label: r.macro for label, r in res.items()}
+    for label in ("families", "gradients"):
+        assert bleu[label] > bleu["adapter-fed"], label
+        assert bleu[label] > bleu["random"], label
+    # the middle third keeps 5076 of the 10876 values each client sends
+    assert (res["pruned"].trainable_params, res["families"].trainable_params) == (5076, 10876)
+    assert total["pruned"] * 10876 == total["families"] * 5076
+    assert bleu["families"] - bleu["pruned"] < 6.0
+    report(6, "every method lowers its dev loss ("
+              + ", ".join(f"{label} {r.mean_round0_dev:.3f} -> {r.mean_best_dev:.3f}"
+                          for label, r in res.items())
+              + "); macro BLEU "
+              + ", ".join(f"{label} {value:.2f}" for label, value in bleu.items())
+              + f"; adapter ledger {total['families']:,} B is "
+              f"{100 * total['families'] / total['model-fed']:.2f} % of model-fed's; "
+              f"pruned ledger {total['pruned']:,} B")
 
 
 # ---------------------------------------------------------------------------

@@ -27,26 +27,38 @@ from fedmt.federation import (
     train_epochs,
 )
 from fedmt.model import ModelConfig, build_model, grad, merge_batches
-from fedmt.params import NamedParamSet, ParamTensor, count_params
+from fedmt.params import NamedParamSet, count_params
 from fedmt.presets import make_clients
 
-def global_aggregate(sets, rule="fedmean", sizes=None):
+def names_by_side(spec):
+    """The trainable names of a (name, shape, trainable, side) spec by side,
+    as ``ToyModel.trainable_by_side`` gives them for a model."""
+    return {side: [name for name, _, trainable, s in spec if trainable and s == side]
+            for side in ("encoder", "decoder", "shared")}
+
+
+def global_aggregate(sets, rule="fedmean", sizes=None, names_by_side=None):
     """Plain FedMean/FedAvg: inner-cluster aggregation over one global
-    cluster, every client of size 1 unless ``sizes`` says otherwise. Returns
-    what the first client receives; every client receives the same
-    trainable values."""
+    cluster, every client of size 1 unless ``sizes`` says otherwise, of the
+    tensors ``names_by_side`` names (default: every tensor). Returns what
+    the first client receives; every client receives the same averaged
+    values."""
     ids = tuple(f"c{i}" for i in range(len(sets)))
     assignment = ClusterAssignment((ids,), (ids,), "none", "m2en")
     sizes_by_client = dict(zip(ids, sizes or [1] * len(sets)))
-    out = inner_cluster_aggregate(dict(zip(ids, sets)), assignment, rule, sizes_by_client)
+    if names_by_side is None:
+        names_by_side = {"encoder": [], "decoder": [], "shared": list(sets[0].names)}
+    out = inner_cluster_aggregate(dict(zip(ids, sets)), names_by_side, assignment, rule,
+                                  sizes_by_client)
     return out[ids[0]]
 
 
-def scalar_set(value, name="x", trainable=True, side="shared"):
-    return NamedParamSet([ParamTensor(name, np.array([float(value)]), trainable, side)])
+def scalar_set(value, name="x"):
+    return NamedParamSet({name: np.array([float(value)])})
 
 
 def random_sets(n, rng, trainable_frac=1.0):
+    """``n`` sets over one spec, and the spec's names by side."""
     spec = [
         ("enc.a", (3, 2), True, "encoder"),
         ("dec.b", (4,), True, "decoder"),
@@ -55,12 +67,16 @@ def random_sets(n, rng, trainable_frac=1.0):
     frozen_values = rng.normal(size=(2, 2))
     sets = []
     for _ in range(n):
-        tensors = []
+        tensors = {}
         for name, shape, trainable, side in spec:
             values = frozen_values if name == "emb.c" and not trainable else rng.normal(size=shape)
-            tensors.append(ParamTensor(name, np.array(values), trainable, side))
+            tensors[name] = np.array(values)
         sets.append(NamedParamSet(tensors))
-    return sets
+    return sets, names_by_side(spec)
+
+
+def trained_names(by_side):
+    return {name for names in by_side.values() for name in names}
 
 
 class TestFedAvg:
@@ -70,11 +86,11 @@ class TestFedAvg:
 
     def test_equal_sizes_match_fedmean(self):
         rng = np.random.default_rng(0)
-        sets = random_sets(4, rng)
-        avg = global_aggregate(sets, "fedavg", [5, 5, 5, 5])
-        mean = global_aggregate(sets)
-        for t in avg:
-            assert np.allclose(t.values, mean.values(t.name), atol=1e-12)
+        sets, by_side = random_sets(4, rng)
+        avg = global_aggregate(sets, "fedavg", [5, 5, 5, 5], by_side)
+        mean = global_aggregate(sets, names_by_side=by_side)
+        for name in avg.names:
+            assert np.allclose(avg.values(name), mean.values(name), atol=1e-12)
 
     def test_weights_sum_to_one(self):
         # identical sets come back unchanged only if the weights sum to one
@@ -85,18 +101,18 @@ class TestFedAvg:
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
-            sets = random_sets(3, rng)
+            sets, by_side = random_sets(3, rng)
             sizes = [int(rng.integers(1, 50)) for _ in range(3)]
-            out = global_aggregate(sets, "fedavg", sizes)
+            out = global_aggregate(sets, "fedavg", sizes, by_side)
             total = sum(sizes)
-            for t in out:
-                if not t.trainable:
-                    assert np.array_equal(t.values, sets[0].values(t.name))
+            for name in out.names:
+                if name not in trained_names(by_side):
+                    assert np.array_equal(out.values(name), sets[0].values(name))
                     continue
-                expected = np.zeros_like(t.values)
+                expected = np.zeros_like(out.values(name))
                 for s, n in zip(sets, sizes):
-                    expected += (n / total) * s.values(t.name)
-                assert np.allclose(t.values, expected, atol=1e-12)
+                    expected += (n / total) * s.values(name)
+                assert np.allclose(out.values(name), expected, atol=1e-12)
 
 
 class TestFedMean:
@@ -111,24 +127,25 @@ class TestFedMean:
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(25):
-            sets = random_sets(4, rng)
-            out = global_aggregate(sets)
-            for t in out:
-                if not t.trainable:
-                    continue
-                expected = sum(s.values(t.name) for s in sets) / 4
-                assert np.allclose(t.values, expected, atol=1e-12)
+            sets, by_side = random_sets(4, rng)
+            out = global_aggregate(sets, names_by_side=by_side)
+            for name in trained_names(by_side):
+                expected = sum(s.values(name) for s in sets) / 4
+                assert np.allclose(out.values(name), expected, atol=1e-12)
 
 
 class TestInnerClusterAggregate:
+    # frozen.w, an encoder tensor, is named on no side: it never moves
+    NAMES = {"encoder": ["enc.w"], "decoder": ["dec.w"], "shared": ["emb.w"]}
+
     def _params(self, values):
         return {
-            cid: NamedParamSet([
-                ParamTensor("enc.w", np.array([float(v)]), True, "encoder"),
-                ParamTensor("dec.w", np.array([float(v) * 10]), True, "decoder"),
-                ParamTensor("emb.w", np.array([float(v) * 100]), True, "shared"),
-                ParamTensor("frozen.w", np.array([42.0]), False, "encoder"),
-            ])
+            cid: NamedParamSet({
+                "enc.w": np.array([float(v)]),
+                "dec.w": np.array([float(v) * 10]),
+                "emb.w": np.array([float(v) * 100]),
+                "frozen.w": np.array([42.0]),
+            })
             for cid, v in values.items()
         }
 
@@ -137,7 +154,7 @@ class TestInnerClusterAggregate:
         assignment = ClusterAssignment(
             (("a", "b", "c"),), (("a", "b", "c"),), "none", "m2en"
         )
-        out = inner_cluster_aggregate(params, assignment, rule="fedmean",
+        out = inner_cluster_aggregate(params, self.NAMES, assignment, rule="fedmean",
                                       sizes_by_client=dict.fromkeys(params, 1))
         for cid in params:
             assert out[cid].values("enc.w")[0] == pytest.approx(3.0)
@@ -149,7 +166,7 @@ class TestInnerClusterAggregate:
         assignment = ClusterAssignment(
             (("a",), ("b",)), (("a",), ("b",)), "families", "m2m"
         )
-        out = inner_cluster_aggregate(params, assignment, rule="fedmean",
+        out = inner_cluster_aggregate(params, self.NAMES, assignment, rule="fedmean",
                                       sizes_by_client=dict.fromkeys(params, 1))
         for cid in params:
             assert out[cid].equals(params[cid])
@@ -159,7 +176,7 @@ class TestInnerClusterAggregate:
         assignment = ClusterAssignment(
             (("c1", "c2"), ("c3", "c4")), (("c1", "c2", "c3", "c4"),), "families", "m2en"
         )
-        out = inner_cluster_aggregate(params, assignment, rule="fedmean",
+        out = inner_cluster_aggregate(params, self.NAMES, assignment, rule="fedmean",
                                       sizes_by_client=dict.fromkeys(params, 1))
         # encoder side averaged within {c1,c2} and {c3,c4}
         assert out["c1"].values("enc.w")[0] == pytest.approx(2.0)
@@ -174,7 +191,7 @@ class TestInnerClusterAggregate:
         assignment = ClusterAssignment(
             (("a", "b"), ("c", "d")), (("a", "c"), ("b", "d")), "random", "m2m"
         )
-        out = inner_cluster_aggregate(params, assignment, rule="fedmean",
+        out = inner_cluster_aggregate(params, self.NAMES, assignment, rule="fedmean",
                                       sizes_by_client=dict.fromkeys(params, 1))
         assert np.array_equal(out["a"].values("enc.w"), out["b"].values("enc.w"))
         assert np.array_equal(out["a"].values("dec.w"), out["c"].values("dec.w"))
@@ -182,7 +199,7 @@ class TestInnerClusterAggregate:
     def test_frozen_untouched(self):
         params = self._params({"a": 1, "b": 5})
         assignment = ClusterAssignment((("a", "b"),), (("a", "b"),), "none", "m2en")
-        out = inner_cluster_aggregate(params, assignment, rule="fedmean",
+        out = inner_cluster_aggregate(params, self.NAMES, assignment, rule="fedmean",
                                       sizes_by_client=dict.fromkeys(params, 1))
         for cid in params:
             assert out[cid].values("frozen.w")[0] == 42.0
@@ -190,29 +207,18 @@ class TestInnerClusterAggregate:
     def test_fedavg_rule_weights_by_size(self):
         params = self._params({"a": 0.0, "b": 4.0})
         assignment = ClusterAssignment((("a", "b"),), (("a", "b"),), "none", "m2en")
-        out = inner_cluster_aggregate(params, assignment, rule="fedavg",
+        out = inner_cluster_aggregate(params, self.NAMES, assignment, rule="fedavg",
                                       sizes_by_client={"a": 1, "b": 3})
         assert out["a"].values("enc.w")[0] == pytest.approx(3.0)
 
     def test_incompatible_params_rejected(self):
         params = self._params({"a": 1, "b": 2})
         params["b"] = params["b"].replace_values({"enc.w": np.zeros(1)}).filter(
-            lambda t: t.name != "dec.w"
+            lambda name: name != "dec.w"
         )
         assignment = ClusterAssignment((("a", "b"),), (("a", "b"),), "none", "m2en")
         with pytest.raises(StructuralMismatchError):
-            inner_cluster_aggregate(params, assignment, rule="fedmean",
-                                    sizes_by_client=dict.fromkeys(params, 1))
-
-    def test_trainable_flag_mismatch_rejected(self):
-        params = self._params({"a": 1, "b": 2})
-        params["b"] = NamedParamSet(
-            t.with_trainable(not t.trainable) if t.name == "frozen.w" else t
-            for t in params["b"]
-        )
-        assignment = ClusterAssignment((("a", "b"),), (("a", "b"),), "none", "m2en")
-        with pytest.raises(StructuralMismatchError, match="incompatible"):
-            inner_cluster_aggregate(params, assignment, rule="fedmean",
+            inner_cluster_aggregate(params, self.NAMES, assignment, rule="fedmean",
                                     sizes_by_client=dict.fromkeys(params, 1))
 
 
@@ -298,9 +304,10 @@ class TestLocalUpdate:
         clients, vocab, model = tiny_setup
         cfg = FedConfig(rounds=1, learning_rate=1e-2, grad_accumulation=1)
         updated, _ = local_update(Party.of(clients[0], vocab), model, cfg, round_index=1)
-        for t in model.params:
-            if not t.trainable:
-                assert np.array_equal(updated.params.values(t.name), t.values)
+        frozen = set(model.params.names) - set(model.trainable_names())
+        assert frozen
+        for name in frozen:
+            assert np.array_equal(updated.params.values(name), model.params.values(name))
 
     def test_sgd_optimizer_supported(self, tiny_setup):
         clients, vocab, model = tiny_setup
@@ -439,12 +446,11 @@ class TestRunExperiment:
             round_hook=seen.append,
         )
         assert [state.index for state in seen] == [1, 2]
-        payload = count_params(model.params, trainable_only=True)
+        payload = count_params(model.params, model.trainable_names())
         # 2 rounds x 4 clients x (uplink + downlink)
         assert result.ledger.total_bytes() == 2 * 4 * 2 * payload * 4
         for state in seen:
-            names = [t.name for t in state.params[clients[0].id] if t.trainable]
-            for name in names:
+            for name in model.trainable_names():
                 reference = state.params[clients[0].id].values(name)
                 for c in clients[1:]:
                     assert np.array_equal(state.params[c.id].values(name), reference)
@@ -456,10 +462,11 @@ class TestRunExperiment:
             parties(clients, vocab), model, cfg, vocab,
             self._assignment(clients),
         )
+        frozen = set(model.params.names) - set(model.trainable_names())
+        assert frozen
         for cid, final_model in result.best_models.items():
-            for t in model.params:
-                if not t.trainable:
-                    assert np.array_equal(final_model.params.values(t.name), t.values)
+            for name in frozen:
+                assert np.array_equal(final_model.params.values(name), model.params.values(name))
 
     def test_determinism(self, tiny_setup):
         clients, vocab, model = tiny_setup

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fedmt.model import Batch, ModelConfig, build_model, grad, loss
-from helpers import with_trainable
 
 SMOOTH = ModelConfig(vocab_size=19, model_dim=8, num_heads=2, ffn_dim=16,
                      enc_layers=1, dec_layers=1, adapter_bottleneck=4,
@@ -13,18 +12,21 @@ SMOOTH = ModelConfig(vocab_size=19, model_dim=8, num_heads=2, ffn_dim=16,
 EPS = 1e-4
 
 
-def randomized_model(seed, trainable_backbone=True):
+def randomized_model(seed):
     model = build_model(SMOOTH, seed)
-    if trainable_backbone:
-        model = with_trainable(model)
     rng = np.random.default_rng(seed + 100)
     # zero-init up-projections get generic values so every path carries signal
     updates = {
-        t.name: rng.normal(0, 0.3, t.values.shape)
-        for t in model.params
-        if t.name.endswith("up.weight") or t.name.endswith("up.bias")
+        name: rng.normal(0, 0.3, model.params.values(name).shape)
+        for name in model.params.names
+        if name.endswith("up.weight") or name.endswith("up.bias")
     }
     return model.with_params(model.params.replace_values(updates))
+
+
+def every_gradient(model, batch):
+    """Loss and the gradients of every tensor, backbone included."""
+    return grad(model, batch, needed=set(model.params.names))
 
 
 def random_batch(seed):
@@ -42,7 +44,7 @@ def random_batch(seed):
 
 
 def fd_max_rel_error(model, batch, coords_per_tensor=25, seed=0):
-    _, grads = grad(model, batch)
+    _, grads = every_gradient(model, batch)
     picker = np.random.default_rng(seed)
     worst = 0.0
     for name in sorted(grads):
@@ -67,7 +69,7 @@ def fd_max_rel_error(model, batch, coords_per_tensor=25, seed=0):
 
 class TestGradients:
     def test_all_paths_against_finite_differences(self):
-        # trainable backbone + adapters covers every gradient path
+        # every tensor, backbone and adapters, covers every gradient path
         model = randomized_model(3)
         assert fd_max_rel_error(model, random_batch(1)) < 1e-3
 
@@ -79,11 +81,11 @@ class TestGradients:
             ) < 1e-3
 
     def test_frozen_tensors_get_no_gradient(self):
-        model = randomized_model(5, trainable_backbone=False)
+        model = randomized_model(5)
         _, grads = grad(model, random_batch(2))
-        frozen = {t.name for t in model.params if not t.trainable}
+        trainable = set(model.trainable_names())
+        frozen = set(model.params.names) - trainable
         assert frozen and not (set(grads) & frozen)
-        trainable = {t.name for t in model.params if t.trainable}
         assert set(grads) == trainable
 
     def test_linearity_in_loss_scale(self):
@@ -97,8 +99,8 @@ class TestGradients:
             np.concatenate([batch.tgt_gold] * 2),
             np.concatenate([batch.tgt_mask] * 2),
         )
-        res1, g1 = grad(model, batch)
-        res2, g2 = grad(model, doubled)
+        res1, g1 = every_gradient(model, batch)
+        res2, g2 = every_gradient(model, doubled)
         assert res2.total == pytest.approx(2 * res1.total, rel=1e-12)
         for name in g1:
             assert np.allclose(g2[name], 2 * g1[name], rtol=1e-9, atol=1e-12)

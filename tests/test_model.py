@@ -22,7 +22,6 @@ from fedmt.model import (
     merge_batches,
 )
 from fedmt.nn import adapter_fwd, sinusoidal_positions
-from helpers import with_trainable
 
 TINY = ModelConfig(vocab_size=23, model_dim=16, num_heads=2, ffn_dim=32,
                    enc_layers=2, dec_layers=2, adapter_bottleneck=4,
@@ -69,11 +68,13 @@ class TestBuildModel:
 
     def test_backbone_frozen_adapters_and_norms_trainable(self):
         model = build_model(TINY, 0)
-        for t in model.params:
-            if "_adapter." in t.name or ".ln" in t.name or "final_ln" in t.name:
-                assert t.trainable, t.name
+        trainable = set(model.trainable_names())
+        for name in model.params.names:
+            if "_adapter." in name or ".ln" in name or "final_ln" in name:
+                assert name in trainable, name
             else:
-                assert not t.trainable, t.name
+                assert name not in trainable, name
+        assert model.trainable_names() == sorted(trainable)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -104,11 +105,13 @@ class TestAdapterApply:
         model = build_model(TINY, 7)
         rng = np.random.default_rng(1)
         noisy = model.params.replace_values({
-            t.name: rng.normal(size=t.shape) for t in model.params if "_adapter." in t.name
+            name: rng.normal(size=model.params.values(name).shape)
+            for name in model.params.names if "_adapter." in name
         })
-        pruned = model.with_params(noisy.filter(lambda t: "_adapter." not in t.name))
+        pruned = model.with_params(noisy.filter(lambda name: "_adapter." not in name))
         zero_up = model.with_params(noisy.replace_values({
-            t.name: np.zeros(t.shape) for t in noisy if "_adapter.up." in t.name
+            name: np.zeros(noisy.values(name).shape)
+            for name in noisy.names if "_adapter.up." in name
         }))
         backbone = build_model(TINY, 7, adapters=None)
         assert pruned.active_sites() == [] and len(zero_up.active_sites()) == 10
@@ -164,8 +167,8 @@ class TestLoss:
         # randomize up-projections so adapters actually act
         rng = np.random.default_rng(5)
         model = model.with_params(model.params.replace_values({
-            t.name: rng.normal(0, 0.2, t.values.shape)
-            for t in model.params if t.name.endswith("up.weight")
+            name: rng.normal(0, 0.2, model.params.values(name).shape)
+            for name in model.params.names if name.endswith("up.weight")
         }))
         batch = random_batch(TINY, seed=9)
         expected = naive_loss(model, batch)
@@ -347,8 +350,7 @@ class TestWhatAPassKeeps:
         logits, cache = forward(model, batch, want=None)
         assert cache is None and kept_cache is not None
         assert np.array_equal(logits, kept_logits)
-        trainable = with_trainable(build_model(config, 0))
-        assert result.total == grad(trainable, batch)[0].total
+        assert result.total == grad(model, batch, set(model.params.names))[0].total
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_decoding_holds_what_an_inference_pass_holds(self, dtype):
@@ -368,11 +370,11 @@ class TestWhatAPassKeeps:
     def test_adapter_gradient_holds_less_than_a_full_one(self, dtype):
         config = ModelConfig(vocab_size=90, dtype=dtype)
         model, batch = build_model(config, 0), probe_batch()
-        trainable = with_trainable(build_model(config, 0))
+        every = set(model.params.names)
         needed = {n for n in model.trainable_names() if n.startswith("enc.layer1.ffn_adapter.")}
         assert len(needed) == 4
         narrow_peak, (_, narrow) = traced_peak(lambda: grad(model, batch, needed))
-        full_peak, (_, everything) = traced_peak(lambda: grad(trainable, batch))
+        full_peak, (_, everything) = traced_peak(lambda: grad(model, batch, every))
         assert narrow_peak < 0.8 * full_peak
         assert sorted(narrow) == sorted(needed)
         for name in needed:
@@ -389,7 +391,7 @@ class TestWhatAPassKeeps:
         # 27.7 units; its bound is that reading plus one unit and a bit.
         config = ModelConfig(vocab_size=90, dtype=dtype)
         model, batch = build_model(config, 0), probe_batch()
-        trainable = with_trainable(build_model(config, 0))
+        every = set(model.params.names)
         n = max(int(batch.src_mask.sum()), int(batch.tgt_mask.sum()))
         unit = n * config.ffn_dim * config.np_dtype.itemsize
         needed = {name for name in model.trainable_names()
@@ -397,7 +399,7 @@ class TestWhatAPassKeeps:
         assert len(needed) == 4
         grad(model, batch, needed)  # warm the shared position table
         adapter_peak, (_, adapter) = traced_peak(lambda: grad(model, batch, needed))
-        full_peak, (_, everything) = traced_peak(lambda: grad(trainable, batch))
+        full_peak, (_, everything) = traced_peak(lambda: grad(model, batch, every))
         assert adapter_peak < 22 * unit
         assert full_peak < 29 * unit
         for name in needed:
@@ -407,15 +409,15 @@ class TestWhatAPassKeeps:
         # the backward takes no predicate: it writes the gradients of exactly
         # the layers its forward named, each bitwise a full gradient's
         rng = np.random.default_rng(1)
-        model = with_trainable(build_model(TINY, 0))
+        model = build_model(TINY, 0)
+        adapters = {name for name in model.params.names if "_adapter." in name}
         model = model.with_params(model.params.replace_values({
-            t.name: rng.normal(0, 0.3, t.shape) for t in model.params if "_adapter." in t.name
+            name: rng.normal(0, 0.3, model.params.values(name).shape) for name in sorted(adapters)
         }))
         batch = random_batch(TINY)
         logits, cache = forward(model, batch, want=lambda name: "adapter" in name)
         grads = backward(model, batch, cache, _cross_entropy(logits, batch)[2])
-        _, everything = grad(model, batch)
-        adapters = {t.name for t in model.params if "_adapter." in t.name}
+        _, everything = grad(model, batch, set(model.params.names))
         assert len(adapters) == 4 * len(adapter_sites(TINY))
         assert set(grads) == adapters
         for name in adapters:

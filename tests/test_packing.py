@@ -42,7 +42,6 @@ from fedmt.nn import (
     sinusoidal_positions,
 )
 from fedmt.presets import make_clients
-from helpers import with_trainable
 
 CONFIG = ModelConfig(vocab_size=29, model_dim=16, num_heads=2, ffn_dim=32,
                      enc_layers=3, dec_layers=3, adapter_bottleneck=4,
@@ -66,7 +65,8 @@ def ragged_batch(config, seed):
 def with_random_adapters(model, seed=1):
     rng = np.random.default_rng(seed)
     return model.with_params(model.params.replace_values({
-        t.name: rng.normal(0, 0.3, t.shape) for t in model.params if "_adapter." in t.name
+        name: rng.normal(0, 0.3, model.params.values(name).shape)
+        for name in model.params.names if "_adapter." in name
     }))
 
 
@@ -170,12 +170,17 @@ def adapter_model(nonlinearity="relu", seed=11, adapters="all"):
     return with_random_adapters(build_model(config, seed, adapters))
 
 
+# case -> (model, the tensors whose gradients are taken; None: the ones it trains)
 PACKING_CASES = {
-    "relu-adapters": lambda: adapter_model("relu"),
-    "gelu-adapters": lambda: adapter_model("gelu"),
-    "pruning-middle": lambda: adapter_model("relu", adapters="middle"),
-    "fully-trainable": lambda: with_random_adapters(with_trainable(build_model(CONFIG, 5))),
+    "relu-adapters": lambda: (adapter_model("relu"), None),
+    "gelu-adapters": lambda: (adapter_model("gelu"), None),
+    "pruning-middle": lambda: (adapter_model("relu", adapters="middle"), None),
+    "fully-trainable": lambda: every_tensor(with_random_adapters(build_model(CONFIG, 5))),
 }
+
+
+def every_tensor(model):
+    return model, set(model.params.names)
 
 
 def is_key_bias(name):
@@ -187,13 +192,13 @@ def is_key_bias(name):
 
 @pytest.mark.parametrize("case", sorted(PACKING_CASES))
 def test_packed_loss_and_gradients_match_the_padded_grid(case):
-    model = PACKING_CASES[case]()
+    model, needed = PACKING_CASES[case]()
     batch = ragged_batch(model.config, seed=3)
-    result, grads = grad(model, batch)
+    result, grads = grad(model, batch, needed)
     total, expected = padded_loss_and_grads(model, batch)
     assert result.total == pytest.approx(total, rel=1e-10)
     assert result.token_count == int(batch.tgt_mask.sum())
-    assert sorted(grads) == sorted(model.trainable_names())
+    assert sorted(grads) == sorted(needed or model.trainable_names())
     for name, g in grads.items():
         if is_key_bias(name):
             np.testing.assert_allclose(g, 0.0, atol=1e-12, err_msg=name)
@@ -234,10 +239,16 @@ def test_kv_cached_decoding_matches_the_full_prefix_recompute():
     vocab = build_vocab(languages)
     config = ModelConfig(vocab_size=len(vocab), model_dim=32, num_heads=4, ffn_dim=64,
                          enc_layers=2, dec_layers=2, max_seq_len=24, dtype="float64")
-    # a few epochs of full-model training, so that decodes stop at EOS
+    # a few epochs of backbone training, so that decodes stop at EOS, then
+    # one of adapter training on it, so that decodes run through adapters
+    # that act (their up-projections start at zero)
     corpus = merge_batches([make_batch(c.data.train, vocab, c.tgt.code) for c in clients])
-    model, _ = train_epochs(with_trainable(build_model(config, 4)), corpus,
-                            [1, 2, 3], 8, 1, "adam", 1e-2)
+    backbone, _ = train_epochs(build_model(config, 4, adapters=None), corpus,
+                               [1, 2, 3], 8, 1, "adam", 1e-2)
+    model, _ = train_epochs(build_model(config, 4, backbone=backbone.params), corpus,
+                            [4], 8, 1, "adam", 1e-2)
+    assert all(np.abs(model.params.values(name)).max() > 0.01
+               for name in model.params.names if "_adapter.up.weight" in name)
     lengths = []
     for client in clients:
         batch = make_batch(client.data.test, vocab, client.tgt.code)

@@ -8,20 +8,20 @@ from hypothesis import strategies as st
 from fedmt.errors import ConfigurationError, StructuralMismatchError
 from fedmt.federation import FedConfig
 from fedmt.model import ModelConfig, adapter_sites, build_model
-from fedmt.params import NamedParamSet, ParamTensor, count_params
+from fedmt.params import NamedParamSet, count_params
 from fedmt.presets import mbart50_summary
 
-from test_federation import global_aggregate
+from test_federation import global_aggregate, names_by_side
 from test_pruning import oracle_adapter_params
 
 
 def make_set(spec, dtype=np.float64, rng=None):
-    """spec: list of (name, shape, trainable, side)."""
+    """spec: list of (name, shape, trainable, side); ``names_by_side(spec)``
+    names the trainable tensors."""
     rng = rng or np.random.default_rng(0)
-    return NamedParamSet(
-        ParamTensor(name, rng.normal(size=shape).astype(dtype), trainable, side)
-        for name, shape, trainable, side in spec
-    )
+    return NamedParamSet({
+        name: rng.normal(size=shape).astype(dtype) for name, shape, _, _ in spec
+    })
 
 
 BASIC = [
@@ -33,32 +33,31 @@ BASIC = [
 
 class TestCountParams:
     def test_empty_set_counts_zero(self):
-        assert count_params(NamedParamSet([])) == 0
+        assert count_params(NamedParamSet({})) == 0
 
     def test_filters(self):
         pset = make_set(BASIC)
         assert count_params(pset) == 6 + 4 + 4
-        assert count_params(pset, trainable_only=True) == 10
+        assert count_params(pset, ["enc.w", "dec.w"]) == 10
 
     def test_trainable_plus_frozen_is_all(self):
         pset = make_set(BASIC)
-        frozen = sum(t.size for t in pset if not t.trainable)
-        assert count_params(pset) == count_params(pset, trainable_only=True) + frozen
+        frozen = sum(pset.values(n).size for n in pset.names if n not in ("enc.w", "dec.w"))
+        assert count_params(pset) == count_params(pset, ["enc.w", "dec.w"]) + frozen
 
     def test_reference_scale_adapter_set(self):
         # 12+12 layers, 2 adapters per encoder layer and 3 per decoder layer,
         # d=1024, bottleneck 64
         d, b = 1024, 64
-        tensors = []
+        tensors = {}
         for i in range(60):
-            side = "encoder" if i < 24 else "decoder"
             prefix = f"layer{i:02d}.adapter"
-            tensors += [
-                ParamTensor(f"{prefix}.down.weight", np.zeros((d, b), np.float32), True, side),
-                ParamTensor(f"{prefix}.down.bias", np.zeros(b, np.float32), True, side),
-                ParamTensor(f"{prefix}.up.weight", np.zeros((b, d), np.float32), True, side),
-                ParamTensor(f"{prefix}.up.bias", np.zeros(d, np.float32), True, side),
-            ]
+            tensors.update({
+                f"{prefix}.down.weight": np.zeros((d, b), np.float32),
+                f"{prefix}.down.bias": np.zeros(b, np.float32),
+                f"{prefix}.up.weight": np.zeros((b, d), np.float32),
+                f"{prefix}.up.bias": np.zeros(d, np.float32),
+            })
         pset = NamedParamSet(tensors)
         assert count_params(pset) == 60 * 132_160 == 7_929_600
         # within 1% of the quoted "about 8M"
@@ -70,7 +69,7 @@ class TestCountParams:
                              enc_layers=1, dec_layers=1, adapter_bottleneck=3)
         model = build_model(config, 0)
         for site in adapter_sites(config):
-            one = model.params.filter(lambda t: t.name.startswith(site.prefix + "."))
+            one = model.params.filter(lambda name: name.startswith(site.prefix + "."))
             assert count_params(one) == oracle_adapter_params(16, 3) == 2 * 16 * 3 + 3 + 16
 
 
@@ -111,7 +110,7 @@ class TestLinearCombine:
     them for one global cluster."""
 
     def _pair(self, a, b):
-        mk = lambda v: NamedParamSet([ParamTensor("x", np.array([float(v)]), True, "shared")])
+        mk = lambda v: NamedParamSet({"x": np.array([float(v)])})
         return mk(a), mk(b)
 
     def test_mean(self):
@@ -124,14 +123,14 @@ class TestLinearCombine:
 
     def test_identity(self):
         pset = make_set(BASIC)
-        assert global_aggregate([pset]).equals(pset)
+        assert global_aggregate([pset], names_by_side=names_by_side(BASIC)).equals(pset)
 
     def test_frozen_copied_from_first(self):
         # frozen tensors are never averaged: the first client keeps its own
         rng = np.random.default_rng(1)
         s1 = make_set(BASIC, rng=rng)
         s2 = make_set(BASIC, rng=rng)
-        out = global_aggregate([s1, s2])
+        out = global_aggregate([s1, s2], names_by_side=names_by_side(BASIC))
         assert np.array_equal(out.values("emb.w"), s1.values("emb.w"))
         assert not np.array_equal(out.values("enc.w"), s1.values("enc.w"))
 
@@ -153,7 +152,9 @@ class TestLinearCombine:
             for _ in range(4)
         ]
         sizes = [1, 2, 3, 4]
-        base = global_aggregate(sets, "fedavg", sizes)
-        shuffled = global_aggregate([sets[i] for i in perm], "fedavg", [sizes[i] for i in perm])
-        for t in base:
-            assert np.allclose(shuffled.values(t.name), t.values, atol=1e-12)
+        by_side = names_by_side(BASIC)
+        base = global_aggregate(sets, "fedavg", sizes, by_side)
+        shuffled = global_aggregate([sets[i] for i in perm], "fedavg", [sizes[i] for i in perm],
+                                    by_side)
+        for name in base.names:
+            assert np.allclose(shuffled.values(name), base.values(name), atol=1e-12)

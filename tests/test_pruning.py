@@ -77,8 +77,9 @@ class TestThirds:
         active = {s.prefix for s in model.active_sites()}
         for prefix in inactive:
             assert prefix not in active
-            assert not [t.name for t in model.params if t.name.startswith(prefix + ".")]
-        assert all(t.trainable for t in model.params if "_adapter." in t.name)
+            assert not [n for n in model.params.names if n.startswith(prefix + ".")]
+        trainable = set(model.trainable_names())
+        assert all(n in trainable for n in model.params.names if "_adapter." in n)
 
     @pytest.mark.parametrize("strategy", sorted(THIRDS))
     def test_kept_sites_hold_the_unpruned_values(self, strategy):
@@ -87,16 +88,16 @@ class TestThirds:
         full = build_model(CFG, 0)
         pruned = build_model(CFG, 0, strategy)
         assert len(pruned.active_sites()) == len(full.active_sites()) // 3
-        for t in pruned.params:
-            assert t.values.tobytes() == full.params.values(t.name).tobytes(), t.name
-            assert t.trainable == full.params[t.name].trainable, t.name
+        pruned_trainable, full_trainable = (set(m.trainable_names()) for m in (pruned, full))
+        for name in pruned.params.names:
+            values = pruned.params.values(name)
+            assert values.tobytes() == full.params.values(name).tobytes(), name
+            assert (name in pruned_trainable) == (name in full_trainable), name
 
 
 class TestCounts:
     def adapter_count(self, model):
-        return count_params(
-            model.params.filter(lambda t: "_adapter." in t.name and t.trainable)
-        )
+        return count_params(model.params, [n for n in model.trainable_names() if "_adapter." in n])
 
     def test_third_counts_match_formula(self):
         base = build_model(CFG, 0)
@@ -149,14 +150,14 @@ class TestForwardSemantics:
         model = build_model(CFG, 1)
         rng = np.random.default_rng(0)
         model = model.with_params(model.params.replace_values({
-            t.name: rng.normal(0, 0.3, t.values.shape)
-            for t in model.params if t.name.endswith("up.weight")
+            name: rng.normal(0, 0.3, model.params.values(name).shape)
+            for name in model.params.names if name.endswith("up.weight")
         }))
         kept = pruning_mask(CFG, "output_end")
         site_of = {spec.name: spec.site for spec in param_layout(CFG)}
-        dropped = {t.name for t in model.params
-                   if site_of[t.name] is not None and not kept[site_of[t.name].prefix]}
-        pruned = model.with_params(model.params.filter(lambda t: t.name not in dropped))
+        dropped = {name for name in model.params.names
+                   if site_of[name] is not None and not kept[site_of[name].prefix]}
+        pruned = model.with_params(model.params.filter(lambda name: name not in dropped))
         assert {s.prefix for s in pruned.active_sites()} == {p for p, k in kept.items() if k}
         zeroed = model.with_params(model.params.replace_values({
             name: np.zeros(model.params.values(name).shape)

@@ -48,8 +48,15 @@ class TestWarmup:
         assert not a.equals(b)
 
     def test_backbone_fully_frozen(self):
-        backbone = warmup_backbone(cfg_for("adapter-fed"), 1)
-        assert all(not t.trainable for t in backbone)
+        # the backbone is values only, each a copy of its own: an adapter
+        # model built on it trains none of it but the layer norms
+        cfg = cfg_for("adapter-fed")
+        _, _, vocab = prepare_data(cfg, 1)
+        backbone = warmup_backbone(cfg, 1)
+        assert all(backbone.values(name).base is None for name in backbone.names)
+        trainable = set(build_method_model(cfg, 1, vocab, backbone).trainable_names())
+        assert {n for n in backbone.names if n in trainable} == {
+            n for n in backbone.names if ".ln" in n or ".final_ln." in n}
 
     def test_set_up_caches_keep_only_the_latest_seed(self):
         cfg = cfg_for("adapter-fed")
@@ -67,16 +74,16 @@ class TestMethodModels:
         _, _, vocab = prepare_data(cfg, 1)
         model = build_method_model(cfg, 1, vocab, warmup_backbone(cfg, 1))
         assert model.active_sites()
-        frozen = [t for t in model.params if not t.trainable]
+        frozen = set(model.params.names) - set(model.trainable_names())
         assert frozen
-        assert all("_adapter." not in t.name for t in frozen)
+        assert all("_adapter." not in name for name in frozen)
 
     def test_model_fed_trains_everything_without_adapters(self):
         cfg = cfg_for("model-fed")
         _, _, vocab = prepare_data(cfg, 1)
         model = build_method_model(cfg, 1, vocab, warmup_backbone(cfg, 1))
         assert model.active_sites() == []
-        assert all(t.trainable for t in model.params)
+        assert model.trainable_names() == list(model.params.names)
 
     def test_pruned_method_model(self):
         cfg = cfg_for("adapter-families", pruning="input_end")
@@ -90,8 +97,8 @@ class TestMethodModels:
         _, _, vocab = prepare_data(cfg, 1)
         backbone = warmup_backbone(cfg, 1)
         model = build_method_model(cfg, 1, vocab, backbone)
-        for t in backbone:
-            assert np.array_equal(model.params.values(t.name), t.values)
+        for name in backbone.names:
+            assert np.array_equal(model.params.values(name), backbone.values(name))
 
 
 class TestRunSeed:
@@ -122,15 +129,15 @@ class TestRunSeed:
 
     def test_frozen_backbone_bit_identical_after_run(self):
         # layer norms stay trainable alongside adapters, so the invariant
-        # covers exactly the tensors the final models mark frozen
+        # covers exactly the tensors the final models do not train
         cfg = cfg_for("adapter-families")
         backbone = warmup_backbone(cfg, 1)
         _, models = run_seed(cfg, 1)
         for cid, model in models.items():
-            frozen = [t for t in model.params if not t.trainable]
+            frozen = set(model.params.names) - set(model.trainable_names())
             assert frozen
-            for t in frozen:
-                assert np.array_equal(t.values, backbone.values(t.name))
+            for name in frozen:
+                assert np.array_equal(model.params.values(name), backbone.values(name))
 
     def test_round_rows_cover_all_clients_and_rounds(self):
         res, _ = run_seed(cfg_for("adapter-random"), 1)

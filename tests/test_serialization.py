@@ -1,42 +1,47 @@
 """Binary parameter files and model checkpoints with metadata sidecars."""
 
+import struct
+
 import numpy as np
 import pytest
 
+from fedmt.config import METHODS, config_from_dict
 from fedmt.errors import CheckpointError
-from fedmt.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
-from fedmt.params import NamedParamSet, ParamTensor, load_param_set, save_param_set
+from fedmt.model import (
+    PRUNING_STRATEGIES,
+    ModelConfig,
+    build_model,
+    load_checkpoint,
+    save_checkpoint,
+)
+from fedmt.params import NamedParamSet, load_param_set, save_param_set
+from fedmt.runner import build_method_model, prepare_data
 
 
 def test_param_file_round_trip(tmp_path):
     rng = np.random.default_rng(3)
-    pset = NamedParamSet([
-        ParamTensor("enc.a", rng.normal(size=(3, 4)).astype(np.float32), True, "encoder"),
-        ParamTensor("dec.b", rng.normal(size=(7,)).astype(np.float32), False, "decoder"),
-        ParamTensor("emb.c", rng.normal(size=(2, 2, 2)), True, "shared"),  # float64
-    ])
+    pset = NamedParamSet({
+        "enc.a": rng.normal(size=(3, 4)).astype(np.float32),
+        "dec.b": rng.normal(size=(7,)).astype(np.float32),
+        "emb.c": rng.normal(size=(2, 2, 2)),  # float64
+    })
     path = tmp_path / "params.bin"
     save_param_set(pset, path)
     loaded = load_param_set(path)
     assert loaded.names == pset.names
-    for t in pset:
-        other = loaded[t.name]
-        assert other.trainable == t.trainable
-        assert other.side == t.side
-        assert other.values.dtype == t.values.dtype
-        assert np.array_equal(other.values, t.values)
+    for name in pset.names:
+        assert loaded.values(name).dtype == pset.values(name).dtype
+        assert np.array_equal(loaded.values(name), pset.values(name))
 
 
 def test_param_file_refuses_other_dtypes(tmp_path):
-    pset = NamedParamSet([ParamTensor("x", np.arange(3), True, "shared")])  # int64
+    pset = NamedParamSet({"x": np.arange(3)})  # int64
     with pytest.raises(CheckpointError):
         save_param_set(pset, tmp_path / "params.bin")
 
 
 def test_param_file_is_stable_bytes(tmp_path):
-    pset = NamedParamSet([
-        ParamTensor("x", np.arange(6, dtype=np.float32).reshape(2, 3), True, "shared"),
-    ])
+    pset = NamedParamSet({"x": np.arange(6, dtype=np.float32).reshape(2, 3)})
     p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
     save_param_set(pset, p1)
     save_param_set(pset, p2)
@@ -55,9 +60,41 @@ def test_checkpoint_round_trip(tmp_path):
     assert [s.layer for s in loaded.active_sites()] == [1] * 5
     assert loaded.active_sites() == model.active_sites()
     assert loaded.params.names == model.params.names
-    for t in model.params:
-        assert np.array_equal(loaded.params.values(t.name), t.values)
-        assert loaded.params[t.name].trainable == t.trainable
+    for name in model.params.names:
+        assert np.array_equal(loaded.params.values(name), model.params.values(name))
+    assert loaded.trainable_names() == model.trainable_names()
+    assert loaded.trainable_by_side() == model.trainable_by_side()
+
+
+def _method_runs():
+    for method, (uses_adapters, _, _) in METHODS.items():
+        for pruning in (PRUNING_STRATEGIES if uses_adapters else ("all",)):
+            yield method, pruning
+
+
+@pytest.mark.parametrize("method,pruning", list(_method_runs()))
+def test_checkpoint_keeps_what_trains_and_where_it_syncs(tmp_path, method, pruning):
+    # what trains and each tensor's side are read from the model's layout,
+    # so a loaded checkpoint reports what the model it was saved from does
+    cfg = config_from_dict({
+        "mode": "m2en", "method": method, "pruning": pruning, "seeds": [1],
+        "data": {"scale": 0.01, "alphabet_size": 16, "length_range": [3, 6]},
+        "model": {"model_dim": 8, "num_heads": 2, "ffn_dim": 16, "enc_layers": 3,
+                  "dec_layers": 3, "adapter_bottleneck": 2, "max_seq_len": 16},
+    })
+    _, _, vocab = prepare_data(cfg, 1)
+    model = build_method_model(cfg, 1, vocab, backbone=None)
+    save_checkpoint(model, tmp_path / "ckpt")
+    loaded = load_checkpoint(tmp_path / "ckpt")
+    assert loaded.params.equals(model.params)
+    assert loaded.trainable_names() == model.trainable_names()
+    assert loaded.trainable_by_side() == model.trainable_by_side()
+    trainable = set(model.trainable_names())
+    if cfg.uses_adapters:
+        assert "emb.token.weight" not in trainable
+        assert trainable == {n for n in model.params.names if "_adapter." in n or "ln" in n}
+    else:
+        assert trainable == set(model.params.names)
 
 
 def test_float64_checkpoint_round_trips_bitwise(tmp_path):
@@ -72,10 +109,10 @@ def test_float64_checkpoint_round_trips_bitwise(tmp_path):
     loaded = load_checkpoint(tmp_path / "ckpt")
     assert loaded.config == config
     assert loaded.params.values("emb.token.weight")[0, 0] == 0.1
-    for t in model.params:
-        other = loaded.params.values(t.name)
+    for name in model.params.names:
+        other = loaded.params.values(name)
         assert other.dtype == np.float64
-        assert other.tobytes() == t.values.tobytes()
+        assert other.tobytes() == model.params.values(name).tobytes()
 
 
 @pytest.mark.parametrize("damage", ["missing", "unparsable", "invalid", "unknown", "legacy",
@@ -112,22 +149,22 @@ def test_params_missing_a_tensor_raise_checkpoint_error(tmp_path, dropped):
                          enc_layers=1, dec_layers=1, adapter_bottleneck=2, max_seq_len=12)
     model = build_model(config, 0)
     save_checkpoint(model, tmp_path / "ckpt")
-    save_param_set(model.params.filter(lambda t: t.name != dropped), tmp_path / "ckpt.params")
+    save_param_set(model.params.filter(lambda name: name != dropped), tmp_path / "ckpt.params")
     with pytest.raises(CheckpointError, match="missing tensor"):
         load_checkpoint(tmp_path / "ckpt")
     prefix = dropped.rsplit(".", 2)[0]
     if prefix.endswith("_adapter"):
-        save_param_set(model.params.filter(lambda t: not t.name.startswith(prefix + ".")),
+        save_param_set(model.params.filter(lambda name: not name.startswith(prefix + ".")),
                        tmp_path / "ckpt.params")
         assert prefix not in {s.prefix for s in load_checkpoint(tmp_path / "ckpt").active_sites()}
 
 
-@pytest.mark.parametrize("cut", ["magic", "version", "header", "payload", "trailing"])
+@pytest.mark.parametrize("cut", ["magic", "version", "header", "payload", "trailing", "twice"])
 def test_damaged_param_file_raises_checkpoint_error(tmp_path, cut):
-    pset = NamedParamSet([
-        ParamTensor("enc.a", np.ones((3, 4), np.float32), True, "encoder"),
-        ParamTensor("dec.b", np.ones(5, np.float32), False, "decoder"),
-    ])
+    pset = NamedParamSet({
+        "enc.a": np.ones((3, 4), np.float32),
+        "dec.b": np.ones(5, np.float32),
+    })
     path = tmp_path / "params.bin"
     save_param_set(pset, path)
     data = path.read_bytes()
@@ -138,7 +175,23 @@ def test_damaged_param_file_raises_checkpoint_error(tmp_path, cut):
         "header": data[:20],  # inside the first tensor's header
         "payload": data[: payload_start + 10],
         "trailing": data + b"\0",
+        "twice": data.replace(b"dec.b", b"enc.a"),  # one name for both tensors
     }[cut]
     path.write_bytes(damaged)
     with pytest.raises(CheckpointError):
+        load_param_set(path)
+
+
+def test_version_2_param_file_is_refused(tmp_path):
+    # the format that stored a side and a trainable byte per tensor
+    name = b"enc.a"
+    data = b"".join([
+        b"FMPS", struct.pack("<II", 2, 1),
+        struct.pack("<H", len(name)), name,
+        struct.pack("<BBBB", 0, 1, 0, 1), struct.pack("<I", 3),  # side, trainable, dtype, ndim
+        np.ones(3, np.float32).tobytes(),
+    ])
+    path = tmp_path / "params.bin"
+    path.write_bytes(data)
+    with pytest.raises(CheckpointError, match="unsupported format version 2"):
         load_param_set(path)
