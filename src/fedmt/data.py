@@ -9,8 +9,9 @@ languages in the same family share a fraction ``intra_family_overlap`` of
 their substitution entries, while cross-family overlap sits at chance level
 (or exactly zero when requested).
 
-Strings stop here: ``make_batch`` encodes a whole split once, and every
-batch after that is a selection of its rows (``batches``).
+Strings stop here: ``make_batch`` encodes a whole split once, a pooled one
+of several target languages included, and every batch after that is a
+selection of its rows (``batches``).
 """
 
 from __future__ import annotations
@@ -100,12 +101,6 @@ class LanguageSpec:
                with_affix: bool = False) -> Sentence:
         rendered = tuple(alphabet[self.table[i]] for i in latent)
         return rendered + (self.affix,) if with_affix else rendered
-
-
-def table_overlap(a: LanguageSpec, b: LanguageSpec) -> float:
-    """Fraction of latent symbols whose substitution entries agree."""
-    hits = sum(1 for x, y in zip(a.table, b.table) if x == y)
-    return hits / len(a.table)
 
 
 def _resample_positions(size: int, keep_fraction: float, rng: np.random.Generator) -> np.ndarray:
@@ -265,19 +260,21 @@ def build_vocab(languages: Sequence[LanguageSpec]) -> Vocab:
     return Vocab(tags=(_tag_token(spec.code) for spec in languages), tokens=tokens)
 
 
-def make_batch(pairs: Sequence[SentencePair], vocab: Vocab, tgt_code: str) -> Batch:
-    """Encode sentence pairs, padded to the widest row; the target-language
-    tag is prepended to the encoder input and EOS closes both sides. The one
-    path from strings to ids: a split is encoded once and batched by row
-    selection (:meth:`Batch.take`)."""
-    if not pairs:
+def make_batch(parts: Sequence[tuple[Sequence[SentencePair], str]], vocab: Vocab) -> Batch:
+    """Encode a split into one batch, padded to its widest row. ``parts``
+    are (sentence pairs, target-language code) in row order, so a pooled
+    split of several clients, whose targets may differ, is one call. Each
+    row's encoder input starts with its target-language tag, and EOS closes
+    both sides. The one path from strings to ids: a split is encoded once
+    and batched by row selection (:meth:`Batch.take`)."""
+    src_rows = [[vocab.tag_id(code)] + vocab.encode(s) + [EOS]
+                for pairs, code in parts for s, _ in pairs]
+    gold_rows = [vocab.encode(t) + [EOS] for pairs, _ in parts for _, t in pairs]
+    if not src_rows:
         raise ValueError("cannot encode an empty split")
-    tag = vocab.tag_id(tgt_code)
-    src_rows = [[tag] + vocab.encode(s) + [EOS] for s, _ in pairs]
-    gold_rows = [vocab.encode(t) + [EOS] for _, t in pairs]
     s_len = max(len(r) for r in src_rows)
     t_len = max(len(r) for r in gold_rows)
-    bsz = len(pairs)
+    bsz = len(src_rows)
     src = np.full((bsz, s_len), PAD, dtype=np.int64)
     src_mask = np.zeros((bsz, s_len), dtype=bool)
     tgt_in = np.full((bsz, t_len), PAD, dtype=np.int64)

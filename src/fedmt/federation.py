@@ -196,10 +196,11 @@ class Party:
 
     A federated run has one party per client (:meth:`of`); a centralized run
     has one party of every client (:meth:`pooled`). ``clients`` are in id
-    order. ``corpus`` is the pooled train set, encoded once: each client's
-    split in the order the clients came in, merged into one padded batch
-    whose rows every epoch selects from. Epoch ``e`` of round ``r`` shuffles
-    with ``derive_seed(seed, stream, r, e, *seed_tail)``.
+    order. ``corpus`` is the pooled train set, encoded by one
+    :func:`~fedmt.data.make_batch` call: each client's split in the order
+    the clients came in, as one padded batch whose rows every epoch selects
+    from. Epoch ``e`` of round ``r`` shuffles with
+    ``derive_seed(seed, stream, r, e, *seed_tail)``.
     """
 
     id: str
@@ -210,12 +211,12 @@ class Party:
 
     @classmethod
     def of(cls, client: Client, vocab: Vocab) -> Party:
-        return cls(client.id, (client,), make_batch(client.data.train, vocab, client.tgt.code),
+        return cls(client.id, (client,), make_batch([(client.data.train, client.tgt.code)], vocab),
                    0x10CA1, (_stable_id(client.id),))
 
     @classmethod
     def pooled(cls, clients: Sequence[Client], vocab: Vocab) -> Party:
-        corpus = merge_batches([make_batch(c.data.train, vocab, c.tgt.code) for c in clients])
+        corpus = make_batch([(c.data.train, c.tgt.code) for c in clients], vocab)
         return cls("pooled", tuple(sorted(clients, key=lambda c: c.id)), corpus, 0xCE27, ())
 
 
@@ -411,7 +412,7 @@ def run_experiment(
     names_by_side = initial.trainable_by_side()
     sync_count = count_params(initial.params, initial.trainable_names())
     ledger = CommLedger(cfg)
-    dev_sets = {c.id: make_batch(c.data.dev, vocab, c.tgt.code)
+    dev_sets = {c.id: make_batch([(c.data.dev, c.tgt.code)], vocab)
                 for p in parties for c in p.clients}
 
     def evaluate() -> dict[str, float]:

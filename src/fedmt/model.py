@@ -61,10 +61,6 @@ PRUNING_STRATEGIES = ("all", *THIRDS)
 WantFn = Callable[[str], bool]
 
 
-def want_all(_: str) -> bool:
-    return True
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     vocab_size: int = 0  # bound to the corpus vocabulary at run time
@@ -307,7 +303,8 @@ def build_model(
     values at a kept site under every strategy. Adapter up-projections start
     at zero, making every adapter an identity residual at initialization.
     When ``backbone`` is given its values replace the random backbone
-    (shapes must match).
+    (shapes must match); the model holds its arrays themselves when their
+    dtype is the config's, so every model built on one backbone shares it.
     """
     kept = None if adapters is None else pruning_mask(config, adapters)
     backbone_ss, adapter_ss = np.random.SeedSequence(rng_seed).spawn(2)
@@ -323,7 +320,7 @@ def build_model(
         elif backbone is None:
             tensors[spec.name] = _init_value(spec, config, backbone_rng)
         else:
-            tensors[spec.name] = backbone.values(spec.name).astype(config.np_dtype)
+            tensors[spec.name] = backbone.values(spec.name).astype(config.np_dtype, copy=False)
     return ToyModel(config, NamedParamSet(tensors))
 
 
@@ -369,8 +366,8 @@ def _embed(model: ToyModel, ids: np.ndarray, rows: nn.Rows, offset: int):
 
 
 def _stack_fwd(model: ToyModel, side: str, ids: np.ndarray, mask: np.ndarray,
-               self_bias: np.ndarray, memory=None, kv_cache: dict | None = None,
-               want: WantFn | None = want_all):
+               self_bias: np.ndarray, want: WantFn | None, memory=None,
+               kv_cache: dict | None = None):
     """One stack over the real tokens of ``ids`` (``mask`` True there):
     embedding, every sublayer, final layer norm, each on the packed rows
     [N, d].
@@ -448,12 +445,11 @@ def _stack_bwd(dout: np.ndarray, cache, grads, d_memory: np.ndarray | None = Non
     return dx
 
 
-def encode(model: ToyModel, src: np.ndarray, src_mask: np.ndarray,
-           want: WantFn | None = want_all):
+def encode(model: ToyModel, src: np.ndarray, src_mask: np.ndarray, want: WantFn | None):
     """Encoder output at the real source positions [N_src, d], plus the
     cache for ``want`` (None with ``want`` None; see ``_stack_fwd``)."""
     bias = nn.attention_bias(src_mask, model.config.np_dtype)
-    return _stack_fwd(model, "encoder", src, src_mask, bias, want=want)
+    return _stack_fwd(model, "encoder", src, src_mask, bias, want)
 
 
 def decode_logits(
@@ -462,8 +458,8 @@ def decode_logits(
     src_mask: np.ndarray,
     tgt_in: np.ndarray,
     tgt_mask: np.ndarray,
+    want: WantFn | None,
     kv_cache: dict | None = None,
-    want: WantFn | None = want_all,
 ):
     """Logits [N_tgt, V] at the real positions of ``tgt_in`` (row-major),
     plus the cache for ``want`` (see ``_stack_fwd``), given the packed
@@ -475,7 +471,7 @@ def decode_logits(
     ``"mask"``, the encoder memory (rows and key bias of ``src_mask``, built
     at the first step) under ``"memory"`` and each attention block's keys
     and values under its name. A call with ``kv_cache`` is an inference
-    pass whatever ``want`` says: it keeps no cache and returns None.
+    pass: ``want`` is None.
     """
     dtype = model.config.np_dtype
     if kv_cache:
@@ -485,23 +481,22 @@ def decode_logits(
         key_mask = tgt_mask
         memory = (enc_out, nn.Rows.of(src_mask), nn.attention_bias(src_mask, dtype))
     self_bias = nn.attention_bias(key_mask, dtype, q_len=tgt_in.shape[1])
-    dec_out, cache = _stack_fwd(model, "decoder", tgt_in, tgt_mask, self_bias, memory, kv_cache,
-                                None if kv_cache is not None else want)
+    dec_out, cache = _stack_fwd(model, "decoder", tgt_in, tgt_mask, self_bias, want, memory,
+                                kv_cache)
     if kv_cache is not None:
         kv_cache["mask"] = key_mask
         kv_cache["memory"] = memory
     return dec_out @ model.params.values("emb.token.weight").T, cache
 
 
-def forward(model: ToyModel, batch: Batch, want: WantFn | None = want_all):
+def forward(model: ToyModel, batch: Batch, want: WantFn | None):
     """Logits [N_real, V] at the real target positions, row-major (the order
     of ``batch.tgt_gold[batch.tgt_mask]``), plus the cache that ``backward``
     takes. ``want`` decides which parameter gradients that backward
-    computes; the default computes every one. ``want`` None is an inference
-    pass, which returns no cache."""
+    computes; ``want`` None is an inference pass, which returns no cache."""
     enc_out, enc_cache = encode(model, batch.src, batch.src_mask, want)
     logits, dec_cache = decode_logits(
-        model, enc_out, batch.src_mask, batch.tgt_in, batch.tgt_mask, want=want
+        model, enc_out, batch.src_mask, batch.tgt_in, batch.tgt_mask, want
     )
     if want is None:
         return logits, None
@@ -573,12 +568,10 @@ def loss(model: ToyModel, batch: Batch) -> LossResult:
     return LossResult(total, count)
 
 
-def grad(model: ToyModel, batch: Batch, needed: set[str] | None = None):
+def grad(model: ToyModel, batch: Batch, needed: set[str]):
     """Loss plus analytic gradients of the *summed* loss over the tensors in
-    ``needed`` (default: every trainable tensor), exactly those."""
+    ``needed``, exactly those."""
     _check_batch(model, batch)
-    if needed is None:
-        needed = set(model.trainable_names())
     logits, cache = forward(model, batch, needed.__contains__)
     total, count, dlogits = _cross_entropy(logits, batch)
     if not np.isfinite(total):
@@ -610,7 +603,8 @@ def decode_greedy(model: ToyModel, src: np.ndarray, src_mask: np.ndarray,
     finished = np.zeros(bsz, dtype=bool)
     outputs: list[list[int]] = [[] for _ in range(bsz)]
     for _ in range(max_len):
-        logits, _ = decode_logits(model, enc_out, src_mask, tgt, step_mask, kv_cache)
+        logits, _ = decode_logits(model, enc_out, src_mask, tgt, step_mask, want=None,
+                                  kv_cache=kv_cache)
         nxt = logits.argmax(axis=-1).astype(src.dtype)
         for j in range(bsz):
             if not finished[j]:

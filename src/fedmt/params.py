@@ -78,12 +78,6 @@ class NamedParamSet:
                 )
         return NamedParamSet({**self._values, **updates})
 
-    def equals(self, other: "NamedParamSet") -> bool:
-        """Bitwise equality of structure and values."""
-        return self.compatible_with(other) and all(
-            np.array_equal(v, other.values(n)) for n, v in self._values.items()
-        )
-
 
 def count_params(pset: NamedParamSet, names: Iterable[str] | None = None) -> int:
     """Total number of scalar parameters, or of the tensors ``names`` only."""

@@ -19,7 +19,7 @@ from .clustering import ClusterAssignment, assemble, compute_gradient_feature
 from .config import ExperimentConfig
 from .data import BOS, EOS, LanguageSpec, Vocab, batches, build_vocab, derive_seed, make_batch
 from .federation import CommLedger, Party, run_experiment, train_epochs
-from .model import ModelConfig, ToyModel, build_model, decode_greedy, merge_batches
+from .model import ModelConfig, ToyModel, build_model, decode_greedy
 from .params import NamedParamSet, count_params
 from .presets import Client, make_clients, make_warmup_data
 
@@ -51,25 +51,30 @@ def bind_model_config(cfg: ExperimentConfig, vocab: Vocab) -> ModelConfig:
 
 
 def warmup_backbone(cfg: ExperimentConfig, seed: int) -> NamedParamSet:
-    """Shared frozen backbone for one seed (cached); method-independent."""
+    """Shared frozen backbone for one seed; method-independent. It is
+    cached as one read-only copy of each tensor, which every model built on
+    it shares (:func:`build_method_model`), so an in-place write into a
+    frozen tensor raises instead of changing every later method's start.
+    The random initial model is passed straight to the warm-up's training,
+    which drops it at its first step."""
     model_key = dataclasses.astuple(cfg.model)
     key = (cfg.mode, dataclasses.astuple(cfg.data), model_key,
            dataclasses.astuple(cfg.warmup), seed)
     if key in _WARMUP_CACHE:
         return _WARMUP_CACHE[key]
     languages, _, vocab = prepare_data(cfg, seed)
-    model_cfg = bind_model_config(cfg, vocab)
-    model = build_model(model_cfg, _model_seed(seed), adapters=None)
-    if cfg.warmup.epochs > 0:
-        corpora = make_warmup_data(cfg.mode, languages, seed,
-                                   cfg.warmup.sentences_per_pair, cfg.data)
-        corpus = merge_batches([make_batch(ds.train, vocab, ds.tgt) for ds in corpora])
-        epoch_seeds = [derive_seed(seed, 0xAB1E, epoch) for epoch in range(cfg.warmup.epochs)]
-        model, _ = train_epochs(
-            model, corpus, epoch_seeds, cfg.warmup.batch_size,
-            cfg.warmup.grad_accumulation, "adam", cfg.warmup.learning_rate,
-        )
+    corpora = make_warmup_data(cfg.mode, languages, seed,
+                               cfg.warmup.sentences_per_pair, cfg.data)
+    corpus = make_batch([(ds.train, ds.tgt) for ds in corpora], vocab)
+    epoch_seeds = [derive_seed(seed, 0xAB1E, epoch) for epoch in range(cfg.warmup.epochs)]
+    model, _ = train_epochs(
+        build_model(bind_model_config(cfg, vocab), _model_seed(seed), adapters=None),
+        corpus, epoch_seeds, cfg.warmup.batch_size,
+        cfg.warmup.grad_accumulation, "adam", cfg.warmup.learning_rate,
+    )
     backbone = NamedParamSet({n: model.params.values(n).copy() for n in model.params.names})
+    for name in backbone.names:
+        backbone.values(name).flags.writeable = False
     _WARMUP_CACHE.clear()
     _WARMUP_CACHE[key] = backbone
     return backbone
@@ -83,8 +88,9 @@ def build_method_model(cfg: ExperimentConfig, seed: int, vocab: Vocab,
                        backbone: NamedParamSet | None) -> ToyModel:
     """The shared initial checkpoint every client starts from: the adapters
     the pruning strategy keeps on a frozen ``backbone``, or for the
-    full-model methods the trainable backbone alone. ``backbone`` None
-    draws a random one, whose tensors and counts are the same."""
+    full-model methods the trainable backbone alone. The model holds the
+    ``backbone``'s own arrays, not copies. ``backbone`` None draws a random
+    one, whose tensors and counts are the same."""
     return build_model(bind_model_config(cfg, vocab), _model_seed(seed),
                        adapters=cfg.pruning if cfg.uses_adapters else None, backbone=backbone)
 
@@ -141,7 +147,7 @@ def evaluate_test_bleu(
     for client in sorted(clients, key=lambda c: c.id):
         model = models_by_client[client.id]
         hyps: list[tuple[str, ...]] = []
-        test = make_batch(client.data.test, vocab, client.tgt.code)
+        test = make_batch([(client.data.test, client.tgt.code)], vocab)
         for batch in batches(test, TEST_DECODE_BATCH_SIZE):
             decoded = decode_greedy(
                 model, batch.src, batch.src_mask,

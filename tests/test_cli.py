@@ -260,10 +260,11 @@ tgt_mask = np.arange(14) < tgt_len[:, None]
 src, tgt_in, tgt_gold = rng.integers(3, 90, size=(3, 64, 14))
 tgt_in[:, 0] = 1
 batch = Batch(src, src_mask, tgt_in, tgt_gold, tgt_mask)
-grad(model, batch)
+needed = set(model.trainable_names())
+grad(model, batch, needed)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(4):
-    grad(model, batch)
+    grad(model, batch, needed)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 

@@ -267,7 +267,7 @@ def test_probe_batch_size_moves_no_feature_and_no_cluster(monkeypatch):
     assert len(clients) == 4
     vocab = build_vocab(languages)
     model = build_model(ModelConfig(vocab_size=len(vocab)), 0)
-    trains = {c.id: make_batch(c.data.train, vocab, c.tgt.code) for c in clients}
+    trains = {c.id: make_batch([(c.data.train, c.tgt.code)], vocab) for c in clients}
     assert max(t.size for t in trains.values()) > 2 * clustering.PROBE_BATCH_SIZE
 
     def features():

@@ -18,14 +18,18 @@ from fedmt.data import (
     generate_corpus,
     generate_languages,
     make_batch,
-    table_overlap,
 )
 from fedmt.errors import ConfigurationError
 from fedmt.model import Batch, merge_batches
-from fedmt.presets import M2EN_FAMILY_PLAN, M2M_FAMILY_PLAN, make_clients
+from fedmt.presets import M2EN_FAMILY_PLAN, M2M_FAMILY_PLAN, make_clients, make_warmup_data
 
 PLAN = {"Fam1": ["aa", "ab"], "Fam2": ["ba", "bb"], "Fam3": ["ca", "cb"]}
 SMALL = DataConfig(alphabet_size=32)
+
+
+def table_overlap(a, b):
+    """Fraction of latent symbols whose substitution entries agree."""
+    return sum(1 for x, y in zip(a.table, b.table) if x == y) / len(a.table)
 
 
 class TestGenerateLanguages:
@@ -188,13 +192,13 @@ class TestBatches:
 
     def test_batch_sizes_with_remainder(self):
         ds, vocab = self._dataset()
-        out = batches(make_batch(ds.train, vocab, "yy"), 8, seed=0)
+        out = batches(make_batch([(ds.train, "yy")], vocab), 8, seed=0)
         assert [b.size for b in out] == [8, 8, 4]
 
     def test_same_seed_same_order(self):
         ds, vocab = self._dataset()
-        a = batches(make_batch(ds.train, vocab, "yy"), 8, seed=7)
-        b = batches(make_batch(ds.train, vocab, "yy"), 8, seed=7)
+        a = batches(make_batch([(ds.train, "yy")], vocab), 8, seed=7)
+        b = batches(make_batch([(ds.train, "yy")], vocab), 8, seed=7)
         for x, y in zip(a, b):
             assert np.array_equal(x.src, y.src)
             assert np.array_equal(x.tgt_gold, y.tgt_gold)
@@ -202,14 +206,14 @@ class TestBatches:
     def test_partition_covers_split_exactly_once(self):
         ds, vocab = self._dataset()
         seen = []
-        for batch in batches(make_batch(ds.train, vocab, "yy"), 8, seed=1):
+        for batch in batches(make_batch([(ds.train, "yy")], vocab), 8, seed=1):
             for row, mask in zip(batch.src, batch.src_mask):
                 seen.append(tuple(vocab.decode(row[mask][1:-1])))  # strip tag+EOS
         assert sorted(seen) == sorted(s for s, _ in ds.train)
 
     def test_gold_is_input_shifted(self):
         ds, vocab = self._dataset()
-        batch = make_batch(ds.train[:4], vocab, "yy")
+        batch = make_batch([(ds.train[:4], "yy")], vocab)
         for j in range(batch.size):
             n = int(batch.tgt_mask[j].sum())
             assert np.array_equal(batch.tgt_in[j, 1:n], batch.tgt_gold[j, : n - 1])
@@ -217,13 +221,13 @@ class TestBatches:
 
     def test_target_tag_prepended(self):
         ds, vocab = self._dataset()
-        batch = make_batch(ds.train[:4], vocab, "yy")
+        batch = make_batch([(ds.train[:4], "yy")], vocab)
         assert all(batch.src[:, 0] == vocab.tag_id("yy"))
 
     def test_empty_split_rejected(self):
         _, vocab = self._dataset()
         with pytest.raises(ValueError):
-            batches(make_batch([], vocab, "yy"), 8, seed=0)
+            batches(make_batch([([], "yy")], vocab), 8, seed=0)
 
 
 FIELDS = [f.name for f in dataclasses.fields(Batch)]
@@ -268,7 +272,7 @@ class TestEncodeOnce:
     @pytest.mark.parametrize("seed", [None, 3, 11])
     def test_batches_equal_encoding_each_chunk_of_the_permutation(self, seed):
         vocab, clients = self._clients()
-        corpus = merge_batches([make_batch(c.data.train, vocab, c.tgt.code) for c in clients])
+        corpus = make_batch([(c.data.train, c.tgt.code) for c in clients], vocab)
         samples = [(s, t, c.tgt.code) for c in clients for s, t in c.data.train]
         order = list(range(len(samples)))
         if seed is not None:
@@ -283,13 +287,25 @@ class TestEncodeOnce:
     def test_take_equals_encoding_the_rows_alone(self):
         vocab, (client, _) = self._clients()
         split = client.data.train
-        encoded = make_batch(split, vocab, client.tgt.code)
+        encoded = make_batch([(split, client.tgt.code)], vocab)
         rng = np.random.default_rng(0)
         for _ in range(20):
             rows = rng.choice(len(split), size=int(rng.integers(1, len(split) + 1)),
                               replace=False)
-            alone = make_batch([split[i] for i in rows], vocab, client.tgt.code)
+            alone = make_batch([([split[i] for i in rows], client.tgt.code)], vocab)
             assert_same_arrays(encoded.take(rows), [getattr(alone, name) for name in FIELDS])
+
+    @pytest.mark.parametrize("mode", ["m2en", "m2m"])
+    def test_a_pooled_split_is_one_encode_equal_to_merging_its_parts(self, mode):
+        # the warm-up corpus: one part per preset pair, in m2m with several targets
+        data = DataConfig(scale=1 / 64)
+        languages, _ = make_clients(mode, 1, data)
+        vocab = build_vocab(languages)
+        corpora = make_warmup_data(mode, languages, 1, 16, data)
+        assert (len({ds.tgt for ds in corpora}) > 1) == (mode == "m2m")
+        pooled = make_batch([(ds.train, ds.tgt) for ds in corpora], vocab)
+        merged = merge_batches([make_batch([(ds.train, ds.tgt)], vocab) for ds in corpora])
+        assert_same_arrays(pooled, [getattr(merged, name) for name in FIELDS])
 
 
 def test_export_corpus_round_trips(tmp_path):

@@ -82,8 +82,8 @@ class TestGradients:
 
     def test_frozen_tensors_get_no_gradient(self):
         model = randomized_model(5)
-        _, grads = grad(model, random_batch(2))
         trainable = set(model.trainable_names())
+        _, grads = grad(model, random_batch(2), trainable)
         frozen = set(model.params.names) - trainable
         assert frozen and not (set(grads) & frozen)
         assert set(grads) == trainable

@@ -23,6 +23,8 @@ from fedmt.model import (
 )
 from fedmt.nn import adapter_fwd, sinusoidal_positions
 
+from test_federation import params_equal
+
 TINY = ModelConfig(vocab_size=23, model_dim=16, num_heads=2, ffn_dim=32,
                    enc_layers=2, dec_layers=2, adapter_bottleneck=4,
                    max_seq_len=16, dtype="float64")
@@ -45,20 +47,20 @@ class TestBuildModel:
     def test_same_seed_bit_identical(self):
         a = build_model(TINY, 42)
         b = build_model(TINY, 42)
-        assert a.params.equals(b.params)
+        assert params_equal(a.params, b.params)
 
     def test_different_seed_differs(self):
         a = build_model(TINY, 42)
         b = build_model(TINY, 43)
-        assert not a.params.equals(b.params)
+        assert not params_equal(a.params, b.params)
 
     def test_identity_at_init(self):
         # zero-init up-projections: logits equal the adapter-free backbone's
         adapted = build_model(TINY, 7)
         backbone_only = build_model(TINY, 7, adapters=None)
         batch = random_batch(TINY)
-        la, _ = forward(adapted, batch)
-        lb, _ = forward(backbone_only, batch)
+        la, _ = forward(adapted, batch, lambda _: True)
+        lb, _ = forward(backbone_only, batch, lambda _: True)
         assert np.array_equal(la, lb)
 
     def test_adapter_count_placement_rule(self):
@@ -116,9 +118,9 @@ class TestAdapterApply:
         backbone = build_model(TINY, 7, adapters=None)
         assert pruned.active_sites() == [] and len(zero_up.active_sites()) == 10
         batch = random_batch(TINY)
-        logits = forward(pruned, batch)[0]
-        assert np.array_equal(logits, forward(zero_up, batch)[0])
-        assert np.array_equal(logits, forward(backbone, batch)[0])
+        logits = forward(pruned, batch, lambda _: True)[0]
+        assert np.array_equal(logits, forward(zero_up, batch, lambda _: True)[0])
+        assert np.array_equal(logits, forward(backbone, batch, lambda _: True)[0])
 
 
 class TestLoss:
@@ -136,7 +138,7 @@ class TestLoss:
     def test_sharp_correct_logits_drive_loss_to_zero(self):
         model = build_model(TINY, 3)
         batch = random_batch(TINY)
-        logits, _ = forward(model, batch)
+        logits, _ = forward(model, batch, lambda _: True)
         # emulate a perfectly confident model via the cross-entropy path
         from fedmt.model import _cross_entropy
         # logits are packed [N_real, V], in the order of tgt_gold[tgt_mask]
@@ -337,7 +339,7 @@ class TestWhatAPassKeeps:
         model, batch = build_model(config, 0), probe_batch()
         loss(model, batch)  # warm the shared position table
         loss_peak, result = traced_peak(lambda: loss(model, batch))
-        kept_peak, (kept_logits, kept_cache) = traced_peak(lambda: forward(model, batch))
+        kept_peak, (kept_logits, kept_cache) = traced_peak(lambda: forward(model, batch, lambda _: True))
         assert loss_peak < 0.25 * kept_peak
         # Each sublayer's activations are freed before the next one runs. The
         # widest sublayer is the FFN: GELU holds its input and one more

@@ -170,13 +170,17 @@ def adapter_model(nonlinearity="relu", seed=11, adapters="all"):
     return with_random_adapters(build_model(config, seed, adapters))
 
 
-# case -> (model, the tensors whose gradients are taken; None: the ones it trains)
+# case -> (model, the tensors whose gradients are taken)
 PACKING_CASES = {
-    "relu-adapters": lambda: (adapter_model("relu"), None),
-    "gelu-adapters": lambda: (adapter_model("gelu"), None),
-    "pruning-middle": lambda: (adapter_model("relu", adapters="middle"), None),
+    "relu-adapters": lambda: trained_tensors(adapter_model("relu")),
+    "gelu-adapters": lambda: trained_tensors(adapter_model("gelu")),
+    "pruning-middle": lambda: trained_tensors(adapter_model("relu", adapters="middle")),
     "fully-trainable": lambda: every_tensor(with_random_adapters(build_model(CONFIG, 5))),
 }
+
+
+def trained_tensors(model):
+    return model, set(model.trainable_names())
 
 
 def every_tensor(model):
@@ -198,7 +202,7 @@ def test_packed_loss_and_gradients_match_the_padded_grid(case):
     total, expected = padded_loss_and_grads(model, batch)
     assert result.total == pytest.approx(total, rel=1e-10)
     assert result.token_count == int(batch.tgt_mask.sum())
-    assert sorted(grads) == sorted(needed or model.trainable_names())
+    assert sorted(grads) == sorted(needed)
     for name, g in grads.items():
         if is_key_bias(name):
             np.testing.assert_allclose(g, 0.0, atol=1e-12, err_msg=name)
@@ -215,12 +219,13 @@ def full_prefix_greedy(model, src, src_mask, bos_id, eos_id, max_len):
     """Greedy decoding that re-runs the decoder over the whole prefix at
     every step and reads the newest position's logits."""
     bsz = src.shape[0]
-    enc_out, _ = encode(model, src, src_mask)
+    enc_out, _ = encode(model, src, src_mask, lambda _: True)
     tgt = np.full((bsz, 1), bos_id, dtype=src.dtype)
     finished = np.zeros(bsz, dtype=bool)
     outputs = [[] for _ in range(bsz)]
     for _ in range(max_len):
-        logits, _ = decode_logits(model, enc_out, src_mask, tgt, np.ones_like(tgt, dtype=bool))
+        logits, _ = decode_logits(model, enc_out, src_mask, tgt, np.ones_like(tgt, dtype=bool),
+                                  lambda _: True)
         nxt = logits.reshape(bsz, tgt.shape[1], -1)[:, -1].argmax(axis=-1).astype(src.dtype)
         for j in range(bsz):
             if not finished[j]:
@@ -242,7 +247,7 @@ def test_kv_cached_decoding_matches_the_full_prefix_recompute():
     # a few epochs of backbone training, so that decodes stop at EOS, then
     # one of adapter training on it, so that decodes run through adapters
     # that act (their up-projections start at zero)
-    corpus = merge_batches([make_batch(c.data.train, vocab, c.tgt.code) for c in clients])
+    corpus = merge_batches([make_batch([(c.data.train, c.tgt.code)], vocab) for c in clients])
     backbone, _ = train_epochs(build_model(config, 4, adapters=None), corpus,
                                [1, 2, 3], 8, 1, "adam", 1e-2)
     model, _ = train_epochs(build_model(config, 4, backbone=backbone.params), corpus,
@@ -251,7 +256,7 @@ def test_kv_cached_decoding_matches_the_full_prefix_recompute():
                for name in model.params.names if "_adapter.up.weight" in name)
     lengths = []
     for client in clients:
-        batch = make_batch(client.data.test, vocab, client.tgt.code)
+        batch = make_batch([(client.data.test, client.tgt.code)], vocab)
         got = decode_greedy(model, batch.src, batch.src_mask, bos_id=1, eos_id=2, max_len=14)
         want = full_prefix_greedy(model, batch.src, batch.src_mask, 1, 2, 14)
         assert got == want, client.id

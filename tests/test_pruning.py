@@ -168,6 +168,6 @@ class TestForwardSemantics:
         batch = Batch(src, np.ones((2, 5), bool),
                       np.concatenate([np.ones((2, 1), int), src[:, :4]], axis=1),
                       src, np.ones((2, 5), bool))
-        la, _ = forward(pruned, batch)
-        lb, _ = forward(zeroed, batch)
+        la, _ = forward(pruned, batch, lambda _: True)
+        lb, _ = forward(zeroed, batch, lambda _: True)
         assert np.allclose(la, lb, atol=1e-12)

@@ -18,6 +18,8 @@ from fedmt.runner import (
     warmup_backbone,
 )
 
+from test_federation import params_equal
+
 TINY = {
     "mode": "m2en",
     "seeds": [1],
@@ -40,12 +42,12 @@ class TestWarmup:
     def test_backbone_is_method_independent(self):
         a = warmup_backbone(cfg_for("adapter-fed"), 1)
         b = warmup_backbone(cfg_for("model-fed"), 1)
-        assert a.equals(b)
+        assert params_equal(a, b)
 
     def test_backbone_differs_per_seed(self):
         a = warmup_backbone(cfg_for("adapter-fed"), 1)
         b = warmup_backbone(cfg_for("adapter-fed"), 2)
-        assert not a.equals(b)
+        assert not params_equal(a, b)
 
     def test_backbone_fully_frozen(self):
         # the backbone is values only, each a copy of its own: an adapter
@@ -57,6 +59,23 @@ class TestWarmup:
         trainable = set(build_method_model(cfg, 1, vocab, backbone).trainable_names())
         assert {n for n in backbone.names if n in trainable} == {
             n for n in backbone.names if ".ln" in n or ".final_ln." in n}
+
+    def test_method_models_share_the_read_only_backbone(self):
+        # one copy of the backbone per seed: a method model holds the cached
+        # arrays, and a write into one of its frozen tensors raises rather
+        # than changing every model built on it later
+        cfg = cfg_for("adapter-fed")
+        _, _, vocab = prepare_data(cfg, 1)
+        backbone = warmup_backbone(cfg, 1)
+        model = build_method_model(cfg, 1, vocab, backbone)
+        trainable = set(model.trainable_names())
+        frozen = [name for name in backbone.names if name not in trainable]
+        assert frozen
+        for name in frozen:
+            values = model.params.values(name)
+            assert np.shares_memory(values, backbone.values(name))
+            with pytest.raises(ValueError, match="read-only"):
+                values[...] = values.copy()
 
     def test_set_up_caches_keep_only_the_latest_seed(self):
         cfg = cfg_for("adapter-fed")
@@ -222,7 +241,7 @@ def centralized_round_one(local_epochs):
     initial = build_method_model(cfg, 1, vocab, warmup_backbone(cfg, 1))
     fed_cfg = dataclasses.replace(cfg.fed, seed=1, rounds=1, local_epochs=local_epochs)
     result = run_experiment([Party.pooled(clients, vocab)], initial, fed_cfg, vocab, None)
-    pooled = merge_batches([make_batch(c.data.train, vocab, c.tgt.code) for c in clients])
+    pooled = merge_batches([make_batch([(c.data.train, c.tgt.code)], vocab) for c in clients])
     # epoch e of round r shuffles with the centralized stream's seed for (seed, r, e)
     epoch_seeds = [derive_seed(1, 0xCE27, 1, epoch) for epoch in range(local_epochs)]
     direct, stats = train_epochs(
@@ -239,11 +258,11 @@ class TestCentralized:
         assert sorted(result.best_models) == sorted(c.id for c in clients)
         assert result.best_round == {cid: 1 for cid in result.best_models}
         for cid, model in result.best_models.items():
-            assert model.params.equals(direct.params)
+            assert params_equal(model.params, direct.params)
             assert result.train_loss[1][cid] == stats.train_loss
 
     def test_a_round_runs_fed_local_epochs_epochs(self):
         _, result, direct, stats = centralized_round_one(local_epochs=2)
         for cid, model in result.best_models.items():
-            assert model.params.equals(direct.params)
+            assert params_equal(model.params, direct.params)
             assert result.train_loss[1][cid] == stats.train_loss
