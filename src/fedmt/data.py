@@ -204,13 +204,16 @@ def generate_corpus(
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x3C4D]))
     alphabet = _alphabet(data.alphabet_size)
-    probs = latent_distribution(data.alphabet_size, data.zipf_exponent)
+    # Generator.choice(alphabet_size, size=length, p=probs) draws exactly
+    # this inverse-CDF lookup, but re-validates ``p`` on every call.
+    cdf = latent_distribution(data.alphabet_size, data.zipf_exponent).cumsum()
+    cdf /= cdf[-1]
     lo, hi = data.length_range
     seen: set[tuple[int, ...]] = set()
     pairs: list[SentencePair] = []
     while len(pairs) < total:
         length = int(rng.integers(lo, hi + 1))
-        latent = tuple(int(x) for x in rng.choice(data.alphabet_size, size=length, p=probs))
+        latent = tuple(cdf.searchsorted(rng.random(length), side="right").tolist())
         if latent in seen:
             continue
         seen.add(latent)

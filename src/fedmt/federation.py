@@ -133,13 +133,6 @@ OPTIMIZERS = {"adam": _Adam, "sgd": _Sgd}
 # training
 
 
-@dataclass(frozen=True)
-class LocalStats:
-    train_loss: float  # token-mean over the epoch(s)
-    tokens: int
-    optimizer_steps: int
-
-
 def train_epochs(
     model: ToyModel,
     corpus: Batch,
@@ -148,18 +141,19 @@ def train_epochs(
     grad_accumulation: int,
     optimizer_kind: str,
     learning_rate: float,
-) -> tuple[ToyModel, LocalStats]:
+) -> tuple[ToyModel, float]:
     """One shuffled epoch per seed of gradient-accumulated steps over the
     rows of an encoded corpus, starting from a fresh optimizer. The single
     training loop of the simulator: the backbone warm-up and every party's
-    local update run it.
+    local update run it. Returns the trained model and its token-mean train
+    loss over the epochs.
 
     The optimizer steps once per ``grad_accumulation`` micro-batches (the
     trailing partial window still steps) on the token-mean gradient. A zero
     learning rate never steps. Frozen tensors are untouched. The trainable
     values live in one flat buffer, so each optimizer step is one
-    elementwise update; every step makes a new buffer, since earlier models
-    keep views of the old one.
+    elementwise update; the step returns the new values in a buffer of its
+    own, and the next model is built on views of it.
     """
     names = model.trainable_names()
     trainable = set(names)
@@ -169,7 +163,6 @@ def train_epochs(
     optimizer = OPTIMIZERS[optimizer_kind](learning_rate)
     loss_total = 0.0
     tokens_total = 0
-    steps = 0
     for epoch_seed in epoch_seeds:
         micro = batches(corpus, batch_size, seed=epoch_seed)
         for start in range(0, len(micro), grad_accumulation):
@@ -186,8 +179,7 @@ def train_epochs(
                 values = {name: flat[lo:hi].reshape(shape)
                           for name, lo, hi, shape in zip(names, bounds, bounds[1:], shapes)}
                 model = model.with_params(model.params.replace_values(values))
-                steps += 1
-    return model, LocalStats(loss_total / max(1, tokens_total), tokens_total, steps)
+    return model, loss_total / max(1, tokens_total)
 
 
 @dataclass(frozen=True)
@@ -225,7 +217,7 @@ def local_update(
     model: ToyModel,
     cfg: FedConfig,
     round_index: int,
-) -> tuple[ToyModel, LocalStats]:
+) -> tuple[ToyModel, float]:
     """``cfg.local_epochs`` epochs of :func:`train_epochs` on the party's
     pooled train set, with a fresh optimizer each round."""
     epoch_seeds = [
@@ -426,8 +418,8 @@ def run_experiment(
     for round_index in range(1, cfg.rounds + 1):
         train = {}
         for party in parties:
-            models[party.id], stats = local_update(party, models[party.id], cfg, round_index)
-            train.update((c.id, stats.train_loss) for c in party.clients)
+            models[party.id], loss = local_update(party, models[party.id], cfg, round_index)
+            train.update((c.id, loss) for c in party.clients)
         if assignment is not None:
             params = {pid: models[pid].params for pid in ids}
             aggregated = inner_cluster_aggregate(

@@ -376,10 +376,10 @@ def _stack_fwd(model: ToyModel, side: str, ids: np.ndarray, mask: np.ndarray,
     ``nn.attention_bias`` built once for every layer; when its Tk exceeds
     Tq the grid continues a prefix of Tk - Tq earlier positions.
     Cross-attention reads ``memory``, the encoder's (packed output, rows,
-    key bias). ``kv_cache`` maps each attention block to its transposed
-    keys and its values: self-attention appends its new ones,
-    cross-attention computes them once. Returns the packed output and the
-    cache that ``_stack_bwd`` takes.
+    key bias). ``kv_cache`` maps each attention block to its keys and
+    values: self-attention appends its new ones, cross-attention computes
+    them once. Returns the packed output and the cache that ``_stack_bwd``
+    takes.
 
     ``want`` names the tensors whose gradients the backward computes (see
     ``_tensors``). With ``want`` None (inference) no sublayer cache is kept,
@@ -406,7 +406,7 @@ def _stack_fwd(model: ToyModel, side: str, ids: np.ndarray, mask: np.ndarray,
             out, block_c = nn.attention_fwd(h, kv_in, projections, kv_bias, cfg.num_heads,
                                             rows, kv_rows, past)
             if kv_cache is not None:
-                kv_cache[key] = (block_c.kt, block_c.v)
+                kv_cache[key] = (block_c.k, block_c.v)
         x = x + out
         ad_c = None
         if _holds(p, site):

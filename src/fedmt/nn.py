@@ -16,6 +16,8 @@ keeps its derivative, ReLU its mask; without it they keep nothing.
 The model passes packed rows [N, d] of real tokens. Position-wise primitives
 do not care; attention takes each input's ``Rows`` and places the rows on
 the padded [B, T] grid only around its score, softmax and context products.
+It holds queries, keys and values alike, as head-major views [B, H, T, dh]
+of that grid, and its softmax weights key-major, [Tk, B, H, Tq].
 """
 
 from __future__ import annotations
@@ -182,7 +184,7 @@ class AttentionCache(NamedTuple):
     v_lin: tuple | None
     out_lin: tuple
     q: np.ndarray  # scaled queries [B, H, Tq, dh]
-    kt: np.ndarray  # transposed keys [B, H, dh, Tk], past keys included
+    k: np.ndarray  # keys [B, H, Tk, dh], past keys included
     v: np.ndarray  # values [B, H, Tk, dh], past values included
     attn: np.ndarray  # key-major softmax weights [Tk, B, H, Tq]
     scale: float
@@ -207,16 +209,15 @@ def attention_fwd(
     on the packed rows; only the score, softmax and context products run on
     the grid. ``bias`` is the additive key-major mask of
     :func:`attention_bias`, broadcastable to [Tk, B, 1, Tq]. ``past`` holds
-    the transposed keys [B, H, dh, Tp] and the values [B, H, Tp, dh] of
-    earlier positions, placed before those of ``kv_in``; ``kv_in`` may then
-    be None. The cache's ``kt`` and ``v`` hold every key and value, ``past``
-    included. ``p`` maps each projection (``q``, ``k``, ``v``, ``out``) to
-    its ``(weight, bias[, name])``.
+    the keys and the values [B, H, Tp, dh] of earlier positions, placed
+    before those of ``kv_in``; ``kv_in`` may then be None. The cache's ``k``
+    and ``v`` hold every key and value, ``past`` included. ``p`` maps each
+    projection (``q``, ``k``, ``v``, ``out``) to its ``(weight, bias[, name])``.
 
     The softmax weights are held key-major, so its max and sum reduce over
-    the leading axis, vectorised across batch, heads and queries. Keys are
-    held transposed: every product then reads its second operand with unit
-    stride along its last axis, which BLAS needs to run fast at these sizes.
+    the leading axis, vectorised across batch, heads and queries. The scores
+    and their gradient are written straight into that layout as key-major
+    products ``k @ q^T`` and ``v @ dctx^T``.
     """
     q_flat, q_cache = linear_fwd(q_in, *p["q"])
     scale = 1.0 / math.sqrt(q_flat.shape[-1] // num_heads)
@@ -224,24 +225,25 @@ def attention_fwd(
     q = q_rows.heads(q_flat, num_heads)
     k_cache = v_cache = None
     if kv_in is None:
-        kt, v = past
+        k, v = past
     else:
         k_flat, k_cache = linear_fwd(kv_in, *p["k"])
         v_flat, v_cache = linear_fwd(kv_in, *p["v"])
-        kt = np.ascontiguousarray(kv_rows.heads(k_flat, num_heads).swapaxes(-1, -2))
+        k = kv_rows.heads(k_flat, num_heads)
         v = kv_rows.heads(v_flat, num_heads)
         if past is not None:
-            kt = np.concatenate([past[0], kt], axis=3)
+            k = np.concatenate([past[0], k], axis=2)
             v = np.concatenate([past[1], v], axis=2)
     b, h, q_len, _ = q.shape
-    attn = np.empty((kt.shape[3], b, h, q_len), dtype=q.dtype)
-    np.add((q @ kt).transpose(3, 0, 1, 2), bias, out=attn)
+    attn = np.empty((k.shape[2], b, h, q_len), dtype=q.dtype)
+    np.matmul(k, q.swapaxes(-1, -2), out=attn.transpose(1, 2, 0, 3))
+    attn += bias
     attn -= attn.max(axis=0)
     np.exp(attn, out=attn)
     attn /= attn.sum(axis=0)
     ctx = q_rows.matmul(attn.transpose(1, 2, 3, 0), v)
     out, o_cache = linear_fwd(ctx, *p["out"])
-    return out, AttentionCache(q_cache, k_cache, v_cache, o_cache, q, kt, v, attn, scale,
+    return out, AttentionCache(q_cache, k_cache, v_cache, o_cache, q, k, v, attn, scale,
                                q_rows, kv_rows)
 
 
@@ -254,11 +256,11 @@ def attention_bwd(dout: np.ndarray, cache: AttentionCache, grads: dict):
     # softmax backward, key-major: attn * (dattn - sum over keys of attn *
     # dattn). Masked entries have attn == 0, so their gradient vanishes. The
     # expanded form attn * dattn - attn * sum loses digits on saturated rows.
-    dattn = (c.v @ np.ascontiguousarray(dctx.swapaxes(-1, -2))).transpose(2, 0, 1, 3)
-    dscores = np.multiply(dattn, c.attn, out=np.empty_like(c.attn))
-    np.subtract(dattn, dscores.sum(axis=0), out=dscores)
+    dscores = np.empty_like(c.attn)  # dattn, then the score gradient
+    np.matmul(c.v, dctx.swapaxes(-1, -2), out=dscores.transpose(1, 2, 0, 3))
+    dscores -= (dscores * c.attn).sum(axis=0)
     dscores *= c.attn
-    dq = c.q_rows.matmul(dscores.transpose(1, 2, 3, 0), c.kt.swapaxes(-1, -2))
+    dq = c.q_rows.matmul(dscores.transpose(1, 2, 3, 0), c.k)
     dq *= c.scale
     dk = c.kv_rows.matmul(dscores.transpose(1, 2, 0, 3), c.q)  # q holds the scale
     dq_in = linear_bwd(dq, c.q_lin, grads)

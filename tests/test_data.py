@@ -17,6 +17,7 @@ from fedmt.data import (
     export_corpus,
     generate_corpus,
     generate_languages,
+    latent_distribution,
     make_batch,
 )
 from fedmt.errors import ConfigurationError
@@ -128,6 +129,28 @@ class TestGenerateCorpus:
         for s, t in ds.train:
             latent = [inverse[token] for token in s]
             assert tgt.render(latent, alphabet, with_affix=True) == t
+
+    @pytest.mark.parametrize("zipf", [0.0, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("alphabet_size", [8, 32, 64])
+    def test_latents_are_the_draws_of_generator_choice(self, alphabet_size, zipf):
+        """The sampler looks up the symbol CDF itself; ``rng.choice`` with
+        the same ``p`` is its reference, draw for draw. Short lengths make
+        repeats, so rejected draws and every later length must stay in step."""
+        data = DataConfig(alphabet_size=alphabet_size, length_range=(1, 6), zipf_exponent=zipf)
+        src, tgt = generate_languages({"F": ["xx"], "G": ["yy"]}, data, seed=0)
+        inverse = {f"w{v:03d}": i for i, v in enumerate(src.table)}
+        probs = latent_distribution(alphabet_size, zipf)
+        for seed in range(5):
+            ds = generate_corpus(src, tgt, 30, data, seed=seed)
+            rng = np.random.default_rng(np.random.SeedSequence([seed, 0x3C4D]))
+            expected: list[tuple[int, ...]] = []
+            while len(expected) < 50:  # 30 train, 10 dev, 10 test
+                length = int(rng.integers(1, 7))
+                latent = tuple(int(x) for x in rng.choice(alphabet_size, size=length, p=probs))
+                if latent not in expected:
+                    expected.append(latent)
+            got = [tuple(inverse[token] for token in s) for s, _ in ds.train + ds.dev + ds.test]
+            assert got == expected
 
     def test_lengths_in_range(self):
         src, tgt, _ = two_languages()

@@ -289,9 +289,9 @@ class TestLocalUpdate:
     def test_zero_learning_rate_is_noop(self, tiny_setup):
         clients, vocab, model = tiny_setup
         cfg = FedConfig(rounds=1, learning_rate=0.0, grad_accumulation=2)
-        updated, stats = local_update(Party.of(clients[0], vocab), model, cfg, round_index=1)
+        updated, _ = local_update(Party.of(clients[0], vocab), model, cfg, round_index=1)
+        assert updated is model  # no step ran, so no model was rebuilt
         assert params_equal(updated.params, model.params)
-        assert stats.optimizer_steps == 0
 
     def test_training_reduces_own_loss(self, tiny_setup):
         clients, vocab, model = tiny_setup
@@ -319,9 +319,8 @@ class TestLocalUpdate:
         clients, vocab, model = tiny_setup
         cfg = FedConfig(rounds=1, learning_rate=1e-2, optimizer="sgd",
                         grad_accumulation=4)
-        updated, stats = local_update(Party.of(clients[0], vocab), model, cfg, round_index=1)
+        updated, _ = local_update(Party.of(clients[0], vocab), model, cfg, round_index=1)
         assert not params_equal(updated.params, model.params)
-        assert stats.tokens > 0
 
     def test_epochs_shuffle_with_the_client_stream(self, tiny_setup):
         # epoch e of round r shuffles with derive_seed(seed, 0x10CA1, r, e, _stable_id(id))
@@ -329,7 +328,7 @@ class TestLocalUpdate:
         client = clients[0]
         cfg = FedConfig(rounds=1, learning_rate=1e-2, grad_accumulation=1, local_epochs=2,
                         seed=4)
-        updated, stats = local_update(Party.of(client, vocab), model, cfg, round_index=1)
+        updated, loss = local_update(Party.of(client, vocab), model, cfg, round_index=1)
         corpus = make_batch([(client.data.train, client.tgt.code)], vocab)
 
         def trained(stream, *tail):
@@ -337,9 +336,9 @@ class TestLocalUpdate:
             return train_epochs(model, corpus, seeds, cfg.batch_size,
                                 cfg.grad_accumulation, cfg.optimizer, cfg.learning_rate)
 
-        direct, direct_stats = trained(0x10CA1, _stable_id(client.id))
+        direct, direct_loss = trained(0x10CA1, _stable_id(client.id))
         assert params_equal(updated.params, direct.params)
-        assert stats == direct_stats
+        assert loss == direct_loss
         other, _ = trained(0xCE27)  # the shuffle order shows in the result
         assert not params_equal(updated.params, other.params)
 
@@ -372,9 +371,9 @@ def test_flat_optimizer_step_is_bitwise_the_per_tensor_update(tiny_setup, kind):
     for dtype in ("float32", "float64"):
         start = build_model(dataclasses.replace(model.config, dtype=dtype), 0)
         corpus = make_batch([(clients[0].data.train, clients[0].tgt.code)], vocab)
-        trained, stats = train_epochs(start, corpus, [7], 2, 1, kind, 1e-2)
+        trained, _ = train_epochs(start, corpus, [7], 2, 1, kind, 1e-2)
         expected, steps = per_tensor_training(start, corpus, 7, kind, 1e-2, 2, 1)
-        assert stats.optimizer_steps == steps >= 3
+        assert steps >= 3
         assert params_equal(trained.params, expected.params)
         assert not params_equal(trained.params, start.params)
 

@@ -7,6 +7,13 @@ query-major with a boolean mask applied by ``np.where``, max and sum along
 the last axis, and ``mean``-based layer norm. Both run in float64; the
 kernels reorder sums, so they must agree within rtol 1e-10 (atol 0).
 
+Attention also runs in float32 against the float64 reference on the same
+inputs. float32 keeps about seven digits, and the large-scores case scales
+the rounding of its scores by their magnitude, near 10^3, before the softmax
+sees them; so the float32 kernel must agree within rtol 1e-3, with atol 1e-3
+times the largest magnitude of the reference array. A wrong layout or a
+misplaced product is off by order one.
+
 GELU's forward keeps its derivative instead of its input and tanh; it keeps
 every operation of the backward it replaced, so it must match that
 backward bitwise, in float32 and float64.
@@ -30,6 +37,7 @@ from fedmt.nn import (
 )
 
 RTOL = 1e-10
+RTOL32 = 1e-3
 GELU_C = math.sqrt(2.0 / math.pi)
 D, HEADS = 16, 2
 PROJECTIONS = ("q", "k", "v", "out")
@@ -195,31 +203,57 @@ def is_key_bias(name):
     return name == "k.bias"
 
 
-@pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
-def test_attention_matches_the_query_major_reference(case):
+def assert_matches(got, want, err_msg=""):
+    """The stated tolerance of ``got``'s dtype against a float64 reference."""
+    if got.dtype == np.float64:
+        np.testing.assert_allclose(got, want, rtol=RTOL, atol=0, err_msg=err_msg)
+    else:
+        np.testing.assert_allclose(got, want, rtol=RTOL32, atol=RTOL32 * np.abs(want).max(),
+                                   err_msg=err_msg)
+
+
+def check_attention(case, dtype):
     rng = np.random.default_rng(7)
     q_in, kv_in, p, q_rows, kv_rows, bias, allowed = ATTENTION_CASES[case](rng)
+    # the kernel runs in ``dtype``; the reference in float64 on the same values
+    q_in, kv_in, bias = q_in.astype(dtype), kv_in.astype(dtype), bias.astype(dtype)
+    p = {proj: tuple(a.astype(dtype) for a in p[proj]) for proj in PROJECTIONS}
+    ref_p = {proj: tuple(a.astype(np.float64) for a in p[proj]) for proj in PROJECTIONS}
     named = {proj: (*p[proj], f"attn.{proj}") for proj in PROJECTIONS}
     out, cache = attention_fwd(q_in, kv_in, named, bias, HEADS, q_rows, kv_rows)
-    ref_out, ref_cache = ref_attention_fwd(q_in, kv_in, p, allowed, q_rows, kv_rows)
-    np.testing.assert_allclose(out, ref_out, rtol=RTOL, atol=0)
+    ref_out, ref_cache = ref_attention_fwd(q_in.astype(np.float64), kv_in.astype(np.float64),
+                                           ref_p, allowed, q_rows, kv_rows)
+    assert out.dtype == dtype
+    assert_matches(out, ref_out)
 
-    dout = rng.normal(size=out.shape)
+    dout = rng.normal(size=out.shape).astype(dtype)
     grads = {}
     dq_in, dkv_in = attention_bwd(dout, cache, grads)
-    ref_dq, ref_dkv, ref_grads = ref_attention_bwd(dout, ref_cache, p, q_rows, kv_rows)
+    ref_dq, ref_dkv, ref_grads = ref_attention_bwd(dout.astype(np.float64), ref_cache, ref_p,
+                                                   q_rows, kv_rows)
     for got in (out, dq_in, dkv_in, *grads.values()):
-        assert np.all(np.isfinite(got))
-    np.testing.assert_allclose(dq_in, ref_dq, rtol=RTOL, atol=0)
-    np.testing.assert_allclose(dkv_in, ref_dkv, rtol=RTOL, atol=0)
+        assert got.dtype == dtype and np.all(np.isfinite(got))
+    assert_matches(dq_in, ref_dq)
+    assert_matches(dkv_in, ref_dkv)
     assert sorted(grads) == sorted(f"attn.{name}" for name in ref_grads)
+    # the key-bias gradient is rounding noise at the scale of the key gradients
+    noise = 1e-12 if dtype == np.float64 else RTOL32 * np.abs(ref_grads["k.weight"]).max()
     for name, want in ref_grads.items():
         if is_key_bias(name):
-            np.testing.assert_allclose(grads[f"attn.{name}"], 0.0, atol=1e-12)
+            np.testing.assert_allclose(grads[f"attn.{name}"], 0.0, atol=noise)
             np.testing.assert_allclose(want, 0.0, atol=1e-12)
         else:
-            np.testing.assert_allclose(grads[f"attn.{name}"], want, rtol=RTOL, atol=0,
-                                       err_msg=name)
+            assert_matches(grads[f"attn.{name}"], want, err_msg=name)
+
+
+@pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
+def test_attention_matches_the_query_major_reference(case):
+    check_attention(case, np.float64)
+
+
+@pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
+def test_float32_attention_matches_the_float64_reference(case):
+    check_attention(case, np.float32)
 
 
 def test_large_scores_do_reach_the_masked_range():
@@ -244,11 +278,11 @@ def test_kv_cached_step_matches_the_reference():
     x = rng.normal(size=(bsz, D))
     key_mask = np.ones((bsz, past_len + 1), bool)
     out, cache = attention_fwd(x, x, p, attention_bias(key_mask, np.float64, q_len=1), HEADS,
-                               rows, rows, (past_k.swapaxes(-1, -2), past_v))
+                               rows, rows, (past_k, past_v))
     ref_out, ref_cache = ref_attention_fwd(x, x, p, causal(key_mask, 1), rows, rows,
                                            (past_k, past_v))
     np.testing.assert_allclose(out, ref_out, rtol=RTOL, atol=0)
-    np.testing.assert_array_equal(cache.kt, ref_cache[4].swapaxes(-1, -2))
+    np.testing.assert_array_equal(cache.k, ref_cache[4])
     np.testing.assert_array_equal(cache.v, ref_cache[5])
 
 

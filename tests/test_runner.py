@@ -244,25 +244,25 @@ def centralized_round_one(local_epochs):
     pooled = merge_batches([make_batch([(c.data.train, c.tgt.code)], vocab) for c in clients])
     # epoch e of round r shuffles with the centralized stream's seed for (seed, r, e)
     epoch_seeds = [derive_seed(1, 0xCE27, 1, epoch) for epoch in range(local_epochs)]
-    direct, stats = train_epochs(
+    direct, train_loss = train_epochs(
         initial, pooled, epoch_seeds, fed_cfg.batch_size,
         fed_cfg.grad_accumulation, fed_cfg.optimizer, fed_cfg.learning_rate,
     )
-    return clients, result, direct, stats
+    return clients, result, direct, train_loss
 
 
 class TestCentralized:
     def test_round_one_matches_train_epochs_on_pooled_samples(self):
-        clients, result, direct, stats = centralized_round_one(local_epochs=1)
+        clients, result, direct, train_loss = centralized_round_one(local_epochs=1)
         # round 1 is the only round after round 0, so it is the selected one
         assert sorted(result.best_models) == sorted(c.id for c in clients)
         assert result.best_round == {cid: 1 for cid in result.best_models}
         for cid, model in result.best_models.items():
             assert params_equal(model.params, direct.params)
-            assert result.train_loss[1][cid] == stats.train_loss
+            assert result.train_loss[1][cid] == train_loss
 
     def test_a_round_runs_fed_local_epochs_epochs(self):
-        _, result, direct, stats = centralized_round_one(local_epochs=2)
+        _, result, direct, train_loss = centralized_round_one(local_epochs=2)
         for cid, model in result.best_models.items():
             assert params_equal(model.params, direct.params)
-            assert result.train_loss[1][cid] == stats.train_loss
+            assert result.train_loss[1][cid] == train_loss

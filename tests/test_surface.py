@@ -2,8 +2,10 @@
 
 Every function, class and method defined under ``src/fedmt`` must be
 referenced somewhere in ``src/`` besides its own definition; a helper that
-only a test calls belongs in the tests. Definitions come from an ``ast``
-walk, references from a whole-word match over the source text.
+only a test calls belongs in the tests. Every field of a dataclass there
+must be read somewhere in ``src/`` as ``.field``; a field that only a test
+reads is a value the program computes for nothing. Definitions and fields
+come from an ``ast`` walk, references from a match over the source text.
 """
 
 import ast
@@ -34,5 +36,29 @@ def unreferenced_definitions() -> list[str]:
     return sorted(unused)
 
 
+def is_dataclass(node: ast.AST) -> bool:
+    return isinstance(node, ast.ClassDef) and any(
+        ast.unparse(decorator).partition("(")[0] == "dataclass"
+        for decorator in node.decorator_list)
+
+
+def unread_dataclass_fields() -> list[str]:
+    sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    text = "\n".join(sources)
+    unread = []
+    for source in sources:
+        for node in filter(is_dataclass, ast.walk(ast.parse(source))):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    field = stmt.target.id
+                    if not re.search(rf"\.{re.escape(field)}\b", text):
+                        unread.append(f"{node.name}.{field}")
+    return sorted(unread)
+
+
 def test_every_definition_is_referenced_in_src():
     assert unreferenced_definitions() == sorted(PUBLIC_ONLY)
+
+
+def test_every_dataclass_field_is_read_in_src():
+    assert unread_dataclass_fields() == []
