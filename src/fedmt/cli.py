@@ -21,7 +21,7 @@ from .config import parse_config
 from .data import export_corpus
 from .errors import ConfigurationError, FedmtError
 from .federation import FedConfig
-from .model import save_checkpoint
+from .model import save_checkpoints
 from .params import count_params
 from .presets import mbart50_summary
 from .reporting import write_config_snapshot, write_seed_report, write_summary
@@ -73,10 +73,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         seed_dir = out_dir / f"seed_{seed}"
         write_seed_report(seed_dir, result)
         if args.save_checkpoints:
-            ckpt_dir = seed_dir / "checkpoints"
-            ckpt_dir.mkdir(exist_ok=True)
-            for cid in sorted(models):
-                save_checkpoint(models[cid], ckpt_dir / cid)
+            save_checkpoints(models, seed_dir / "checkpoints")
         del models  # not held through the next seed's run
         results.append(result)
         print(f"seed {seed}: mean dev loss {result.mean_round0_dev:.4f} -> "

@@ -234,6 +234,8 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         raise ConfigurationError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as err:
+        raise ConfigurationError(f"{path}: not UTF-8 ({err})") from err
     except json.JSONDecodeError as err:
         raise ConfigurationError(f"{path}: invalid JSON ({err})") from err
     if not isinstance(raw, dict):

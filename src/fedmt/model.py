@@ -37,7 +37,7 @@ import dataclasses
 import typing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -622,27 +622,46 @@ def decode_greedy(model: ToyModel, src: np.ndarray, src_mask: np.ndarray,
 # checkpoints
 
 
-def save_checkpoint(model: ToyModel, path_prefix: str | Path) -> None:
-    """Binary parameter file plus a key=value metadata sidecar holding the
-    ``ModelConfig`` fields."""
-    prefix = Path(path_prefix)
-    save_param_set(model.params, prefix.parent / (prefix.name + ".params"))
-    lines = [f"{f.name}={getattr(model.config, f.name)}" for f in dataclasses.fields(ModelConfig)]
-    meta_path = prefix.parent / (prefix.name + ".meta")
-    meta_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def save_checkpoints(models: Mapping[str, ToyModel], directory: str | Path) -> None:
+    """Write client models that share one config and frozen backbone into
+    ``directory``: ``backbone.meta`` holds the ``ModelConfig`` fields,
+    ``backbone.params`` every tensor no client trains, and
+    ``<client>.params`` that client's ``trainable_names()`` tensors."""
+    directory = Path(directory)
+    directory.mkdir(exist_ok=True)
+    first = next(iter(models.values()))
+    trained = {name for model in models.values() for name in model.trainable_names()}
+    save_param_set(first.params.filter(lambda name: name not in trained),
+                   directory / "backbone.params")
+    lines = [f"{f.name}={getattr(first.config, f.name)}" for f in dataclasses.fields(ModelConfig)]
+    (directory / "backbone.meta").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for cid in sorted(models):
+        names = set(models[cid].trainable_names())
+        save_param_set(models[cid].params.filter(names.__contains__), directory / f"{cid}.params")
 
 
 def load_checkpoint(path_prefix: str | Path) -> ToyModel:
-    """Read a checkpoint written by :func:`save_checkpoint`. A ``.meta``
-    sidecar with a missing, unknown or unparsable key raises
-    :class:`CheckpointError`, as does a damaged ``.params`` file, and so do
-    tensors that disagree with the layout the ``.meta`` config describes
-    (:func:`param_layout`): a name, shape or dtype, a missing backbone
-    tensor, or an adapter site holding only some of its tensors."""
+    """Read one client's model, written by :func:`save_checkpoints`: the
+    backbone files next to ``path_prefix`` merged with
+    ``path_prefix.params``. :class:`CheckpointError` is raised for a missing
+    backbone file, a client tensor the backbone file also holds, a
+    ``backbone.meta`` that is not UTF-8 or has a missing, unknown or
+    unparsable key, a damaged ``.params`` file, and merged tensors that
+    disagree with the config's layout (:func:`param_layout`): a name, shape
+    or dtype, a missing backbone tensor, or an adapter site holding only
+    some of its tensors."""
     prefix = Path(path_prefix)
-    meta_path = prefix.parent / (prefix.name + ".meta")
+    meta_path = prefix.parent / "backbone.meta"
+    backbone_path = prefix.parent / "backbone.params"
+    for path in (meta_path, backbone_path):
+        if not path.is_file():
+            raise CheckpointError(f"{path}: missing; the directory holds no frozen backbone")
+    try:
+        text = meta_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise CheckpointError(f"{meta_path}: not UTF-8 ({err})") from err
     meta: dict[str, str] = {}
-    for line in meta_path.read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         if line.strip():
             key, _, value = line.partition("=")
             meta[key] = value
@@ -657,7 +676,14 @@ def load_checkpoint(path_prefix: str | Path) -> ToyModel:
         raise CheckpointError(f"{meta_path}: {err}") from err
     if meta:
         raise CheckpointError(f"{meta_path}: unknown key {sorted(meta)[0]!r}")
-    params = load_param_set(prefix.parent / (prefix.name + ".params"))
+    backbone = load_param_set(backbone_path)
+    client_path = prefix.parent / (prefix.name + ".params")
+    client = load_param_set(client_path)
+    for name in client.names:
+        if name in backbone:
+            raise CheckpointError(f"{client_path}: tensor {name!r} is also in {backbone_path}")
+    params = NamedParamSet({name: pset.values(name)
+                            for pset in (backbone, client) for name in pset.names})
     layout = {s.name: s for s in param_layout(config)}
     held: set[AdapterSite | None] = {None}  # the backbone, then each site with a tensor
     for name in params.names:

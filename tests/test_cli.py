@@ -68,7 +68,11 @@ class TestRun:
         seed_dir = run_dir / "seed_1"
         for name in ("metrics.csv", "comm.csv", "clusters.txt"):
             assert (seed_dir / name).exists()
-        assert any((seed_dir / "checkpoints").glob("*.params"))
+        with open(seed_dir / "metrics.csv") as handle:
+            clients = {row["client"] for row in csv.DictReader(handle)}
+        assert len(clients) == 8
+        assert {p.name for p in (seed_dir / "checkpoints").iterdir()} == (
+            {"backbone.meta", "backbone.params"} | {f"{cid}.params" for cid in clients})
 
     def test_metrics_csv_structure(self, run_dir):
         with open(run_dir / "seed_1" / "metrics.csv") as handle:
@@ -205,6 +209,17 @@ class TestExitCodes:
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
         assert "configuration error: data.scale" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["run", "count-params"])
+    def test_config_not_utf8_exit_1_without_traceback(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b"\xff" + json.dumps(TINY_RUN).encode())
+        out = tmp_path / "x"
+        extra = ["--out", str(out)] if command == "run" else []
+        assert main([command, "--config", str(cfg_path), *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "not UTF-8" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("override, key", REFUSED_AT_PARSE)
     def test_value_refused_at_parse_exit_1_before_any_output(self, tmp_path, capsys,

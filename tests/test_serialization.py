@@ -1,4 +1,5 @@
-"""Binary parameter files and model checkpoints with metadata sidecars."""
+"""Binary parameter files and a seed's checkpoint directory: one frozen
+backbone with its config, and per client the tensors it trains."""
 
 import struct
 
@@ -12,10 +13,10 @@ from fedmt.model import (
     ModelConfig,
     build_model,
     load_checkpoint,
-    save_checkpoint,
+    save_checkpoints,
 )
 from fedmt.params import NamedParamSet, load_param_set, save_param_set
-from fedmt.runner import build_method_model, prepare_data
+from fedmt.runner import build_method_model, prepare_data, run_seed
 
 from test_federation import params_equal
 
@@ -55,8 +56,8 @@ def test_checkpoint_round_trip(tmp_path):
                          enc_layers=3, dec_layers=3, adapter_bottleneck=2,
                          max_seq_len=12, dtype="float32")
     model = build_model(config, 11, "middle")
-    save_checkpoint(model, tmp_path / "ckpt")
-    assert "adapter." not in (tmp_path / "ckpt.meta").read_text()
+    save_checkpoints({"ckpt": model}, tmp_path)
+    assert "adapter." not in (tmp_path / "backbone.meta").read_text()
     loaded = load_checkpoint(tmp_path / "ckpt")
     assert loaded.config == config
     assert [s.layer for s in loaded.active_sites()] == [1] * 5
@@ -86,12 +87,16 @@ def test_checkpoint_keeps_what_trains_and_where_it_syncs(tmp_path, method, pruni
     })
     _, _, vocab = prepare_data(cfg, 1)
     model = build_method_model(cfg, 1, vocab, backbone=None)
-    save_checkpoint(model, tmp_path / "ckpt")
+    save_checkpoints({"ckpt": model}, tmp_path)
     loaded = load_checkpoint(tmp_path / "ckpt")
     assert params_equal(loaded.params, model.params)
     assert loaded.trainable_names() == model.trainable_names()
     assert loaded.trainable_by_side() == model.trainable_by_side()
     trainable = set(model.trainable_names())
+    # the client file holds what trains, the backbone file the rest
+    assert set(load_param_set(tmp_path / "ckpt.params").names) == trainable
+    assert set(load_param_set(tmp_path / "backbone.params").names) == (
+        set(model.params.names) - trainable)
     if cfg.uses_adapters:
         assert "emb.token.weight" not in trainable
         assert trainable == {n for n in model.params.names if "_adapter." in n or "ln" in n}
@@ -107,7 +112,7 @@ def test_float64_checkpoint_round_trips_bitwise(tmp_path):
     model = model.with_params(model.params.replace_values(
         {"emb.token.weight": np.full((20, 8), 0.1)}
     ))
-    save_checkpoint(model, tmp_path / "ckpt")
+    save_checkpoints({"ckpt": model}, tmp_path)
     loaded = load_checkpoint(tmp_path / "ckpt")
     assert loaded.config == config
     assert loaded.params.values("emb.token.weight")[0, 0] == 0.1
@@ -118,47 +123,98 @@ def test_float64_checkpoint_round_trips_bitwise(tmp_path):
 
 
 @pytest.mark.parametrize("damage", ["missing", "unparsable", "invalid", "unknown", "legacy",
-                                    "disagrees", "dtype"])
+                                    "disagrees", "dtype", "not_utf8"])
 def test_damaged_meta_raises_checkpoint_error(tmp_path, damage):
     config = ModelConfig(vocab_size=20, model_dim=8, num_heads=2, ffn_dim=16,
                          enc_layers=1, dec_layers=1, adapter_bottleneck=2, max_seq_len=12)
-    save_checkpoint(build_model(config, 0), tmp_path / "ckpt")
-    meta = tmp_path / "ckpt.meta"
+    save_checkpoints({"ckpt": build_model(config, 0)}, tmp_path)
+    meta = tmp_path / "backbone.meta"
     text = meta.read_text()
-    meta.write_text({
-        "missing": text.replace("model_dim=8\n", ""),
-        "unparsable": text.replace("model_dim=8", "model_dim=eight"),
-        "invalid": text.replace("num_heads=2", "num_heads=0"),
-        "unknown": text + "colour=blue\n",
-        # the adapter lines of checkpoints from before the parameter set was
-        # the only record of a model's adapters
-        "legacy": text + "adapter.enc.layer0.attn_adapter=1\n",
-        "disagrees": text.replace("model_dim=8\n", "model_dim=16\n"),
-        "dtype": text.replace("dtype=float32", "dtype=float64"),
-    }[damage])
-    assert meta.read_text() != text
+    if damage == "not_utf8":
+        meta.write_bytes(b"\xff" + text.encode())
+    else:
+        meta.write_text({
+            "missing": text.replace("model_dim=8\n", ""),
+            "unparsable": text.replace("model_dim=8", "model_dim=eight"),
+            "invalid": text.replace("num_heads=2", "num_heads=0"),
+            "unknown": text + "colour=blue\n",
+            # the adapter lines of checkpoints from before the parameter set
+            # was the only record of a model's adapters
+            "legacy": text + "adapter.enc.layer0.attn_adapter=1\n",
+            "disagrees": text.replace("model_dim=8\n", "model_dim=16\n"),
+            "dtype": text.replace("dtype=float32", "dtype=float64"),
+        }[damage])
+    assert meta.read_bytes() != text.encode()
     with pytest.raises(CheckpointError):
         load_checkpoint(tmp_path / "ckpt")
 
 
 @pytest.mark.parametrize("dropped", ["enc.layer0.attn_adapter.up.bias",
                                      "dec.layer0.cross_adapter.down.weight",
-                                     "dec.layer0.ln2.weight"])
+                                     "dec.layer0.ln2.weight",
+                                     "enc.layer0.ffn.fc1.bias"])
 def test_params_missing_a_tensor_raise_checkpoint_error(tmp_path, dropped):
-    # one tensor of an adapter site, or of the backbone, is missing; a site
-    # missing all of its tensors is a pruned one and loads
+    # one tensor of an adapter site, or of the backbone, is missing from the
+    # file that holds it; a site missing all of its tensors is a pruned one
+    # and loads
     config = ModelConfig(vocab_size=20, model_dim=8, num_heads=2, ffn_dim=16,
                          enc_layers=1, dec_layers=1, adapter_bottleneck=2, max_seq_len=12)
     model = build_model(config, 0)
-    save_checkpoint(model, tmp_path / "ckpt")
-    save_param_set(model.params.filter(lambda name: name != dropped), tmp_path / "ckpt.params")
+    save_checkpoints({"ckpt": model}, tmp_path)
+    holder = next(path for path in (tmp_path / "ckpt.params", tmp_path / "backbone.params")
+                  if dropped in load_param_set(path))
+    written = load_param_set(holder)
+    save_param_set(written.filter(lambda name: name != dropped), holder)
     with pytest.raises(CheckpointError, match="missing tensor"):
         load_checkpoint(tmp_path / "ckpt")
     prefix = dropped.rsplit(".", 2)[0]
     if prefix.endswith("_adapter"):
-        save_param_set(model.params.filter(lambda name: not name.startswith(prefix + ".")),
-                       tmp_path / "ckpt.params")
+        save_param_set(written.filter(lambda name: not name.startswith(prefix + ".")), holder)
         assert prefix not in {s.prefix for s in load_checkpoint(tmp_path / "ckpt").active_sites()}
+
+
+@pytest.mark.parametrize("damage", ["backbone.meta", "backbone.params", "full client file"])
+def test_old_or_mixed_directory_raises_checkpoint_error(tmp_path, damage):
+    # a directory written before the backbone was stored once holds a full
+    # model per client and no backbone files; a full client file next to a
+    # backbone file repeats every frozen tensor
+    config = ModelConfig(vocab_size=20, model_dim=8, num_heads=2, ffn_dim=16,
+                         enc_layers=1, dec_layers=1, adapter_bottleneck=2, max_seq_len=12)
+    model = build_model(config, 0)
+    save_checkpoints({"ckpt": model}, tmp_path)
+    save_param_set(model.params, tmp_path / "ckpt.params")
+    if damage == "full client file":
+        frozen = sorted(set(model.params.names) - set(model.trainable_names()))
+        match = f"tensor '{frozen[0]}' is also in"
+    else:
+        (tmp_path / damage).unlink()
+        match = damage
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(tmp_path / "ckpt")
+
+
+@pytest.mark.parametrize("method", ["adapter-families", "model-fed", "centralized-adapter"])
+def test_seed_checkpoints_load_to_each_clients_model(tmp_path, method):
+    # run_seed's selected models: each client loads bitwise to its own
+    cfg = config_from_dict({
+        "mode": "m2en", "method": method, "seeds": [1], "evaluate_test_bleu": False,
+        "data": {"scale": 0.01, "alphabet_size": 16, "length_range": [3, 6]},
+        "model": {"model_dim": 8, "num_heads": 2, "ffn_dim": 16, "enc_layers": 1,
+                  "dec_layers": 1, "adapter_bottleneck": 2, "max_seq_len": 16},
+        "fed": {"rounds": 1, "grad_accumulation": 1},
+        "warmup": {"sentences_per_pair": 8, "epochs": 1},
+    })
+    _, models = run_seed(cfg, 1)
+    save_checkpoints(models, tmp_path)
+    assert {p.name for p in tmp_path.iterdir()} == (
+        {"backbone.meta", "backbone.params"} | {f"{cid}.params" for cid in models})
+    for cid, model in models.items():
+        loaded = load_checkpoint(tmp_path / cid)
+        assert loaded.config == model.config
+        assert loaded.params.compatible_with(model.params)
+        for name in model.params.names:
+            ours, saved = loaded.params.values(name), model.params.values(name)
+            assert ours.dtype == saved.dtype and ours.tobytes() == saved.tobytes()
 
 
 @pytest.mark.parametrize("cut", ["magic", "version", "header", "payload", "trailing", "twice"])
