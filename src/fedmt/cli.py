@@ -62,7 +62,7 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config)
-    if args.seeds:
+    if args.seeds is not None:
         cfg = dataclasses.replace(cfg, seeds=_parse_seeds(args.seeds))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

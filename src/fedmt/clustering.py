@@ -18,6 +18,7 @@ import numpy as np
 from .data import batches
 from .errors import DegenerateFeatureError, PartitionError
 from .model import Batch, ToyModel, grad
+from .params import count_params
 from .presets import Client
 
 ABLATIONS = ("both", "encoder_only", "decoder_only")
@@ -126,16 +127,11 @@ def compute_gradient_feature(
     """
     site = next(s for s in probe_model.active_sites() if s.side == "encoder")
     slice_names = [n for n in probe_model.params.names if n.startswith(site.prefix + ".")]
-    accum = {name: np.zeros(probe_model.params.values(name).shape, dtype=np.float64)
-             for name in slice_names}
-    needed = set(slice_names)
+    accum = np.zeros(count_params(probe_model.params, slice_names), dtype=np.float64)
     for batch in batches(train, PROBE_BATCH_SIZE):
-        _, grads = grad(probe_model, batch, needed=needed)
-        for name in slice_names:
-            accum[name] += grads[name]
-    flat = np.concatenate([accum[name].reshape(-1) for name in slice_names])
-    flat /= train.size
-    return GradientFeature(client_id, flat)
+        accum += grad(probe_model, batch, slice_names)[1]
+    accum /= train.size
+    return GradientFeature(client_id, accum)
 
 
 def _cosine_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:

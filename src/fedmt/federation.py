@@ -156,7 +156,6 @@ def train_epochs(
     own, and the next model is built on views of it.
     """
     names = model.trainable_names()
-    trainable = set(names)
     shapes = [model.params.values(name).shape for name in names]
     bounds = np.cumsum([0] + [int(np.prod(shape)) for shape in shapes])
     flat = np.concatenate([model.params.values(name).ravel() for name in names])
@@ -167,12 +166,10 @@ def train_epochs(
         micro = batches(corpus, batch_size, seed=epoch_seed)
         for start in range(0, len(micro), grad_accumulation):
             window = merge_batches(micro[start : start + grad_accumulation])
-            result, grads = grad(model, window, needed=trainable)
+            result, flat_grad = grad(model, window, names)
             loss_total += result.total
             tokens_total += result.token_count
             if learning_rate > 0:
-                flat_grad = np.concatenate([grads[name].ravel() for name in names])
-                del grads
                 flat_grad /= result.token_count
                 flat = optimizer.step(flat, flat_grad)
                 del flat_grad  # now the step's denominator

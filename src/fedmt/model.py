@@ -37,7 +37,7 @@ import dataclasses
 import typing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -568,19 +568,21 @@ def loss(model: ToyModel, batch: Batch) -> LossResult:
     return LossResult(total, count)
 
 
-def grad(model: ToyModel, batch: Batch, needed: set[str]):
-    """Loss plus analytic gradients of the *summed* loss over the tensors in
-    ``needed``, exactly those."""
+def grad(model: ToyModel, batch: Batch, names: Sequence[str]):
+    """Loss plus the analytic gradient of the *summed* loss over the tensors
+    ``names``, exactly those: one vector in the model's dtype, each tensor
+    raveled and concatenated in the order given."""
     _check_batch(model, batch)
-    logits, cache = forward(model, batch, needed.__contains__)
+    logits, cache = forward(model, batch, set(names).__contains__)
     total, count, dlogits = _cross_entropy(logits, batch)
     if not np.isfinite(total):
         raise NumericError("non-finite loss")
-    grads = {n: g for n, g in backward(model, batch, cache, dlogits).items() if n in needed}
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for {name!r}")
-    return LossResult(total, count), grads
+    grads = backward(model, batch, cache, dlogits)
+    vector = np.concatenate([grads[name].ravel() for name in names])
+    if not np.isfinite(vector).all():
+        name = next(n for n in names if not np.isfinite(grads[n]).all())
+        raise NumericError(f"non-finite gradient for {name!r}")
+    return LossResult(total, count), vector
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from fedmt.runner import build_method_model, prepare_data, run_seed, warmup_back
 
 from test_bleu import naive_pooled_bleu
 from test_federation import global_aggregate, params_equal
+from test_grad import by_name
 
 
 def report(criterion, text):
@@ -183,7 +184,8 @@ def test_criterion_3_gradient_finite_differences():
         tgt_mask[1, 4:] = False
         batch = Batch(src, src_mask, tgt_in, tgt_gold, tgt_mask)
 
-        _, grads = grad(model, batch, needed=set(model.params.names))
+        _, vector = grad(model, batch, model.params.names)
+        grads = by_name(model, model.params.names, vector)
         picker = np.random.default_rng(batch_seed + 50)
         for name in sorted(grads):
             flat = model.params.values(name).reshape(-1)

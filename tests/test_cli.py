@@ -231,11 +231,13 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_negative_seed_override_exit_1(self, tmp_path, capsys):
+        # an empty override is refused like a bad one, not read as no override
         cfg_path = write_config(tmp_path, TINY_RUN)
         out = tmp_path / "x"
-        assert main(["run", "--config", cfg_path, "--out", str(out), "--seeds=-3"]) == 1
-        assert "seeds: " in capsys.readouterr().err
-        assert not out.exists()
+        for seeds in ("--seeds=-3", "--seeds="):
+            assert main(["run", "--config", cfg_path, "--out", str(out), seeds]) == 1, seeds
+            assert "seeds: " in capsys.readouterr().err
+            assert not out.exists()
 
 
 @pytest.mark.parametrize("method, pruning", METHOD_PRUNING)
@@ -275,7 +277,7 @@ tgt_mask = np.arange(14) < tgt_len[:, None]
 src, tgt_in, tgt_gold = rng.integers(3, 90, size=(3, 64, 14))
 tgt_in[:, 0] = 1
 batch = Batch(src, src_mask, tgt_in, tgt_gold, tgt_mask)
-needed = set(model.trainable_names())
+needed = model.trainable_names()
 grad(model, batch, needed)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(4):

@@ -30,6 +30,8 @@ from fedmt.model import ModelConfig, build_model, grad, merge_batches
 from fedmt.params import NamedParamSet, count_params
 from fedmt.presets import make_clients
 
+from test_grad import by_name
+
 
 def params_equal(a, b):
     """Bitwise equality of two parameter sets: names, shapes and values."""
@@ -348,11 +350,11 @@ def per_tensor_training(model, corpus, seed, kind, lr, batch_size, accumulation)
     values = {name: model.params.values(name) for name in model.trainable_names()}
     first = {name: np.zeros_like(v) for name, v in values.items()}
     second = {name: np.zeros_like(v) for name, v in values.items()}
+    names = list(values)
     micro = batches(corpus, batch_size, seed=seed)
     for t, start in enumerate(range(0, len(micro), accumulation), 1):
-        result, grads = grad(model, merge_batches(micro[start:start + accumulation]),
-                             needed=set(values))
-        for name, g in grads.items():
+        result, vector = grad(model, merge_batches(micro[start:start + accumulation]), names)
+        for name, g in by_name(model, names, vector).items():
             g = g / result.token_count
             if kind == "sgd":
                 values[name] = values[name] - lr * g

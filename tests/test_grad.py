@@ -1,8 +1,12 @@
 """Analytic gradients against central finite differences (float64)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import fedmt.model
+from fedmt.errors import NumericError
 from fedmt.model import Batch, ModelConfig, build_model, grad, loss
 
 SMOOTH = ModelConfig(vocab_size=19, model_dim=8, num_heads=2, ffn_dim=16,
@@ -24,9 +28,20 @@ def randomized_model(seed):
     return model.with_params(model.params.replace_values(updates))
 
 
+def by_name(model, names, vector):
+    """The tensors of a gradient vector that ``grad(model, batch, names)``
+    returned, by name: each a view of its slice of the vector."""
+    tensors = [model.params.values(name) for name in names]
+    assert sum(t.size for t in tensors) == vector.size
+    pieces = np.split(vector, np.cumsum([t.size for t in tensors])[:-1])
+    return {name: piece.reshape(t.shape) for name, piece, t in zip(names, pieces, tensors)}
+
+
 def every_gradient(model, batch):
-    """Loss and the gradients of every tensor, backbone included."""
-    return grad(model, batch, needed=set(model.params.names))
+    """Loss and the gradients of every tensor, backbone included, by name."""
+    names = model.params.names
+    result, vector = grad(model, batch, names)
+    return result, by_name(model, names, vector)
 
 
 def random_batch(seed):
@@ -82,11 +97,12 @@ class TestGradients:
 
     def test_frozen_tensors_get_no_gradient(self):
         model = randomized_model(5)
-        trainable = set(model.trainable_names())
-        _, grads = grad(model, random_batch(2), trainable)
-        frozen = set(model.params.names) - trainable
-        assert frozen and not (set(grads) & frozen)
-        assert set(grads) == trainable
+        batch = random_batch(2)
+        trainable = model.trainable_names()
+        _, vector = grad(model, batch, trainable)
+        assert set(model.params.names) - set(trainable)
+        _, everything = every_gradient(model, batch)
+        assert np.array_equal(vector, np.concatenate([everything[n].ravel() for n in trainable]))
 
     def test_linearity_in_loss_scale(self):
         # duplicating every sentence duplicates the summed loss and gradients
@@ -109,6 +125,55 @@ class TestGradients:
                                         {"enc.layer0.attn_adapter.up.bias"}],
                              ids=["weight", "bias"])
     def test_needed_filter_restricts_outputs(self, wanted):
+        # the forward names the whole layer, so the backward also writes
+        # the gradient of the tensor not asked for; the vector leaves it out
         model = randomized_model(11)
-        _, grads = grad(model, random_batch(5), needed=wanted)
-        assert set(grads) == wanted
+        batch = random_batch(5)
+        _, vector = grad(model, batch, sorted(wanted))
+        _, everything = every_gradient(model, batch)
+        (name,) = wanted
+        assert np.array_equal(vector, everything[name].ravel())
+
+    def test_vector_concatenates_the_tensors_in_the_order_given(self):
+        model = build_model(dataclasses.replace(SMOOTH, dtype="float32"), 2)
+        batch = random_batch(6)
+        names = ["enc.layer0.attn_adapter.up.weight", "dec.layer0.ln2.bias", "emb.token.weight"]
+        alone = {name: grad(model, batch, [name])[1] for name in names}
+        for order in (names, names[::-1]):
+            _, vector = grad(model, batch, order)
+            assert vector.dtype == np.float32
+            assert np.array_equal(vector, np.concatenate([alone[name] for name in order]))
+
+
+def poison_backward(monkeypatch, victims):
+    """Make ``fedmt.model.backward`` write a NaN into each tensor ``victims``."""
+    real = fedmt.model.backward
+
+    def backward(*args):
+        grads = real(*args)
+        for name in victims:
+            grads[name].flat[-1] = np.nan
+        return grads
+
+    monkeypatch.setattr(fedmt.model, "backward", backward)
+
+
+class TestNonFiniteGradient:
+    LAYER = ["enc.layer0.attn_adapter.up.weight", "enc.layer0.attn_adapter.up.bias"]
+
+    def test_names_the_first_non_finite_tensor_in_the_order_given(self, monkeypatch):
+        model = randomized_model(13)
+        poison_backward(monkeypatch, self.LAYER)
+        for names in (self.LAYER, self.LAYER[::-1]):
+            with pytest.raises(NumericError, match=rf"^non-finite gradient for '{names[0]}'$"):
+                grad(model, random_batch(7), names)
+
+    def test_a_tensor_not_named_is_not_checked(self, monkeypatch):
+        # naming the weight makes the backward write the layer's bias too
+        model = randomized_model(13)
+        weight, bias = self.LAYER
+        poison_backward(monkeypatch, [bias])
+        _, vector = grad(model, random_batch(7), [weight])
+        assert np.isfinite(vector).all()
+        with pytest.raises(NumericError, match=rf"^non-finite gradient for '{bias}'$"):
+            grad(model, random_batch(7), self.LAYER)

@@ -24,6 +24,7 @@ from fedmt.model import (
 from fedmt.nn import adapter_fwd, sinusoidal_positions
 
 from test_federation import params_equal
+from test_grad import by_name
 
 TINY = ModelConfig(vocab_size=23, model_dim=16, num_heads=2, ffn_dim=32,
                    enc_layers=2, dec_layers=2, adapter_bottleneck=4,
@@ -352,7 +353,7 @@ class TestWhatAPassKeeps:
         logits, cache = forward(model, batch, want=None)
         assert cache is None and kept_cache is not None
         assert np.array_equal(logits, kept_logits)
-        assert result.total == grad(model, batch, set(model.params.names))[0].total
+        assert result.total == grad(model, batch, model.params.names)[0].total
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_decoding_holds_what_an_inference_pass_holds(self, dtype):
@@ -372,15 +373,15 @@ class TestWhatAPassKeeps:
     def test_adapter_gradient_holds_less_than_a_full_one(self, dtype):
         config = ModelConfig(vocab_size=90, dtype=dtype)
         model, batch = build_model(config, 0), probe_batch()
-        every = set(model.params.names)
-        needed = {n for n in model.trainable_names() if n.startswith("enc.layer1.ffn_adapter.")}
+        every = model.params.names
+        needed = [n for n in model.trainable_names() if n.startswith("enc.layer1.ffn_adapter.")]
         assert len(needed) == 4
         narrow_peak, (_, narrow) = traced_peak(lambda: grad(model, batch, needed))
         full_peak, (_, everything) = traced_peak(lambda: grad(model, batch, every))
         assert narrow_peak < 0.8 * full_peak
-        assert sorted(narrow) == sorted(needed)
-        for name in needed:
-            assert np.array_equal(narrow[name], everything[name]), name
+        everything = by_name(model, every, everything)
+        for name, g in by_name(model, needed, narrow).items():
+            assert np.array_equal(g, everything[name]), name
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_a_gradient_pass_keeps_one_array_per_gelu(self, dtype):
@@ -393,19 +394,20 @@ class TestWhatAPassKeeps:
         # 27.7 units; its bound is that reading plus one unit and a bit.
         config = ModelConfig(vocab_size=90, dtype=dtype)
         model, batch = build_model(config, 0), probe_batch()
-        every = set(model.params.names)
+        every = model.params.names
         n = max(int(batch.src_mask.sum()), int(batch.tgt_mask.sum()))
         unit = n * config.ffn_dim * config.np_dtype.itemsize
-        needed = {name for name in model.trainable_names()
-                  if name.startswith("enc.layer0.attn_adapter.")}
+        needed = [name for name in model.trainable_names()
+                  if name.startswith("enc.layer0.attn_adapter.")]
         assert len(needed) == 4
         grad(model, batch, needed)  # warm the shared position table
         adapter_peak, (_, adapter) = traced_peak(lambda: grad(model, batch, needed))
         full_peak, (_, everything) = traced_peak(lambda: grad(model, batch, every))
         assert adapter_peak < 22 * unit
         assert full_peak < 29 * unit
-        for name in needed:
-            assert np.array_equal(adapter[name], everything[name]), name
+        everything = by_name(model, every, everything)
+        for name, g in by_name(model, needed, adapter).items():
+            assert np.array_equal(g, everything[name]), name
 
     def test_the_forward_alone_decides_what_a_backward_writes(self):
         # the backward takes no predicate: it writes the gradients of exactly
@@ -419,7 +421,8 @@ class TestWhatAPassKeeps:
         batch = random_batch(TINY)
         logits, cache = forward(model, batch, want=lambda name: "adapter" in name)
         grads = backward(model, batch, cache, _cross_entropy(logits, batch)[2])
-        _, everything = grad(model, batch, set(model.params.names))
+        _, everything = grad(model, batch, model.params.names)
+        everything = by_name(model, model.params.names, everything)
         assert len(adapters) == 4 * len(adapter_sites(TINY))
         assert set(grads) == adapters
         for name in adapters:
