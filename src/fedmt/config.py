@@ -227,13 +227,28 @@ def config_from_dict(raw: Mapping[str, Any]) -> ExperimentConfig:
     return _build_dataclass(ExperimentConfig, raw, "")
 
 
+def _unique_keys(value: Any, path: str = "") -> Any:
+    """JSON parsed with ``object_pairs_hook=tuple``, as dicts; refuses a repeated key."""
+    if isinstance(value, list):
+        return [_unique_keys(item, f"{path}[{i}]") for i, item in enumerate(value)]
+    if not isinstance(value, tuple):
+        return value
+    out: dict[str, Any] = {}
+    for key, item in value:
+        name = f"{path}.{key}" if path else key
+        if key in out:
+            raise ConfigurationError(f"{name}: repeated key")
+        out[key] = _unique_keys(item, name)
+    return out
+
+
 def parse_config(path: str | Path) -> ExperimentConfig:
     """Load and validate a JSON experiment config."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigurationError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = _unique_keys(json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=tuple))
     except UnicodeDecodeError as err:
         raise ConfigurationError(f"{path}: not UTF-8 ({err})") from err
     except json.JSONDecodeError as err:

@@ -348,14 +348,13 @@ class RoundState:
 @dataclass
 class FedRunResult:
     """Per-round losses of every client, parties in the run's order and each
-    party's clients in id order, and each client's selected checkpoint, the
-    one its party selected. Entry ``r`` of ``dev_loss`` and ``train_loss`` is
-    round ``r``; round 0, the initial model, has no train losses."""
+    party's clients in id order; each client's selected round, its party's;
+    the ledger. Entry ``r`` of ``dev_loss`` and ``train_loss`` is round
+    ``r``; round 0, the initial model, has no train losses."""
 
     dev_loss: list[dict[str, float]]
     train_loss: list[dict[str, float]]
     best_round: dict[str, int]
-    best_models: dict[str, ToyModel]
     ledger: CommLedger
 
 
@@ -377,7 +376,7 @@ def run_experiment(
     vocab: Vocab,
     assignment: ClusterAssignment | None,
     round_hook: Callable[[RoundState], None] | None = None,
-) -> FedRunResult:
+) -> tuple[FedRunResult, dict[str, ToyModel]]:
     """T rounds of local updates plus (optional) inner-cluster aggregation,
     every party starting from ``initial``. The one round loop of the
     simulator: federated runs have one party per client, centralized runs
@@ -389,9 +388,9 @@ def run_experiment(
     clients: among rounds 1..T, the first round whose post-aggregation
     parameters give the lowest mean. Round 0, the initial model, is never
     selected, even when its dev loss is lower. Each client's dev split is
-    encoded once, before round 0. ``round_hook`` is the one view
-    of the parameters of every round: the result keeps only the selected
-    models.
+    encoded once, before round 0. Returns the run's record and each
+    client's selected model, its party's. ``round_hook`` is the one view of
+    the parameters of every round.
     """
     ids = [p.id for p in parties]
     if assignment is not None:
@@ -435,9 +434,6 @@ def run_experiment(
         if round_hook is not None:
             round_hook(RoundState(round_index, {pid: models[pid].params for pid in ids},
                                   dev, train))
-    return FedRunResult(
-        dev_loss, train_loss,
-        {c.id: best[p.id][1] for p in parties for c in p.clients},
-        {c.id: best[p.id][2] for p in parties for c in p.clients},
-        ledger,
-    )
+    best_round = {c.id: best[p.id][1] for p in parties for c in p.clients}
+    return (FedRunResult(dev_loss, train_loss, best_round, ledger),
+            {c.id: best[p.id][2] for p in parties for c in p.clients})

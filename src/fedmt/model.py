@@ -647,8 +647,8 @@ def load_checkpoint(path_prefix: str | Path) -> ToyModel:
     backbone files next to ``path_prefix`` merged with
     ``path_prefix.params``. :class:`CheckpointError` is raised for a missing
     backbone file, a client tensor the backbone file also holds, a
-    ``backbone.meta`` that is not UTF-8 or has a missing, unknown or
-    unparsable key, a damaged ``.params`` file, and merged tensors that
+    ``backbone.meta`` that is not UTF-8 or has a missing, unknown, repeated
+    or unparsable key, a damaged ``.params`` file, and merged tensors that
     disagree with the config's layout (:func:`param_layout`): a name, shape
     or dtype, a missing backbone tensor, or an adapter site holding only
     some of its tensors."""
@@ -666,6 +666,8 @@ def load_checkpoint(path_prefix: str | Path) -> ToyModel:
     for line in text.splitlines():
         if line.strip():
             key, _, value = line.partition("=")
+            if key in meta:
+                raise CheckpointError(f"{meta_path}: repeated key {key!r}")
             meta[key] = value
     hints = typing.get_type_hints(ModelConfig)
     try:

@@ -24,21 +24,20 @@ def fnum(value) -> str:
 
 
 def write_metrics_csv(path: Path, result: SeedResult) -> None:
+    """Round rows, round-major with clients sorted, then final rows; a client id is its pair."""
+    run = result.run
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["phase", "round", "client", "pair",
                          "train_loss", "dev_loss", "best_round", "test_bleu"])
-        for row in sorted(result.round_rows, key=lambda row: (row["round"], row["client"])):
-            phase = "round0" if row["round"] == 0 else "round"
-            writer.writerow([
-                phase, row["round"], row["client"], row["pair"],
-                fnum(row["train_loss"]), fnum(row["dev_loss"]), "", "",
-            ])
-        for row in sorted(result.final_rows, key=lambda row: row["client"]):
-            writer.writerow([
-                "final", "", row["client"], row["pair"],
-                "", fnum(row["dev_loss"]), row["best_round"], fnum(row["test_bleu"]),
-            ])
+        for index, losses in enumerate(run.dev_loss):
+            phase = "round0" if index == 0 else "round"
+            for cid in sorted(losses):
+                writer.writerow([phase, index, cid, cid, fnum(run.train_loss[index].get(cid)),
+                                 fnum(losses[cid]), "", ""])
+        for cid, best in sorted(run.best_round.items()):
+            writer.writerow(["final", "", cid, cid, "", fnum(run.dev_loss[best][cid]),
+                             best, fnum(result.test_bleu.get(cid))])
 
 
 def write_comm_csv(path: Path, ledger: CommLedger) -> None:
@@ -66,8 +65,7 @@ def _mean(values: Sequence[float]) -> float:
 
 def write_summary(out_dir: Path, cfg: ExperimentConfig, results: list[SeedResult]) -> dict:
     """Seed-averaged per-pair BLEU, macro/micro, and transfer-time table."""
-    pairs = sorted(row["client"] for row in results[0].final_rows) if cfg.evaluate_test_bleu else []
-    bleu_by_seed = [{row["client"]: row["test_bleu"] for row in r.final_rows} for r in results]
+    pairs = sorted(results[0].test_bleu)
     summary: dict = {
         "method": cfg.method,
         "mode": cfg.mode,
@@ -75,19 +73,19 @@ def write_summary(out_dir: Path, cfg: ExperimentConfig, results: list[SeedResult
         "trainable_params": results[0].trainable_params,
         "total_params": results[0].total_params,
         "per_pair_bleu": {
-            p: _mean([bleu[p] for bleu in bleu_by_seed]) for p in pairs
+            p: _mean([r.test_bleu[p] for r in results]) for p in pairs
         },
         "macro_bleu": _mean([r.macro for r in results]) if pairs else None,
         "micro_bleu": _mean([r.micro for r in results]) if pairs else None,
         "mean_round0_dev_loss": _mean([r.mean_round0_dev for r in results]),
         "mean_best_dev_loss": _mean([r.mean_best_dev for r in results]),
-        "comm_total_bytes": _mean([float(r.ledger.total_bytes()) for r in results]),
-        "comm_total_seconds": _mean([r.ledger.total_seconds() for r in results]),
+        "comm_total_bytes": _mean([float(r.run.ledger.total_bytes()) for r in results]),
+        "comm_total_seconds": _mean([r.run.ledger.total_seconds() for r in results]),
     }
 
     sync_params = sync_param_count(cfg, results[0].trainable_params)
     payload_bytes, per_client_s = cfg.fed.transfer(sync_params)
-    n_clients = len(results[0].final_rows)
+    n_clients = len(results[0].run.best_round)
     serialized_s = per_client_s * n_clients
     summary["transfer"] = {
         "payload_bytes_per_client": payload_bytes,
@@ -134,5 +132,5 @@ def write_summary(out_dir: Path, cfg: ExperimentConfig, results: list[SeedResult
 def write_seed_report(seed_dir: Path, result: SeedResult) -> None:
     seed_dir.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(seed_dir / "metrics.csv", result)
-    write_comm_csv(seed_dir / "comm.csv", result.ledger)
+    write_comm_csv(seed_dir / "comm.csv", result.run.ledger)
     write_clusters_txt(seed_dir / "clusters.txt", result.assignment)

@@ -18,7 +18,7 @@ from .bleu import macro_micro
 from .clustering import ClusterAssignment, assemble, compute_gradient_feature
 from .config import ExperimentConfig
 from .data import BOS, EOS, LanguageSpec, Vocab, batches, build_vocab, derive_seed, make_batch
-from .federation import CommLedger, Party, run_experiment, train_epochs
+from .federation import FedRunResult, Party, run_experiment, train_epochs
 from .model import ModelConfig, ToyModel, build_model, decode_greedy
 from .params import NamedParamSet, count_params
 from .presets import Client, make_clients, make_warmup_data
@@ -164,27 +164,27 @@ def evaluate_test_bleu(
 
 @dataclass
 class SeedResult:
-    """One seed's report figures. The rows come in the run's client order,
-    which the seed means below sum in; ``metrics.csv`` sorts them."""
+    """One seed's report figures. ``test_bleu`` is empty without test
+    decoding; the seed means sum in the run's client order."""
 
     seed: int
-    round_rows: list[dict]
-    final_rows: list[dict]
+    run: FedRunResult
+    test_bleu: dict[str, float]
     macro: float | None
     micro: float | None
-    ledger: CommLedger
     assignment: ClusterAssignment | None
     trainable_params: int
     total_params: int
 
     @property
     def mean_round0_dev(self) -> float:
-        losses = [row["dev_loss"] for row in self.round_rows if row["round"] == 0]
-        return sum(losses) / len(losses)
+        losses = self.run.dev_loss[0]
+        return sum(losses.values()) / len(losses)
 
     @property
     def mean_best_dev(self) -> float:
-        return sum(row["dev_loss"] for row in self.final_rows) / len(self.final_rows)
+        best = self.run.best_round
+        return sum(self.run.dev_loss[r][cid] for cid, r in best.items()) / len(best)
 
 
 def _decode_cap(cfg: ExperimentConfig) -> int:
@@ -203,33 +203,20 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> tuple[SeedResult, dict[str, To
     parties = ([Party.pooled(clients, vocab)] if cfg.is_centralized
                else [Party.of(client, vocab) for client in clients])
     assignment = make_assignment(cfg, seed, clients, initial, parties)
-    result = run_experiment(parties, initial, fed_cfg, vocab, assignment)
-    pairs = {c.id: c.data.pair for c in clients}
-    round_rows = [
-        {"round": index, "client": cid, "pair": pairs[cid],
-         "train_loss": result.train_loss[index].get(cid), "dev_loss": dev_loss}
-        for index, losses in enumerate(result.dev_loss)
-        for cid, dev_loss in losses.items()
-    ]
-    per_pair: dict[str, float] = {}
+    run, best_models = run_experiment(parties, initial, fed_cfg, vocab, assignment)
+    test_bleu: dict[str, float] = {}
     macro = micro = None
     if cfg.evaluate_test_bleu:
-        outputs = evaluate_test_bleu(result.best_models, clients, vocab, _decode_cap(cfg))
+        outputs = evaluate_test_bleu(best_models, clients, vocab, _decode_cap(cfg))
         scores, macro, micro = macro_micro(outputs)
-        per_pair = {s.pair: s.bleu for s in scores}
-    final_rows = [
-        {"client": cid, "pair": pairs[cid], "best_round": best,
-         "dev_loss": result.dev_loss[best][cid], "test_bleu": per_pair.get(cid)}
-        for cid, best in result.best_round.items()
-    ]
+        test_bleu = {s.pair: s.bleu for s in scores}
     return SeedResult(
         seed=seed,
-        round_rows=round_rows,
-        final_rows=final_rows,
+        run=run,
+        test_bleu=test_bleu,
         macro=macro,
         micro=micro,
-        ledger=result.ledger,
         assignment=assignment,
         trainable_params=count_params(initial.params, initial.trainable_names()),
         total_params=count_params(initial.params),
-    ), result.best_models
+    ), best_models

@@ -288,7 +288,7 @@ def test_criterion_6_every_method_learns(criterion_6_results):
     res = criterion_6_results
     for label, r in res.items():
         assert r.mean_best_dev < r.mean_round0_dev, label
-    total = {label: r.ledger.total_bytes() for label, r in res.items()}
+    total = {label: r.run.ledger.total_bytes() for label, r in res.items()}
     for label in ("families", "gradients", "random", "adapter-fed"):
         assert total[label] < 0.02 * total["model-fed"], label
     bleu = {label: r.macro for label, r in res.items()}

@@ -82,6 +82,15 @@ class TestRun:
         finals = [r for r in rows if r["phase"] == "final"]
         assert len(finals) == 8
         assert all(r["test_bleu"] != "" for r in finals)
+        # round-major with the clients sorted, then the final rows
+        clients = sorted(r["client"] for r in finals)
+        rounds = [r for r in rows if r["phase"] != "final"]
+        assert [(r["round"], r["client"]) for r in rounds] == [
+            (str(index), cid) for index in range(3) for cid in clients]
+        assert [r["client"] for r in finals] == clients
+        assert all(r["pair"] == r["client"] for r in rows)
+        dev = {(r["round"], r["client"]): r["dev_loss"] for r in rounds}
+        assert all(r["dev_loss"] == dev[r["best_round"], r["client"]] for r in finals)
 
     def test_cluster_table_in_report(self, run_dir):
         text = (run_dir / "seed_1" / "clusters.txt").read_text()

@@ -48,8 +48,20 @@ class TestParsing:
             ))
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="not found"):
-            parse_config(tmp_path / "absent.json")
+        for path in (tmp_path / "absent.json", tmp_path):  # a directory is no file either
+            with pytest.raises(ConfigurationError, match="not found"):
+                parse_config(path)
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"mode": "m2en", "method": "adapter-families", "mode": "m2m"}', "mode"),
+        ('{"mode": "m2en", "method": "adapter-fed", "fed": {"rounds": 2, "rounds": 3}}',
+         "fed.rounds"),
+    ])
+    def test_repeated_key_refused_with_path(self, tmp_path, text, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigurationError, match=f"^{key}: repeated key$"):
+            parse_config(path)
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"

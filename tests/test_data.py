@@ -165,6 +165,9 @@ class TestGenerateCorpus:
         sizes = {c.id: len(c.data.train) for c in clients}
         assert sizes["zh-en"] == 624 and sizes["he-en"] == 120
         assert sizes["zh-en"] / sizes["he-en"] == pytest.approx(9984 / 1920)
+        for mode in ("m2en", "m2m"):
+            _, clients = make_clients(mode, 0, DataConfig(scale=1 / 16))
+            assert all(c.id == c.data.pair for c in clients)
 
 
 class TestVocab:

@@ -438,7 +438,7 @@ class TestRunExperiment:
     def test_no_assignment_means_no_ledger_entries(self, tiny_setup):
         clients, vocab, model = tiny_setup
         cfg = FedConfig(rounds=2, learning_rate=1e-3, grad_accumulation=2)
-        result = run_experiment(
+        result, _ = run_experiment(
             parties(clients, vocab), model, cfg, vocab, None
         )
         assert result.ledger.entries == []
@@ -448,7 +448,7 @@ class TestRunExperiment:
         cfg = FedConfig(rounds=2, learning_rate=1e-3, grad_accumulation=2)
         assignment = self._assignment(clients)
         seen = []
-        result = run_experiment(
+        result, _ = run_experiment(
             parties(clients, vocab), model, cfg, vocab, assignment,
             round_hook=seen.append,
         )
@@ -465,13 +465,13 @@ class TestRunExperiment:
     def test_frozen_backbone_invariant_through_rounds(self, tiny_setup):
         clients, vocab, model = tiny_setup
         cfg = FedConfig(rounds=2, learning_rate=2e-3, grad_accumulation=1)
-        result = run_experiment(
+        _, best_models = run_experiment(
             parties(clients, vocab), model, cfg, vocab,
             self._assignment(clients),
         )
         frozen = set(model.params.names) - set(model.trainable_names())
         assert frozen
-        for cid, final_model in result.best_models.items():
+        for cid, final_model in best_models.items():
             for name in frozen:
                 assert np.array_equal(final_model.params.values(name), model.params.values(name))
 
@@ -479,10 +479,10 @@ class TestRunExperiment:
         clients, vocab, model = tiny_setup
         cfg = FedConfig(rounds=2, learning_rate=1e-3, grad_accumulation=2, seed=9)
         s1, s2 = [], []
-        r1 = run_experiment(parties(clients, vocab), model, cfg, vocab,
-                            self._assignment(clients), round_hook=s1.append)
-        r2 = run_experiment(parties(clients, vocab), model, cfg, vocab,
-                            self._assignment(clients), round_hook=s2.append)
+        r1, _ = run_experiment(parties(clients, vocab), model, cfg, vocab,
+                               self._assignment(clients), round_hook=s1.append)
+        r2, _ = run_experiment(parties(clients, vocab), model, cfg, vocab,
+                               self._assignment(clients), round_hook=s2.append)
         assert r1.best_round == r2.best_round
         assert r1.dev_loss == r2.dev_loss
         for cid in s1[-1].params:
@@ -492,8 +492,8 @@ class TestRunExperiment:
         clients, vocab, model = tiny_setup
         cfg = FedConfig(rounds=3, learning_rate=1e-3, grad_accumulation=2)
         seen = []
-        result = run_experiment([Party.pooled(clients, vocab)], model, cfg, vocab, None,
-                                round_hook=seen.append)
+        result, _ = run_experiment([Party.pooled(clients, vocab)], model, cfg, vocab, None,
+                                   round_hook=seen.append)
         assert [state.index for state in seen] == [1, 2, 3]
         assert all(list(state.params) == ["pooled"] for state in seen)
         ids = sorted(c.id for c in clients)

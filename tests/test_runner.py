@@ -123,28 +123,28 @@ class TestMethodModels:
 class TestRunSeed:
     def test_adapter_local_has_empty_ledger(self):
         res, _ = run_seed(cfg_for("adapter-local"), 1)
-        assert res.ledger.entries == []
+        assert res.run.ledger.entries == []
         assert res.assignment is None
 
     def test_aggregating_method_meters_comm(self):
         res, _ = run_seed(cfg_for("adapter-fed"), 1)
-        n_clients = len(res.final_rows)
+        n_clients = len(res.run.best_round)
         rounds = 2
-        assert len(res.ledger.entries) == rounds * n_clients * 2
-        assert res.ledger.total_bytes() == rounds * n_clients * 2 * res.trainable_params * 4
+        assert len(res.run.ledger.entries) == rounds * n_clients * 2
+        assert res.run.ledger.total_bytes() == rounds * n_clients * 2 * res.trainable_params * 4
 
     def test_comm_ratio_adapter_vs_model_fed(self):
         adapter, _ = run_seed(cfg_for("adapter-fed"), 1)
         full, _ = run_seed(cfg_for("model-fed"), 1)
-        ratio = adapter.ledger.total_bytes() / full.ledger.total_bytes()
+        ratio = adapter.run.ledger.total_bytes() / full.run.ledger.total_bytes()
         assert ratio == pytest.approx(adapter.trainable_params / full.trainable_params)
         assert ratio < 0.12  # tiny test dims; the desk preset is < 0.02
 
     def test_centralized_runs_without_ledger(self):
         res, _ = run_seed(cfg_for("centralized-adapter"), 1)
-        assert res.ledger.entries == []
-        assert len({r["round"] for r in res.round_rows}) == 3  # rounds 0..2
-        assert len(res.final_rows) == 8
+        assert res.run.ledger.entries == []
+        assert len(res.run.dev_loss) == 3  # rounds 0..2
+        assert len(res.run.best_round) == 8
 
     def test_frozen_backbone_bit_identical_after_run(self):
         # layer norms stay trainable alongside adapters, so the invariant
@@ -158,13 +158,10 @@ class TestRunSeed:
             for name in frozen:
                 assert np.array_equal(model.params.values(name), backbone.values(name))
 
-    def test_round_rows_cover_all_clients_and_rounds(self):
+    def test_round_losses_cover_all_clients_and_rounds(self):
         res, _ = run_seed(cfg_for("adapter-random"), 1)
-        per_round = {}
-        for row in res.round_rows:
-            per_round.setdefault(row["round"], set()).add(row["client"])
-        assert set(per_round) == {0, 1, 2}
-        assert all(len(v) == 8 for v in per_round.values())
+        assert [len(losses) for losses in res.run.dev_loss] == [8, 8, 8]  # rounds 0..2
+        assert [len(losses) for losses in res.run.train_loss] == [0, 8, 8]
 
     def test_gradient_method_builds_assignment(self):
         res, _ = run_seed(cfg_for("adapter-gradients"), 1)
@@ -182,7 +179,7 @@ class TestRunSeed:
 
         monkeypatch.setattr(bleu, "corpus_bleu", counting)
         res, _ = run_seed(cfg_for("adapter-families", evaluate_test_bleu=True), 1)
-        n_clients = len(res.final_rows)
+        n_clients = len(res.test_bleu)
         assert n_clients == 8
         assert len(calls) == n_clients + 1
 
@@ -240,7 +237,8 @@ def centralized_round_one(local_epochs):
     _, clients, vocab = prepare_data(cfg, 1)
     initial = build_method_model(cfg, 1, vocab, warmup_backbone(cfg, 1))
     fed_cfg = dataclasses.replace(cfg.fed, seed=1, rounds=1, local_epochs=local_epochs)
-    result = run_experiment([Party.pooled(clients, vocab)], initial, fed_cfg, vocab, None)
+    result, best_models = run_experiment([Party.pooled(clients, vocab)], initial, fed_cfg,
+                                         vocab, None)
     pooled = merge_batches([make_batch([(c.data.train, c.tgt.code)], vocab) for c in clients])
     # epoch e of round r shuffles with the centralized stream's seed for (seed, r, e)
     epoch_seeds = [derive_seed(1, 0xCE27, 1, epoch) for epoch in range(local_epochs)]
@@ -248,21 +246,21 @@ def centralized_round_one(local_epochs):
         initial, pooled, epoch_seeds, fed_cfg.batch_size,
         fed_cfg.grad_accumulation, fed_cfg.optimizer, fed_cfg.learning_rate,
     )
-    return clients, result, direct, train_loss
+    return clients, result, best_models, direct, train_loss
 
 
 class TestCentralized:
     def test_round_one_matches_train_epochs_on_pooled_samples(self):
-        clients, result, direct, train_loss = centralized_round_one(local_epochs=1)
+        clients, result, best_models, direct, train_loss = centralized_round_one(local_epochs=1)
         # round 1 is the only round after round 0, so it is the selected one
-        assert sorted(result.best_models) == sorted(c.id for c in clients)
-        assert result.best_round == {cid: 1 for cid in result.best_models}
-        for cid, model in result.best_models.items():
+        assert sorted(best_models) == sorted(c.id for c in clients)
+        assert result.best_round == {cid: 1 for cid in best_models}
+        for cid, model in best_models.items():
             assert params_equal(model.params, direct.params)
             assert result.train_loss[1][cid] == train_loss
 
     def test_a_round_runs_fed_local_epochs_epochs(self):
-        _, result, direct, train_loss = centralized_round_one(local_epochs=2)
-        for cid, model in result.best_models.items():
+        _, result, best_models, direct, train_loss = centralized_round_one(local_epochs=2)
+        for cid, model in best_models.items():
             assert params_equal(model.params, direct.params)
             assert result.train_loss[1][cid] == train_loss

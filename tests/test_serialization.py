@@ -123,7 +123,7 @@ def test_float64_checkpoint_round_trips_bitwise(tmp_path):
 
 
 @pytest.mark.parametrize("damage", ["missing", "unparsable", "invalid", "unknown", "legacy",
-                                    "disagrees", "dtype", "not_utf8"])
+                                    "disagrees", "dtype", "not_utf8", "repeated"])
 def test_damaged_meta_raises_checkpoint_error(tmp_path, damage):
     config = ModelConfig(vocab_size=20, model_dim=8, num_heads=2, ffn_dim=16,
                          enc_layers=1, dec_layers=1, adapter_bottleneck=2, max_seq_len=12)
@@ -143,9 +143,12 @@ def test_damaged_meta_raises_checkpoint_error(tmp_path, damage):
             "legacy": text + "adapter.enc.layer0.attn_adapter=1\n",
             "disagrees": text.replace("model_dim=8\n", "model_dim=16\n"),
             "dtype": text.replace("dtype=float32", "dtype=float64"),
+            # a second value for a key the file already holds, valid on its own
+            "repeated": text + "adapter_nonlinearity=gelu\n",
         }[damage])
     assert meta.read_bytes() != text.encode()
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError,
+                       match="repeated key 'adapter_nonlinearity'" if damage == "repeated" else None):
         load_checkpoint(tmp_path / "ckpt")
 
 
