@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
 Tokens = Sequence[Hashable]
@@ -59,34 +58,26 @@ def corpus_bleu(hypotheses: Sequence[Tokens], references: Sequence[Tokens]) -> f
     return 100.0 * brevity * math.exp(log_precision_sum / MAX_ORDER)
 
 
-@dataclass(frozen=True)
-class PairScore:
-    pair: str
-    bleu: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.bleu <= 100.0:
-            raise ValueError(f"BLEU out of range: {self.bleu}")
-
-
 PairOutputs = Mapping[str, tuple[Sequence[Tokens], Sequence[Tokens]]]
 
 
-def pair_scores(outputs: PairOutputs) -> list[PairScore]:
-    return [
-        PairScore(pair, corpus_bleu(hyps, refs))
-        for pair, (hyps, refs) in outputs.items()
-    ]
+def pair_scores(outputs: PairOutputs) -> dict[str, float]:
+    """Corpus BLEU of each client's hypotheses, by client id."""
+    scores = {cid: corpus_bleu(hyps, refs) for cid, (hyps, refs) in outputs.items()}
+    for cid, score in scores.items():
+        if not 0.0 <= score <= 100.0:
+            raise ValueError(f"client {cid}: BLEU out of range: {score}")
+    return scores
 
 
-def macro_micro(outputs: PairOutputs) -> tuple[list[PairScore], float, float]:
-    """Per-pair BLEU, their macro and the micro score. Macro: unweighted mean
-    of per-pair BLEU. Micro: corpus BLEU over the pooled
-    hypotheses/references of all pairs."""
+def macro_micro(outputs: PairOutputs) -> tuple[dict[str, float], float, float]:
+    """BLEU by client id, their macro and the micro score. Macro: unweighted
+    mean of the clients' BLEU. Micro: corpus BLEU over the pooled
+    hypotheses/references of all clients."""
     if not outputs:
         raise ValueError("need at least one language pair")
     scores = pair_scores(outputs)
-    macro = sum(s.bleu for s in scores) / len(scores)
+    macro = sum(scores.values()) / len(scores)
     pooled_hyps: list[Tokens] = []
     pooled_refs: list[Tokens] = []
     for hyps, refs in outputs.values():

@@ -5,7 +5,7 @@ Commands:
     fedmt count-params --preset mbart50 | --config cfg.json
     fedmt gen-data --config cfg.json --out dir
 
-Exit codes: 0 success, 1 configuration error, 2 runtime error.
+Exit codes: 0 success, 1 configuration or usage error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -132,6 +132,8 @@ def _print_toy_counts(config_path: str) -> None:
 
 
 def cmd_count_params(args: argparse.Namespace) -> int:
+    if args.preset is not None and args.config is not None:
+        raise ConfigurationError("count-params takes --preset or --config, not both")
     if args.preset:
         if args.preset != "mbart50":
             raise ConfigurationError(f"unknown preset {args.preset!r}")
@@ -156,8 +158,15 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a configuration error; its subparsers too."""
+
+    def error(self, message: str):
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fedmt",
         description="Desk-scale federated multilingual translation simulator.",
     )
@@ -185,9 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     _keep_heap_mapped()
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigurationError as err:
         print(f"configuration error: {err}", file=sys.stderr)

@@ -48,7 +48,7 @@ class FedConfig:
             raise ConfigurationError("rounds must be >= 1")
         if self.aggregation not in AGGREGATIONS:
             raise ConfigurationError(f"unknown aggregation {self.aggregation!r}")
-        if self.optimizer not in OPTIMIZERS:
+        if self.optimizer != "adam":
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
         if min(self.batch_size, self.grad_accumulation, self.local_epochs,
                self.eval_batch_size) < 1:
@@ -75,16 +75,7 @@ class FedConfig:
 
 
 # ---------------------------------------------------------------------------
-# optimizers
-
-
-class _Sgd:
-    def __init__(self, lr: float):
-        self.lr = lr
-
-    def step(self, flat: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        """Updated copy of the flat trainable values; ``flat`` is unchanged."""
-        return flat - self.lr * grad
+# optimizer
 
 
 ADAM_BETA1 = 0.9
@@ -126,9 +117,6 @@ class _Adam:
         return np.subtract(flat, step, out=step)
 
 
-OPTIMIZERS = {"adam": _Adam, "sgd": _Sgd}
-
-
 # ---------------------------------------------------------------------------
 # training
 
@@ -139,11 +127,10 @@ def train_epochs(
     epoch_seeds: Sequence[int],
     batch_size: int,
     grad_accumulation: int,
-    optimizer_kind: str,
     learning_rate: float,
 ) -> tuple[ToyModel, float]:
     """One shuffled epoch per seed of gradient-accumulated steps over the
-    rows of an encoded corpus, starting from a fresh optimizer. The single
+    rows of an encoded corpus, starting from a fresh Adam. The single
     training loop of the simulator: the backbone warm-up and every party's
     local update run it. Returns the trained model and its token-mean train
     loss over the epochs.
@@ -159,7 +146,7 @@ def train_epochs(
     shapes = [model.params.values(name).shape for name in names]
     bounds = np.cumsum([0] + [int(np.prod(shape)) for shape in shapes])
     flat = np.concatenate([model.params.values(name).ravel() for name in names])
-    optimizer = OPTIMIZERS[optimizer_kind](learning_rate)
+    optimizer = _Adam(learning_rate)
     loss_total = 0.0
     tokens_total = 0
     for epoch_seed in epoch_seeds:
@@ -223,7 +210,7 @@ def local_update(
     ]
     try:
         return train_epochs(model, party.corpus, epoch_seeds, cfg.batch_size,
-                            cfg.grad_accumulation, cfg.optimizer, cfg.learning_rate)
+                            cfg.grad_accumulation, cfg.learning_rate)
     except NumericError as err:
         raise NumericError(f"round {round_index}, party {party.id}: {err}") from err
 

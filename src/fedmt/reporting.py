@@ -24,19 +24,19 @@ def fnum(value) -> str:
 
 
 def write_metrics_csv(path: Path, result: SeedResult) -> None:
-    """Round rows, round-major with clients sorted, then final rows; a client id is its pair."""
+    """Round rows, round-major with clients sorted, then final rows."""
     run = result.run
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["phase", "round", "client", "pair",
+        writer.writerow(["phase", "round", "client",
                          "train_loss", "dev_loss", "best_round", "test_bleu"])
         for index, losses in enumerate(run.dev_loss):
             phase = "round0" if index == 0 else "round"
             for cid in sorted(losses):
-                writer.writerow([phase, index, cid, cid, fnum(run.train_loss[index].get(cid)),
+                writer.writerow([phase, index, cid, fnum(run.train_loss[index].get(cid)),
                                  fnum(losses[cid]), "", ""])
         for cid, best in sorted(run.best_round.items()):
-            writer.writerow(["final", "", cid, cid, "", fnum(run.dev_loss[best][cid]),
+            writer.writerow(["final", "", cid, "", fnum(run.dev_loss[best][cid]),
                              best, fnum(result.test_bleu.get(cid))])
 
 

@@ -70,7 +70,7 @@ def warmup_backbone(cfg: ExperimentConfig, seed: int) -> NamedParamSet:
     model, _ = train_epochs(
         build_model(bind_model_config(cfg, vocab), _model_seed(seed), adapters=None),
         corpus, epoch_seeds, cfg.warmup.batch_size,
-        cfg.warmup.grad_accumulation, "adam", cfg.warmup.learning_rate,
+        cfg.warmup.grad_accumulation, cfg.warmup.learning_rate,
     )
     backbone = NamedParamSet({n: model.params.values(n).copy() for n in model.params.names})
     for name in backbone.names:
@@ -208,8 +208,7 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> tuple[SeedResult, dict[str, To
     macro = micro = None
     if cfg.evaluate_test_bleu:
         outputs = evaluate_test_bleu(best_models, clients, vocab, _decode_cap(cfg))
-        scores, macro, micro = macro_micro(outputs)
-        test_bleu = {s.pair: s.bleu for s in scores}
+        test_bleu, macro, micro = macro_micro(outputs)
     return SeedResult(
         seed=seed,
         run=run,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedmt import bleu
 from fedmt.bleu import corpus_bleu, macro_micro, pair_scores
 
 
@@ -99,9 +100,15 @@ class TestMacroMicro:
             "p1": ([toks("a b c d")], [toks("a b c d")]),      # 100
             "p2": ([toks("a b c d")], [toks("a b c d e")]),    # 77.88
         }
-        _, macro, _ = macro_micro(outputs)
-        scores = [s.bleu for s in pair_scores(outputs)]
-        assert macro == pytest.approx(sum(scores) / 2)
+        scores, macro, _ = macro_micro(outputs)
+        assert scores == pair_scores(outputs) == {
+            "p1": corpus_bleu(*outputs["p1"]), "p2": corpus_bleu(*outputs["p2"])}
+        assert macro == pytest.approx(sum(scores.values()) / 2)
+
+    def test_out_of_range_score_names_the_client(self, monkeypatch):
+        monkeypatch.setattr(bleu, "corpus_bleu", lambda hyps, refs: 100.5)
+        with pytest.raises(ValueError, match="client p1: BLEU out of range: 100.5"):
+            pair_scores({"p1": ([toks("a")], [toks("a")])})
 
     def test_two_pair_example(self):
         outputs = {

@@ -76,6 +76,9 @@ class TestRun:
 
     def test_metrics_csv_structure(self, run_dir):
         with open(run_dir / "seed_1" / "metrics.csv") as handle:
+            assert handle.readline() == (
+                "phase,round,client,train_loss,dev_loss,best_round,test_bleu\n")
+            handle.seek(0)
             rows = list(csv.DictReader(handle))
         phases = {r["phase"] for r in rows}
         assert phases == {"round0", "round", "final"}
@@ -88,7 +91,6 @@ class TestRun:
         assert [(r["round"], r["client"]) for r in rounds] == [
             (str(index), cid) for index in range(3) for cid in clients]
         assert [r["client"] for r in finals] == clients
-        assert all(r["pair"] == r["client"] for r in rows)
         dev = {(r["round"], r["client"]): r["dev_loss"] for r in rounds}
         assert all(r["dev_loss"] == dev[r["best_round"], r["client"]] for r in finals)
 
@@ -181,6 +183,14 @@ class TestCountParams:
     def test_unknown_preset_is_config_error(self):
         assert main(["count-params", "--preset", "m2m100"]) == 1
 
+    def test_preset_and_config_together_is_config_error(self, tmp_path, capsys):
+        # refused before the config is read, so a missing file cannot hide it
+        missing = str(tmp_path / "missing.json")
+        assert main(["count-params", "--preset", "mbart50", "--config", missing]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "configuration error: count-params takes --preset or --config, not both\n"
+
     def test_no_arguments_is_config_error(self):
         assert main(["count-params"]) == 1
 
@@ -238,6 +248,26 @@ class TestExitCodes:
         assert main(["run", "--config", cfg_path, "--out", str(out)]) == 1
         assert re.search(f"^configuration error: {key}", capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--out", "x"], "fedmt run: the following arguments are required: --config"),
+        (["gen-data", "--config", "c.json", "--out", "x", "--bogus"],
+         "fedmt: unrecognized arguments: --bogus"),
+        (["train"], "fedmt: argument command: invalid choice: 'train'"),
+        ([], "fedmt: the following arguments are required: command"),
+    ])
+    def test_usage_error_exit_1_on_one_line(self, capsys, argv, message):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"configuration error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+    def test_help_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: fedmt")
 
     def test_negative_seed_override_exit_1(self, tmp_path, capsys):
         # an empty override is refused like a bad one, not read as no override

@@ -145,6 +145,7 @@ REFUSED_AT_PARSE = [
     ({"fed": {"batch_size": 0}}, "fed: batch_size.* must be >= 1"),
     ({"fed": {"grad_accumulation": 0}}, "fed: .*grad_accumulation.* must be >= 1"),
     ({"warmup": {"batch_size": 0}}, "warmup: .*batch_size.* must be positive"),
+    ({"fed": {"optimizer": "sgd"}}, "fed: unknown optimizer"),  # Adam is the one optimizer
 ]
 
 

@@ -17,8 +17,8 @@ from fedmt.errors import (
 from fedmt.federation import (
     CommLedger,
     FedConfig,
-    OPTIMIZERS,
     Party,
+    _Adam,
     evaluate_dev_loss,
     inner_cluster_aggregate,
     local_update,
@@ -317,13 +317,6 @@ class TestLocalUpdate:
         for name in frozen:
             assert np.array_equal(updated.params.values(name), model.params.values(name))
 
-    def test_sgd_optimizer_supported(self, tiny_setup):
-        clients, vocab, model = tiny_setup
-        cfg = FedConfig(rounds=1, learning_rate=1e-2, optimizer="sgd",
-                        grad_accumulation=4)
-        updated, _ = local_update(Party.of(clients[0], vocab), model, cfg, round_index=1)
-        assert not params_equal(updated.params, model.params)
-
     def test_epochs_shuffle_with_the_client_stream(self, tiny_setup):
         # epoch e of round r shuffles with derive_seed(seed, 0x10CA1, r, e, _stable_id(id))
         clients, vocab, model = tiny_setup
@@ -336,7 +329,7 @@ class TestLocalUpdate:
         def trained(stream, *tail):
             seeds = [derive_seed(4, stream, 1, epoch, *tail) for epoch in range(2)]
             return train_epochs(model, corpus, seeds, cfg.batch_size,
-                                cfg.grad_accumulation, cfg.optimizer, cfg.learning_rate)
+                                cfg.grad_accumulation, cfg.learning_rate)
 
         direct, direct_loss = trained(0x10CA1, _stable_id(client.id))
         assert params_equal(updated.params, direct.params)
@@ -345,8 +338,8 @@ class TestLocalUpdate:
         assert not params_equal(updated.params, other.params)
 
 
-def per_tensor_training(model, corpus, seed, kind, lr, batch_size, accumulation):
-    """Reference loop: one epoch, the optimizer applied one tensor at a time."""
+def per_tensor_training(model, corpus, seed, lr, batch_size, accumulation):
+    """Reference loop: one epoch, Adam applied one tensor at a time."""
     values = {name: model.params.values(name) for name in model.trainable_names()}
     first = {name: np.zeros_like(v) for name, v in values.items()}
     second = {name: np.zeros_like(v) for name, v in values.items()}
@@ -356,9 +349,6 @@ def per_tensor_training(model, corpus, seed, kind, lr, batch_size, accumulation)
         result, vector = grad(model, merge_batches(micro[start:start + accumulation]), names)
         for name, g in by_name(model, names, vector).items():
             g = g / result.token_count
-            if kind == "sgd":
-                values[name] = values[name] - lr * g
-                continue
             first[name] = 0.9 * first[name] + (1 - 0.9) * g
             second[name] = 0.999 * second[name] + (1 - 0.999) * g * g
             values[name] = values[name] - lr * (first[name] / (1.0 - 0.9**t)) / (
@@ -367,14 +357,14 @@ def per_tensor_training(model, corpus, seed, kind, lr, batch_size, accumulation)
     return model, t
 
 
-@pytest.mark.parametrize("kind", ["adam", "sgd"])
+@pytest.mark.parametrize("kind", ["adam"])  # the one optimizer
 def test_flat_optimizer_step_is_bitwise_the_per_tensor_update(tiny_setup, kind):
     clients, vocab, model = tiny_setup
     for dtype in ("float32", "float64"):
         start = build_model(dataclasses.replace(model.config, dtype=dtype), 0)
         corpus = make_batch([(clients[0].data.train, clients[0].tgt.code)], vocab)
-        trained, _ = train_epochs(start, corpus, [7], 2, 1, kind, 1e-2)
-        expected, steps = per_tensor_training(start, corpus, 7, kind, 1e-2, 2, 1)
+        trained, _ = train_epochs(start, corpus, [7], 2, 1, 1e-2)
+        expected, steps = per_tensor_training(start, corpus, 7, 1e-2, 2, 1)
         assert steps >= 3
         assert params_equal(trained.params, expected.params)
         assert not params_equal(trained.params, start.params)
@@ -384,7 +374,7 @@ def test_flat_optimizer_step_is_bitwise_the_per_tensor_update(tiny_setup, kind):
 def test_adam_step_is_bitwise_the_textbook_formula(dtype):
     rng = np.random.default_rng(3)
     flat = rng.normal(size=1000).astype(dtype)
-    optimizer = OPTIMIZERS["adam"](1e-2)
+    optimizer = _Adam(1e-2)
     m = v = np.zeros_like(flat)
     returned = []
     for t in range(1, 6):

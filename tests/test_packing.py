@@ -250,9 +250,9 @@ def test_kv_cached_decoding_matches_the_full_prefix_recompute():
     # that act (their up-projections start at zero)
     corpus = merge_batches([make_batch([(c.data.train, c.tgt.code)], vocab) for c in clients])
     backbone, _ = train_epochs(build_model(config, 4, adapters=None), corpus,
-                               [1, 2, 3], 8, 1, "adam", 1e-2)
+                               [1, 2, 3], 8, 1, 1e-2)
     model, _ = train_epochs(build_model(config, 4, backbone=backbone.params), corpus,
-                            [4], 8, 1, "adam", 1e-2)
+                            [4], 8, 1, 1e-2)
     assert all(np.abs(model.params.values(name)).max() > 0.01
                for name in model.params.names if "_adapter.up.weight" in name)
     lengths = []

@@ -244,7 +244,7 @@ def centralized_round_one(local_epochs):
     epoch_seeds = [derive_seed(1, 0xCE27, 1, epoch) for epoch in range(local_epochs)]
     direct, train_loss = train_epochs(
         initial, pooled, epoch_seeds, fed_cfg.batch_size,
-        fed_cfg.grad_accumulation, fed_cfg.optimizer, fed_cfg.learning_rate,
+        fed_cfg.grad_accumulation, fed_cfg.learning_rate,
     )
     return clients, result, best_models, direct, train_loss
 
