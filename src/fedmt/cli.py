@@ -55,7 +55,7 @@ def _keep_heap_mapped() -> bool:
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
+        return tuple(int(part) for part in text.split(","))
     except ValueError as err:
         raise ConfigurationError(f"--seeds: {err}") from err
 

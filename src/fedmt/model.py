@@ -625,28 +625,28 @@ def decode_greedy(model: ToyModel, src: np.ndarray, src_mask: np.ndarray,
 
 
 def save_checkpoints(models: Mapping[str, ToyModel], directory: str | Path) -> None:
-    """Write client models that share one config and frozen backbone into
-    ``directory``: ``backbone.meta`` holds the ``ModelConfig`` fields,
-    ``backbone.params`` every tensor no client trains, and
-    ``<client>.params`` that client's ``trainable_names()`` tensors."""
+    """Write client models that share one config into ``directory``:
+    ``backbone.meta`` holds the ``ModelConfig`` fields, ``backbone.params``
+    every tensor that all the clients hold as one array, and
+    ``<client>.params`` the rest of that client's tensors."""
     directory = Path(directory)
     directory.mkdir(exist_ok=True)
     first = next(iter(models.values()))
-    trained = {name for model in models.values() for name in model.trainable_names()}
-    save_param_set(first.params.filter(lambda name: name not in trained),
-                   directory / "backbone.params")
+    shared = {name for name in first.params.names if all(
+        model.params.values(name) is first.params.values(name) for model in models.values())}
+    save_param_set(first.params.filter(shared.__contains__), directory / "backbone.params")
     lines = [f"{f.name}={getattr(first.config, f.name)}" for f in dataclasses.fields(ModelConfig)]
     (directory / "backbone.meta").write_text("\n".join(lines) + "\n", encoding="utf-8")
     for cid in sorted(models):
-        names = set(models[cid].trainable_names())
-        save_param_set(models[cid].params.filter(names.__contains__), directory / f"{cid}.params")
+        save_param_set(models[cid].params.filter(lambda name: name not in shared),
+                       directory / f"{cid}.params")
 
 
 def load_checkpoint(path_prefix: str | Path) -> ToyModel:
     """Read one client's model, written by :func:`save_checkpoints`: the
     backbone files next to ``path_prefix`` merged with
     ``path_prefix.params``. :class:`CheckpointError` is raised for a missing
-    backbone file, a client tensor the backbone file also holds, a
+    backbone or client file, a client tensor the backbone file also holds, a
     ``backbone.meta`` that is not UTF-8 or has a missing, unknown, repeated
     or unparsable key, a damaged ``.params`` file, and merged tensors that
     disagree with the config's layout (:func:`param_layout`): a name, shape
@@ -655,9 +655,10 @@ def load_checkpoint(path_prefix: str | Path) -> ToyModel:
     prefix = Path(path_prefix)
     meta_path = prefix.parent / "backbone.meta"
     backbone_path = prefix.parent / "backbone.params"
-    for path in (meta_path, backbone_path):
+    client_path = prefix.parent / (prefix.name + ".params")
+    for path in (meta_path, backbone_path, client_path):
         if not path.is_file():
-            raise CheckpointError(f"{path}: missing; the directory holds no frozen backbone")
+            raise CheckpointError(f"{path}: missing")
     try:
         text = meta_path.read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
@@ -681,7 +682,6 @@ def load_checkpoint(path_prefix: str | Path) -> ToyModel:
     if meta:
         raise CheckpointError(f"{meta_path}: unknown key {sorted(meta)[0]!r}")
     backbone = load_param_set(backbone_path)
-    client_path = prefix.parent / (prefix.name + ".params")
     client = load_param_set(client_path)
     for name in client.names:
         if name in backbone:

@@ -270,10 +270,10 @@ class TestExitCodes:
         assert capsys.readouterr().out.startswith("usage: fedmt")
 
     def test_negative_seed_override_exit_1(self, tmp_path, capsys):
-        # an empty override is refused like a bad one, not read as no override
+        # an empty override or entry is refused like a bad one, not skipped
         cfg_path = write_config(tmp_path, TINY_RUN)
         out = tmp_path / "x"
-        for seeds in ("--seeds=-3", "--seeds="):
+        for seeds in ("--seeds=-3", "--seeds=", "--seeds=1,,2"):
             assert main(["run", "--config", cfg_path, "--out", str(out), seeds]) == 1, seeds
             assert "seeds: " in capsys.readouterr().err
             assert not out.exists()

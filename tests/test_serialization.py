@@ -1,5 +1,5 @@
-"""Binary parameter files and a seed's checkpoint directory: one frozen
-backbone with its config, and per client the tensors it trains."""
+"""Binary parameter files and a seed's checkpoint directory: the config and
+every tensor all clients hold as one array, once, and per client the rest."""
 
 import struct
 
@@ -93,10 +93,10 @@ def test_checkpoint_keeps_what_trains_and_where_it_syncs(tmp_path, method, pruni
     assert loaded.trainable_names() == model.trainable_names()
     assert loaded.trainable_by_side() == model.trainable_by_side()
     trainable = set(model.trainable_names())
-    # the client file holds what trains, the backbone file the rest
-    assert set(load_param_set(tmp_path / "ckpt.params").names) == trainable
-    assert set(load_param_set(tmp_path / "backbone.params").names) == (
-        set(model.params.names) - trainable)
+    # one client shares every tensor with itself: the backbone file holds
+    # them all, the client file none
+    assert load_param_set(tmp_path / "ckpt.params").names == ()
+    assert load_param_set(tmp_path / "backbone.params").names == model.params.names
     if cfg.uses_adapters:
         assert "emb.token.weight" not in trainable
         assert trainable == {n for n in model.params.names if "_adapter." in n or "ln" in n}
@@ -176,29 +176,29 @@ def test_params_missing_a_tensor_raise_checkpoint_error(tmp_path, dropped):
         assert prefix not in {s.prefix for s in load_checkpoint(tmp_path / "ckpt").active_sites()}
 
 
-@pytest.mark.parametrize("damage", ["backbone.meta", "backbone.params", "full client file"])
+@pytest.mark.parametrize("damage", ["backbone.meta", "backbone.params", "client file",
+                                    "full client file"])
 def test_old_or_mixed_directory_raises_checkpoint_error(tmp_path, damage):
     # a directory written before the backbone was stored once holds a full
     # model per client and no backbone files; a full client file next to a
-    # backbone file repeats every frozen tensor
+    # backbone file repeats every tensor that file holds; a client file that
+    # holds no tensor is still the record that the client exists
     config = ModelConfig(vocab_size=20, model_dim=8, num_heads=2, ffn_dim=16,
                          enc_layers=1, dec_layers=1, adapter_bottleneck=2, max_seq_len=12)
     model = build_model(config, 0)
     save_checkpoints({"ckpt": model}, tmp_path)
     save_param_set(model.params, tmp_path / "ckpt.params")
     if damage == "full client file":
-        frozen = sorted(set(model.params.names) - set(model.trainable_names()))
-        match = f"tensor '{frozen[0]}' is also in"
+        match = f"tensor '{model.params.names[0]}' is also in"
     else:
-        (tmp_path / damage).unlink()
-        match = damage
+        path = tmp_path / ("ckpt.params" if damage == "client file" else damage)
+        path.unlink()
+        match = f"{path.name}: missing"
     with pytest.raises(CheckpointError, match=match):
         load_checkpoint(tmp_path / "ckpt")
 
 
-@pytest.mark.parametrize("method", ["adapter-families", "model-fed", "centralized-adapter"])
-def test_seed_checkpoints_load_to_each_clients_model(tmp_path, method):
-    # run_seed's selected models: each client loads bitwise to its own
+def _seed_models(method):
     cfg = config_from_dict({
         "mode": "m2en", "method": method, "seeds": [1], "evaluate_test_bleu": False,
         "data": {"scale": 0.01, "alphabet_size": 16, "length_range": [3, 6]},
@@ -207,17 +207,54 @@ def test_seed_checkpoints_load_to_each_clients_model(tmp_path, method):
         "fed": {"rounds": 1, "grad_accumulation": 1},
         "warmup": {"sentences_per_pair": 8, "epochs": 1},
     })
-    _, models = run_seed(cfg, 1)
-    save_checkpoints(models, tmp_path)
-    assert {p.name for p in tmp_path.iterdir()} == (
-        {"backbone.meta", "backbone.params"} | {f"{cid}.params" for cid in models})
+    return run_seed(cfg, 1)
+
+
+def _assert_loads_bitwise(directory, models):
     for cid, model in models.items():
-        loaded = load_checkpoint(tmp_path / cid)
+        loaded = load_checkpoint(directory / cid)
         assert loaded.config == model.config
         assert loaded.params.compatible_with(model.params)
         for name in model.params.names:
             ours, saved = loaded.params.values(name), model.params.values(name)
             assert ours.dtype == saved.dtype and ours.tobytes() == saved.tobytes()
+
+
+@pytest.mark.parametrize("method", ["adapter-families", "model-fed", "centralized-adapter"])
+def test_seed_checkpoints_load_to_each_clients_model(tmp_path, method):
+    # run_seed's selected models: each client loads bitwise to its own, and
+    # its file holds only what it does not share with every other client
+    result, models = _seed_models(method)
+    save_checkpoints(models, tmp_path)
+    assert {p.name for p in tmp_path.iterdir()} == (
+        {"backbone.meta", "backbone.params"} | {f"{cid}.params" for cid in models})
+    _assert_loads_bitwise(tmp_path, models)
+    for cid, model in models.items():
+        held = load_param_set(tmp_path / f"{cid}.params").names
+        if method == "adapter-families":
+            # the encoder side is averaged per family cluster, the decoder
+            # side over every client, which all selected the same round
+            assert result.run.best_round[cid] == 1
+            assert list(held) == model.trainable_by_side()["encoder"]
+        else:
+            # one aggregation over every client, or one pooled party
+            assert held == ()
+
+
+@pytest.mark.parametrize("method", ["adapter-families", "model-fed"])
+def test_directory_split_by_what_trains_loads(tmp_path, method):
+    # a directory written when backbone.params held every tensor no client
+    # trains and each client file its trainable_names() loads unchanged
+    _, models = _seed_models(method)
+    save_checkpoints(models, tmp_path)
+    trained = {name for model in models.values() for name in model.trainable_names()}
+    first = next(iter(models.values()))
+    save_param_set(first.params.filter(lambda name: name not in trained),
+                   tmp_path / "backbone.params")
+    for cid, model in models.items():
+        names = set(model.trainable_names())
+        save_param_set(model.params.filter(names.__contains__), tmp_path / f"{cid}.params")
+    _assert_loads_bitwise(tmp_path, models)
 
 
 @pytest.mark.parametrize("cut", ["magic", "version", "header", "payload", "trailing", "twice"])
