@@ -21,7 +21,7 @@ from .config import parse_config
 from .data import export_corpus
 from .errors import ConfigurationError, FedmtError
 from .federation import FedConfig
-from .model import save_checkpoints
+from .model import param_layout, save_checkpoints
 from .params import count_params
 from .presets import mbart50_summary
 from .reporting import write_config_snapshot, write_seed_report, write_summary
@@ -118,7 +118,8 @@ def _print_toy_counts(config_path: str) -> None:
     model_cfg = model.config
     total = count_params(model.params)
     trainable = count_params(model.params, model.trainable_names())
-    adapters = count_params(model.params.filter(lambda name: "_adapter." in name))
+    adapters = count_params(model.params, [spec.name for spec in param_layout(model_cfg)
+                                           if spec.site is not None and spec.name in model.params])
     payload, _ = cfg.fed.transfer(sync_param_count(cfg, trainable))
     print(f"toy model ({cfg.mode}, {cfg.method}, pruning {cfg.pruning}): vocab {len(vocab)}, "
           f"d={model_cfg.model_dim}, {model_cfg.enc_layers}+{model_cfg.dec_layers} layers, "
@@ -153,7 +154,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
         _, clients, _ = prepare_data(cfg, seed)
         seed_dir = out_dir / f"seed_{seed}"
         for client in clients:
-            export_corpus(client.data, seed_dir)
+            export_corpus(client.data, client.id, seed_dir)
         print(f"seed {seed}: wrote {3 * len(clients)} files to {seed_dir}")
     return 0
 

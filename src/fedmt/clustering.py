@@ -11,7 +11,7 @@ cluster in m2en.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -84,21 +84,6 @@ class ClusterAssignment:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class GradientFeature:
-    """Unit-norm mean loss-gradient of one client over a designated
-    parameter slice of the shared probe model."""
-
-    client_id: str
-    vector: np.ndarray
-
-    def __post_init__(self) -> None:
-        norm = float(np.linalg.norm(self.vector))
-        if not np.isfinite(norm) or norm < 1e-12:
-            raise DegenerateFeatureError(f"client {self.client_id!r}: zero gradient feature")
-        object.__setattr__(self, "vector", np.asarray(self.vector, dtype=np.float64) / norm)
-
-
 # ---------------------------------------------------------------------------
 # strategies
 
@@ -117,11 +102,12 @@ def compute_gradient_feature(
     client_id: str,
     train: Batch,
     probe_model: ToyModel,
-) -> GradientFeature:
+) -> np.ndarray:
     """Mean gradient over a client's encoded training set ``train``,
     restricted to the first active encoder adapter of the probe model
     (every pruning strategy keeps one), flattened in name order and
-    L2-normalized.
+    L2-normalized: a unit float64 vector. A zero or non-finite one raises
+    :class:`DegenerateFeatureError` naming ``client_id``.
 
     The probe model must be the same checkpoint for every client.
     """
@@ -131,7 +117,10 @@ def compute_gradient_feature(
     for batch in batches(train, PROBE_BATCH_SIZE):
         accum += grad(probe_model, batch, slice_names)[1]
     accum /= train.size
-    return GradientFeature(client_id, accum)
+    norm = float(np.linalg.norm(accum))
+    if not np.isfinite(norm) or norm < 1e-12:
+        raise DegenerateFeatureError(f"client {client_id!r}: zero gradient feature")
+    return accum / norm
 
 
 def _cosine_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -191,18 +180,18 @@ def _kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator):
     return assign, cost
 
 
-def cluster_by_gradient(features: Sequence[GradientFeature], k: int,
+def cluster_by_gradient(features: Mapping[str, np.ndarray], k: int,
                         seed: int) -> tuple[Cluster, ...]:
-    """Spherical k-means (cosine distance) with k-means++ seeding.
+    """Spherical k-means (cosine distance) with k-means++ seeding over unit
+    ``features`` by client id, taken in id order.
 
     Deterministic per seed: all restarts draw from one seeded stream and the
     lowest-cost solution wins. Distance ties resolve to the lowest cluster
     index, and an emptied cluster is repaired by moving the point farthest
     from its centroid out of the largest cluster.
     """
-    feats = sorted(features, key=lambda f: f.client_id)
-    ids = [f.client_id for f in feats]
-    points = np.stack([f.vector for f in feats])
+    ids = sorted(features)
+    points = np.stack([features[i] for i in ids])
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EED]))
     best_assign, best_cost = None, None
@@ -237,7 +226,7 @@ def assemble(
     strategy: str,
     ablation: str,
     seed: int,
-    features: Sequence[GradientFeature] | None = None,
+    features: Mapping[str, np.ndarray] | None = None,
 ) -> ClusterAssignment:
     """Build the encoder/decoder cluster sets for a strategy and ablation.
 

@@ -168,17 +168,11 @@ def generate_languages(
 
 @dataclass(frozen=True)
 class ClientDataset:
-    """One client's parallel corpus with 6:2:2 train/dev/test splits."""
+    """One language pair's parallel corpus in 6:2:2 train/dev/test splits."""
 
-    src: str
-    tgt: str
     train: tuple[SentencePair, ...]
     dev: tuple[SentencePair, ...]
     test: tuple[SentencePair, ...]
-
-    @property
-    def pair(self) -> str:
-        return f"{self.src}-{self.tgt}"
 
 
 def latent_distribution(alphabet_size: int, zipf_exponent: float) -> np.ndarray:
@@ -222,8 +216,6 @@ def generate_corpus(
             tgt.render(latent, alphabet, with_affix=True),
         ))
     return ClientDataset(
-        src=src.code,
-        tgt=tgt.code,
         train=tuple(pairs[:n_train]),
         dev=tuple(pairs[n_train : n_train + n_dev]),
         test=tuple(pairs[n_train + n_dev :]),
@@ -304,13 +296,14 @@ def batches(corpus: Batch, batch_size: int, seed: int | None = None) -> list[Bat
             for start in range(0, corpus.size, batch_size)]
 
 
-def export_corpus(dataset: ClientDataset, out_dir: str | Path) -> list[Path]:
-    """Write tab-separated parallel text files, one sentence pair per line."""
+def export_corpus(dataset: ClientDataset, pair: str, out_dir: str | Path) -> list[Path]:
+    """Write tab-separated parallel text files ``<pair>.<split>.tsv``, one
+    sentence pair per line."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
     for split_name in ("train", "dev", "test"):
-        path = out / f"{dataset.pair}.{split_name}.tsv"
+        path = out / f"{pair}.{split_name}.tsv"
         rows = getattr(dataset, split_name)
         lines = ["{}\t{}".format(" ".join(s), " ".join(t)) for s, t in rows]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -21,6 +21,7 @@ from .data import (
     ClientDataset,
     DataConfig,
     LanguageSpec,
+    SentencePair,
     derive_seed,
     generate_corpus,
     generate_languages,
@@ -111,12 +112,14 @@ def make_warmup_data(
     seed: int,
     sentences_per_pair: int,
     data: DataConfig,
-) -> list[ClientDataset]:
+) -> list[tuple[tuple[SentencePair, ...], str]]:
     """Small mixed corpus over the preset pairs, sampled from a stream
-    disjoint from the client corpora; used to pre-train the shared backbone."""
+    disjoint from the client corpora; used to pre-train the shared backbone.
+    One (train pairs, target code) part per pair, as
+    :func:`~fedmt.data.make_batch` takes them."""
     by_code = {spec.code: spec for spec in languages}
-    return [generate_corpus(by_code[src], by_code[tgt], sentences_per_pair, data,
-                            derive_seed(seed, 0x3A93, idx))
+    return [(generate_corpus(by_code[src], by_code[tgt], sentences_per_pair, data,
+                             derive_seed(seed, 0x3A93, idx)).train, tgt)
             for idx, (src, tgt, _) in enumerate(PLANS[mode][1])]
 
 

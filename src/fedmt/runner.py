@@ -63,9 +63,8 @@ def warmup_backbone(cfg: ExperimentConfig, seed: int) -> NamedParamSet:
     if key in _WARMUP_CACHE:
         return _WARMUP_CACHE[key]
     languages, _, vocab = prepare_data(cfg, seed)
-    corpora = make_warmup_data(cfg.mode, languages, seed,
-                               cfg.warmup.sentences_per_pair, cfg.data)
-    corpus = make_batch([(ds.train, ds.tgt) for ds in corpora], vocab)
+    corpus = make_batch(make_warmup_data(cfg.mode, languages, seed,
+                                         cfg.warmup.sentences_per_pair, cfg.data), vocab)
     epoch_seeds = [derive_seed(seed, 0xAB1E, epoch) for epoch in range(cfg.warmup.epochs)]
     model, _ = train_epochs(
         build_model(bind_model_config(cfg, vocab), _model_seed(seed), adapters=None),
@@ -113,21 +112,12 @@ def make_assignment(
     each client's party corpus, the train split the run trains on."""
     if not cfg.aggregates:
         return None
-    strategy = cfg.strategy
     features = None
-    if strategy == "gradients":
-        features = [
-            compute_gradient_feature(party.id, party.corpus, probe_model)
-            for party in sorted(parties, key=lambda p: p.id)
-        ]
-    return assemble(
-        clients,
-        cfg.mode,
-        strategy,
-        ablation=cfg.ablation,
-        seed=seed,
-        features=features,
-    )
+    if cfg.strategy == "gradients":
+        features = {party.id: compute_gradient_feature(party.id, party.corpus, probe_model)
+                    for party in parties}
+    return assemble(clients, cfg.mode, cfg.strategy, ablation=cfg.ablation, seed=seed,
+                    features=features)
 
 
 # ---------------------------------------------------------------------------

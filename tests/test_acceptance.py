@@ -19,9 +19,7 @@ from fedmt.cli import main as cli_main
 from fedmt.clustering import (
     ClusterAssignment,
     cluster_by_family,
-    cluster_by_gradient,
     cluster_random,
-    compute_gradient_feature,
 )
 from fedmt.config import config_from_dict
 from fedmt.data import DataConfig, build_vocab

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import platform
 import re
 import subprocess
@@ -12,8 +13,8 @@ import pytest
 
 from fedmt import cli
 from fedmt.cli import main
-from fedmt.config import METHODS
-from fedmt.model import THIRDS
+from fedmt.config import METHODS, parse_config
+from fedmt.model import THIRDS, param_layout, pruning_mask
 
 from test_config import REFUSED_AT_PARSE
 
@@ -179,6 +180,20 @@ class TestCountParams:
         with open(report / "summary.csv") as handle:
             (row,) = csv.DictReader(handle)
         assert int(row["comm_params_per_client_round"]) * bytes_per_param == payload
+
+    def test_adapter_count_is_the_layouts(self, tmp_path, capsys):
+        # the adapter tensors of the layout at the sites "middle" keeps
+        cfg_path = write_config(tmp_path, dict(SMOKE_RUN, method="adapter-families",
+                                               pruning="middle"))
+        assert main(["count-params", "--config", cfg_path]) == 0
+        out = capsys.readouterr().out
+        printed = int(out.split("adapter params:")[1].split()[0].replace(",", ""))
+        model_cfg = parse_config(cfg_path).model
+        kept = pruning_mask(model_cfg, "middle")
+        sizes = [(math.prod(spec.shape), kept[spec.site.prefix])
+                 for spec in param_layout(model_cfg) if spec.site is not None]
+        assert printed == sum(size for size, keep in sizes if keep)
+        assert 0 < printed < sum(size for size, _ in sizes)
 
     def test_unknown_preset_is_config_error(self):
         assert main(["count-params", "--preset", "m2m100"]) == 1

@@ -8,7 +8,6 @@ import pytest
 from fedmt import clustering
 from fedmt.clustering import (
     ClusterAssignment,
-    GradientFeature,
     assemble,
     cluster_by_family,
     cluster_by_gradient,
@@ -110,17 +109,40 @@ def unit(v):
 
 
 def features_from_rows(rows):
-    return [GradientFeature(f"c{i}", unit(row)) for i, row in enumerate(rows)]
+    return {f"c{i}": unit(row) for i, row in enumerate(rows)}
+
+
+@pytest.fixture(scope="module")
+def probe():
+    """A probe model and one client's encoded train split."""
+    languages, clients = make_clients("m2en", 0, DataConfig(scale=1 / 64))
+    vocab = build_vocab(languages)
+    client = clients[0]
+    return (build_model(ModelConfig(vocab_size=len(vocab)), 0),
+            make_batch([(client.data.train, client.tgt.code)], vocab))
 
 
 class TestGradientClustering:
-    def test_feature_normalized(self):
-        f = GradientFeature("x", np.array([3.0, 4.0]))
-        assert np.allclose(f.vector, [0.6, 0.8])
+    def test_feature_normalized(self, probe):
+        model, train = probe
+        vector = compute_gradient_feature("zh-en", train, model)
+        assert vector.dtype == np.float64 and vector.ndim == 1
+        assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-12)
 
-    def test_zero_feature_rejected(self):
-        with pytest.raises(DegenerateFeatureError):
-            GradientFeature("x", np.zeros(4))
+    def test_zero_feature_rejected(self, probe, monkeypatch):
+        self.assert_rejected(probe, monkeypatch, 0.0)
+
+    def test_nonfinite_feature_rejected(self, probe, monkeypatch):
+        self.assert_rejected(probe, monkeypatch, np.nan)
+
+    @staticmethod
+    def assert_rejected(probe, monkeypatch, fill):
+        # every batch's gradient is ``fill``; the error names the client
+        model, train = probe
+        monkeypatch.setattr(clustering, "grad", lambda m, batch, names: (
+            0.0, np.full(sum(m.params.values(n).size for n in names), fill)))
+        with pytest.raises(DegenerateFeatureError, match="'zh-en'"):
+            compute_gradient_feature("zh-en", train, model)
 
     def test_k_equals_n_gives_singletons(self):
         feats = features_from_rows(np.eye(5))
@@ -154,12 +176,21 @@ class TestGradientClustering:
         b = cluster_by_gradient(feats, k=3, seed=11)
         assert a == b
 
+    def test_insertion_order_moves_no_cluster(self):
+        rng = np.random.default_rng(4)
+        feats = features_from_rows(rng.normal(size=(7, 5)))
+        ids = list(feats)
+        for seed in range(4):
+            expected = cluster_by_gradient(feats, k=3, seed=seed)
+            for order in (ids[::-1], [ids[i] for i in rng.permutation(len(ids))]):
+                shuffled = {cid: feats[cid] for cid in order}
+                assert cluster_by_gradient(shuffled, k=3, seed=seed) == expected
+
 
 def kmeans_cost(features, clusters):
-    by_id = {f.client_id: f.vector for f in features}
     total = 0.0
     for cluster in clusters:
-        vecs = np.stack([by_id[c] for c in cluster])
+        vecs = np.stack([features[c] for c in cluster])
         centroid = vecs.mean(axis=0)
         centroid /= np.linalg.norm(centroid)
         total += float((1.0 - vecs @ centroid).sum())
@@ -168,7 +199,7 @@ def kmeans_cost(features, clusters):
 
 def brute_force_best_cost(features, k):
     """Exhaustive minimum of the spherical k-means objective (n <= 8)."""
-    ids = [f.client_id for f in features]
+    ids = list(features)
     best = None
     for labels in itertools.product(range(k), repeat=len(ids)):
         if len(set(labels)) != k:
@@ -271,13 +302,13 @@ def test_probe_batch_size_moves_no_feature_and_no_cluster(monkeypatch):
     assert max(t.size for t in trains.values()) > 2 * clustering.PROBE_BATCH_SIZE
 
     def features():
-        return [compute_gradient_feature(cid, train, model) for cid, train in trains.items()]
+        return {cid: compute_gradient_feature(cid, train, model) for cid, train in trains.items()}
 
     assert clustering.PROBE_BATCH_SIZE == 32
     default = features()
     monkeypatch.setattr(clustering, "PROBE_BATCH_SIZE", 64)
     wide = features()
-    for a, b in zip(default, wide):
-        np.testing.assert_allclose(a.vector, b.vector, rtol=0, atol=1e-6)
+    for cid in trains:
+        np.testing.assert_allclose(default[cid], wide[cid], rtol=0, atol=1e-6)
     for seed in (1, 2, 3):
         assert cluster_by_gradient(default, 2, seed) == cluster_by_gradient(wide, 2, seed)

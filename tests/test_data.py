@@ -165,9 +165,6 @@ class TestGenerateCorpus:
         sizes = {c.id: len(c.data.train) for c in clients}
         assert sizes["zh-en"] == 624 and sizes["he-en"] == 120
         assert sizes["zh-en"] / sizes["he-en"] == pytest.approx(9984 / 1920)
-        for mode in ("m2en", "m2m"):
-            _, clients = make_clients(mode, 0, DataConfig(scale=1 / 16))
-            assert all(c.id == c.data.pair for c in clients)
 
 
 class TestVocab:
@@ -327,18 +324,18 @@ class TestEncodeOnce:
         data = DataConfig(scale=1 / 64)
         languages, _ = make_clients(mode, 1, data)
         vocab = build_vocab(languages)
-        corpora = make_warmup_data(mode, languages, 1, 16, data)
-        assert (len({ds.tgt for ds in corpora}) > 1) == (mode == "m2m")
-        pooled = make_batch([(ds.train, ds.tgt) for ds in corpora], vocab)
-        merged = merge_batches([make_batch([(ds.train, ds.tgt)], vocab) for ds in corpora])
+        parts = make_warmup_data(mode, languages, 1, 16, data)
+        assert (len({code for _, code in parts}) > 1) == (mode == "m2m")
+        pooled = make_batch(parts, vocab)
+        merged = merge_batches([make_batch([part], vocab) for part in parts])
         assert_same_arrays(pooled, [getattr(merged, name) for name in FIELDS])
 
 
 def test_export_corpus_round_trips(tmp_path):
     src, tgt, _ = two_languages()
     ds = generate_corpus(src, tgt, 12, SMALL, seed=6)
-    files = export_corpus(ds, tmp_path)
-    assert len(files) == 3
+    files = export_corpus(ds, "xx-yy", tmp_path)
+    assert [f.name for f in files] == ["xx-yy.train.tsv", "xx-yy.dev.tsv", "xx-yy.test.tsv"]
     train_lines = (tmp_path / "xx-yy.train.tsv").read_text().splitlines()
     assert len(train_lines) == 12
     first_src, first_tgt = train_lines[0].split("\t")
