@@ -1,11 +1,11 @@
 """Client clustering: language families, gradient features, random.
 
 Encoder clusters and decoder clusters are independent partitions of the
-client set. In the m2en layout every target is English, so the decoder side
-of the family and random strategies collapses to one global cluster; the
-gradient strategy clusters both sides with the same partition. Shared
-(embedding) tensors follow the decoder clustering in m2m and the global
-cluster in m2en.
+client set; the decoder side's tensors include the tied token embedding.
+The family and random strategies make one cluster per family on each
+side, so in the m2en layout, where every target is English, their decoder
+side is one global cluster; the gradient strategy clusters both sides with
+the same partition.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ class ClusterAssignment:
     encoder_clusters: tuple[Cluster, ...]
     decoder_clusters: tuple[Cluster, ...]
     strategy: str
-    mode: str  # m2en | m2m
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "encoder_clusters", _normalize(self.encoder_clusters))
@@ -65,18 +64,12 @@ class ClusterAssignment:
     def client_ids(self) -> tuple[str, ...]:
         return tuple(sorted(i for c in self.encoder_clusters for i in c))
 
-    @property
-    def shared_clusters(self) -> tuple[Cluster, ...]:
-        if self.mode == "m2m":
-            return self.decoder_clusters
-        return (self.client_ids,)
-
     def validate_clients(self, client_ids: Sequence[str]) -> None:
         if set(client_ids) != set(self.client_ids):
             raise PartitionError("assignment does not match the client set")
 
     def describe(self) -> str:
-        lines = [f"strategy: {self.strategy}", f"mode: {self.mode}"]
+        lines = [f"strategy: {self.strategy}"]
         for label, clusters in (("encoder", self.encoder_clusters), ("decoder", self.decoder_clusters)):
             lines.append(f"{label} clusters ({len(clusters)}):")
             for idx, cluster in enumerate(clusters):
@@ -222,7 +215,6 @@ def cluster_random(client_ids: Sequence[str], k: int, seed: int) -> tuple[Cluste
 
 def assemble(
     clients: Sequence[Client],
-    mode: str,
     strategy: str,
     ablation: str,
     seed: int,
@@ -232,26 +224,26 @@ def assemble(
 
     ``encoder_only`` collapses the decoder side to one global cluster and
     ``decoder_only`` the encoder side; strategy ``none`` (the no-clustering
-    baseline) has one on each side. The random and gradient strategies make
-    one cluster per distinct source family, as many as ``families`` makes.
+    baseline) has one on each side. The random strategy makes as many
+    clusters on each side as ``families`` does, one per distinct family on
+    that side; the gradient strategy as many as there are source families.
     """
     all_ids = tuple(sorted(c.id for c in clients))
     global_clusters = (all_ids,)
-    k = len({c.src.family for c in clients})
+    families = {side: cluster_by_family(clients, side) for side in ("encoder", "decoder")}
 
     if strategy == "none":
         encoder = decoder = global_clusters
     elif strategy == "families":
-        encoder = cluster_by_family(clients, "encoder")
-        decoder = cluster_by_family(clients, "decoder")
+        encoder, decoder = families["encoder"], families["decoder"]
     elif strategy == "random":
-        encoder = cluster_random(all_ids, k, seed)
-        decoder = global_clusters if mode == "m2en" else cluster_random(all_ids, k, seed + 1)
+        encoder = cluster_random(all_ids, len(families["encoder"]), seed)
+        decoder = cluster_random(all_ids, len(families["decoder"]), seed + 1)
     else:  # gradients
-        encoder = cluster_by_gradient(features, k, seed)
+        encoder = cluster_by_gradient(features, len(families["encoder"]), seed)
         decoder = encoder
     if ablation == "encoder_only":
         decoder = global_clusters
     elif ablation == "decoder_only":
         encoder = global_clusters
-    return ClusterAssignment(encoder, decoder, strategy, mode)
+    return ClusterAssignment(encoder, decoder, strategy)

@@ -121,19 +121,20 @@ def _perturb_permutation(
     return table
 
 
-DERANGEMENT_TRIES = 10_000
+# draws in a row that a sampling loop rejects before it gives up
+SAMPLING_TRIES = 10_000
 
 
 def _deranged_permutation(
     existing: list[np.ndarray], size: int, rng: np.random.Generator
 ) -> np.ndarray:
     """A random permutation sharing no entry with any of ``existing``."""
-    for _ in range(DERANGEMENT_TRIES):
+    for _ in range(SAMPLING_TRIES):
         cand = rng.permutation(size)
         if all(not np.any(cand == prev) for prev in existing):
             return cand
     raise ConfigurationError(
-        f"could not sample a mutually deranged permutation after {DERANGEMENT_TRIES} tries"
+        f"could not sample a mutually deranged permutation after {SAMPLING_TRIES} tries"
     )
 
 
@@ -183,19 +184,13 @@ def latent_distribution(alphabet_size: int, zipf_exponent: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def generate_corpus(
-    src: LanguageSpec, tgt: LanguageSpec, n_train: int, data: DataConfig, seed: int
-) -> ClientDataset:
-    """Sample unique latent sentences and render them in both languages;
-    lengths, alphabet and symbol skew come from ``data``.
-
-    Split sizes follow the 6:2:2 rule with ``n_train`` as the 6 share;
-    remainders from the 2 shares are balanced to within one sentence.
-    """
-    n_dev = (n_train + 2) // 3
-    n_test = (n_train + 1) // 3
-    total = n_train + n_dev + n_test
-
+def sample_pairs(
+    src: LanguageSpec, tgt: LanguageSpec, n: int, data: DataConfig, seed: int
+) -> list[SentencePair]:
+    """``n`` unique latent sentences rendered in both languages; lengths,
+    alphabet and symbol skew come from ``data``. Raises
+    :class:`ConfigurationError` when ``SAMPLING_TRIES`` draws in a row
+    repeat a sentence: ``data`` then leaves too few distinct sentences."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x3C4D]))
     alphabet = _alphabet(data.alphabet_size)
     # Generator.choice(alphabet_size, size=length, p=probs) draws exactly
@@ -205,16 +200,37 @@ def generate_corpus(
     lo, hi = data.length_range
     seen: set[tuple[int, ...]] = set()
     pairs: list[SentencePair] = []
-    while len(pairs) < total:
+    repeats = 0
+    while len(pairs) < n:
         length = int(rng.integers(lo, hi + 1))
         latent = tuple(cdf.searchsorted(rng.random(length), side="right").tolist())
         if latent in seen:
+            repeats += 1
+            if repeats == SAMPLING_TRIES:
+                raise ConfigurationError(
+                    f"data: {n} distinct sentences needed, but {SAMPLING_TRIES} draws in a "
+                    f"row repeated one of the {len(pairs)} drawn; raise data.alphabet_size, "
+                    "widen data.length_range or lower data.zipf_exponent")
             continue
+        repeats = 0
         seen.add(latent)
         pairs.append((
             src.render(latent, alphabet),
             tgt.render(latent, alphabet, with_affix=True),
         ))
+    return pairs
+
+
+def generate_corpus(
+    src: LanguageSpec, tgt: LanguageSpec, n_train: int, data: DataConfig, seed: int
+) -> ClientDataset:
+    """:func:`sample_pairs` in 6:2:2 splits with ``n_train`` as the 6 share;
+    remainders from the 2 shares are balanced to within one sentence. The
+    train split is the first draws.
+    """
+    n_dev = (n_train + 2) // 3
+    n_test = (n_train + 1) // 3
+    pairs = sample_pairs(src, tgt, n_train + n_dev + n_test, data, seed)
     return ClientDataset(
         train=tuple(pairs[:n_train]),
         dev=tuple(pairs[n_train : n_train + n_dev]),

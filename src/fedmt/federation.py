@@ -2,13 +2,13 @@
 
 One round is: every party runs ``local_epochs`` epochs of
 gradient-accumulated steps on its pooled training set, then the server
-averages trainable parameters within each encoder cluster, each decoder
-cluster, and each shared cluster, and broadcasts the result back to the
-cluster members. Frozen tensors never move and never count toward
-communication. Clients are simulated in-process; a "transfer" is a ledger
-event, not I/O. A federated run has one party per client; the centralized
-baseline is one party of every client, run through the same round loop
-with no aggregation.
+averages trainable parameters within each encoder cluster and each decoder
+cluster (the decoder side holds the tied token embedding), and broadcasts
+the result back to the cluster members. Frozen tensors never move and
+never count toward communication. Clients are simulated in-process; a
+"transfer" is a ledger event, not I/O. A federated run has one party per
+client; the centralized baseline is one party of every client, run through
+the same round loop with no aggregation.
 """
 
 from __future__ import annotations
@@ -236,14 +236,13 @@ def inner_cluster_aggregate(
     """Average the tensors ``names_by_side`` names within each cluster and
     broadcast the result to the members.
 
-    The ``encoder`` names follow the encoder clusters, ``decoder`` the
-    decoder clusters, ``shared`` the assignment's shared clusters (a model
-    gives them with ``ToyModel.trainable_by_side``). The ``fedmean`` rule
-    weighs members equally, ``fedavg`` by data size n_i / sum(n) within the
-    cluster, n_i from ``sizes_by_client``. With a single global cluster
-    these are plain FedMean and FedAvg. Tensors not named are left as they
-    are. ``assignment`` partitions the client ids; :func:`run_experiment`
-    checks that once, before round 1.
+    The ``encoder`` names follow the encoder clusters and ``decoder`` the
+    decoder clusters (a model gives them with ``ToyModel.trainable_by_side``).
+    The ``fedmean`` rule weighs members equally, ``fedavg`` by data size
+    n_i / sum(n) within the cluster, n_i from ``sizes_by_client``. With a
+    single global cluster these are plain FedMean and FedAvg. Tensors not
+    named are left as they are. ``assignment`` partitions the client ids;
+    :func:`run_experiment` checks that once, before round 1.
     """
     client_ids = sorted(params_by_client)
     base = params_by_client[client_ids[0]]
@@ -254,14 +253,8 @@ def inner_cluster_aggregate(
             )
 
     updates: dict[str, dict[str, np.ndarray]] = {cid: {} for cid in client_ids}
-    for clusters, side in (
-        (assignment.encoder_clusters, "encoder"),
-        (assignment.decoder_clusters, "decoder"),
-        (assignment.shared_clusters, "shared"),
-    ):
-        names = names_by_side[side]
-        if not names:
-            continue
+    for clusters, names in ((assignment.encoder_clusters, names_by_side["encoder"]),
+                            (assignment.decoder_clusters, names_by_side["decoder"])):
         for cluster in clusters:
             if rule == "fedavg":
                 total = float(sum(sizes_by_client[cid] for cid in cluster))

@@ -140,8 +140,9 @@ class TensorSpec(NamedTuple):
 
 def param_layout(config: ModelConfig) -> list[TensorSpec]:
     """Every tensor of the model with an adapter at every site: the token
-    embedding, then per sublayer its layer norm, block and adapter, then the
-    final layer norm of each stack. Shapes only; nothing is allocated."""
+    embedding (a decoder tensor: it is also the tied output projection),
+    then per sublayer its layer norm, block and adapter, then the final
+    layer norm of each stack. Shapes only; nothing is allocated."""
     d, f, b = config.model_dim, config.ffn_dim, config.adapter_bottleneck
     attn = [(proj, (d, d), "weight") for proj in ATTN_PROJECTIONS]
     linears = {  # block -> (name, weight shape, weight kind) of its linear maps
@@ -150,7 +151,7 @@ def param_layout(config: ModelConfig) -> list[TensorSpec]:
         "ffn": [("fc1", (d, f), "weight"), ("fc2", (f, d), "weight")],
         "adapter": [("down", (d, b), "weight"), ("up", (b, d), "zero_weight")],
     }
-    out = [TensorSpec("emb.token.weight", (config.vocab_size, d), "shared", "embedding", None)]
+    out = [TensorSpec("emb.token.weight", (config.vocab_size, d), "decoder", "embedding", None)]
 
     def add_norm(key: str, side: str) -> None:
         out.append(TensorSpec(f"{key}.weight", (d,), side, "ln_weight", None))
@@ -260,9 +261,9 @@ class ToyModel:
 
     def trainable_by_side(self) -> dict[str, list[str]]:
         """:meth:`trainable_names` by the side ``param_layout`` gives each:
-        ``encoder``, ``decoder`` and ``shared``."""
+        ``encoder`` or ``decoder``."""
         sides = {s.name: s.side for s in param_layout(self.config)}
-        by_side: dict[str, list[str]] = {"encoder": [], "decoder": [], "shared": []}
+        by_side: dict[str, list[str]] = {side: [] for side in STACK_NAMES}
         for name in self.trainable_names():
             by_side[sides[name]].append(name)
         return by_side

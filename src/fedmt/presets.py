@@ -25,6 +25,7 @@ from .data import (
     derive_seed,
     generate_corpus,
     generate_languages,
+    sample_pairs,
 )
 from .model import ModelConfig, adapter_sites, param_layout, pruning_mask
 
@@ -107,20 +108,15 @@ def make_clients(
 
 
 def make_warmup_data(
-    mode: str,
-    languages: list[LanguageSpec],
-    seed: int,
-    sentences_per_pair: int,
-    data: DataConfig,
-) -> list[tuple[tuple[SentencePair, ...], str]]:
-    """Small mixed corpus over the preset pairs, sampled from a stream
-    disjoint from the client corpora; used to pre-train the shared backbone.
-    One (train pairs, target code) part per pair, as
+    clients: list[Client], seed: int, sentences_per_pair: int, data: DataConfig
+) -> list[tuple[list[SentencePair], str]]:
+    """Small mixed corpus over the clients' language pairs, sampled from a
+    stream disjoint from the client corpora; used to pre-train the shared
+    backbone. One (pairs, target code) part per client, as
     :func:`~fedmt.data.make_batch` takes them."""
-    by_code = {spec.code: spec for spec in languages}
-    return [(generate_corpus(by_code[src], by_code[tgt], sentences_per_pair, data,
-                             derive_seed(seed, 0x3A93, idx)).train, tgt)
-            for idx, (src, tgt, _) in enumerate(PLANS[mode][1])]
+    return [(sample_pairs(c.src, c.tgt, sentences_per_pair, data, derive_seed(seed, 0x3A93, idx)),
+             c.tgt.code)
+            for idx, c in enumerate(clients)]
 
 
 # ---------------------------------------------------------------------------

@@ -62,9 +62,9 @@ def warmup_backbone(cfg: ExperimentConfig, seed: int) -> NamedParamSet:
            dataclasses.astuple(cfg.warmup), seed)
     if key in _WARMUP_CACHE:
         return _WARMUP_CACHE[key]
-    languages, _, vocab = prepare_data(cfg, seed)
-    corpus = make_batch(make_warmup_data(cfg.mode, languages, seed,
-                                         cfg.warmup.sentences_per_pair, cfg.data), vocab)
+    _, clients, vocab = prepare_data(cfg, seed)
+    corpus = make_batch(make_warmup_data(clients, seed, cfg.warmup.sentences_per_pair, cfg.data),
+                        vocab)
     epoch_seeds = [derive_seed(seed, 0xAB1E, epoch) for epoch in range(cfg.warmup.epochs)]
     model, _ = train_epochs(
         build_model(bind_model_config(cfg, vocab), _model_seed(seed), adapters=None),
@@ -116,8 +116,7 @@ def make_assignment(
     if cfg.strategy == "gradients":
         features = {party.id: compute_gradient_feature(party.id, party.corpus, probe_model)
                     for party in parties}
-    return assemble(clients, cfg.mode, cfg.strategy, ablation=cfg.ablation, seed=seed,
-                    features=features)
+    return assemble(clients, cfg.strategy, ablation=cfg.ablation, seed=seed, features=features)
 
 
 # ---------------------------------------------------------------------------

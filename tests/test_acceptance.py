@@ -74,9 +74,9 @@ def test_criterion_1_parameter_cost_arithmetic():
 
 
 _SHAPES = [("enc.a", (4, 3), "encoder"), ("dec.b", (5,), "decoder"),
-           ("emb.c", (2, 3), "shared")]
+           ("emb.c", (2, 3), "decoder")]
 _NAMES_BY_SIDE = {side: [name for name, _, s in _SHAPES if s == side]
-                  for side in ("encoder", "decoder", "shared")}
+                  for side in ("encoder", "decoder")}
 
 
 def _random_param_sets(rng, n_sets):
@@ -106,16 +106,14 @@ def test_criterion_2_aggregation_oracles():
     sets = _random_param_sets(np.random.default_rng(7), 4)
     params = {f"c{i}": s for i, s in enumerate(sets)}
     ids = tuple(sorted(params))
-    global_assignment = ClusterAssignment((ids,), (ids,), "none", "m2en")
+    global_assignment = ClusterAssignment((ids,), (ids,), "none")
     unit_sizes = dict.fromkeys(params, 1)
     aggregated = inner_cluster_aggregate(params, _NAMES_BY_SIDE, global_assignment, "fedmean",
                                          unit_sizes)
     for cid in ids:
         assert params_equal(aggregated[cid], aggregated[ids[0]])
 
-    singletons = ClusterAssignment(
-        tuple((i,) for i in ids), tuple((i,) for i in ids), "families", "m2m"
-    )
+    singletons = ClusterAssignment(tuple((i,) for i in ids), tuple((i,) for i in ids), "families")
     identity = inner_cluster_aggregate(params, _NAMES_BY_SIDE, singletons, "fedmean", unit_sizes)
     for cid in ids:
         assert params_equal(identity[cid], params[cid])
@@ -130,9 +128,7 @@ def test_criterion_2_aggregation_oracles():
     model = build_model(config, 0)
     by_side = model.trainable_by_side()
     cids = tuple(sorted(c.id for c in clients))
-    assignment = ClusterAssignment(
-        (cids[:2], cids[2:]), (cids,), "families", "m2en"
-    )
+    assignment = ClusterAssignment((cids[:2], cids[2:]), (cids,), "families")
 
     def check_equality(state):
         for cluster, side in ((cids[:2], "encoder"), (cids[2:], "encoder"), (cids, "decoder")):
@@ -228,7 +224,7 @@ def test_criterion_4_frozen_backbone_bit_identical():
     initial = build_method_model(cfg, 1, vocab, backbone)
     fed_cfg = dataclasses.replace(cfg.fed, seed=1)
     cids = tuple(sorted(c.id for c in clients))
-    assignment = ClusterAssignment((cids[:2], cids[2:]), (cids,), "families", "m2en")
+    assignment = ClusterAssignment((cids[:2], cids[2:]), (cids,), "families")
     seen = []
     run_experiment(
         [Party.of(c, vocab) for c in clients], initial, fed_cfg, vocab, assignment,

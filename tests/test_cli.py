@@ -7,6 +7,7 @@ import platform
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -263,6 +264,20 @@ class TestExitCodes:
         assert main(["run", "--config", cfg_path, "--out", str(out)]) == 1
         assert re.search(f"^configuration error: {key}", capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("data", [
+        {"alphabet_size": 8, "length_range": [1, 1]},  # 8 distinct sentences, 20 needed
+        {"zipf_exponent": 60},  # all the mass on one symbol
+    ])
+    def test_corpus_with_too_few_distinct_sentences_exit_1(self, tmp_path, capsys, data):
+        cfg_path = write_config(tmp_path, {"mode": "m2en", "method": "adapter-fed", "data": data})
+        start = time.perf_counter()
+        assert main(["gen-data", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 1
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        for key in ("data.alphabet_size", "data.length_range", "data.zipf_exponent"):
+            assert key in err
 
     @pytest.mark.parametrize("argv, message", [
         (["run", "--out", "x"], "fedmt run: the following arguments are required: --config"),

@@ -14,10 +14,13 @@ from fedmt.clustering import (
     cluster_random,
     compute_gradient_feature,
 )
+from fedmt.config import METHODS, ExperimentConfig
 from fedmt.errors import DegenerateFeatureError, PartitionError
+from fedmt.federation import Party
 from fedmt.model import ModelConfig, adapter_sites, build_model, param_layout
 from fedmt.data import DataConfig, build_vocab, make_batch
-from fedmt.presets import MBART50_CONFIG, make_clients
+from fedmt.presets import MBART50_CONFIG, MODES, make_clients
+from fedmt.runner import build_method_model, make_assignment, prepare_data
 
 
 @pytest.fixture(scope="module")
@@ -34,31 +37,44 @@ def m2m_clients():
 
 class TestClusterAssignment:
     def test_valid_partition_accepted(self):
-        a = ClusterAssignment((("a", "b"), ("c",)), (("a", "b", "c"),), "families", "m2en")
+        a = ClusterAssignment((("a", "b"), ("c",)), (("a", "b", "c"),), "families")
         assert len(a.encoder_clusters) == 2 and len(a.decoder_clusters) == 1
         assert a.client_ids == ("a", "b", "c")
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(PartitionError):
-            ClusterAssignment((("a",), ()), (("a",),), "none", "m2en")
+            ClusterAssignment((("a",), ()), (("a",),), "none")
 
     def test_overlap_rejected(self):
         with pytest.raises(PartitionError):
-            ClusterAssignment((("a", "b"), ("b",)), (("a", "b"),), "none", "m2en")
+            ClusterAssignment((("a", "b"), ("b",)), (("a", "b"),), "none")
 
     def test_mismatched_sides_rejected(self):
         with pytest.raises(PartitionError):
-            ClusterAssignment((("a", "b"),), (("a", "c"),), "none", "m2en")
+            ClusterAssignment((("a", "b"),), (("a", "c"),), "none")
 
-    def test_shared_follows_decoder_in_m2m_global_in_m2en(self):
-        clusters = (("a",), ("b",))
-        m2m = ClusterAssignment(clusters, clusters, "families", "m2m")
-        assert m2m.shared_clusters == m2m.decoder_clusters
-        m2en = ClusterAssignment(clusters, (("a", "b"),), "families", "m2en")
-        assert m2en.shared_clusters == (("a", "b"),)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_method_training_the_embedding_syncs_it_globally(self, mode):
+        # The token embedding sits on the decoder side, and no third side
+        # exists for it: every method that trains it must aggregate it over
+        # all clients or not at all. A clustered full-model method fails here.
+        trains_embedding = []
+        for method in METHODS:
+            cfg = ExperimentConfig(mode=mode, method=method, data=DataConfig(scale=1 / 64))
+            _, clients, vocab = prepare_data(cfg, 1)
+            initial = build_method_model(cfg, 1, vocab, backbone=None)
+            if "emb.token.weight" not in initial.trainable_names():
+                continue
+            trains_embedding.append(method)
+            parties = [Party.of(client, vocab) for client in clients]
+            assignment = make_assignment(cfg, 1, clients, initial, parties)
+            if assignment is not None:
+                everyone = (assignment.client_ids,)
+                assert assignment.encoder_clusters == assignment.decoder_clusters == everyone
+        assert trains_embedding
 
     def test_describe_lists_members(self):
-        a = ClusterAssignment((("a", "b"),), (("a", "b"),), "random", "m2en")
+        a = ClusterAssignment((("a", "b"),), (("a", "b"),), "random")
         text = a.describe()
         assert "random" in text and "a, b" in text
 
@@ -243,39 +259,45 @@ class TestRandomClustering:
 
 class TestAssemble:
     def test_none_strategy_single_global_clusters(self, m2en_clients):
-        a = assemble(m2en_clients, "m2en", "none", ablation="both", seed=0)
+        a = assemble(m2en_clients, "none", ablation="both", seed=0)
         assert len(a.encoder_clusters) == 1 and len(a.decoder_clusters) == 1
 
     def test_families_m2en(self, m2en_clients):
-        a = assemble(m2en_clients, "m2en", "families", ablation="both", seed=0)
+        a = assemble(m2en_clients, "families", ablation="both", seed=0)
         assert len(a.encoder_clusters) == 4 and len(a.decoder_clusters) == 1
 
     def test_gradients_m2en_clusters_decoder_too(self, m2en_clients):
         feats = features_from_rows(np.eye(8))
-        a = assemble(m2en_clients, "m2en", "gradients", ablation="both", seed=0,
+        a = assemble(m2en_clients, "gradients", ablation="both", seed=0,
                      features=feats)
         assert len(a.encoder_clusters) == len(a.decoder_clusters) == 4
         assert a.encoder_clusters == a.decoder_clusters
 
     def test_random_m2en_decoder_global(self, m2en_clients):
-        a = assemble(m2en_clients, "m2en", "random", ablation="both", seed=1)
+        # one target family (English): the decoder side is one cluster
+        a = assemble(m2en_clients, "random", ablation="both", seed=1)
         assert len(a.encoder_clusters) == len({c.src.family for c in m2en_clients}) == 4
-        assert len(a.decoder_clusters) == 1
+        assert a.decoder_clusters == (tuple(sorted(c.id for c in m2en_clients)),)
 
     def test_random_m2m_both_sides_clustered(self, m2m_clients):
-        a = assemble(m2m_clients, "m2m", "random", ablation="both", seed=1)
-        assert len(a.encoder_clusters) == len(a.decoder_clusters) == 4
+        # k per side is that side's family count, 4 and 4; the decoder draws
+        # from the next seed
+        ids = [c.id for c in m2m_clients]
+        assert len({c.tgt.family for c in m2m_clients}) == 4
+        a = assemble(m2m_clients, "random", ablation="both", seed=1)
+        assert a.encoder_clusters == cluster_random(ids, 4, 1)
+        assert a.decoder_clusters == cluster_random(ids, 4, 2)
 
     def test_encoder_only_ablation(self, m2m_clients):
-        a = assemble(m2m_clients, "m2m", "families", ablation="encoder_only", seed=0)
+        a = assemble(m2m_clients, "families", ablation="encoder_only", seed=0)
         assert len(a.encoder_clusters) == 4 and len(a.decoder_clusters) == 1
 
     def test_decoder_only_ablation(self, m2m_clients):
-        a = assemble(m2m_clients, "m2m", "families", ablation="decoder_only", seed=0)
+        a = assemble(m2m_clients, "families", ablation="decoder_only", seed=0)
         assert len(a.encoder_clusters) == 1 and len(a.decoder_clusters) == 4
 
     def test_none_ablation_globalizes_both(self, m2m_clients):
-        a = assemble(m2m_clients, "m2m", "none", ablation="both", seed=0)
+        a = assemble(m2m_clients, "none", ablation="both", seed=0)
         assert len(a.encoder_clusters) == len(a.decoder_clusters) == 1
 
 

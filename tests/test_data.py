@@ -14,6 +14,7 @@ from fedmt.data import (
     Vocab,
     batches,
     build_vocab,
+    derive_seed,
     export_corpus,
     generate_corpus,
     generate_languages,
@@ -322,13 +323,26 @@ class TestEncodeOnce:
     def test_a_pooled_split_is_one_encode_equal_to_merging_its_parts(self, mode):
         # the warm-up corpus: one part per preset pair, in m2m with several targets
         data = DataConfig(scale=1 / 64)
-        languages, _ = make_clients(mode, 1, data)
+        languages, clients = make_clients(mode, 1, data)
         vocab = build_vocab(languages)
-        parts = make_warmup_data(mode, languages, 1, 16, data)
+        parts = make_warmup_data(clients, 1, 16, data)
         assert (len({code for _, code in parts}) > 1) == (mode == "m2m")
         pooled = make_batch(parts, vocab)
         merged = merge_batches([make_batch([part], vocab) for part in parts])
         assert_same_arrays(pooled, [getattr(merged, name) for name in FIELDS])
+
+
+@pytest.mark.parametrize("mode", ["m2en", "m2m"])
+def test_warmup_parts_are_the_train_split_of_their_stream(mode):
+    # the warm-up draws only what it trains on: the first draws of the
+    # stream whose 6:2:2 corpus would have the same train split
+    data = DataConfig(scale=1 / 64)
+    _, clients = make_clients(mode, 3, data)
+    parts = make_warmup_data(clients, 3, 16, data)
+    assert len(parts) == len(clients)
+    for idx, (client, (pairs, code)) in enumerate(zip(clients, parts)):
+        corpus = generate_corpus(client.src, client.tgt, 16, data, derive_seed(3, 0x3A93, idx))
+        assert tuple(pairs) == corpus.train and code == client.tgt.code
 
 
 def test_export_corpus_round_trips(tmp_path):

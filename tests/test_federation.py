@@ -42,7 +42,7 @@ def names_by_side(spec):
     """The trainable names of a (name, shape, trainable, side) spec by side,
     as ``ToyModel.trainable_by_side`` gives them for a model."""
     return {side: [name for name, _, trainable, s in spec if trainable and s == side]
-            for side in ("encoder", "decoder", "shared")}
+            for side in ("encoder", "decoder")}
 
 
 def global_aggregate(sets, rule="fedmean", sizes=None, names_by_side=None):
@@ -52,10 +52,10 @@ def global_aggregate(sets, rule="fedmean", sizes=None, names_by_side=None):
     the first client receives; every client receives the same averaged
     values."""
     ids = tuple(f"c{i}" for i in range(len(sets)))
-    assignment = ClusterAssignment((ids,), (ids,), "none", "m2en")
+    assignment = ClusterAssignment((ids,), (ids,), "none")
     sizes_by_client = dict(zip(ids, sizes or [1] * len(sets)))
     if names_by_side is None:
-        names_by_side = {"encoder": [], "decoder": [], "shared": list(sets[0].names)}
+        names_by_side = {"encoder": [], "decoder": list(sets[0].names)}
     out = inner_cluster_aggregate(dict(zip(ids, sets)), names_by_side, assignment, rule,
                                   sizes_by_client)
     return out[ids[0]]
@@ -70,7 +70,7 @@ def random_sets(n, rng, trainable_frac=1.0):
     spec = [
         ("enc.a", (3, 2), True, "encoder"),
         ("dec.b", (4,), True, "decoder"),
-        ("emb.c", (2, 2), rng.random() < trainable_frac, "shared"),
+        ("emb.c", (2, 2), rng.random() < trainable_frac, "decoder"),
     ]
     frozen_values = rng.normal(size=(2, 2))
     sets = []
@@ -144,7 +144,7 @@ class TestFedMean:
 
 class TestInnerClusterAggregate:
     # frozen.w, an encoder tensor, is named on no side: it never moves
-    NAMES = {"encoder": ["enc.w"], "decoder": ["dec.w"], "shared": ["emb.w"]}
+    NAMES = {"encoder": ["enc.w"], "decoder": ["dec.w", "emb.w"]}
 
     def _params(self, values):
         return {
@@ -159,9 +159,7 @@ class TestInnerClusterAggregate:
 
     def test_global_cluster_equals_fedmean(self):
         params = self._params({"a": 1, "b": 2, "c": 6})
-        assignment = ClusterAssignment(
-            (("a", "b", "c"),), (("a", "b", "c"),), "none", "m2en"
-        )
+        assignment = ClusterAssignment((("a", "b", "c"),), (("a", "b", "c"),), "none")
         out = inner_cluster_aggregate(params, self.NAMES, assignment, rule="fedmean",
                                       sizes_by_client=dict.fromkeys(params, 1))
         for cid in params:
@@ -171,9 +169,7 @@ class TestInnerClusterAggregate:
 
     def test_singleton_clusters_are_identity(self):
         params = self._params({"a": 1, "b": 2})
-        assignment = ClusterAssignment(
-            (("a",), ("b",)), (("a",), ("b",)), "families", "m2m"
-        )
+        assignment = ClusterAssignment((("a",), ("b",)), (("a",), ("b",)), "families")
         out = inner_cluster_aggregate(params, self.NAMES, assignment, rule="fedmean",
                                       sizes_by_client=dict.fromkeys(params, 1))
         for cid in params:
@@ -181,24 +177,21 @@ class TestInnerClusterAggregate:
 
     def test_two_cluster_brute_force(self):
         params = self._params({"c1": 1.0, "c2": 3.0, "c3": 5.0, "c4": 9.0})
-        assignment = ClusterAssignment(
-            (("c1", "c2"), ("c3", "c4")), (("c1", "c2", "c3", "c4"),), "families", "m2en"
-        )
+        assignment = ClusterAssignment((("c1", "c2"), ("c3", "c4")), (("c1", "c2", "c3", "c4"),),
+                                       "families")
         out = inner_cluster_aggregate(params, self.NAMES, assignment, rule="fedmean",
                                       sizes_by_client=dict.fromkeys(params, 1))
         # encoder side averaged within {c1,c2} and {c3,c4}
         assert out["c1"].values("enc.w")[0] == pytest.approx(2.0)
         assert out["c2"].values("enc.w")[0] == pytest.approx(2.0)
         assert out["c3"].values("enc.w")[0] == pytest.approx(7.0)
-        # decoder and shared sides averaged globally (m2en)
+        # decoder side, the embedding included, averaged globally
         assert out["c1"].values("dec.w")[0] == pytest.approx(45.0)
         assert out["c4"].values("emb.w")[0] == pytest.approx(450.0)
 
     def test_intra_cluster_equality_bitwise(self):
         params = self._params({"a": 1.37, "b": 2.91, "c": -3.3, "d": 0.02})
-        assignment = ClusterAssignment(
-            (("a", "b"), ("c", "d")), (("a", "c"), ("b", "d")), "random", "m2m"
-        )
+        assignment = ClusterAssignment((("a", "b"), ("c", "d")), (("a", "c"), ("b", "d")), "random")
         out = inner_cluster_aggregate(params, self.NAMES, assignment, rule="fedmean",
                                       sizes_by_client=dict.fromkeys(params, 1))
         assert np.array_equal(out["a"].values("enc.w"), out["b"].values("enc.w"))
@@ -206,7 +199,7 @@ class TestInnerClusterAggregate:
 
     def test_frozen_untouched(self):
         params = self._params({"a": 1, "b": 5})
-        assignment = ClusterAssignment((("a", "b"),), (("a", "b"),), "none", "m2en")
+        assignment = ClusterAssignment((("a", "b"),), (("a", "b"),), "none")
         out = inner_cluster_aggregate(params, self.NAMES, assignment, rule="fedmean",
                                       sizes_by_client=dict.fromkeys(params, 1))
         for cid in params:
@@ -214,7 +207,7 @@ class TestInnerClusterAggregate:
 
     def test_fedavg_rule_weights_by_size(self):
         params = self._params({"a": 0.0, "b": 4.0})
-        assignment = ClusterAssignment((("a", "b"),), (("a", "b"),), "none", "m2en")
+        assignment = ClusterAssignment((("a", "b"),), (("a", "b"),), "none")
         out = inner_cluster_aggregate(params, self.NAMES, assignment, rule="fedavg",
                                       sizes_by_client={"a": 1, "b": 3})
         assert out["a"].values("enc.w")[0] == pytest.approx(3.0)
@@ -224,7 +217,7 @@ class TestInnerClusterAggregate:
         params["b"] = params["b"].replace_values({"enc.w": np.zeros(1)}).filter(
             lambda name: name != "dec.w"
         )
-        assignment = ClusterAssignment((("a", "b"),), (("a", "b"),), "none", "m2en")
+        assignment = ClusterAssignment((("a", "b"),), (("a", "b"),), "none")
         with pytest.raises(StructuralMismatchError):
             inner_cluster_aggregate(params, self.NAMES, assignment, rule="fedmean",
                                     sizes_by_client=dict.fromkeys(params, 1))
@@ -397,7 +390,7 @@ def test_adam_step_is_bitwise_the_textbook_formula(dtype):
 class TestRunExperiment:
     def _assignment(self, clients):
         ids = tuple(sorted(c.id for c in clients))
-        return ClusterAssignment((ids,), (ids,), "none", "m2en")
+        return ClusterAssignment((ids,), (ids,), "none")
 
     def test_single_client_one_round_matches_local_update(self, tiny_setup):
         clients, vocab, model = tiny_setup
@@ -414,14 +407,14 @@ class TestRunExperiment:
         # checked once, before round 1; aggregation trusts the assignment
         clients, vocab, model = tiny_setup
         ids = (clients[0].id,)
-        assignment = ClusterAssignment((ids,), (ids,), "none", "m2en")
+        assignment = ClusterAssignment((ids,), (ids,), "none")
         with pytest.raises(PartitionError):
             run_experiment(parties(clients[:2], vocab), model, FedConfig(rounds=1), vocab,
                            assignment)
 
     def test_empty_rejected(self, tiny_setup):
         _, vocab, model = tiny_setup
-        assignment = ClusterAssignment((("a",),), (("a",),), "none", "m2en")
+        assignment = ClusterAssignment((("a",),), (("a",),), "none")
         with pytest.raises(PartitionError):
             run_experiment([], model, FedConfig(rounds=1), vocab, assignment)
 

@@ -27,7 +27,7 @@ def make_set(spec, dtype=np.float64, rng=None):
 BASIC = [
     ("enc.w", (3, 2), True, "encoder"),
     ("dec.w", (4,), True, "decoder"),
-    ("emb.w", (2, 2), False, "shared"),
+    ("emb.w", (2, 2), False, "decoder"),
 ]
 
 

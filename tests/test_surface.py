@@ -4,8 +4,11 @@ Every function, class and method defined under ``src/fedmt`` must be
 referenced somewhere in ``src/`` besides its own definition; a helper that
 only a test calls belongs in the tests. Every field of a dataclass there
 must be read somewhere in ``src/`` as ``.field``; a field that only a test
-reads is a value the program computes for nothing. Definitions and fields
-come from an ``ast`` walk, references from a match over the source text.
+reads is a value the program computes for nothing. Every parameter of a
+function there (``self`` and ``cls`` aside) must be read in its body; a
+parameter that nothing reads is an option that changes nothing.
+Definitions, fields and parameters come from an ``ast`` walk, references
+to definitions and fields from a match over the source text.
 """
 
 import ast
@@ -56,9 +59,31 @@ def unread_dataclass_fields() -> list[str]:
     return sorted(unread)
 
 
+def unread_parameters() -> list[str]:
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [
+                arg for arg in (args.vararg, args.kwarg) if arg is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {name.id for stmt in body for name in ast.walk(stmt)
+                    if isinstance(name, ast.Name)}
+            unread += [f"{path.stem}.{getattr(node, 'name', '<lambda>')}({param.arg})"
+                       for param in params
+                       if param.arg not in ("self", "cls") and param.arg not in read]
+    return sorted(unread)
+
+
 def test_every_definition_is_referenced_in_src():
     assert unreferenced_definitions() == sorted(PUBLIC_ONLY)
 
 
 def test_every_dataclass_field_is_read_in_src():
     assert unread_dataclass_fields() == []
+
+
+def test_every_parameter_is_read_in_its_body():
+    assert unread_parameters() == []
