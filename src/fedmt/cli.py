@@ -13,18 +13,19 @@ from __future__ import annotations
 import argparse
 import ctypes
 import dataclasses
+import json
 import platform
 import sys
 from pathlib import Path
 
-from .config import parse_config
+from .config import ExperimentConfig, check_fields, config_to_dict, parse_config
 from .data import export_corpus
 from .errors import ConfigurationError, FedmtError
 from .federation import FedConfig
-from .model import param_layout, save_checkpoints
+from .model import param_layout
 from .params import count_params
 from .presets import mbart50_summary
-from .reporting import write_config_snapshot, write_seed_report, write_summary
+from .reporting import save_checkpoints, write_json, write_seed_report, write_summary
 from .runner import build_method_model, prepare_data, run_seed, sync_param_count
 
 
@@ -54,10 +55,13 @@ def _keep_heap_mapped() -> bool:
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
+    """``--seeds``, read as the items of a config's ``seeds`` list."""
     try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as err:
-        raise ConfigurationError(f"--seeds: {err}") from err
+        seeds = json.loads(f"[{text}]")
+    except json.JSONDecodeError as err:
+        raise ConfigurationError(f"--seeds: not a comma-separated integer list: {text!r}") from err
+    check_fields(ExperimentConfig, {"seeds": seeds}, "--")
+    return tuple(seeds)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -66,7 +70,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         cfg = dataclasses.replace(cfg, seeds=_parse_seeds(args.seeds))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_config_snapshot(out_dir / "config.json", cfg)
+    write_json(out_dir / "config.json", config_to_dict(cfg))
     results = []
     for seed in cfg.seeds:
         result, models = run_seed(cfg, seed)
@@ -204,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     except FedmtError as err:
         print(f"runtime error: {err}", file=sys.stderr)
         return 2
-    except OSError as err:
+    except (OSError, MemoryError) as err:
         print(f"runtime error: {err}", file=sys.stderr)
         return 2
 

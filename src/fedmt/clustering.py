@@ -68,14 +68,6 @@ class ClusterAssignment:
         if set(client_ids) != set(self.client_ids):
             raise PartitionError("assignment does not match the client set")
 
-    def describe(self) -> str:
-        lines = [f"strategy: {self.strategy}"]
-        for label, clusters in (("encoder", self.encoder_clusters), ("decoder", self.decoder_clusters)):
-            lines.append(f"{label} clusters ({len(clusters)}):")
-            for idx, cluster in enumerate(clusters):
-                lines.append(f"  {label}[{idx}]: {', '.join(cluster)}")
-        return "\n".join(lines)
-
 
 # ---------------------------------------------------------------------------
 # strategies

@@ -8,7 +8,8 @@ configures: ``DataConfig`` in ``fedmt.data``, ``ModelConfig`` in
 defaults are the only defaults: the functions that read a setting take
 its section, or take the value with no default of their own. Unknown
 keys, values of the wrong JSON type and invalid combinations are
-rejected with the offending key path.
+rejected with the offending key path. The same reader reads the
+``ModelConfig`` of a checkpoint directory (``fedmt.reporting``).
 """
 
 from __future__ import annotations
@@ -184,19 +185,24 @@ def _check_value(key: str, value: Any, hint: Any) -> None:
     raise ConfigurationError(f"{key}: expected {expected}, got {json.dumps(value, default=repr)}")
 
 
-def _build_dataclass(cls, raw: Any, path: str, **extra: Any):
-    """``cls`` from a JSON object whose keys are a subset of its fields; the
-    fields it leaves out keep their dataclass defaults."""
-    if not isinstance(raw, Mapping):
-        raise ConfigurationError(f"{path}: expected an object")
-    prefix = f"{path}." if path else ""
+def check_fields(cls, raw: Mapping[str, Any], prefix: str) -> None:
+    """Refuse an unknown key of ``raw`` or a value without its field's JSON type."""
     hints = typing.get_type_hints(cls)
     unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise ConfigurationError(f"{prefix}{unknown[0]}: unknown key")
-    kwargs: dict[str, Any] = dict(extra)
     for name, value in raw.items():
         _check_value(f"{prefix}{name}", value, hints[name])
+
+
+def build_dataclass(cls, raw: Any, path: str = "", **extra: Any):
+    """``cls`` from a JSON object whose keys are a subset of its fields; the
+    fields it leaves out keep their dataclass defaults."""
+    if not isinstance(raw, Mapping):
+        raise ConfigurationError(f"{path}: expected an object")
+    check_fields(cls, raw, f"{path}." if path else "")
+    kwargs: dict[str, Any] = dict(extra)
+    for name, value in raw.items():
         kwargs[name] = tuple(value) if isinstance(value, list) else value
     try:
         return cls(**kwargs)
@@ -223,8 +229,8 @@ def config_from_dict(raw: Mapping[str, Any]) -> ExperimentConfig:
     for key, cls in _SECTIONS.items():
         # fed.aggregation follows the top-level value unless set
         extra = {"aggregation": aggregation} if key == "fed" else {}
-        raw[key] = _build_dataclass(cls, raw.get(key, {}), key, **extra)
-    return _build_dataclass(ExperimentConfig, raw, "")
+        raw[key] = build_dataclass(cls, raw.get(key, {}), key, **extra)
+    return build_dataclass(ExperimentConfig, raw)
 
 
 def _unique_keys(value: Any, path: str = "") -> Any:
@@ -242,20 +248,25 @@ def _unique_keys(value: Any, path: str = "") -> Any:
     return out
 
 
+def read_json_object(path: Path) -> dict[str, Any]:
+    """The top-level object of a UTF-8 JSON file that repeats no key in one object."""
+    try:
+        raw = _unique_keys(json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=tuple))
+    except UnicodeDecodeError as err:
+        raise ConfigurationError(f"not UTF-8 ({err})") from err
+    except json.JSONDecodeError as err:
+        raise ConfigurationError(f"invalid JSON ({err})") from err
+    if not isinstance(raw, dict):
+        raise ConfigurationError("top level must be an object")
+    return raw
+
+
 def parse_config(path: str | Path) -> ExperimentConfig:
     """Load and validate a JSON experiment config."""
     path = Path(path)
     if not path.is_file():
         raise ConfigurationError(f"config file not found: {path}")
-    try:
-        raw = _unique_keys(json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=tuple))
-    except UnicodeDecodeError as err:
-        raise ConfigurationError(f"{path}: not UTF-8 ({err})") from err
-    except json.JSONDecodeError as err:
-        raise ConfigurationError(f"{path}: invalid JSON ({err})") from err
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"{path}: top level must be an object")
-    return config_from_dict(raw)
+    return config_from_dict(read_json_object(path))
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict[str, Any]:

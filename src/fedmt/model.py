@@ -9,7 +9,8 @@ pruning, the forward and backward passes and the reference-scale arithmetic
 in ``presets`` all read these tables. A site's adapter exists exactly when
 the parameter set holds its tensors: a pruned site holds none, and the
 forward skips it. Layer-norm parameters stay trainable alongside the
-adapters. The output projection is tied to the token embedding.
+adapters. The output projection is tied to the token embedding. The module
+reads and writes no file: ``fedmt.reporting`` saves and loads checkpoints.
 
 Forward and backward passes are written directly in numpy; gradients are
 exact, which lets tests pin them against central finite differences. They
@@ -34,16 +35,14 @@ holds no inputs for its weights.
 from __future__ import annotations
 
 import dataclasses
-import typing
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import nn
-from .errors import CheckpointError, ConfigurationError, NumericError
-from .params import NamedParamSet, load_param_set, save_param_set
+from .errors import ConfigurationError, NumericError
+from .params import NamedParamSet
 
 # One pre-norm sublayer computes x <- adapter(x + block(layer_norm(x))).
 # Entries are (layer norm, block, adapter slot); the adapter after the
@@ -620,89 +619,3 @@ def decode_greedy(model: ToyModel, src: np.ndarray, src_mask: np.ndarray,
         tgt = nxt[:, None]
     return outputs
 
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-
-def save_checkpoints(models: Mapping[str, ToyModel], directory: str | Path) -> None:
-    """Write client models that share one config into ``directory``:
-    ``backbone.meta`` holds the ``ModelConfig`` fields, ``backbone.params``
-    every tensor that all the clients hold as one array, and
-    ``<client>.params`` the rest of that client's tensors."""
-    directory = Path(directory)
-    directory.mkdir(exist_ok=True)
-    first = next(iter(models.values()))
-    shared = {name for name in first.params.names if all(
-        model.params.values(name) is first.params.values(name) for model in models.values())}
-    save_param_set(first.params.filter(shared.__contains__), directory / "backbone.params")
-    lines = [f"{f.name}={getattr(first.config, f.name)}" for f in dataclasses.fields(ModelConfig)]
-    (directory / "backbone.meta").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    for cid in sorted(models):
-        save_param_set(models[cid].params.filter(lambda name: name not in shared),
-                       directory / f"{cid}.params")
-
-
-def load_checkpoint(path_prefix: str | Path) -> ToyModel:
-    """Read one client's model, written by :func:`save_checkpoints`: the
-    backbone files next to ``path_prefix`` merged with
-    ``path_prefix.params``. :class:`CheckpointError` is raised for a missing
-    backbone or client file, a client tensor the backbone file also holds, a
-    ``backbone.meta`` that is not UTF-8 or has a missing, unknown, repeated
-    or unparsable key, a damaged ``.params`` file, and merged tensors that
-    disagree with the config's layout (:func:`param_layout`): a name, shape
-    or dtype, a missing backbone tensor, or an adapter site holding only
-    some of its tensors."""
-    prefix = Path(path_prefix)
-    meta_path = prefix.parent / "backbone.meta"
-    backbone_path = prefix.parent / "backbone.params"
-    client_path = prefix.parent / (prefix.name + ".params")
-    for path in (meta_path, backbone_path, client_path):
-        if not path.is_file():
-            raise CheckpointError(f"{path}: missing")
-    try:
-        text = meta_path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as err:
-        raise CheckpointError(f"{meta_path}: not UTF-8 ({err})") from err
-    meta: dict[str, str] = {}
-    for line in text.splitlines():
-        if line.strip():
-            key, _, value = line.partition("=")
-            if key in meta:
-                raise CheckpointError(f"{meta_path}: repeated key {key!r}")
-            meta[key] = value
-    hints = typing.get_type_hints(ModelConfig)
-    try:
-        config = ModelConfig(**{
-            f.name: hints[f.name](meta.pop(f.name)) for f in dataclasses.fields(ModelConfig)
-        })
-    except KeyError as err:
-        raise CheckpointError(f"{meta_path}: missing key {err}") from err
-    except (ValueError, ConfigurationError) as err:
-        raise CheckpointError(f"{meta_path}: {err}") from err
-    if meta:
-        raise CheckpointError(f"{meta_path}: unknown key {sorted(meta)[0]!r}")
-    backbone = load_param_set(backbone_path)
-    client = load_param_set(client_path)
-    for name in client.names:
-        if name in backbone:
-            raise CheckpointError(f"{client_path}: tensor {name!r} is also in {backbone_path}")
-    params = NamedParamSet({name: pset.values(name)
-                            for pset in (backbone, client) for name in pset.names})
-    layout = {s.name: s for s in param_layout(config)}
-    held: set[AdapterSite | None] = {None}  # the backbone, then each site with a tensor
-    for name in params.names:
-        spec = layout.pop(name, None)
-        if spec is None:
-            raise CheckpointError(f"{prefix}: tensor {name!r} is not in the config's layout")
-        values = params.values(name)
-        found = (values.shape, values.dtype.name)
-        expected = (spec.shape, config.dtype)
-        if found != expected:
-            raise CheckpointError(f"{prefix}: tensor {name!r} has (shape, dtype) "
-                                  f"{found}, but the config says {expected}")
-        held.add(spec.site)
-    missing = [name for name, spec in layout.items() if spec.site in held]
-    if missing:
-        raise CheckpointError(f"{prefix}: missing tensor {missing[0]!r}")
-    return ToyModel(config, params)

@@ -13,9 +13,10 @@ input, which only its weight gradient reads, only when it is named. An
 activation's ``keep`` flag says whether a backward will run: GELU then
 keeps its derivative, ReLU its mask; without it they keep nothing.
 
-The model passes packed rows [N, d] of real tokens. Position-wise primitives
-do not care; attention takes each input's ``Rows`` and places the rows on
-the padded [B, T] grid only around its score, softmax and context products.
+The model passes packed rows [N, d] of real tokens, and the linear and
+layer-norm backward passes take exactly these 2-D rows. Attention takes
+each input's ``Rows`` and places the rows on the padded [B, T] grid only
+around its score, softmax and context products.
 It holds queries, keys and values alike, as head-major views [B, H, T, dh]
 of that grid, and its softmax weights key-major, [Tk, B, H, Tq].
 """
@@ -45,9 +46,8 @@ def linear_bwd(dy: np.ndarray, cache, grads: dict):
     x, w, name = cache
     dx = dy @ w.T
     if name is not None:
-        d = dy.shape[-1]
-        grads[f"{name}.weight"] = x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, d)
-        grads[f"{name}.bias"] = dy.reshape(-1, d).sum(axis=0)
+        grads[f"{name}.weight"] = x.T @ dy
+        grads[f"{name}.bias"] = dy.sum(axis=0)
     return dx
 
 
@@ -118,8 +118,8 @@ def layer_norm_bwd(dy: np.ndarray, cache, grads: dict):
     d = xhat.shape[-1]
     dy_xhat = dy * xhat
     if name is not None:
-        grads[f"{name}.weight"] = dy_xhat.reshape(-1, d).sum(axis=0)
-        grads[f"{name}.bias"] = dy.reshape(-1, d).sum(axis=0)
+        grads[f"{name}.weight"] = dy_xhat.sum(axis=0)
+        grads[f"{name}.bias"] = dy.sum(axis=0)
     # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), dxhat = dy * g
     g_avg = g / d
     m1, m2 = dy @ g_avg, dy_xhat @ g_avg

@@ -1,19 +1,23 @@
-"""Run-report writers: metrics.csv, comm.csv, clusters.txt, summaries.
-
-All floats are formatted with a fixed ``%.10g`` so identical runs produce
-byte-identical files.
+"""Run reports: writes every file under ``fedmt run --out`` and reads one
+client's checkpoint back. :func:`write_json` writes every JSON file
+(``config.json``, ``summary.json``, ``backbone.meta``) and CSV floats use a
+fixed ``%.10g``, so identical runs give byte-identical files.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Mapping, Sequence
 
 from .clustering import ClusterAssignment
-from .config import ExperimentConfig, config_to_dict
+from .config import ExperimentConfig, build_dataclass, read_json_object
+from .errors import CheckpointError, ConfigurationError
 from .federation import CommLedger
+from .model import AdapterSite, ModelConfig, ToyModel, param_layout
+from .params import NamedParamSet, load_param_set, save_param_set
 from .runner import SeedResult, sync_param_count
 
 
@@ -50,13 +54,20 @@ def write_comm_csv(path: Path, ledger: CommLedger) -> None:
 
 
 def write_clusters_txt(path: Path, assignment: ClusterAssignment | None) -> None:
-    text = assignment.describe() if assignment is not None else "no clustering (no aggregation or global sharing)"
-    path.write_text(text + "\n", encoding="utf-8")
+    if assignment is None:
+        lines = ["no clustering (no aggregation or global sharing)"]
+    else:
+        lines = [f"strategy: {assignment.strategy}"]
+        for label, clusters in (("encoder", assignment.encoder_clusters),
+                                ("decoder", assignment.decoder_clusters)):
+            lines.append(f"{label} clusters ({len(clusters)}):")
+            lines += [f"  {label}[{idx}]: {', '.join(cluster)}"
+                      for idx, cluster in enumerate(clusters)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_config_snapshot(path: Path, cfg: ExperimentConfig) -> None:
-    path.write_text(json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+def write_json(path: Path, value: Any) -> None:
+    path.write_text(json.dumps(value, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -123,9 +134,7 @@ def write_summary(out_dir: Path, cfg: ExperimentConfig, results: list[SeedResult
         ] + [f"{summary['macro_bleu']:.2f}", f"{summary['micro_bleu']:.2f}"]
         lines += ["", " ".join(header), " ".join(values)]
     (out_dir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(out_dir / "summary.json", summary)
     return summary
 
 
@@ -134,3 +143,73 @@ def write_seed_report(seed_dir: Path, result: SeedResult) -> None:
     write_metrics_csv(seed_dir / "metrics.csv", result)
     write_comm_csv(seed_dir / "comm.csv", result.run.ledger)
     write_clusters_txt(seed_dir / "clusters.txt", result.assignment)
+
+
+# ---------------------------------------------------------------------------
+# checkpoints
+
+
+def save_checkpoints(models: Mapping[str, ToyModel], directory: Path) -> None:
+    """Write client models that share one config into ``directory``:
+    ``backbone.meta`` holds the ``ModelConfig`` as a JSON object,
+    ``backbone.params`` every tensor that all the clients hold as one array,
+    and ``<client>.params`` the rest of that client's tensors."""
+    directory.mkdir(exist_ok=True)
+    first = next(iter(models.values()))
+    shared = {name for name in first.params.names if all(
+        model.params.values(name) is first.params.values(name) for model in models.values())}
+    save_param_set(first.params.filter(shared.__contains__), directory / "backbone.params")
+    write_json(directory / "backbone.meta", dataclasses.asdict(first.config))
+    for cid in sorted(models):
+        save_param_set(models[cid].params.filter(lambda name: name not in shared),
+                       directory / f"{cid}.params")
+
+
+def load_checkpoint(path_prefix: str | Path) -> ToyModel:
+    """Read one client's model, written by :func:`save_checkpoints`: the
+    backbone files next to ``path_prefix`` merged with ``path_prefix.params``.
+    :class:`CheckpointError` is raised for a missing file, a client tensor the
+    backbone file also holds, a ``backbone.meta`` that the config reader
+    refuses or that leaves out a field, a damaged ``.params`` file, and
+    tensors that disagree with the config's layout (:func:`param_layout`): a
+    name, shape or dtype, a missing backbone tensor, or an adapter site
+    holding only some of its tensors."""
+    prefix = Path(path_prefix)
+    meta_path = prefix.parent / "backbone.meta"
+    backbone_path = prefix.parent / "backbone.params"
+    client_path = prefix.parent / (prefix.name + ".params")
+    for path in (meta_path, backbone_path, client_path):
+        if not path.is_file():
+            raise CheckpointError(f"{path}: missing")
+    try:
+        raw = read_json_object(meta_path)
+        missing = [f.name for f in dataclasses.fields(ModelConfig) if f.name not in raw]
+        if missing:  # before building, where a default would stand in for it
+            raise ConfigurationError(f"{missing[0]}: required key missing")
+        config = build_dataclass(ModelConfig, raw)
+    except ConfigurationError as err:
+        raise CheckpointError(f"{meta_path}: {err}") from err
+    backbone = load_param_set(backbone_path)
+    client = load_param_set(client_path)
+    for name in client.names:
+        if name in backbone:
+            raise CheckpointError(f"{client_path}: tensor {name!r} is also in {backbone_path}")
+    params = NamedParamSet({name: pset.values(name)
+                            for pset in (backbone, client) for name in pset.names})
+    layout = {s.name: s for s in param_layout(config)}
+    held: set[AdapterSite | None] = {None}  # the backbone, then each site with a tensor
+    for name in params.names:
+        spec = layout.pop(name, None)
+        if spec is None:
+            raise CheckpointError(f"{prefix}: tensor {name!r} is not in backbone.meta's layout")
+        values = params.values(name)
+        found = (values.shape, values.dtype.name)
+        expected = (spec.shape, config.dtype)
+        if found != expected:
+            raise CheckpointError(f"{prefix}: tensor {name!r} has (shape, dtype) "
+                                  f"{found}, but backbone.meta says {expected}")
+        held.add(spec.site)
+    missing = [name for name, spec in layout.items() if spec.site in held]
+    if missing:
+        raise CheckpointError(f"{prefix}: missing tensor {missing[0]!r}")
+    return ToyModel(config, params)

@@ -340,8 +340,6 @@ def test_criterion_8_byte_identical_metrics(tmp_path):
         "fed": {"rounds": 2, "grad_accumulation": 1},
         "warmup": {"sentences_per_pair": 8, "epochs": 1},
     }
-    names = ["seed_3/metrics.csv", "seed_3/comm.csv", "seed_4/metrics.csv",
-             "seed_4/comm.csv", "summary.json", "summary.csv"]
     three_layers = dict(payload_cfg["model"], enc_layers=3, dec_layers=3)
     runs = {  # label -> method config; pruning thirds need layer counts divisible by 3
         "adapter-random": dict(payload_cfg, method="adapter-random"),
@@ -355,10 +353,15 @@ def test_criterion_8_byte_identical_metrics(tmp_path):
         outs = []
         for name in ("run_a", "run_b"):
             out = tmp_path / label / name
-            assert cli_main(["run", "--config", str(cfg_path), "--out", str(out),
-                             "--no-checkpoints"]) == 0
+            assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
             outs.append(out)
-        for name in names:
+        # every file under --out, checkpoints included
+        files = [sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+                 for out in outs]
+        assert files[0] == files[1], label
+        assert {p.name for p in files[0]} >= {"config.json", "summary.txt", "clusters.txt",
+                                              "metrics.csv", "backbone.meta"}, label
+        for name in files[0]:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (label, name)
-    report(8, f"two identical two-seed runs of each of {', '.join(runs)} produced "
-              "byte-identical metrics.csv, comm.csv and summary.json/.csv")
+    report(8, f"two identical two-seed runs of each of {', '.join(runs)} wrote the same "
+              f"{len(files[0])} files under --out, checkpoints included, byte for byte")

@@ -299,6 +299,38 @@ class TestExitCodes:
         assert exit_.value.code == 0
         assert capsys.readouterr().out.startswith("usage: fedmt")
 
+    @pytest.mark.parametrize("seeds", ["1_0", "+3", "\u0665", "08", "1.0", "true", "[1]", "1;2"])
+    def test_seed_override_is_read_as_json_integers(self, tmp_path, capsys, seeds):
+        # each entry is read as a config's seeds items are: int() read the
+        # first four as 10, 3, 5 (Arabic-Indic five) and 8, and JSON reads
+        # the next three as a float, a boolean and a list
+        cfg_path = write_config(tmp_path, TINY_RUN)
+        out = tmp_path / "x"
+        assert main(["run", "--config", cfg_path, "--out", str(out), f"--seeds={seeds}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: --seeds") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_seed_override_runs_each_seed(self, tmp_path):
+        cfg_path = write_config(tmp_path, dict(SMOKE_RUN, method="adapter-local"))
+        out = tmp_path / "x"
+        assert main(["run", "--config", cfg_path, "--out", str(out), "--seeds", "1,2",
+                     "--no-checkpoints"]) == 0
+        assert json.loads((out / "config.json").read_text())["seeds"] == [1, 2]
+        assert (out / "seed_1" / "metrics.csv").is_file()
+        assert (out / "seed_2" / "metrics.csv").is_file()
+
+    @pytest.mark.parametrize("command", ["count-params", "run"])
+    def test_config_beyond_memory_exit_2_on_one_line(self, tmp_path, capsys, command):
+        # numpy refuses an array beyond the address space at once, so
+        # building this model allocates nothing
+        cfg_path = write_config(tmp_path, {"mode": "m2en", "method": "adapter-fed",
+                                           "model": {"ffn_dim": 1_000_000_000_000}})
+        extra = ["--out", str(tmp_path / "x")] if command == "run" else []
+        assert main([command, "--config", cfg_path, *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: Unable to allocate") and err.count("\n") == 1
+
     def test_negative_seed_override_exit_1(self, tmp_path, capsys):
         # an empty override or entry is refused like a bad one, not skipped
         cfg_path = write_config(tmp_path, TINY_RUN)

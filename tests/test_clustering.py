@@ -20,6 +20,7 @@ from fedmt.federation import Party
 from fedmt.model import ModelConfig, adapter_sites, build_model, param_layout
 from fedmt.data import DataConfig, build_vocab, make_batch
 from fedmt.presets import MBART50_CONFIG, MODES, make_clients
+from fedmt.reporting import write_clusters_txt
 from fedmt.runner import build_method_model, make_assignment, prepare_data
 
 
@@ -73,10 +74,13 @@ class TestClusterAssignment:
                 assert assignment.encoder_clusters == assignment.decoder_clusters == everyone
         assert trains_embedding
 
-    def test_describe_lists_members(self):
-        a = ClusterAssignment((("a", "b"),), (("a", "b"),), "random")
-        text = a.describe()
-        assert "random" in text and "a, b" in text
+    def test_describe_lists_members(self, tmp_path):
+        a = ClusterAssignment((("a", "c"),), (("a",), ("c",)), "random")
+        write_clusters_txt(tmp_path / "clusters.txt", a)
+        assert (tmp_path / "clusters.txt").read_text(encoding="utf-8") == (
+            "strategy: random\n"
+            "encoder clusters (1):\n  encoder[0]: a, c\n"
+            "decoder clusters (2):\n  decoder[0]: a\n  decoder[1]: c\n")
 
 
 class TestFamilyClustering:

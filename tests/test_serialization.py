@@ -1,6 +1,8 @@
 """Binary parameter files and a seed's checkpoint directory: the config and
 every tensor all clients hold as one array, once, and per client the rest."""
 
+import dataclasses
+import json
 import struct
 
 import numpy as np
@@ -8,14 +10,9 @@ import pytest
 
 from fedmt.config import METHODS, config_from_dict
 from fedmt.errors import CheckpointError
-from fedmt.model import (
-    PRUNING_STRATEGIES,
-    ModelConfig,
-    build_model,
-    load_checkpoint,
-    save_checkpoints,
-)
+from fedmt.model import PRUNING_STRATEGIES, ModelConfig, build_model
 from fedmt.params import NamedParamSet, load_param_set, save_param_set
+from fedmt.reporting import load_checkpoint, save_checkpoints
 from fedmt.runner import build_method_model, prepare_data, run_seed
 
 from test_federation import params_equal
@@ -57,7 +54,9 @@ def test_checkpoint_round_trip(tmp_path):
                          max_seq_len=12, dtype="float32")
     model = build_model(config, 11, "middle")
     save_checkpoints({"ckpt": model}, tmp_path)
-    assert "adapter." not in (tmp_path / "backbone.meta").read_text()
+    # the bound config as a JSON object, written the way config.json is
+    meta = (tmp_path / "backbone.meta").read_text(encoding="utf-8")
+    assert meta == json.dumps(dataclasses.asdict(config), indent=2, sort_keys=True) + "\n"
     loaded = load_checkpoint(tmp_path / "ckpt")
     assert loaded.config == config
     assert [s.layer for s in loaded.active_sites()] == [1] * 5
@@ -122,34 +121,48 @@ def test_float64_checkpoint_round_trips_bitwise(tmp_path):
         assert other.tobytes() == model.params.values(name).tobytes()
 
 
-@pytest.mark.parametrize("damage", ["missing", "unparsable", "invalid", "unknown", "legacy",
-                                    "disagrees", "dtype", "not_utf8", "repeated"])
+def _key_value_text(meta_text):
+    # the key=value format backbone.meta had before it was JSON
+    return "".join(f"{key}={value}\n" for key, value in json.loads(meta_text).items())
+
+
+# damage -> (the edit to backbone.meta's text, what the error names besides the file)
+META_DAMAGE = {
+    "missing": (lambda t: t.replace('  "model_dim": 8,\n', ""),
+                "model_dim: required key missing"),
+    "string": (lambda t: t.replace('"model_dim": 8', '"model_dim": "8"'), "model_dim: expected"),
+    "float": (lambda t: t.replace('"model_dim": 8', '"model_dim": 8.0'), "model_dim: expected"),
+    "bool": (lambda t: t.replace('"model_dim": 8', '"model_dim": true'), "model_dim: expected"),
+    "unparsable": (lambda t: t.replace('"model_dim": 8', '"model_dim": 0_8'), "invalid JSON"),
+    "legacy": (_key_value_text, "invalid JSON"),
+    # a second value for a key the file already holds, valid on its own
+    "repeated": (lambda t: t.replace("{", '{\n  "adapter_nonlinearity": "gelu",', 1),
+                 "adapter_nonlinearity: repeated key"),
+    "unknown": (lambda t: t.replace("{", '{\n  "colour": "blue",', 1), "colour: unknown key"),
+    "invalid": (lambda t: t.replace('"num_heads": 2', '"num_heads": 0'), "num_heads must be"),
+    "not_utf8": (None, "not UTF-8"),
+    "array": (lambda t: f"[{t}]", "top level must be an object"),
+    "disagrees": (lambda t: t.replace('"model_dim": 8', '"model_dim": 16'), "backbone.meta says"),
+    "dtype": (lambda t: t.replace('"float32"', '"float64"'), "backbone.meta says"),
+}
+
+
+@pytest.mark.parametrize("damage", list(META_DAMAGE))
 def test_damaged_meta_raises_checkpoint_error(tmp_path, damage):
     config = ModelConfig(vocab_size=20, model_dim=8, num_heads=2, ffn_dim=16,
                          enc_layers=1, dec_layers=1, adapter_bottleneck=2, max_seq_len=12)
     save_checkpoints({"ckpt": build_model(config, 0)}, tmp_path)
     meta = tmp_path / "backbone.meta"
     text = meta.read_text()
-    if damage == "not_utf8":
+    edit, names = META_DAMAGE[damage]
+    if edit is None:
         meta.write_bytes(b"\xff" + text.encode())
     else:
-        meta.write_text({
-            "missing": text.replace("model_dim=8\n", ""),
-            "unparsable": text.replace("model_dim=8", "model_dim=eight"),
-            "invalid": text.replace("num_heads=2", "num_heads=0"),
-            "unknown": text + "colour=blue\n",
-            # the adapter lines of checkpoints from before the parameter set
-            # was the only record of a model's adapters
-            "legacy": text + "adapter.enc.layer0.attn_adapter=1\n",
-            "disagrees": text.replace("model_dim=8\n", "model_dim=16\n"),
-            "dtype": text.replace("dtype=float32", "dtype=float64"),
-            # a second value for a key the file already holds, valid on its own
-            "repeated": text + "adapter_nonlinearity=gelu\n",
-        }[damage])
+        meta.write_text(edit(text))
     assert meta.read_bytes() != text.encode()
-    with pytest.raises(CheckpointError,
-                       match="repeated key 'adapter_nonlinearity'" if damage == "repeated" else None):
+    with pytest.raises(CheckpointError) as refused:
         load_checkpoint(tmp_path / "ckpt")
+    assert "backbone.meta" in str(refused.value) and names in str(refused.value)
 
 
 @pytest.mark.parametrize("dropped", ["enc.layer0.attn_adapter.up.bias",
