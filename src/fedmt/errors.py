@@ -5,10 +5,6 @@ class FedmtError(Exception):
     """Base class for all package errors."""
 
 
-class StructuralMismatchError(FedmtError, ValueError):
-    """Parameter sets are not aggregation-compatible."""
-
-
 class ConfigurationError(FedmtError, ValueError):
     """Invalid configuration value or combination."""
 

@@ -14,13 +14,13 @@ the same round loop with no aggregation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .clustering import ClusterAssignment
 from .data import Vocab, batches, derive_seed, make_batch
-from .errors import ConfigurationError, NumericError, StructuralMismatchError
+from .errors import ConfigurationError, NumericError
 from .model import Batch, ToyModel, grad, loss, merge_batches
 from .params import NamedParamSet, count_params
 from .presets import Client
@@ -242,16 +242,11 @@ def inner_cluster_aggregate(
     n_i / sum(n) within the cluster, n_i from ``sizes_by_client``. With a
     single global cluster these are plain FedMean and FedAvg. Tensors not
     named are left as they are. ``assignment`` partitions the client ids;
-    :func:`run_experiment` checks that once, before round 1.
+    :func:`run_experiment` checks that once, before round 1. The sets are
+    trusted to hold the names and shapes of one model, as every party's
+    model is trained from the run's one initial model.
     """
     client_ids = sorted(params_by_client)
-    base = params_by_client[client_ids[0]]
-    for cid in client_ids[1:]:
-        if not base.compatible_with(params_by_client[cid]):
-            raise StructuralMismatchError(
-                f"client {cid!r} params incompatible with {client_ids[0]!r}"
-            )
-
     updates: dict[str, dict[str, np.ndarray]] = {cid: {} for cid in client_ids}
     for clusters, names in ((assignment.encoder_clusters, names_by_side["encoder"]),
                             (assignment.decoder_clusters, names_by_side["decoder"])):
@@ -314,18 +309,6 @@ class CommLedger:
 
 
 @dataclass
-class RoundState:
-    """What the round hook sees after round ``index``: each party's
-    post-aggregation parameters, keyed by party id, and each client's
-    losses."""
-
-    index: int
-    params: dict[str, NamedParamSet]
-    dev_loss: dict[str, float]
-    train_loss: dict[str, float]
-
-
-@dataclass
 class FedRunResult:
     """Per-round losses of every client, parties in the run's order and each
     party's clients in id order; each client's selected round, its party's;
@@ -355,7 +338,6 @@ def run_experiment(
     cfg: FedConfig,
     vocab: Vocab,
     assignment: ClusterAssignment | None,
-    round_hook: Callable[[RoundState], None] | None = None,
 ) -> tuple[FedRunResult, dict[str, ToyModel]]:
     """T rounds of local updates plus (optional) inner-cluster aggregation,
     every party starting from ``initial``. The one round loop of the
@@ -369,8 +351,7 @@ def run_experiment(
     parameters give the lowest mean. Round 0, the initial model, is never
     selected, even when its dev loss is lower. Each client's dev split is
     encoded once, before round 0. Returns the run's record and each
-    client's selected model, its party's. ``round_hook`` is the one view of
-    the parameters of every round.
+    client's selected model, its party's; a run is read through these alone.
     """
     ids = [p.id for p in parties]
     if assignment is not None:
@@ -411,9 +392,6 @@ def run_experiment(
                 best[party.id] = (mean, round_index, models[party.id])
         dev_loss.append(dev)
         train_loss.append(train)
-        if round_hook is not None:
-            round_hook(RoundState(round_index, {pid: models[pid].params for pid in ids},
-                                  dev, train))
     best_round = {c.id: best[p.id][1] for p in parties for c in p.clients}
     return (FedRunResult(dev_loss, train_loss, best_round, ledger),
             {c.id: best[p.id][2] for p in parties for c in p.clients})

@@ -88,6 +88,8 @@ class ModelConfig:
             raise ConfigurationError("adapter_bottleneck must be >= 1")
         if self.enc_layers < 1 or self.dec_layers < 1:
             raise ConfigurationError("need at least one encoder and one decoder layer")
+        if self.max_seq_len < 3:  # the shortest sentence plus its two special tokens
+            raise ConfigurationError("max_seq_len must be >= 3")
         if self.adapter_nonlinearity not in nn.ACTIVATIONS:
             raise ConfigurationError(f"unknown nonlinearity {self.adapter_nonlinearity!r}")
         if self.dtype not in ("float32", "float64"):

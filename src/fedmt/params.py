@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .errors import CheckpointError, StructuralMismatchError
+from .errors import CheckpointError
 
 _MAGIC = b"FMPS"
 _FORMAT_VERSION = 3
@@ -36,11 +36,7 @@ _DTYPES = (np.dtype("<f4"), np.dtype("<f8"))
 
 
 class NamedParamSet:
-    """Immutable, lexicographically ordered map of tensor name -> array.
-
-    Two sets are aggregation-compatible iff they hold the same names with
-    the same shapes.
-    """
+    """Immutable, lexicographically ordered map of tensor name -> array."""
 
     def __init__(self, tensors: Mapping[str, np.ndarray]):
         self._values: dict[str, np.ndarray] = {name: tensors[name] for name in sorted(tensors)}
@@ -61,21 +57,9 @@ class NamedParamSet:
     def filter(self, predicate: Callable[[str], bool]) -> "NamedParamSet":
         return NamedParamSet({n: v for n, v in self._values.items() if predicate(n)})
 
-    def compatible_with(self, other: "NamedParamSet") -> bool:
-        return self.names == other.names and all(
-            v.shape == other.values(n).shape for n, v in self._values.items()
-        )
-
     def replace_values(self, updates: Mapping[str, np.ndarray]) -> "NamedParamSet":
-        """New set with some tensors' values replaced (shapes must match)."""
-        unknown = set(updates) - set(self._values)
-        if unknown:
-            raise KeyError(f"unknown tensor names: {sorted(unknown)}")
-        for name, values in updates.items():
-            if values.shape != self._values[name].shape:
-                raise StructuralMismatchError(
-                    f"tensor {name!r}: shape {values.shape} != {self._values[name].shape}"
-                )
+        """New set with some tensors' values replaced. The caller gives names
+        the set holds, each at its shape; neither is checked."""
         return NamedParamSet({**self._values, **updates})
 
 

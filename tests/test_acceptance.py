@@ -22,11 +22,13 @@ from fedmt.clustering import (
     cluster_random,
 )
 from fedmt.config import config_from_dict
-from fedmt.data import DataConfig, build_vocab
+from fedmt.data import DataConfig, build_vocab, make_batch
 from fedmt.federation import (
     FedConfig,
     Party,
+    evaluate_dev_loss,
     inner_cluster_aggregate,
+    local_update,
     run_experiment,
 )
 from fedmt.model import Batch, ModelConfig, build_model, grad, loss
@@ -118,7 +120,9 @@ def test_criterion_2_aggregation_oracles():
     for cid in ids:
         assert params_equal(identity[cid], params[cid])
 
-    # bitwise intra-cluster equality after every round of a small run
+    # bitwise intra-cluster equality after every round of a small run: the
+    # round loop's own calls, replayed, and the run's dev losses are exactly
+    # those of the replayed models
     languages, clients = make_clients("m2en", 0, DataConfig(scale=1 / 128))
     clients = clients[:4]
     vocab = build_vocab(languages)
@@ -129,19 +133,29 @@ def test_criterion_2_aggregation_oracles():
     by_side = model.trainable_by_side()
     cids = tuple(sorted(c.id for c in clients))
     assignment = ClusterAssignment((cids[:2], cids[2:]), (cids,), "families")
+    cfg = FedConfig(rounds=3, learning_rate=2e-3, grad_accumulation=1)
+    parties = [Party.of(c, vocab) for c in clients]
+    result, _ = run_experiment(parties, model, cfg, vocab, assignment)
 
-    def check_equality(state):
+    models = dict.fromkeys(cids, model)
+    sizes = {p.id: p.corpus.size for p in parties}
+    dev_sets = {c.id: make_batch([(c.data.dev, c.tgt.code)], vocab) for c in clients}
+    for round_index in range(1, cfg.rounds + 1):
+        for party in parties:
+            models[party.id], train_loss = local_update(party, models[party.id], cfg,
+                                                        round_index)
+            assert result.train_loss[round_index][party.id] == train_loss
+        aggregated = inner_cluster_aggregate({cid: models[cid].params for cid in cids},
+                                             by_side, assignment, cfg.aggregation, sizes)
+        models = {cid: models[cid].with_params(aggregated[cid]) for cid in cids}
         for cluster, side in ((cids[:2], "encoder"), (cids[2:], "encoder"), (cids, "decoder")):
             for name in by_side[side]:
-                ref = state.params[cluster[0]].values(name)
+                ref = aggregated[cluster[0]].values(name)
                 for cid in cluster[1:]:
-                    assert np.array_equal(state.params[cid].values(name), ref)
-
-    run_experiment(
-        [Party.of(c, vocab) for c in clients], model,
-        FedConfig(rounds=3, learning_rate=2e-3, grad_accumulation=1),
-        vocab, assignment, round_hook=check_equality,
-    )
+                    assert np.array_equal(aggregated[cid].values(name), ref)
+        for cid in cids:
+            assert result.dev_loss[round_index][cid] == evaluate_dev_loss(
+                models[cid], dev_sets[cid], cfg.eval_batch_size)
     report(2, "FedMean/FedAvg match brute force at 1e-12; degeneracies and "
               "bitwise intra-cluster equality hold")
 
@@ -225,17 +239,20 @@ def test_criterion_4_frozen_backbone_bit_identical():
     fed_cfg = dataclasses.replace(cfg.fed, seed=1)
     cids = tuple(sorted(c.id for c in clients))
     assignment = ClusterAssignment((cids[:2], cids[2:]), (cids,), "families")
-    seen = []
-    run_experiment(
+    result, best_models = run_experiment(
         [Party.of(c, vocab) for c in clients], initial, fed_cfg, vocab, assignment,
-        round_hook=seen.append,
     )
+    assert sorted(best_models) == list(cids)
+    assert set(result.best_round.values()) <= {1, 2}
     frozen = set(initial.params.names) - set(initial.trainable_names())
     checked = 0
     for cid in cids:
-        final = seen[-1].params[cid]
+        selected = best_models[cid].params
+        assert selected.names == initial.params.names
+        assert not all(np.array_equal(selected.values(name), initial.params.values(name))
+                       for name in initial.trainable_names())
         for name in frozen:
-            assert np.array_equal(final.values(name), initial.params.values(name))
+            assert np.array_equal(selected.values(name), initial.params.values(name))
             checked += 1
     assert checked > 0
     report(4, f"{checked} frozen tensors bit-identical after a 2-round, "

@@ -165,6 +165,19 @@ def test_damaged_meta_raises_checkpoint_error(tmp_path, damage):
     assert "backbone.meta" in str(refused.value) and names in str(refused.value)
 
 
+@pytest.mark.parametrize("max_seq_len", [-3, 0, 1, 2])
+def test_meta_with_too_short_max_seq_len_raises_checkpoint_error(tmp_path, max_seq_len):
+    # no row is shorter than a one-token sentence plus its two special
+    # tokens; positions are computed, not stored, so no tensor disagrees
+    config = ModelConfig(vocab_size=20, model_dim=8, num_heads=2, ffn_dim=16,
+                         enc_layers=1, dec_layers=1, adapter_bottleneck=2, max_seq_len=12)
+    save_checkpoints({"ckpt": build_model(config, 0)}, tmp_path)
+    meta = tmp_path / "backbone.meta"
+    meta.write_text(meta.read_text().replace('"max_seq_len": 12', f'"max_seq_len": {max_seq_len}'))
+    with pytest.raises(CheckpointError, match=r"backbone\.meta: .*max_seq_len"):
+        load_checkpoint(tmp_path / "ckpt")
+
+
 @pytest.mark.parametrize("dropped", ["enc.layer0.attn_adapter.up.bias",
                                      "dec.layer0.cross_adapter.down.weight",
                                      "dec.layer0.ln2.weight",
@@ -227,9 +240,10 @@ def _assert_loads_bitwise(directory, models):
     for cid, model in models.items():
         loaded = load_checkpoint(directory / cid)
         assert loaded.config == model.config
-        assert loaded.params.compatible_with(model.params)
+        assert loaded.params.names == model.params.names
         for name in model.params.names:
             ours, saved = loaded.params.values(name), model.params.values(name)
+            assert ours.shape == saved.shape
             assert ours.dtype == saved.dtype and ours.tobytes() == saved.tobytes()
 
 

@@ -6,9 +6,11 @@ only a test calls belongs in the tests. Every field of a dataclass there
 must be read somewhere in ``src/`` as ``.field``; a field that only a test
 reads is a value the program computes for nothing. Every parameter of a
 function there (``self`` and ``cls`` aside) must be read in its body; a
-parameter that nothing reads is an option that changes nothing.
-Definitions, fields and parameters come from an ``ast`` walk, references
-to definitions and fields from a match over the source text.
+parameter that nothing reads is an option that changes nothing. Every
+parameter with a default must be passed by some call in ``src/`` that names
+its function; a default that no caller overrides is an option only a test
+uses. Definitions, fields, parameters and calls come from an ``ast`` walk,
+references to definitions and fields from a match over the source text.
 """
 
 import ast
@@ -20,6 +22,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "fedmt"
 
 # The README names it as the way to read a checkpoint; no module calls it.
 PUBLIC_ONLY = {"load_checkpoint"}
+
+# The console script calls it with no argv; the tests and perfbench pass one.
+DEFAULT_ONLY = {"cli.main(argv)"}
 
 
 def unreferenced_definitions() -> list[str]:
@@ -77,6 +82,45 @@ def unread_parameters() -> list[str]:
     return sorted(unread)
 
 
+def passes(call: ast.Call, index: int | None, name: str) -> bool:
+    """Whether ``call`` gives the parameter ``name``, the ``index``-th
+    positional one (None for keyword-only), a value of its own."""
+    if any(keyword.arg in (name, None) for keyword in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def unpassed_defaults() -> list[str]:
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(called, []).append(node)
+    unpassed = []
+    for stem, tree in trees.items():
+        for node in ast.walk(tree):
+            # a function no call names is reached through a table (nn.ACTIVATIONS)
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    or node.name not in calls:
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            bound = 1 if positional and positional[0].arg in ("self", "cls") else 0
+            defaulted = [(index - bound, param.arg) for index, param in enumerate(positional)
+                         if index >= len(positional) - len(args.defaults)]
+            defaulted += [(None, param.arg) for param, default
+                          in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+            unpassed += [f"{stem}.{node.name}({name})" for index, name in defaulted
+                         if not any(passes(call, index, name) for call in calls[node.name])]
+    return sorted(unpassed)
+
+
 def test_every_definition_is_referenced_in_src():
     assert unreferenced_definitions() == sorted(PUBLIC_ONLY)
 
@@ -87,3 +131,7 @@ def test_every_dataclass_field_is_read_in_src():
 
 def test_every_parameter_is_read_in_its_body():
     assert unread_parameters() == []
+
+
+def test_every_default_is_passed_by_a_call_in_src():
+    assert unpassed_defaults() == sorted(DEFAULT_ONLY)
