@@ -13,12 +13,11 @@ from __future__ import annotations
 import argparse
 import ctypes
 import dataclasses
-import json
 import platform
 import sys
 from pathlib import Path
 
-from .config import ExperimentConfig, check_fields, config_to_dict, parse_config
+from .config import ExperimentConfig, check_fields, config_to_dict, parse_config, parse_json
 from .data import export_corpus
 from .errors import ConfigurationError, FedmtError
 from .federation import FedConfig
@@ -57,8 +56,8 @@ def _keep_heap_mapped() -> bool:
 def _parse_seeds(text: str) -> tuple[int, ...]:
     """``--seeds``, read as the items of a config's ``seeds`` list."""
     try:
-        seeds = json.loads(f"[{text}]")
-    except json.JSONDecodeError as err:
+        seeds = parse_json(f"[{text}]")
+    except ConfigurationError as err:
         raise ConfigurationError(f"--seeds: not a comma-separated integer list: {text!r}") from err
     check_fields(ExperimentConfig, {"seeds": seeds}, "--")
     return tuple(seeds)

@@ -127,13 +127,6 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return points[chosen].copy()
 
 
-def _renormalize(centroid: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(centroid)
-    if norm < 1e-12:
-        return fallback.copy()
-    return centroid / norm
-
-
 KMEANS_MAX_ITER = 100
 KMEANS_RESTARTS = 8
 
@@ -158,9 +151,9 @@ def _kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator):
         assign = new_assign
         for cluster_idx in range(k):
             members = np.flatnonzero(assign == cluster_idx)
-            centroids[cluster_idx] = _renormalize(
-                points[members].mean(axis=0), points[members[0]]
-            )
+            mean = points[members].mean(axis=0)
+            norm = np.linalg.norm(mean)  # a zero mean falls back to a member
+            centroids[cluster_idx] = points[members[0]] if norm < 1e-12 else mean / norm
     cost = float(_cosine_distances(points, centroids)[np.arange(n), assign].sum())
     return assign, cost
 

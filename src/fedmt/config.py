@@ -233,29 +233,47 @@ def config_from_dict(raw: Mapping[str, Any]) -> ExperimentConfig:
     return build_dataclass(ExperimentConfig, raw)
 
 
-def _unique_keys(value: Any, path: str = "") -> Any:
-    """JSON parsed with ``object_pairs_hook=tuple``, as dicts; refuses a repeated key."""
-    if isinstance(value, list):
-        return [_unique_keys(item, f"{path}[{i}]") for i, item in enumerate(value)]
-    if not isinstance(value, tuple):
+MAX_JSON_DEPTH = 32  # a config nests 3 deep; far deeper would exhaust recursion
+
+
+def _unique_keys(value: Any, path: str = "", depth: int = 0) -> Any:
+    """JSON parsed with ``object_pairs_hook=tuple``, as dicts; refuses a
+    repeated key, a key no message could print on one line, and a container
+    nested deeper than ``MAX_JSON_DEPTH``."""
+    if not isinstance(value, (list, tuple)):
         return value
+    if depth == MAX_JSON_DEPTH:
+        raise ConfigurationError(f"{path}: nested deeper than {MAX_JSON_DEPTH} levels")
+    if isinstance(value, list):
+        return [_unique_keys(item, f"{path}[{i}]", depth + 1) for i, item in enumerate(value)]
     out: dict[str, Any] = {}
     for key, item in value:
+        if not key.isprintable():
+            raise ConfigurationError(f"{path or 'top level'}: key {json.dumps(key)} is unprintable")
         name = f"{path}.{key}" if path else key
         if key in out:
             raise ConfigurationError(f"{name}: repeated key")
-        out[key] = _unique_keys(item, name)
+        out[key] = _unique_keys(item, name, depth + 1)
     return out
 
 
-def read_json_object(path: Path) -> dict[str, Any]:
-    """The top-level object of a UTF-8 JSON file that repeats no key in one object."""
+def parse_json(text: str) -> Any:
+    """JSON text as a value whose objects are dicts (:func:`_unique_keys`)."""
     try:
-        raw = _unique_keys(json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=tuple))
+        value = json.loads(text, object_pairs_hook=tuple)
+    except RecursionError:  # the parser's own, far past MAX_JSON_DEPTH
+        raise ConfigurationError(f"nested deeper than {MAX_JSON_DEPTH} levels") from None
+    except ValueError as err:  # JSONDecodeError, or an integer too long to convert
+        raise ConfigurationError(f"invalid JSON ({err})") from err
+    return _unique_keys(value)
+
+
+def read_json_object(path: Path) -> dict[str, Any]:
+    """The top-level object of a UTF-8 JSON file (:func:`parse_json`)."""
+    try:
+        raw = parse_json(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as err:
         raise ConfigurationError(f"not UTF-8 ({err})") from err
-    except json.JSONDecodeError as err:
-        raise ConfigurationError(f"invalid JSON ({err})") from err
     if not isinstance(raw, dict):
         raise ConfigurationError("top level must be an object")
     return raw

@@ -11,7 +11,8 @@ their substitution entries, while cross-family overlap sits at chance level
 
 Strings stop here: ``make_batch`` encodes a whole split once, a pooled one
 of several target languages included, and every batch after that is a
-selection of its rows (``batches``).
+selection of its rows (``batches``). Nothing decodes ids back: test BLEU
+scores the decoder's ids against the gold rows.
 """
 
 from __future__ import annotations
@@ -67,10 +68,6 @@ def derive_seed(*words: int) -> int:
 
 def _alphabet(size: int) -> list[str]:
     return [f"w{i:03d}" for i in range(size)]
-
-
-def _affix_token(code: str) -> str:
-    return f"#{code}"
 
 
 def _tag_token(code: str) -> str:
@@ -163,7 +160,7 @@ def generate_languages(
         positions = _resample_positions(data.alphabet_size, data.intra_family_overlap, rng)
         for code in family_plan[family]:
             table = _perturb_permutation(base, positions, rng)
-            specs.append(LanguageSpec(code, family, tuple(int(x) for x in table), _affix_token(code)))
+            specs.append(LanguageSpec(code, family, tuple(int(x) for x in table), f"#{code}"))
     return specs
 
 
@@ -253,9 +250,6 @@ class Vocab:
 
     def encode(self, tokens: Sequence[str]) -> list[int]:
         return [self.index.get(t, UNK) for t in tokens]
-
-    def decode(self, ids: Sequence[int]) -> list[str]:
-        return [self.tokens[i] for i in ids]
 
     def tag_id(self, code: str) -> int:
         return self.index[_tag_token(code)]

@@ -31,13 +31,9 @@ _DATA_CACHE: dict = {}
 _WARMUP_CACHE: dict = {}
 
 
-def _data_key(cfg: ExperimentConfig, seed: int):
-    return (cfg.mode, dataclasses.astuple(cfg.data), seed)
-
-
 def prepare_data(cfg: ExperimentConfig, seed: int) -> tuple[list[LanguageSpec], list[Client], Vocab]:
     """Languages, clients, and the vocabulary for one seed (cached)."""
-    key = _data_key(cfg, seed)
+    key = (cfg.mode, dataclasses.astuple(cfg.data), seed)
     if key not in _DATA_CACHE:
         languages, clients = make_clients(cfg.mode, seed, cfg.data)
         vocab = build_vocab(languages)
@@ -131,19 +127,18 @@ def evaluate_test_bleu(
 ) -> dict[str, tuple[list, list]]:
     """Greedy-decode every client's test set, encoded once and decoded in
     batches of ``TEST_DECODE_BATCH_SIZE`` rows: hypotheses and references by
-    client id, in id order."""
+    client id, in id order, as token ids. A reference is its gold row
+    without the EOS."""
     outputs: dict[str, tuple[list, list]] = {}
     for client in sorted(clients, key=lambda c: c.id):
         model = models_by_client[client.id]
-        hyps: list[tuple[str, ...]] = []
+        hyps: list[list[int]] = []
         test = make_batch([(client.data.test, client.tgt.code)], vocab)
         for batch in batches(test, TEST_DECODE_BATCH_SIZE):
-            decoded = decode_greedy(
-                model, batch.src, batch.src_mask,
-                bos_id=BOS, eos_id=EOS, max_len=length_cap,
-            )
-            hyps.extend(tuple(vocab.decode(ids)) for ids in decoded)
-        outputs[client.id] = (hyps, [t for _, t in client.data.test])
+            hyps += decode_greedy(model, batch.src, batch.src_mask,
+                                  bos_id=BOS, eos_id=EOS, max_len=length_cap)
+        refs = [gold[mask][:-1].tolist() for gold, mask in zip(test.tgt_gold, test.tgt_mask)]
+        outputs[client.id] = (hyps, refs)
     return outputs
 
 
@@ -176,10 +171,6 @@ class SeedResult:
         return sum(self.run.dev_loss[r][cid] for cid, r in best.items()) / len(best)
 
 
-def _decode_cap(cfg: ExperimentConfig) -> int:
-    return min(cfg.model.max_seq_len - 1, cfg.data.length_range[1] + 4)
-
-
 def run_seed(cfg: ExperimentConfig, seed: int) -> tuple[SeedResult, dict[str, ToyModel]]:
     """Run the configured method for one seed. Returns its report figures
     and each client's selected model, which only checkpoints read."""
@@ -196,8 +187,9 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> tuple[SeedResult, dict[str, To
     test_bleu: dict[str, float] = {}
     macro = micro = None
     if cfg.evaluate_test_bleu:
-        outputs = evaluate_test_bleu(best_models, clients, vocab, _decode_cap(cfg))
-        test_bleu, macro, micro = macro_micro(outputs)
+        length_cap = min(cfg.model.max_seq_len - 1, cfg.data.length_range[1] + 4)
+        test_bleu, macro, micro = macro_micro(
+            evaluate_test_bleu(best_models, clients, vocab, length_cap))
     return SeedResult(
         seed=seed,
         run=run,

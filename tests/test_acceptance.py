@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from fedmt.bleu import corpus_bleu, macro_micro
+from fedmt.bleu import macro_micro
 from fedmt.cli import main as cli_main
 from fedmt.clustering import (
     ClusterAssignment,
@@ -36,7 +36,7 @@ from fedmt.params import NamedParamSet
 from fedmt.presets import make_clients, mbart50_summary
 from fedmt.runner import build_method_model, prepare_data, run_seed, warmup_backbone
 
-from test_bleu import naive_pooled_bleu
+from test_bleu import corpus_bleu, naive_pooled_bleu
 from test_federation import global_aggregate, params_equal
 from test_grad import by_name
 

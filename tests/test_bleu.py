@@ -1,4 +1,4 @@
-"""Corpus BLEU scoring and macro/micro aggregates."""
+"""Corpus BLEU from n-gram counts, and macro/micro aggregates."""
 
 import math
 from collections import Counter
@@ -8,11 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedmt import bleu
-from fedmt.bleu import corpus_bleu, macro_micro, pair_scores
+from fedmt.bleu import counts, macro_micro, pair_scores, score
 
 
 def toks(text):
     return text.split()
+
+
+def corpus_bleu(hyps, refs):
+    return score(counts(hyps, refs))
 
 
 class TestCorpusBleu:
@@ -31,15 +35,37 @@ class TestCorpusBleu:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            corpus_bleu([toks("a")], [toks("a"), toks("b")])
+            counts([toks("a")], [toks("a"), toks("b")])
 
     def test_empty_hypothesis_list_rejected(self):
         with pytest.raises(ValueError):
-            corpus_bleu([], [])
+            counts([], [])
 
     def test_empty_reference_rejected(self):
         with pytest.raises(ValueError):
-            corpus_bleu([toks("a")], [[]])
+            counts([toks("a")], [[]])
+
+    def test_counts_hand_case(self):
+        # "a a b" against "a b c": unigrams a (clipped to 1) and b match,
+        # bigram "a b" matches, no trigram matches, no 4-gram exists
+        assert counts([toks("a a b")], [toks("a b c")]) == (2, 1, 0, 0, 3, 2, 1, 0, 3, 3)
+
+    def test_counts_are_additive(self):
+        hyps = [toks("a b c d"), toks("b c"), toks("e")]
+        refs = [toks("a b c"), toks("b d c"), toks("e f g")]
+        parts = [counts(hyps[:1], refs[:1]), counts(hyps[1:], refs[1:])]
+        assert tuple(map(sum, zip(*parts))) == counts(hyps, refs)
+
+    def test_token_ids_score_as_their_strings(self):
+        # a run scores the decoder's ids; a bijection leaves every count alone
+        hyps = [toks("a b c d"), toks("b c x")]
+        refs = [toks("a b c"), toks("b d c")]
+        ids = {tok: i for i, tok in enumerate("abcdx")}
+
+        def encode(sents):
+            return [[ids[t] for t in sent] for sent in sents]
+
+        assert counts(encode(hyps), encode(refs)) == counts(hyps, refs)
 
     def test_sentence_order_invariance(self):
         hyps = [toks("a b c"), toks("d e f g"), toks("a a b")]
@@ -101,14 +127,14 @@ class TestMacroMicro:
             "p2": ([toks("a b c d")], [toks("a b c d e")]),    # 77.88
         }
         scores, macro, _ = macro_micro(outputs)
-        assert scores == pair_scores(outputs) == {
+        assert scores == pair_scores({cid: counts(*out) for cid, out in outputs.items()}) == {
             "p1": corpus_bleu(*outputs["p1"]), "p2": corpus_bleu(*outputs["p2"])}
         assert macro == pytest.approx(sum(scores.values()) / 2)
 
     def test_out_of_range_score_names_the_client(self, monkeypatch):
-        monkeypatch.setattr(bleu, "corpus_bleu", lambda hyps, refs: 100.5)
+        monkeypatch.setattr(bleu, "score", lambda corpus: 100.5)
         with pytest.raises(ValueError, match="client p1: BLEU out of range: 100.5"):
-            pair_scores({"p1": ([toks("a")], [toks("a")])})
+            pair_scores({"p1": counts([toks("a")], [toks("a")])})
 
     def test_two_pair_example(self):
         outputs = {

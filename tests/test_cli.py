@@ -311,6 +311,26 @@ class TestExitCodes:
         assert err.startswith("configuration error: --seeds") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [  # an unknown key, in a section, repeated
+        r'{"mode": "m2en", "method": "adapter-fed", "a\nb": 1}',
+        r'{"mode": "m2en", "method": "adapter-fed", "data": {"a\nb": 1}}',
+        r'{"a\nb": 0, "mode": "m2en", "method": "adapter-fed", "a\nb": 1}',
+    ])
+    def test_key_with_a_line_break_is_named_on_one_line(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text, encoding="utf-8")
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert r'"a\nb"' in err and err.count("\n") == 1
+
+    def test_deeply_nested_seed_override_exit_1_on_one_line(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, TINY_RUN)
+        out = tmp_path / "x"
+        assert main(["run", "--config", cfg_path, "--out", str(out), "--seeds", "[" * 5000]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: --seeds") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_seed_override_runs_each_seed(self, tmp_path):
         cfg_path = write_config(tmp_path, dict(SMOKE_RUN, method="adapter-local"))
         out = tmp_path / "x"

@@ -63,6 +63,15 @@ class TestParsing:
         with pytest.raises(ConfigurationError, match=f"^{key}: repeated key$"):
             parse_config(path)
 
+    @pytest.mark.parametrize("key, depth", [("seeds", 700), ("mode", 990), ("mode", 5000)])
+    def test_deep_nesting_refused(self, tmp_path, key, depth):
+        # the recursive key check once overflowed at 700 levels, the parser at 990
+        text = json.dumps({"mode": "m2en", "method": "adapter-fed", key: "@"})
+        path = tmp_path / "cfg.json"
+        path.write_text(text.replace('"@"', "[" * depth + "]" * depth), encoding="utf-8")
+        with pytest.raises(ConfigurationError, match="nested deeper than 32 levels"):
+            parse_config(path)
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")

@@ -232,8 +232,8 @@ class TestBatches:
         seen = []
         for batch in batches(make_batch([(ds.train, "yy")], vocab), 8, seed=1):
             for row, mask in zip(batch.src, batch.src_mask):
-                seen.append(tuple(vocab.decode(row[mask][1:-1])))  # strip tag+EOS
-        assert sorted(seen) == sorted(s for s, _ in ds.train)
+                seen.append(tuple(row[mask][1:-1].tolist()))  # strip tag+EOS
+        assert sorted(seen) == sorted(tuple(vocab.encode(s)) for s, _ in ds.train)
 
     def test_gold_is_input_shifted(self):
         ds, vocab = self._dataset()

@@ -169,19 +169,35 @@ class TestRunSeed:
         assert len(res.assignment.encoder_clusters) == len(res.assignment.decoder_clusters) == 4
 
     def test_each_pair_is_scored_once(self, monkeypatch):
-        # one corpus BLEU per client plus the pooled micro score
-        corpus_bleu = bleu.corpus_bleu
+        # one count and one score per client, plus the score of their summed
+        # counts for micro, which counts nothing again
+        counts, score = bleu.counts, bleu.score
         calls = []
 
         def counting(hyps, refs):
-            calls.append(len(hyps))
-            return corpus_bleu(hyps, refs)
+            calls.append("counts")
+            return counts(hyps, refs)
 
-        monkeypatch.setattr(bleu, "corpus_bleu", counting)
+        def scoring(corpus):
+            calls.append("score")
+            return score(corpus)
+
+        monkeypatch.setattr(bleu, "counts", counting)
+        monkeypatch.setattr(bleu, "score", scoring)
         res, _ = run_seed(cfg_for("adapter-families", evaluate_test_bleu=True), 1)
         n_clients = len(res.test_bleu)
         assert n_clients == 8
-        assert len(calls) == n_clients + 1
+        assert (calls.count("counts"), calls.count("score")) == (n_clients, n_clients + 1)
+
+    def test_references_are_the_test_targets_as_ids(self):
+        cfg = cfg_for("adapter-families", evaluate_test_bleu=True)
+        _, clients, vocab = prepare_data(cfg, 1)
+        model = build_method_model(cfg, 1, vocab, None)
+        outputs = runner.evaluate_test_bleu({c.id: model for c in clients}, clients, vocab, 3)
+        for client in clients:
+            hyps, refs = outputs[client.id]
+            assert refs == [vocab.encode(t) for _, t in client.data.test]
+            assert len(hyps) == len(refs) and all(len(h) <= 3 for h in hyps)
 
     def test_each_split_is_encoded_once_whatever_the_rounds(self, monkeypatch):
         # two encodes per sentence pair: train, dev and test, each once

@@ -142,6 +142,8 @@ META_DAMAGE = {
     "invalid": (lambda t: t.replace('"num_heads": 2', '"num_heads": 0'), "num_heads must be"),
     "not_utf8": (None, "not UTF-8"),
     "array": (lambda t: f"[{t}]", "top level must be an object"),
+    "nested": (lambda t: t.replace('"model_dim": 8', '"model_dim": ' + "[" * 5000 + "]" * 5000),
+               "nested deeper than"),
     "disagrees": (lambda t: t.replace('"model_dim": 8', '"model_dim": 16'), "backbone.meta says"),
     "dtype": (lambda t: t.replace('"float32"', '"float64"'), "backbone.meta says"),
 }
