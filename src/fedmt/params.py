@@ -7,22 +7,17 @@ which side of the model each belongs to are read from the model's layout
 here. Aggregation averages these sets in
 ``federation.inner_cluster_aggregate``.
 
-Binary checkpoint format (little-endian):
-
-    magic   b"FMPS"
-    u32     format version (3; a file of an earlier version is refused)
-    u32     tensor count
-    per tensor:
-        u16     name length, then UTF-8 name
-        u8      dtype (0=float32, 1=float64)
-        u8      ndim, then u32 x ndim shape
-    payload:
-        each tensor's values at its own dtype, in header order
+Checkpoint format: a zip archive with one stored (uncompressed) member per
+tensor, ``<name>.npy``, in numpy's own ``.npy`` format at the tensor's dtype
+(little-endian float32 or float64). ``np.load(path)`` opens one for
+inspection. Every member carries zip's CRC-32 of its bytes, which
+:func:`load_param_set` checks, so a damaged value is refused, not loaded.
 """
 
 from __future__ import annotations
 
-import struct
+import io
+import zipfile
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
@@ -30,8 +25,6 @@ import numpy as np
 
 from .errors import CheckpointError
 
-_MAGIC = b"FMPS"
-_FORMAT_VERSION = 3
 _DTYPES = (np.dtype("<f4"), np.dtype("<f8"))
 
 
@@ -69,68 +62,46 @@ def count_params(pset: NamedParamSet, names: Iterable[str] | None = None) -> int
 
 
 def save_param_set(pset: NamedParamSet, path: str | Path) -> None:
-    """Write the set in the binary checkpoint format; each tensor keeps its
-    dtype (float32 or float64)."""
-    parts = [
-        _MAGIC,
-        struct.pack("<I", _FORMAT_VERSION),
-        struct.pack("<I", len(pset)),
-    ]
+    """Write the set as a checkpoint; each tensor keeps its dtype (float32
+    or float64). The bytes depend only on the set: every member carries
+    zip's fixed 1980-01-01 timestamp."""
     for name in pset.names:
-        values = pset.values(name)
-        if values.dtype not in _DTYPES:
-            raise CheckpointError(f"{name}: cannot store dtype {values.dtype}")
-        name_bytes = name.encode("utf-8")
-        parts.append(struct.pack("<H", len(name_bytes)))
-        parts.append(name_bytes)
-        parts.append(struct.pack("<BB", _DTYPES.index(values.dtype), values.ndim))
-        parts.append(struct.pack(f"<{values.ndim}I", *values.shape))
-    for name in pset.names:
-        parts.append(np.ascontiguousarray(pset.values(name)).tobytes())
-    Path(path).write_bytes(b"".join(parts))
+        dtype = pset.values(name).dtype
+        if dtype not in _DTYPES:
+            raise CheckpointError(f"{name}: cannot store dtype {dtype}")
+    with zipfile.ZipFile(path, "w") as archive:
+        for name in pset.names:
+            with archive.open(zipfile.ZipInfo(name + ".npy"), "w") as member:
+                np.lib.format.write_array(member, pset.values(name), allow_pickle=False)
 
 
 def load_param_set(path: str | Path) -> NamedParamSet:
-    """Read a binary checkpoint written by :func:`save_param_set`; every
-    tensor comes back at the dtype it was saved with.
+    """Read a checkpoint written by :func:`save_param_set`; every tensor
+    comes back at the dtype it was saved with.
 
-    A file that is not a checkpoint, has another format version, names a
-    tensor twice, or is cut short in its header or payload raises
+    A file that is not a zip archive, a member that fails its CRC-32, is
+    compressed, is not an ``.npy`` array or holds a dtype other than
+    float32 or float64, and a tensor named twice raise
     :class:`CheckpointError`.
     """
-    data = Path(path).read_bytes()
-    if data[:4] != _MAGIC:
-        raise CheckpointError(f"{path}: not a parameter checkpoint (bad magic)")
-    try:
-        (version,) = struct.unpack_from("<I", data, 4)
-        if version != _FORMAT_VERSION:
-            raise CheckpointError(f"{path}: unsupported format version {version}")
-        (count,) = struct.unpack_from("<I", data, 8)
-        offset = 12
-        headers = []
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", data, offset)
-            offset += 2
-            name = data[offset : offset + name_len].decode("utf-8")
-            offset += name_len
-            dtype_idx, ndim = struct.unpack_from("<BB", data, offset)
-            offset += 2
-            shape = struct.unpack_from(f"<{ndim}I", data, offset)
-            offset += 4 * ndim
-            headers.append((name, shape, _DTYPES[dtype_idx]))
-    except (struct.error, UnicodeDecodeError, IndexError) as err:
-        raise CheckpointError(f"{path}: truncated or corrupt header ({err})") from err
-    sizes = [int(np.prod(shape, dtype=np.int64)) for _, shape, _ in headers]
-    needed = sum(size * dtype.itemsize for (*_, dtype), size in zip(headers, sizes))
-    if len(data) - offset != needed:
-        raise CheckpointError(
-            f"{path}: payload is {len(data) - offset} bytes, header needs {needed}"
-        )
     tensors = {}
-    for (name, shape, dtype), size in zip(headers, sizes):
-        if name in tensors:
-            raise CheckpointError(f"{path}: tensor {name!r} appears twice")
-        values = np.frombuffer(data, dtype=dtype, count=size, offset=offset).astype(dtype.name)
-        offset += dtype.itemsize * size
-        tensors[name] = values.reshape(shape)
+    try:
+        with zipfile.ZipFile(path) as archive:
+            for info in archive.infolist():
+                name = info.filename.removesuffix(".npy")
+                if name == info.filename or info.compress_type != zipfile.ZIP_STORED:
+                    raise CheckpointError(f"{path}: {info.filename!r} is not a stored .npy member")
+                if name in tensors:
+                    raise CheckpointError(f"{path}: tensor {name!r} appears twice")
+                values = np.lib.format.read_array(io.BytesIO(archive.read(info)),
+                                                  allow_pickle=False)
+                if values.dtype not in _DTYPES:
+                    raise CheckpointError(f"{path}: tensor {name!r} has dtype {values.dtype}")
+                tensors[name] = values
+    except CheckpointError:
+        raise
+    except (zipfile.BadZipFile, EOFError, OSError, RuntimeError, ValueError, MemoryError) as err:
+        # what zipfile and numpy's .npy reader raise on a damaged file
+        raise CheckpointError(
+            f"{path}: not a readable checkpoint ({type(err).__name__}: {err})") from err
     return NamedParamSet(tensors)

@@ -62,6 +62,20 @@ def test_gelu_fwd(benchmark, keep):
     benchmark(nn.gelu_fwd, normal(ROWS, FFN), keep)
 
 
+@pytest.mark.parametrize("keep", [True, False])
+def test_gelu_fwd_640(benchmark, keep):
+    benchmark(nn.gelu_fwd, normal(4 * ROWS, FFN), keep)
+
+
+@pytest.mark.parametrize("rows", [ROWS, 4 * ROWS])
+def test_gelu_bwd(benchmark, rows):
+    dy = normal(rows, FFN, seed=1)
+    _, cache = nn.gelu_fwd(normal(rows, FFN), True)
+    # the backward writes into its cache, so each round gets a fresh copy
+    benchmark.pedantic(nn.gelu_bwd, setup=lambda: ((dy, cache.copy()), {}),
+                       rounds=200, warmup_rounds=5)
+
+
 def test_layer_norm_fwd(benchmark):
     benchmark(nn.layer_norm_fwd, normal(ROWS, D), normal(D), normal(D), "ln")
 
@@ -81,12 +95,12 @@ def self_attention(batch: int, length: int = 10):
     return x, x, p, nn.attention_bias(mask, np.float32, q_len=length), HEADS, rows, rows
 
 
-@pytest.mark.parametrize("batch", [16, 64])
+@pytest.mark.parametrize("batch", [16, 64, 128])
 def test_attention_fwd(benchmark, batch):
     benchmark(nn.attention_fwd, *self_attention(batch))
 
 
-@pytest.mark.parametrize("batch", [16, 64])
+@pytest.mark.parametrize("batch", [16, 64, 128])
 def test_attention_bwd(benchmark, batch):
     out, cache = nn.attention_fwd(*self_attention(batch))
     benchmark(nn.attention_bwd, normal(*out.shape, seed=1), cache, {})

@@ -1,7 +1,8 @@
 """The boundary under random damage: a config file, a ``--seeds`` value, a
 ``backbone.meta`` and a ``.params`` file each either load or raise a
 :class:`FedmtError`; through ``fedmt run`` that is exit 1 or 2 with one
-stderr line, never a traceback.
+stderr line, never a traceback. A damaged ``.params`` file that loads gives
+back the saved tensors bit for bit.
 
 Each draw starts from a valid input and applies up to three edits: a bit
 flip, a cut, an inserted run of bytes, or a container nested 40, 900 or
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 
 from fedmt.cli import main
 from fedmt.errors import CheckpointError
-from fedmt.model import ModelConfig, build_model
+from fedmt.model import ModelConfig, ToyModel, build_model
 from fedmt.reporting import load_checkpoint, save_checkpoints
 
 CONFIG = {
@@ -38,8 +39,11 @@ PROPERTY = settings(max_examples=60, deadline=None)
 @st.composite
 def damaged(draw, original: bytes) -> bytes:
     data = bytearray(original)
+    # placed uniformly: hypothesis's own integers favour small values, the
+    # start of the input, and seldom reach a binary file's values
+    uniform = draw(st.randoms(use_true_random=True))
     for _ in range(draw(st.integers(1, 3))):
-        at = draw(st.integers(0, len(data)))
+        at = uniform.randint(0, len(data))
         kind = draw(st.sampled_from(["flip", "cut", "insert", "nest"]))
         if kind == "flip" and at < len(data):
             data[at] ^= 1 << draw(st.integers(0, 7))
@@ -117,31 +121,49 @@ def test_seed_override_exits_1_or_2_on_one_line(workdir, seeds):
 
 
 @pytest.fixture(scope="module")
-def checkpoint(tmp_path_factory) -> Path:
+def checkpoint(tmp_path_factory) -> tuple[Path, ToyModel]:
+    """A tiny saved client, ``ckpt``, and the model it was saved from."""
     config = ModelConfig(vocab_size=12, model_dim=4, num_heads=2, ffn_dim=8, enc_layers=1,
                          dec_layers=1, adapter_bottleneck=2, max_seq_len=8)
     directory = tmp_path_factory.mktemp("checkpoint")
-    save_checkpoints({"ckpt": build_model(config, 0)}, directory)
-    return directory
+    model = build_model(config, 0)
+    save_checkpoints({"ckpt": model}, directory)
+    return directory, model
 
 
-def load_damaged(checkpoint: Path, name: str, data: bytes) -> None:
-    """Load the client ``ckpt`` with the file ``name`` replaced by ``data``."""
+def load_damaged(directory: Path, name: str, data: bytes) -> ToyModel | None:
+    """The client ``ckpt`` loaded with the file ``name`` replaced by
+    ``data``, or None where that raises :class:`CheckpointError`."""
     with tempfile.TemporaryDirectory() as scratch:
-        directory = Path(shutil.copytree(checkpoint, Path(scratch) / "ckpt"))
-        (directory / name).write_bytes(data)
-        with contextlib.suppress(CheckpointError):
-            load_checkpoint(directory / "ckpt")
+        copy = Path(shutil.copytree(directory, Path(scratch) / "ckpt"))
+        (copy / name).write_bytes(data)
+        try:
+            return load_checkpoint(copy / "ckpt")
+        except CheckpointError:
+            return None
 
 
 @PROPERTY
 @given(data=st.data())
 def test_damaged_meta_loads_or_raises_checkpoint_error(checkpoint, data):
-    meta = json.loads((checkpoint / "backbone.meta").read_text())
-    load_damaged(checkpoint, "backbone.meta", data.draw(json_inputs(meta)))
+    directory, _ = checkpoint
+    meta = json.loads((directory / "backbone.meta").read_text())
+    load_damaged(directory, "backbone.meta", data.draw(json_inputs(meta)))
 
 
-@PROPERTY
+# more draws than PROPERTY: about 4 in 100 of these damages loaded as a
+# different model from the hand-written format the zip archive replaced,
+# which 120 draws miss with a chance under 1 in 100
+@settings(max_examples=120, deadline=None)
 @given(data=st.data(), name=st.sampled_from(["backbone.params", "ckpt.params"]))
 def test_damaged_params_load_or_raise_checkpoint_error(checkpoint, data, name):
-    load_damaged(checkpoint, name, data.draw(damaged((checkpoint / name).read_bytes())))
+    # a damage that loads is one zip reads past, such as a trailing byte;
+    # a damaged value fails its member's CRC-32
+    directory, saved = checkpoint
+    loaded = load_damaged(directory, name, data.draw(damaged((directory / name).read_bytes())))
+    if loaded is not None:
+        assert loaded.params.names == saved.params.names
+        for tensor in saved.params.names:
+            ours, theirs = loaded.params.values(tensor), saved.params.values(tensor)
+            assert (ours.dtype, ours.shape) == (theirs.dtype, theirs.shape)
+            assert ours.tobytes() == theirs.tobytes()

@@ -2,8 +2,10 @@
 every tensor all clients hold as one array, once, and per client the rest."""
 
 import dataclasses
+import io
 import json
 import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -31,13 +33,19 @@ def test_param_file_round_trip(tmp_path):
     assert loaded.names == pset.names
     for name in pset.names:
         assert loaded.values(name).dtype == pset.values(name).dtype
-        assert np.array_equal(loaded.values(name), pset.values(name))
+        assert loaded.values(name).tobytes() == pset.values(name).tobytes()
+    # numpy's own reader opens the file: one .npy member per tensor
+    with np.load(path) as archive:
+        assert sorted(archive.files) == sorted(pset.names)
+        for name in pset.names:
+            assert archive[name].tobytes() == pset.values(name).tobytes()
 
 
 def test_param_file_refuses_other_dtypes(tmp_path):
     pset = NamedParamSet({"x": np.arange(3)})  # int64
     with pytest.raises(CheckpointError):
         save_param_set(pset, tmp_path / "params.bin")
+    assert not (tmp_path / "params.bin").exists()
 
 
 def test_param_file_is_stable_bytes(tmp_path):
@@ -46,6 +54,9 @@ def test_param_file_is_stable_bytes(tmp_path):
     save_param_set(pset, p1)
     save_param_set(pset, p2)
     assert p1.read_bytes() == p2.read_bytes()
+    # no clock in the bytes: each member carries zip's earliest timestamp
+    with zipfile.ZipFile(p1) as archive:
+        assert [info.date_time for info in archive.infolist()] == [(1980, 1, 1, 0, 0, 0)]
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -286,39 +297,113 @@ def test_directory_split_by_what_trains_loads(tmp_path, method):
     _assert_loads_bitwise(tmp_path, models)
 
 
-@pytest.mark.parametrize("cut", ["magic", "version", "header", "payload", "trailing", "twice"])
-def test_damaged_param_file_raises_checkpoint_error(tmp_path, cut):
+def _archive(name, content, compression=zipfile.ZIP_STORED) -> bytes:
+    """A zip archive of one member, ``content`` (an array, written as
+    ``.npy``, or raw bytes) under ``name``, with a valid CRC-32."""
+    if isinstance(content, np.ndarray):
+        npy = io.BytesIO()
+        np.lib.format.write_array(npy, content)  # pickles an object array
+        content = npy.getvalue()
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w", compression) as archive:
+        archive.writestr(name, content)
+    return buffer.getvalue()
+
+
+def _npy_header(shape) -> bytes:
+    """A float32 ``.npy`` header that declares ``shape``, with no values."""
+    buffer = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buffer, {"descr": "<f4", "fortran_order": False, "shape": shape})
+    return buffer.getvalue()
+
+
+def _fmps(version: int) -> bytes:
+    """One tensor in the hand-written format the zip archive replaced, at
+    ``version``: 3, its last, or 2, which also stored a side and a
+    trainable byte per tensor."""
+    name = b"enc.a"
+    return b"".join([
+        b"FMPS", struct.pack("<II", version, 1),
+        struct.pack("<H", len(name)), name,
+        struct.pack("<BBBB", 0, 1, 0, 1) if version == 2  # side, trainable, dtype, ndim
+        else struct.pack("<BB", 0, 1),  # dtype, ndim
+        struct.pack("<I", 3),
+        np.ones(3, np.float32).tobytes(),
+    ])
+
+
+def _saved(tmp_path):
+    """A saved two-tensor set, its file and the file's bytes."""
     pset = NamedParamSet({
-        "enc.a": np.ones((3, 4), np.float32),
+        "enc.a": np.arange(12, dtype=np.float32).reshape(3, 4),
         "dec.b": np.ones(5, np.float32),
     })
     path = tmp_path / "params.bin"
     save_param_set(pset, path)
-    data = path.read_bytes()
-    payload_start = len(data) - 4 * (12 + 5)
-    damaged = {
-        "magic": b"XXXX" + data[4:],
-        "version": data[:4] + (1).to_bytes(4, "little") + data[8:],  # the float32-only format
-        "header": data[:20],  # inside the first tensor's header
-        "payload": data[: payload_start + 10],
-        "trailing": data + b"\0",
-        "twice": data.replace(b"dec.b", b"enc.a"),  # one name for both tensors
+    return pset, path, path.read_bytes()
+
+
+@pytest.mark.parametrize("cut", ["magic", "version", "header", "payload", "value", "twice"])
+def test_damaged_param_file_raises_checkpoint_error(tmp_path, cut):
+    _, path, data = _saved(tmp_path)
+    values = data.index(np.arange(12, dtype=np.float32).tobytes())  # enc.a's
+    directory = data.index(b"PK\x01\x02")  # the first central directory entry
+    damaged, match = {
+        "magic": (b"XXXX" + data[4:], "Bad magic number"),
+        # a member that needs a later zip version than any reader knows (9.9)
+        "version": (data[: directory + 6] + struct.pack("<H", 99) + data[directory + 8 :],
+                    "zip file version 9.9"),
+        "header": (data[:20], "not a zip file"),  # inside the first member's header
+        "payload": (data[: values + 10], "not a zip file"),
+        "value": (data[:values] + bytes([data[values] ^ 1]) + data[values + 1 :], "CRC-32"),
+        "twice": (data.replace(b"dec.b", b"enc.a"), "'enc.a' appears twice"),  # one name for both
     }[cut]
     path.write_bytes(damaged)
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match=match):
         load_param_set(path)
 
 
-def test_version_2_param_file_is_refused(tmp_path):
-    # the format that stored a side and a trainable byte per tensor
-    name = b"enc.a"
-    data = b"".join([
-        b"FMPS", struct.pack("<II", 2, 1),
-        struct.pack("<H", len(name)), name,
-        struct.pack("<BBBB", 0, 1, 0, 1), struct.pack("<I", 3),  # side, trainable, dtype, ndim
-        np.ones(3, np.float32).tobytes(),
-    ])
+# a file no damage of a saved one makes, each member behind a valid CRC-32
+# -> what the refusal says
+CRAFTED = {
+    "not_npy_name": (_archive("notes.txt", b"hello"), "'notes.txt' is not a stored .npy"),
+    "not_npy_bytes": (_archive("enc.a.npy", b"hello"), "not a readable checkpoint"),
+    "object": (_archive("enc.a.npy", np.array([1, "a"], dtype=object)), "Object arrays"),
+    "int64": (_archive("enc.a.npy", np.arange(3)), "'enc.a' has dtype int64"),
+    "big_endian": (_archive("enc.a.npy", np.ones(3, ">f4")), "'enc.a' has dtype >f4"),
+    "compressed": (_archive("enc.a.npy", np.ones(3, np.float32), zipfile.ZIP_DEFLATED),
+                   "'enc.a.npy' is not a stored .npy"),
+    # a zero-size shape whose dimensions overflow an array's size (a stray
+    # ValueError of the hand-written format), and a shape larger than memory
+    "zero_size_huge": (_archive("enc.a.npy", _npy_header((2, 4, 0, 0, 3190070975,
+                                                         3190070975, 7))), "too big"),
+    "huge": (_archive("enc.a.npy", _npy_header((2**20, 2**20))), "not a readable checkpoint"),
+    "fmps_v3": (_fmps(3), "not a zip file"),
+}
+
+
+@pytest.mark.parametrize("crafted", list(CRAFTED))
+def test_crafted_param_file_raises_checkpoint_error(tmp_path, crafted):
+    data, match = CRAFTED[crafted]
     path = tmp_path / "params.bin"
     path.write_bytes(data)
-    with pytest.raises(CheckpointError, match="unsupported format version 2"):
+    with pytest.raises(CheckpointError, match=match):
+        load_param_set(path)
+
+
+def test_param_file_with_a_trailing_byte_loads_bitwise(tmp_path):
+    # zip finds its end record wherever the file ends after it
+    pset, path, data = _saved(tmp_path)
+    path.write_bytes(data + b"\0")
+    loaded = load_param_set(path)
+    assert loaded.names == pset.names
+    for name in pset.names:
+        assert loaded.values(name).tobytes() == pset.values(name).tobytes()
+
+
+def test_version_2_param_file_is_refused(tmp_path):
+    path = tmp_path / "params.bin"
+    path.write_bytes(_fmps(2))
+    with pytest.raises(CheckpointError, match="not a zip file"):
         load_param_set(path)
