@@ -75,9 +75,15 @@ def _mean(values: Sequence[float]) -> float:
 
 
 def write_summary(out_dir: Path, cfg: ExperimentConfig, results: list[SeedResult]) -> dict:
-    """Seed-averaged per-pair BLEU, macro/micro, and transfer-time table."""
+    """Write ``summary.json``, the run's one summary, and return it: the
+    seed-averaged per-pair, macro and micro BLEU (None without test
+    decoding), dev losses and ledger totals, and the ``transfer`` block, what
+    each client sends per sync and how long that takes. ``fedmt run`` prints
+    its BLEU line from the returned dict."""
     pairs = sorted(results[0].test_bleu)
-    summary: dict = {
+    payload_bytes, per_client_s = cfg.fed.transfer(
+        sync_param_count(cfg, results[0].trainable_params))
+    summary = {
         "method": cfg.method,
         "mode": cfg.mode,
         "seeds": [r.seed for r in results],
@@ -92,48 +98,13 @@ def write_summary(out_dir: Path, cfg: ExperimentConfig, results: list[SeedResult
         "mean_best_dev_loss": _mean([r.mean_best_dev for r in results]),
         "comm_total_bytes": _mean([float(r.run.ledger.total_bytes()) for r in results]),
         "comm_total_seconds": _mean([r.run.ledger.total_seconds() for r in results]),
+        "transfer": {
+            "payload_bytes_per_client": payload_bytes,
+            "per_client_seconds": per_client_s,
+            "serialized_seconds_all_clients": per_client_s * len(results[0].run.best_round),
+            "bandwidth_bps": cfg.fed.bandwidth_bps,
+        },
     }
-
-    sync_params = sync_param_count(cfg, results[0].trainable_params)
-    payload_bytes, per_client_s = cfg.fed.transfer(sync_params)
-    n_clients = len(results[0].run.best_round)
-    serialized_s = per_client_s * n_clients
-    summary["transfer"] = {
-        "payload_bytes_per_client": payload_bytes,
-        "per_client_seconds": per_client_s,
-        "serialized_seconds_all_clients": serialized_s,
-        "bandwidth_bps": cfg.fed.bandwidth_bps,
-    }
-
-    with open(out_dir / "summary.csv", "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["method"] + pairs + ["macro_avg", "micro_avg",
-                                              "comm_params_per_client_round",
-                                              "comm_total_bytes"])
-        writer.writerow(
-            [cfg.method]
-            + [fnum(summary["per_pair_bleu"][p]) for p in pairs]
-            + [fnum(summary["macro_bleu"]), fnum(summary["micro_bleu"]),
-               sync_params, fnum(summary["comm_total_bytes"])]
-        )
-
-    lines = [
-        f"method: {cfg.method}   mode: {cfg.mode}   seeds: {', '.join(str(r.seed) for r in results)}",
-        f"trainable params per client: {results[0].trainable_params}"
-        f" / total {results[0].total_params}",
-        f"payload per client per sync: {payload_bytes} B"
-        f" ({per_client_s:.4g} s at {cfg.fed.bandwidth_bps / 1e6:.0f} Mbps;"
-        f" {serialized_s:.4g} s serialized over {n_clients} clients)",
-        f"mean dev loss: round0 {summary['mean_round0_dev_loss']:.4f}"
-        f" -> best {summary['mean_best_dev_loss']:.4f}",
-    ]
-    if pairs:
-        header = ["pair".ljust(8)] + [p.ljust(8) for p in pairs] + ["Macro", "Micro"]
-        values = ["BLEU".ljust(8)] + [
-            f"{summary['per_pair_bleu'][p]:.2f}".ljust(8) for p in pairs
-        ] + [f"{summary['macro_bleu']:.2f}", f"{summary['micro_bleu']:.2f}"]
-        lines += ["", " ".join(header), " ".join(values)]
-    (out_dir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     write_json(out_dir / "summary.json", summary)
     return summary
 

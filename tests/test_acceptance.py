@@ -376,7 +376,7 @@ def test_criterion_8_byte_identical_metrics(tmp_path):
         files = [sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
                  for out in outs]
         assert files[0] == files[1], label
-        assert {p.name for p in files[0]} >= {"config.json", "summary.txt", "clusters.txt",
+        assert {p.name for p in files[0]} >= {"config.json", "summary.json", "clusters.txt",
                                               "metrics.csv", "backbone.meta"}, label
         for name in files[0]:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (label, name)

@@ -1,6 +1,8 @@
 """CLI commands end to end on tiny configs."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import platform
@@ -54,27 +56,55 @@ def write_config(tmp_path, payload, name="cfg.json"):
 
 
 @pytest.fixture(scope="module")
-def run_dir(tmp_path_factory):
+def run_output(tmp_path_factory):
+    """The report directory of one TINY_RUN, and what the run printed."""
     tmp_path = tmp_path_factory.mktemp("cli_run")
     cfg_path = write_config(tmp_path, TINY_RUN)
     out = tmp_path / "report"
-    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
-    return out
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+    return out, printed.getvalue()
+
+
+@pytest.fixture(scope="module")
+def run_dir(run_output):
+    return run_output[0]
 
 
 class TestRun:
     def test_report_layout(self, run_dir):
-        assert (run_dir / "config.json").exists()
-        assert (run_dir / "summary.csv").exists()
-        assert (run_dir / "summary.txt").exists()
-        seed_dir = run_dir / "seed_1"
-        for name in ("metrics.csv", "comm.csv", "clusters.txt"):
-            assert (seed_dir / name).exists()
-        with open(seed_dir / "metrics.csv") as handle:
+        # every file under --out, and nothing else: summary.json is the one summary
+        with open(run_dir / "seed_1" / "metrics.csv") as handle:
             clients = {row["client"] for row in csv.DictReader(handle)}
         assert len(clients) == 8
-        assert {p.name for p in (seed_dir / "checkpoints").iterdir()} == (
-            {"backbone.meta", "backbone.params"} | {f"{cid}.params" for cid in clients})
+        checkpoints = {"backbone.meta", "backbone.params"} | {f"{cid}.params" for cid in clients}
+        assert {p.relative_to(run_dir).as_posix() for p in run_dir.rglob("*") if p.is_file()} == (
+            {"config.json", "summary.json"}
+            | {f"seed_1/{name}" for name in ("metrics.csv", "comm.csv", "clusters.txt")}
+            | {f"seed_1/checkpoints/{name}" for name in checkpoints})
+
+    def test_printed_lines_agree_with_summary(self, run_output):
+        # stdout is the run's one human-readable summary
+        out, printed = run_output
+        summary = json.loads((out / "summary.json").read_text())
+        assert printed == (
+            f"seed 1: mean dev loss {summary['mean_round0_dev_loss']:.4f} -> "
+            f"{summary['mean_best_dev_loss']:.4f}, macro BLEU {summary['macro_bleu']:.2f}\n"
+            f"adapter-families: macro {summary['macro_bleu']:.2f} "
+            f"micro {summary['micro_bleu']:.2f}\n"
+            f"report written to {out}\n")
+
+    def test_no_bleu_printed_without_test_decoding(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, dict(TINY_RUN, evaluate_test_bleu=False))
+        out = tmp_path / "report"
+        assert main(["run", "--config", cfg_path, "--out", str(out), "--no-checkpoints"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["macro_bleu"] is None
+        assert capsys.readouterr().out == (
+            f"seed 1: mean dev loss {summary['mean_round0_dev_loss']:.4f} -> "
+            f"{summary['mean_best_dev_loss']:.4f}\n"
+            f"report written to {out}\n")
 
     def test_metrics_csv_structure(self, run_dir):
         with open(run_dir / "seed_1" / "metrics.csv") as handle:
@@ -133,10 +163,6 @@ class TestAdapterLocalLedger:
         assert transfer["payload_bytes_per_client"] == 0
         assert transfer["per_client_seconds"] == transfer["serialized_seconds_all_clients"] == 0
         assert summary["trainable_params"] > 0
-        assert "payload per client per sync: 0 B" in (out / "summary.txt").read_text()
-        with open(out / "summary.csv") as handle:
-            (row,) = csv.DictReader(handle)
-        assert row["comm_params_per_client_round"] == "0"
 
 
 class TestCountParams:
@@ -173,14 +199,15 @@ class TestCountParams:
         report = tmp_path / "report"
         assert main(["run", "--config", cfg_path, "--out", str(report), "--no-checkpoints"]) == 0
         with open(report / "seed_1" / "comm.csv") as handle:
-            sent = {int(row["bytes"]) for row in csv.DictReader(handle)}
-        assert sent == ({payload} if payload else set())
+            sent = {(int(row["param_count"]), int(row["bytes"])) for row in csv.DictReader(handle)}
         summary = json.loads((report / "summary.json").read_text())
         assert summary["transfer"]["payload_bytes_per_client"] == payload
+        # the values each client sends per sync: the summary's payload over
+        # config.json's bytes_per_param, which every ledger row carries
         bytes_per_param = json.loads((report / "config.json").read_text())["fed"]["bytes_per_param"]
-        with open(report / "summary.csv") as handle:
-            (row,) = csv.DictReader(handle)
-        assert int(row["comm_params_per_client_round"]) * bytes_per_param == payload
+        values, rest = divmod(payload, bytes_per_param)
+        assert rest == 0
+        assert sent == ({(values, payload)} if payload else set())
 
     def test_adapter_count_is_the_layouts(self, tmp_path, capsys):
         # the adapter tensors of the layout at the sites "middle" keeps
