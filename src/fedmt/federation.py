@@ -153,11 +153,12 @@ def train_epochs(
         micro = batches(corpus, batch_size, seed=epoch_seed)
         for start in range(0, len(micro), grad_accumulation):
             window = merge_batches(micro[start : start + grad_accumulation])
-            result, flat_grad = grad(model, window, names)
-            loss_total += result.total
-            tokens_total += result.token_count
+            window_loss, flat_grad = grad(model, window, names)
+            tokens = window.token_count
+            loss_total += window_loss
+            tokens_total += tokens
             if learning_rate > 0:
-                flat_grad /= result.token_count
+                flat_grad /= tokens
                 flat = optimizer.step(flat, flat_grad)
                 del flat_grad  # now the step's denominator
                 values = {name: flat[lo:hi].reshape(shape)
@@ -326,9 +327,8 @@ def evaluate_dev_loss(model: ToyModel, dev: Batch, eval_batch_size: int) -> floa
     total = 0.0
     tokens = 0
     for batch in batches(dev, eval_batch_size):
-        result = loss(model, batch)
-        total += result.total
-        tokens += result.token_count
+        total += loss(model, batch)
+        tokens += batch.token_count
     return total / max(1, tokens)
 
 

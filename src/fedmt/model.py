@@ -530,26 +530,22 @@ def backward(model: ToyModel, batch: Batch, cache, dlogits: np.ndarray):
 # loss and gradients
 
 
-@dataclass(frozen=True)
-class LossResult:
-    total: float       # summed negative log-likelihood over non-pad positions
-    token_count: int
-
-
 def _cross_entropy(logits: np.ndarray, batch: Batch, need_grad: bool = True):
-    """Summed loss of packed logits [N_real, V] against the real gold ids."""
+    """Summed loss of packed logits [N_real, V] against the real gold ids,
+    and its gradient wrt the logits (None without ``need_grad``)."""
     gold = batch.tgt_gold[batch.tgt_mask]
     rows = np.arange(gold.size)
     shifted = logits - logits.max(axis=-1, keepdims=True)
     exps = np.exp(shifted)
     sums = exps.sum(axis=-1, keepdims=True)
-    total = -(shifted[rows, gold] - np.log(sums[:, 0])).sum()
-    count = batch.token_count
+    total = float(-(shifted[rows, gold] - np.log(sums[:, 0])).sum())
+    if not np.isfinite(total):
+        raise NumericError("non-finite loss")
     if not need_grad:
-        return float(total), count, None
+        return total, None
     dlogits = exps / sums
     dlogits[rows, gold] -= 1.0
-    return float(total), count, dlogits
+    return total, dlogits
 
 
 def _check_batch(model: ToyModel, batch: Batch) -> None:
@@ -561,30 +557,27 @@ def _check_batch(model: ToyModel, batch: Batch) -> None:
         raise ConfigurationError("batch contains token ids outside the vocabulary")
 
 
-def loss(model: ToyModel, batch: Batch) -> LossResult:
+def loss(model: ToyModel, batch: Batch) -> float:
+    """The negative log-likelihood summed over the batch's real target
+    positions (``Batch.token_count`` of them), as a float."""
     _check_batch(model, batch)
     logits, _ = forward(model, batch, want=None)
-    total, count, _ = _cross_entropy(logits, batch, need_grad=False)
-    if not np.isfinite(total):
-        raise NumericError("non-finite loss")
-    return LossResult(total, count)
+    return _cross_entropy(logits, batch, need_grad=False)[0]
 
 
-def grad(model: ToyModel, batch: Batch, names: Sequence[str]):
-    """Loss plus the analytic gradient of the *summed* loss over the tensors
-    ``names``, exactly those: one vector in the model's dtype, each tensor
-    raveled and concatenated in the order given."""
+def grad(model: ToyModel, batch: Batch, names: Sequence[str]) -> tuple[float, np.ndarray]:
+    """The summed loss (as :func:`loss` gives it) and its analytic gradient
+    over the tensors ``names``, exactly those: one vector in the model's
+    dtype, each tensor raveled and concatenated in the order given."""
     _check_batch(model, batch)
     logits, cache = forward(model, batch, set(names).__contains__)
-    total, count, dlogits = _cross_entropy(logits, batch)
-    if not np.isfinite(total):
-        raise NumericError("non-finite loss")
+    total, dlogits = _cross_entropy(logits, batch)
     grads = backward(model, batch, cache, dlogits)
     vector = np.concatenate([grads[name].ravel() for name in names])
     if not np.isfinite(vector).all():
         name = next(n for n in names if not np.isfinite(grads[n]).all())
         raise NumericError(f"non-finite gradient for {name!r}")
-    return LossResult(total, count), vector
+    return total, vector
 
 
 # ---------------------------------------------------------------------------
@@ -598,26 +591,23 @@ def decode_greedy(model: ToyModel, src: np.ndarray, src_mask: np.ndarray,
     The encoder runs once. Each step feeds only the newest token to
     ``decode_logits`` with a KV cache: every decoder layer computes its
     cross-attention keys and values from the encoder output once and
-    appends one self-attention key and value per step."""
+    appends one self-attention key and value per step. The steps' argmax
+    ids fill one array, whose spare last column is EOS; decoding stops once
+    every row holds an EOS, and each row is cut at its first."""
     bsz = src.shape[0]
     enc_out, _ = encode(model, src, src_mask, want=None)
     tgt = np.full((bsz, 1), bos_id, dtype=src.dtype)
     step_mask = np.ones((bsz, 1), dtype=bool)
     kv_cache: dict = {}
-    finished = np.zeros(bsz, dtype=bool)
-    outputs: list[list[int]] = [[] for _ in range(bsz)]
-    for _ in range(max_len):
+    ids = np.full((bsz, max_len + 1), eos_id, dtype=src.dtype)
+    ended = np.zeros(bsz, dtype=bool)
+    for step in range(max_len):
         logits, _ = decode_logits(model, enc_out, src_mask, tgt, step_mask, want=None,
                                   kv_cache=kv_cache)
-        nxt = logits.argmax(axis=-1).astype(src.dtype)
-        for j in range(bsz):
-            if not finished[j]:
-                if int(nxt[j]) == eos_id:
-                    finished[j] = True
-                else:
-                    outputs[j].append(int(nxt[j]))
-        if finished.all():
+        ids[:, step] = logits.argmax(axis=-1)
+        ended |= ids[:, step] == eos_id
+        if ended.all():
             break
-        tgt = nxt[:, None]
-    return outputs
-
+        tgt = ids[:, step:step + 1]
+    lengths = (ids == eos_id).argmax(axis=1)
+    return [row[:n] for row, n in zip(ids.tolist(), lengths.tolist())]

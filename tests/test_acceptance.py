@@ -204,9 +204,9 @@ def test_criterion_3_gradient_finite_differences():
             for i in idxs:
                 orig = flat[i]
                 flat[i] = orig + eps
-                up = loss(model, batch).total
+                up = loss(model, batch)
                 flat[i] = orig - eps
-                down = loss(model, batch).total
+                down = loss(model, batch)
                 flat[i] = orig
                 fd = (up - down) / (2 * eps)
                 denom = max(abs(fd), abs(analytic[i]), 1e-6)

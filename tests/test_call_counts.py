@@ -1,5 +1,6 @@
-"""Python-level calls of one training window and one decode step, and the
-n-gram counting of BLEU, as deterministic upper bounds.
+"""Python-level calls of one training window, one decode step and one
+whole greedy decode, and the n-gram counting of BLEU, as deterministic
+upper bounds.
 
 A window's wall time swings with the machine, its call count does not: a
 change that adds work per optimizer step fails here whatever the noise. The
@@ -7,10 +8,12 @@ window is m2en-families client ``zh-en``, seed 1, the second 16-row
 micro-batch of a seed-3 shuffle, on a random backbone (calls and shapes do
 not depend on the weights, so no warm-up is trained). The decode step is a
 KV-cached ``decode_logits`` call at the third target position of that
-client's test batch. The count is every call cProfile records over one
-call, taken after one untimed call so that first-use caches such as the
-position table do not count; the profiler's own ``disable`` is one of the
-calls.
+client's test batch. The whole decode is ``decode_greedy`` over the first
+128 rows of that batch; on the random backbone some row still lacks an EOS
+after 16 steps, so all 16 run. The count is every call cProfile records
+over one call, taken after one untimed call so that first-use caches such
+as the position table do not count; the profiler's own ``disable`` is one
+of the calls.
 
 The count sums the profiler's own entries. ``pstats.Stats.total_calls``
 would not do: it keys functions by file, line and name, so the
@@ -30,17 +33,19 @@ import pytest
 
 from fedmt import bleu
 from fedmt.config import parse_config
-from fedmt.data import BOS, batches, make_batch
+from fedmt.data import BOS, EOS, batches, make_batch
 from fedmt.federation import Party
-from fedmt.model import decode_logits, encode, grad
+from fedmt.model import decode_greedy, decode_logits, encode, grad
 from fedmt.runner import build_method_model, prepare_data
 
 WORKLOAD = Path(__file__).resolve().parent.parent / "perfbench" / "workloads" / "m2en-families.json"
 
 # method -> most calls one window may make (94 and 131 trainable tensors)
-MAX_CALLS = {"adapter-families": 1_895, "model-fed": 1_625}
+MAX_CALLS = {"adapter-families": 1_890, "model-fed": 1_620}
 # most calls one KV-cached decode step of the adapter model may make
 MAX_DECODE_STEP_CALLS = 596
+# most calls one 16-step greedy decode of 128 rows may make
+MAX_DECODE_CALLS = 10_022
 
 
 def profiled_calls(fn, *args) -> int:
@@ -88,6 +93,13 @@ def test_one_decode_step_stays_within_its_call_count():
     model, _, test_batch = client_set_up("adapter-families")
     calls = profiled_calls(decode_logits, *decode_step_args(model, test_batch))
     assert calls <= MAX_DECODE_STEP_CALLS
+
+
+def test_one_greedy_decode_stays_within_its_call_count():
+    model, _, test_batch = client_set_up("adapter-families")
+    rows = test_batch.take(np.arange(128))
+    calls = profiled_calls(decode_greedy, model, rows.src, rows.src_mask, BOS, EOS, 16)
+    assert calls <= MAX_DECODE_CALLS
 
 
 # three clients, every sentence distinct, some shorter than an n-gram order

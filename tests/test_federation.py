@@ -328,9 +328,10 @@ def per_tensor_training(model, corpus, seed, lr, batch_size, accumulation):
     names = list(values)
     micro = batches(corpus, batch_size, seed=seed)
     for t, start in enumerate(range(0, len(micro), accumulation), 1):
-        result, vector = grad(model, merge_batches(micro[start:start + accumulation]), names)
+        window = merge_batches(micro[start:start + accumulation])
+        _, vector = grad(model, window, names)
         for name, g in by_name(model, names, vector).items():
-            g = g / result.token_count
+            g = g / window.token_count
             first[name] = 0.9 * first[name] + (1 - 0.9) * g
             second[name] = 0.999 * second[name] + (1 - 0.999) * g * g
             values[name] = values[name] - lr * (first[name] / (1.0 - 0.9**t)) / (

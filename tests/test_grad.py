@@ -40,8 +40,8 @@ def by_name(model, names, vector):
 def every_gradient(model, batch):
     """Loss and the gradients of every tensor, backbone included, by name."""
     names = model.params.names
-    result, vector = grad(model, batch, names)
-    return result, by_name(model, names, vector)
+    summed, vector = grad(model, batch, names)
+    return summed, by_name(model, names, vector)
 
 
 def random_batch(seed):
@@ -72,9 +72,9 @@ def fd_max_rel_error(model, batch, coords_per_tensor=25, seed=0):
         for i in idxs:
             orig = flat[i]
             flat[i] = orig + EPS
-            up = loss(model, batch).total
+            up = loss(model, batch)
             flat[i] = orig - EPS
-            down = loss(model, batch).total
+            down = loss(model, batch)
             flat[i] = orig
             fd = (up - down) / (2 * EPS)
             denom = max(abs(fd), abs(analytic[i]), 1e-6)
@@ -115,9 +115,9 @@ class TestGradients:
             np.concatenate([batch.tgt_gold] * 2),
             np.concatenate([batch.tgt_mask] * 2),
         )
-        res1, g1 = every_gradient(model, batch)
-        res2, g2 = every_gradient(model, doubled)
-        assert res2.total == pytest.approx(2 * res1.total, rel=1e-12)
+        loss1, g1 = every_gradient(model, batch)
+        loss2, g2 = every_gradient(model, doubled)
+        assert loss2 == pytest.approx(2 * loss1, rel=1e-12)
         for name in g1:
             assert np.allclose(g2[name], 2 * g1[name], rtol=1e-9, atol=1e-12)
 

@@ -132,22 +132,20 @@ class TestLoss:
             {"emb.token.weight": np.zeros((TINY.vocab_size, TINY.model_dim))}
         ))
         batch = random_batch(TINY)
-        result = loss(zeroed, batch)
-        assert result.total / result.token_count == pytest.approx(math.log(TINY.vocab_size),
-                                                                  abs=1e-9)
+        assert loss(zeroed, batch) / batch.token_count == pytest.approx(
+            math.log(TINY.vocab_size), abs=1e-9)
 
     def test_sharp_correct_logits_drive_loss_to_zero(self):
         model = build_model(TINY, 3)
         batch = random_batch(TINY)
         logits, _ = forward(model, batch, lambda _: True)
         # emulate a perfectly confident model via the cross-entropy path
-        from fedmt.model import _cross_entropy
         # logits are packed [N_real, V], in the order of tgt_gold[tgt_mask]
         sharp = np.full_like(logits, -1e4)
         gold = batch.tgt_gold[batch.tgt_mask]
         sharp[np.arange(gold.size), gold] = 1e4
-        total, count, _ = _cross_entropy(sharp, batch, need_grad=False)
-        assert total / count == pytest.approx(0.0, abs=1e-9)
+        total, _ = _cross_entropy(sharp, batch, need_grad=False)
+        assert total / batch.token_count == pytest.approx(0.0, abs=1e-9)
 
     def test_empty_batch_rejected(self):
         model = build_model(TINY, 3)
@@ -175,8 +173,7 @@ class TestLoss:
         }))
         batch = random_batch(TINY, seed=9)
         expected = naive_loss(model, batch)
-        got = loss(model, batch)
-        assert got.total == pytest.approx(expected, rel=1e-6)
+        assert loss(model, batch) == pytest.approx(expected, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +286,7 @@ class TestMergeBatches:
         assert merged.src.shape[1] == 6
         assert merged.token_count == b1.token_count + b2.token_count
         model = build_model(TINY, 0)
-        assert loss(model, merged).total == pytest.approx(
-            loss(model, b1).total + loss(model, b2).total, rel=1e-9
-        )
+        assert loss(model, merged) == pytest.approx(loss(model, b1) + loss(model, b2), rel=1e-9)
 
     def test_merge_equals_padding_each_batch(self):
         batches = [random_batch(TINY, seed=1, bsz=2, s_len=4, t_len=5),
@@ -339,7 +334,7 @@ class TestWhatAPassKeeps:
         config = ModelConfig(vocab_size=90, dtype=dtype)
         model, batch = build_model(config, 0), probe_batch()
         loss(model, batch)  # warm the shared position table
-        loss_peak, result = traced_peak(lambda: loss(model, batch))
+        loss_peak, summed = traced_peak(lambda: loss(model, batch))
         kept_peak, (kept_logits, kept_cache) = traced_peak(lambda: forward(model, batch, lambda _: True))
         assert loss_peak < 0.25 * kept_peak
         # Each sublayer's activations are freed before the next one runs. The
@@ -353,7 +348,7 @@ class TestWhatAPassKeeps:
         logits, cache = forward(model, batch, want=None)
         assert cache is None and kept_cache is not None
         assert np.array_equal(logits, kept_logits)
-        assert result.total == grad(model, batch, model.params.names)[0].total
+        assert summed == grad(model, batch, model.params.names)[0]
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_decoding_holds_what_an_inference_pass_holds(self, dtype):
@@ -420,7 +415,7 @@ class TestWhatAPassKeeps:
         }))
         batch = random_batch(TINY)
         logits, cache = forward(model, batch, want=lambda name: "adapter" in name)
-        grads = backward(model, batch, cache, _cross_entropy(logits, batch)[2])
+        grads = backward(model, batch, cache, _cross_entropy(logits, batch)[1])
         _, everything = grad(model, batch, model.params.names)
         everything = by_name(model, model.params.names, everything)
         assert len(adapters) == 4 * len(adapter_sites(TINY))
@@ -429,7 +424,41 @@ class TestWhatAPassKeeps:
             assert np.array_equal(grads[name], everything[name]), name
 
 
+def scripted_decode(monkeypatch, script, max_len):
+    """``decode_greedy`` over two rows with ``decode_logits`` stubbed so that
+    the argmax of its call k is ``script[k]``: the outputs, and the ids each
+    call was fed."""
+    model = build_model(TINY, 5)
+    batch = random_batch(TINY, bsz=2)
+    fed = []
+
+    def scripted(model, enc_out, src_mask, tgt_in, tgt_mask, want, kv_cache=None):
+        ids = script[len(fed)]
+        fed.append(tgt_in[:, 0].tolist())
+        logits = np.zeros((len(ids), TINY.vocab_size))
+        logits[np.arange(len(ids)), ids] = 1.0
+        return logits, None
+
+    monkeypatch.setattr("fedmt.model.decode_logits", scripted)
+    return decode_greedy(model, batch.src, batch.src_mask, bos_id=1, eos_id=2,
+                         max_len=max_len), fed
+
+
 class TestDecodeGreedy:
+    def test_decoding_stops_once_every_row_holds_an_eos(self, monkeypatch):
+        # row 0 emits EOS at step 1, row 1 at step 3; what row 0 emits after
+        # its EOS is dropped, and no fourth step runs
+        script = [[2, 5], [7, 6], [8, 2], [9, 9], [9, 9], [9, 9]]
+        outs, fed = scripted_decode(monkeypatch, script, max_len=6)
+        assert outs == [[], [5, 6]]
+        assert fed == [[1, 1], [2, 5], [7, 6]]
+
+    def test_a_row_without_eos_runs_to_max_len(self, monkeypatch):
+        script = [[4, 5], [2, 6], [7, 8], [9, 10]]
+        outs, fed = scripted_decode(monkeypatch, script, max_len=4)
+        assert outs == [[4], [5, 6, 8, 10]]
+        assert len(fed) == 4
+
     def test_decode_stops_at_eos_and_strips_specials(self):
         model = build_model(TINY, 5)
         batch = random_batch(TINY)
